@@ -45,7 +45,6 @@ from .partial_theta import (
     PartialThetaQuery,
     PartialThetaResult,
     bound_rhs,
-    bringmann_coefficient,
     lambda_of_mu,
     leading_term,
     mu_of_lambda,
@@ -101,9 +100,9 @@ __all__ = [
     "PdVerdict", "SpectrumReport", "circulant_eigenvalues",
     "jacobi_eigenvalues", "jacobi_eigensystem", "min_eigenvector",
     "pd_verdict", "psd_tolerance",
-    "PartialThetaQuery", "PartialThetaResult", "bound_rhs",
-    "bringmann_coefficient", "lambda_of_mu", "leading_term", "mu_of_lambda",
-    "partial_theta", "s0", "tail_decomposition_check",
+    "PartialThetaQuery", "PartialThetaResult", "bound_rhs", "lambda_of_mu",
+    "leading_term", "mu_of_lambda", "partial_theta", "s0",
+    "tail_decomposition_check",
     "circle_witness", "find_witness_size", "lambda_crit", "lambda_profile",
     "w_half",
     "CertificateError", "VerificationResult", "WitnessCertificate",

@@ -8,22 +8,19 @@ kernel values, and the quadratic form from raw data alone.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
-
-import mpmath as mp
+from dataclasses import dataclass
 
 from . import spaces as sp
-from .gram import KernelParam, gaussian_kernel, gram
+from .gram import KernelParam, gram
 from .precision import (
     DOUBLE_DIGITS,
     PrecisionError,
     check_digits,
     number_from_json,
     number_to_json,
+    numeric,
+    require_positive,
     resolve_digits,
-    to_mpf,
-    working_dps,
 )
 from .spectral import (
     circulant_eigenvalues,
@@ -76,15 +73,10 @@ def circulant_row(lam, n: int, precision_digits: int = DOUBLE_DIGITS, scale=1.0)
     m = min(k, N-k) and mu = 4 pi^2 lambda scale^2."""
     if n < 2:
         raise CertificateError("need at least two points")
-    if precision_digits <= DOUBLE_DIGITS:
-        mu = 4.0 * math.pi * math.pi * float(lam) * float(scale) ** 2
-        return [
-            math.exp(-mu * min(k, n - k) ** 2 / (n * n)) for k in range(n)
-        ]
-    with working_dps(precision_digits):
-        mu = 4 * mp.pi ** 2 * to_mpf(lam, precision_digits) * to_mpf(scale, precision_digits) ** 2
-        nn = mp.mpf(n) * n
-        return [mp.exp(-mu * min(k, n - k) ** 2 / nn) for k in range(n)]
+    with numeric(precision_digits) as x:
+        mu = 4 * x.pi * x.pi * x.num(lam) * x.num(scale) ** 2
+        nn = x.num(n) * n
+        return [x.exp(-mu * min(k, n - k) ** 2 / nn) for k in range(n)]
 
 
 def quadratic_form(space: sp.Space, lam, points, coefficients, precision_digits: int):
@@ -97,50 +89,43 @@ def quadratic_form(space: sp.Space, lam, points, coefficients, precision_digits:
         raise CertificateError(
             f"{len(coefficients)} coefficients for {n} points"
         )
-    if precision_digits <= DOUBLE_DIGITS:
-        param = KernelParam(float(lam))
-        c = [float(x) for x in coefficients]
+    with numeric(precision_digits) as x:
+        lam = require_positive(x.num(lam), "lambda", CertificateError)
+        dist = _pair_distance(space, points, precision_digits, x)
+        c = [x.num(v) for v in coefficients]
         terms = [ci * ci for ci in c]  # diagonal: kernel value is 1
         for i in range(n):
             for j in range(i + 1, n):
-                k_ij = gaussian_kernel(param, sp.distance(space, points[i], points[j]))
-                terms.append(2.0 * c[i] * c[j] * k_ij)
-        return math.fsum(terms)
-    return _quadratic_form_mp(space, lam, points, coefficients, precision_digits)
+                d = dist(i, j)
+                terms.append(2 * c[i] * c[j] * x.exp(-lam * d * d))
+        return x.fsum(terms)
 
 
-def _quadratic_form_mp(space, lam, points, coefficients, digits: int):
+def _pair_distance(space: sp.Space, points: list, digits: int, x):
+    """(i, j) -> d(p_i, p_j): the space's own metric at double precision;
+    wide precision needs circle or torus points, whose angle payloads
+    give exact arcs."""
+    if digits <= DOUBLE_DIGITS:
+        return lambda i, j: sp.distance(space, points[i], points[j])
     if not isinstance(space, (sp.Circle, sp.FlatTorus)):
         raise PrecisionError(
             "wide-precision re-evaluation needs angle payloads (circle or "
             "torus); rebuild the certificate at <= 17 digits"
         )
-    with working_dps(digits):
-        lam_mp = to_mpf(lam, digits)
-        two_pi = 2 * mp.pi
+    two_pi = 2 * x.pi
 
-        def arc(a, b):
-            d = abs(a - b)
-            return min(d, two_pi - d)
+    def arc(a, b):
+        d = abs(a - b)
+        return min(d, two_pi - d)
 
-        if isinstance(space, sp.Circle):
-            scale = to_mpf(space.scale, digits)
-            angles = [to_mpf(p, digits) for p in points]
-            dist = lambda i, j: scale * arc(angles[i], angles[j])
-        else:
-            pairs = [(to_mpf(p[0], digits), to_mpf(p[1], digits)) for p in points]
-            dist = lambda i, j: mp.sqrt(
-                arc(pairs[i][0], pairs[j][0]) ** 2 + arc(pairs[i][1], pairs[j][1]) ** 2
-            )
-
-        c = [to_mpf(x, digits) for x in coefficients]
-        n = len(points)
-        terms = [ci * ci for ci in c]
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = dist(i, j)
-                terms.append(2 * c[i] * c[j] * mp.exp(-lam_mp * d * d))
-        return mp.fsum(terms)
+    if isinstance(space, sp.Circle):
+        scale = x.num(space.scale)
+        angles = [x.num(p) for p in points]
+        return lambda i, j: scale * arc(angles[i], angles[j])
+    pairs = [(x.num(p[0]), x.num(p[1])) for p in points]
+    return lambda i, j: x.sqrt(
+        arc(pairs[i][0], pairs[j][0]) ** 2 + arc(pairs[i][1], pairs[j][1]) ** 2
+    )
 
 
 def build_certificate(space: sp.Space, lam, points, precision_digits: int | None = None) -> WitnessCertificate:
@@ -152,23 +137,25 @@ def build_certificate(space: sp.Space, lam, points, precision_digits: int | None
     clear ten times the PSD tolerance.
     """
     points = list(points)
-    n = len(points)
-    if n < 2:
+    if len(points) < 2:
         raise CertificateError("need at least two points")
-    if isinstance(space, sp.Circle) and sp.equispaced_order(points) == n:
-        digits = resolve_digits(precision_digits)
+    method, digits = _route(space, points, precision_digits)
+    if method == "circulant":
         return _build_circulant(space, lam, points, digits)
-    if precision_digits is None:
-        digits = DOUBLE_DIGITS
-    else:
-        check_digits(precision_digits)
-        digits = precision_digits
-    if digits > DOUBLE_DIGITS:
+    return _build_jacobi(space, lam, points)
+
+
+def _route(space: sp.Space, points: list, precision_digits: int | None) -> tuple[str, int]:
+    """("circulant", resolved digits) for equispaced circle points, else
+    ("jacobi", DOUBLE_DIGITS); the dense route refuses wide precision."""
+    if isinstance(space, sp.Circle) and sp.equispaced_order(points) == len(points):
+        return "circulant", resolve_digits(precision_digits)
+    if precision_digits is not None and check_digits(precision_digits) > DOUBLE_DIGITS:
         raise PrecisionError(
             "dense route is double precision only; wide precision needs "
             "equispaced circle points"
         )
-    return _build_jacobi(space, lam, points)
+    return "jacobi", DOUBLE_DIGITS
 
 
 def _certify_threshold(value, n: int, digits: int, what: str) -> None:
@@ -187,15 +174,11 @@ def _build_circulant(space: sp.Circle, lam, points, digits: int) -> WitnessCerti
     w_min = report.min_eigenvalue
     _certify_threshold(w_min, n, digits, "minimum eigenvalue")
     j_star = report.fourier_indices[0]
-    if digits <= DOUBLE_DIGITS:
-        comps = [math.cos(2.0 * math.pi * j_star * k / n) for k in range(n)]
-        norm = math.sqrt(math.fsum(x * x for x in comps))
-        coeffs = tuple(x / norm for x in comps)
-    else:
-        with working_dps(digits):
-            comps = [mp.cos(2 * mp.pi * j_star * k / n) for k in range(n)]
-            norm = mp.sqrt(mp.fsum(x * x for x in comps))
-            coeffs = tuple(x / norm for x in comps)
+    with numeric(digits) as x:
+        comps = [x.cos(2 * x.pi * j_star * k / n) for k in range(n)]
+        norm = x.sqrt(x.fsum(c * c for c in comps))
+        coeffs = tuple(c / norm for c in comps)
+        stored_lam = x.num(lam)
     quad = quadratic_form(space, lam, points, coeffs, digits)
     _certify_threshold(quad, n, digits, "quadratic form")
     if abs(quad - w_min) > 1e-8 * n * max(1.0, abs(float(w_min))):
@@ -205,7 +188,7 @@ def _build_circulant(space: sp.Circle, lam, points, digits: int) -> WitnessCerti
         )
     return WitnessCertificate(
         space=space,
-        lam=lam if digits > DOUBLE_DIGITS else float(lam),
+        lam=stored_lam,
         points=tuple(points),
         coefficients=coeffs,
         quad_form=quad,
@@ -275,10 +258,6 @@ def verify_certificate(cert: WitnessCertificate) -> VerificationResult:
     return VerificationResult(True, recomputed, stored, None)
 
 
-def with_unit_circle_lambda(cert: WitnessCertificate, value) -> WitnessCertificate:
-    return replace(cert, unit_circle_lambda=value)
-
-
 # ---------------------------------------------------------------------------
 # PSD decision shared by the CLI and the probes
 
@@ -289,22 +268,16 @@ def psd_decision(space: sp.Space, points, lam, precision_digits: int | None = No
     requested precision; anything else gets dense Jacobi at double.
     """
     points = list(points)
-    n = len(points)
-    if n < 1:
+    if len(points) < 1:
         raise CertificateError("need at least one point")
-    if isinstance(space, sp.Circle) and sp.equispaced_order(points) == n:
-        digits = resolve_digits(precision_digits)
-        row = circulant_row(lam, n, digits, scale=space.scale)
+    method, digits = _route(space, points, precision_digits)
+    if method == "circulant":
+        row = circulant_row(lam, len(points), digits, scale=space.scale)
         report = circulant_eigenvalues(row, digits)
-        return pd_verdict(report, 1.0), report, "circulant"
-    if precision_digits is not None and precision_digits > DOUBLE_DIGITS:
-        raise PrecisionError(
-            "dense route is double precision only; wide precision needs "
-            "equispaced circle points"
-        )
-    k = gram(space, points, KernelParam(float(lam)))
-    report = jacobi_eigenvalues(k.entries)
-    return pd_verdict(report, 1.0), report, "jacobi"
+    else:
+        k = gram(space, points, KernelParam(float(lam)))
+        report = jacobi_eigenvalues(k.entries)
+    return pd_verdict(report, 1.0), report, method
 
 
 # ---------------------------------------------------------------------------

@@ -8,20 +8,12 @@ lambda_crit profiles, per N, where the whole spectrum turns PSD.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
-import mpmath as mp
+from dataclasses import dataclass, replace
 
 from . import spaces as sp
-from .certificates import (
-    WitnessCertificate,
-    build_certificate,
-    circulant_row,
-    with_unit_circle_lambda,
-)
-from .partial_theta import mu_of_lambda
-from .precision import DOUBLE_DIGITS, resolve_digits, to_mpf, working_dps
+from .certificates import WitnessCertificate, build_certificate, circulant_row
+from .partial_theta import _require_quarter, mu_of_lambda
+from .precision import DOUBLE_DIGITS, numeric, require_positive, resolve_digits
 from .spectral import circulant_eigenvalues
 
 LAMBDA_CRIT_TOL = 1e-8
@@ -32,11 +24,6 @@ class CircleError(ValueError):
     pass
 
 
-def _require_quarter(n: int) -> None:
-    if not (isinstance(n, int) and n >= 4 and n % 4 == 0):
-        raise CircleError(f"N must be divisible by 4, got {n}")
-
-
 def w_half(mu, n: int, precision_digits: int = 30):
     """The alternating Fourier eigenvalue of the equispaced-circle Gram:
 
@@ -44,28 +31,13 @@ def w_half(mu, n: int, precision_digits: int = 30):
 
     Compensated summation at double precision, mpmath above it.
     """
-    _require_quarter(n)
-    digits = precision_digits
-    if digits <= DOUBLE_DIGITS:
-        m = float(mu)
-        if not (math.isfinite(m) and m > 0):
-            raise CircleError("mu must be positive")
-        terms = [-1.0, math.exp(-m / 4.0)]
-        terms += [
-            2.0 * (-1) ** k * math.exp(-m * k * k / (n * n))
-            for k in range(n // 2)
-        ]
-        return math.fsum(terms)
-    with working_dps(digits):
-        m = to_mpf(mu, digits)
-        if not m > 0:
-            raise CircleError("mu must be positive")
-        nn = mp.mpf(n) * n
-        terms = [mp.mpf(-1), mp.exp(-m / 4)]
-        terms += [
-            2 * (-1) ** k * mp.exp(-m * k * k / nn) for k in range(n // 2)
-        ]
-        return mp.fsum(terms)
+    _require_quarter(n, CircleError)
+    with numeric(precision_digits) as x:
+        m = require_positive(x.num(mu), "mu", CircleError)
+        nn = x.num(n) * n
+        terms = [x.num(-1), x.exp(-m / 4)]
+        terms += [2 * (-1) ** k * x.exp(-m * k * k / nn) for k in range(n // 2)]
+        return x.fsum(terms)
 
 
 def find_witness_size(lam, n_max: int, precision_digits: int = 30):
@@ -80,10 +52,8 @@ def find_witness_size(lam, n_max: int, precision_digits: int = 30):
         raise CircleError("n_max must be at least 4")
     digits = precision_digits
     mu = mu_of_lambda(lam, digits)
-    if digits <= DOUBLE_DIGITS:
-        threshold = -(10.0 ** (-digits + 5))
-    else:
-        threshold = -(mp.mpf(10) ** (-digits + 5))
+    with numeric(digits) as x:
+        threshold = -(x.num(10) ** (-digits + 5))
     for n in range(4, n_max + 1, 4):
         w = w_half(mu, n, digits)
         if w < threshold:
@@ -104,7 +74,7 @@ def lambda_crit(n: int, precision_digits: int = DOUBLE_DIGITS) -> float:
     small lambda the most negative mode need not be j = N/2), bracket
     grown by doubling from 1e-6, absolute tolerance 1e-8.
     """
-    _require_quarter(n)
+    _require_quarter(n, CircleError)
     digits = precision_digits
 
     def not_psd(lam: float) -> bool:
@@ -166,20 +136,14 @@ def circle_witness(
     recorded on the certificate for bookkeeping.
     """
     digits = resolve_digits(precision_digits)
-    if digits <= DOUBLE_DIGITS:
-        lam_unit = float(lam) * float(scale) ** 2
-    else:
-        with working_dps(digits):
-            lam_unit = to_mpf(lam, digits) * to_mpf(scale, digits) ** 2
+    with numeric(digits) as x:
+        lam_unit = x.num(lam) * x.num(scale) ** 2
     hit = find_witness_size(lam_unit, n_max, digits)
     if hit is None:
         return None
     n, _ = hit
-    if digits <= DOUBLE_DIGITS:
-        points = sp.circle_equispaced(n)
-    else:
-        with working_dps(digits):
-            points = [2 * mp.pi * k / n for k in range(n)]
+    with numeric(digits) as x:
+        points = [2 * x.pi * k / n for k in range(n)]
     space = sp.Circle(scale=float(scale))
     cert = build_certificate(space, lam, points, digits)
-    return with_unit_circle_lambda(cert, lam_unit)
+    return replace(cert, unit_circle_lambda=lam_unit)

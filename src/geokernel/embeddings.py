@@ -17,9 +17,14 @@ from typing import Callable
 import numpy as np
 
 from . import spaces as sp
-from .certificates import CertificateError, WitnessCertificate, quadratic_form
+from .certificates import (
+    CERT_MARGIN,
+    CertificateError,
+    WitnessCertificate,
+    quadratic_form,
+)
 from .circle import circle_witness
-from .precision import DOUBLE_DIGITS
+from .precision import DOUBLE_DIGITS, numeric
 from .spectral import psd_tolerance
 
 DIRECTION_TOL = 1e-12
@@ -190,10 +195,10 @@ def transfer_witness(cert: WitnessCertificate, emb: EmbeddingMap) -> WitnessCert
 
     quad = quadratic_form(emb.target, lam, images, coeffs, digits)
     tol = psd_tolerance(len(images), digits)
-    if not quad < -10.0 * tol:
+    if not quad < -CERT_MARGIN * tol:
         raise CertificateError(
             f"transferred violation {float(quad):.3e} does not clear the "
-            f"certification threshold {-10.0 * tol:.3e} at {digits} digits"
+            f"certification threshold {-CERT_MARGIN * tol:.3e} at {digits} digits"
         )
     stored = cert.quad_form
     if abs(quad - stored) > 1e-12 * abs(stored):
@@ -201,8 +206,8 @@ def transfer_witness(cert: WitnessCertificate, emb: EmbeddingMap) -> WitnessCert
             f"target Gram re-verification failed: {float(quad)!r} vs "
             f"stored {float(stored)!r}"
         )
-    scale = emb.source.scale
-    unit_lambda = lam * (scale * scale)
+    with numeric(digits) as x:
+        unit_lambda = lam * x.num(emb.source.scale) ** 2
     return WitnessCertificate(
         space=emb.target,
         lam=lam,

@@ -7,7 +7,6 @@ algebraic operations can verify they are combining like with like.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -47,10 +46,6 @@ def gaussian_kernel(param: KernelParam, d: float) -> float:
     return math.exp(-param.lam * d * d)
 
 
-def _point_id(space: sp.Space, point) -> str:
-    return json.dumps(sp.point_to_json(space, point), sort_keys=True)
-
-
 @dataclass(frozen=True)
 class GramMatrix:
     """Symmetric kernel matrix plus how it was made.
@@ -62,7 +57,7 @@ class GramMatrix:
     entries: np.ndarray
     space: sp.Space | None = None
     lam: float | None = None
-    point_ids: tuple[str, ...] | None = None
+    points: tuple | None = None
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=float)
@@ -92,12 +87,17 @@ def gram(space: sp.Space, points, param: KernelParam) -> GramMatrix:
             value = gaussian_kernel(param, sp.distance(space, points[i], points[j]))
             k[i, j] = value
             k[j, i] = value
-    ids = tuple(_point_id(space, p) for p in points)
-    return GramMatrix(entries=k, space=space, lam=float(param.lam), point_ids=ids)
+    return GramMatrix(entries=k, space=space, lam=float(param.lam), points=tuple(points))
 
 
 def _entries_of(k) -> np.ndarray:
     return k.entries if isinstance(k, GramMatrix) else np.asarray(k, dtype=float)
+
+
+def _point_ids(k: GramMatrix) -> list[str] | None:
+    if k.points is None:
+        return None
+    return [json.dumps(sp.point_to_json(k.space, p), sort_keys=True) for p in k.points]
 
 
 def hadamard(k1, k2) -> np.ndarray:
@@ -108,9 +108,9 @@ def hadamard(k1, k2) -> np.ndarray:
     if a.shape != b.shape:
         raise GramError(f"order mismatch: {a.shape} vs {b.shape}")
     if isinstance(k1, GramMatrix) and isinstance(k2, GramMatrix):
-        if k1.point_ids is not None and k2.point_ids is not None:
-            if k1.point_ids != k2.point_ids:
-                raise GramError("Gram matrices were built on different point sets")
+        ids1, ids2 = _point_ids(k1), _point_ids(k2)
+        if ids1 is not None and ids2 is not None and ids1 != ids2:
+            raise GramError("Gram matrices were built on different point sets")
     return a * b
 
 
@@ -124,60 +124,5 @@ def principal_submatrix(k: GramMatrix, indices) -> GramMatrix:
         if not (0 <= i < n):
             raise GramError(f"index {i} out of range for order {n}")
     sub = k.entries[np.ix_(idx, idx)].copy()
-    ids = tuple(k.point_ids[i] for i in idx) if k.point_ids is not None else None
-    return GramMatrix(entries=sub, space=k.space, lam=k.lam, point_ids=ids)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def gram_to_json(k: GramMatrix) -> dict:
-    """{order, lambda, space, entries} with the lower triangle row-major."""
-    n = k.order
-    tri = [float(k.entries[i, j]) for i in range(n) for j in range(i + 1)]
-    return {
-        "order": n,
-        "lambda": k.lam,
-        "space": sp.space_to_json(k.space) if k.space is not None else None,
-        "entries": tri,
-    }
-
-
-def gram_from_json(obj: dict) -> GramMatrix:
-    n = int(obj["order"])
-    tri = obj["entries"]
-    if len(tri) != n * (n + 1) // 2:
-        raise GramError(
-            f"lower triangle of order {n} needs {n * (n + 1) // 2} entries, got {len(tri)}"
-        )
-    k = np.zeros((n, n))
-    pos = 0
-    for i in range(n):
-        for j in range(i + 1):
-            k[i, j] = k[j, i] = float(tri[pos])
-            pos += 1
-    space = sp.space_from_json(obj["space"]) if obj.get("space") else None
-    lam = float(obj["lambda"]) if obj.get("lambda") is not None else None
-    return GramMatrix(entries=k, space=space, lam=lam)
-
-
-def gram_to_csv(k) -> str:
-    """Dense headerless CSV, one matrix row per line."""
-    e = _entries_of(k)
-    buf = io.StringIO()
-    for row in e:
-        buf.write(",".join(repr(float(x)) for x in row))
-        buf.write("\n")
-    return buf.getvalue()
-
-
-def gram_from_csv(text: str) -> np.ndarray:
-    rows = [
-        [float(cell) for cell in line.split(",")]
-        for line in text.strip().splitlines()
-        if line.strip()
-    ]
-    m = np.array(rows, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise GramError("CSV does not hold a square matrix")
-    return m
+    points = tuple(k.points[i] for i in idx) if k.points is not None else None
+    return GramMatrix(entries=sub, space=k.space, lam=k.lam, points=points)

@@ -9,12 +9,18 @@ alternating Fourier eigenvalue, and its leading 1/N^2 term.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import mpmath as mp
 
-from .precision import DOUBLE_DIGITS, check_digits, to_mpf, working_dps
+from .precision import (
+    DOUBLE_DIGITS,
+    check_digits,
+    numeric,
+    require_positive,
+    to_mpf,
+    working_dps,
+)
 
 # hard cap on summation length; reachable only for degenerate mu, r
 MAX_TERMS = 5_000_000
@@ -22,6 +28,11 @@ MAX_TERMS = 5_000_000
 
 class PartialThetaError(ValueError):
     pass
+
+
+def _require_quarter(n: int, error=PartialThetaError) -> None:
+    if not (isinstance(n, int) and n >= 4 and n % 4 == 0):
+        raise error(f"N must be divisible by 4, got {n}")
 
 
 @dataclass(frozen=True)
@@ -54,10 +65,8 @@ def partial_theta(query: PartialThetaQuery) -> PartialThetaResult:
     """
     digits = query.precision_digits
     with working_dps(digits):
-        mu = to_mpf(query.mu, digits)
+        mu = require_positive(to_mpf(query.mu, digits), "mu", PartialThetaError)
         r = to_mpf(query.r, digits)
-        if not mu > 0:
-            raise PartialThetaError("mu must be positive")
         if not r >= 0:
             raise PartialThetaError("r must be nonnegative")
         n = query.n
@@ -93,11 +102,6 @@ def s0(mu, n: int, precision_digits: int = 30):
     ).value
 
 
-def _require_quarter(n: int) -> None:
-    if not (isinstance(n, int) and n >= 4 and n % 4 == 0):
-        raise PartialThetaError(f"N must be divisible by 4, got {n}")
-
-
 def tail_decomposition_check(mu, n: int, precision_digits: int = 30):
     """Residual of the exact tail-split identity for S_0(N).
 
@@ -111,9 +115,7 @@ def tail_decomposition_check(mu, n: int, precision_digits: int = 30):
     _require_quarter(n)
     digits = precision_digits
     with working_dps(digits):
-        mu = to_mpf(mu, digits)
-        if not mu > 0:
-            raise PartialThetaError("mu must be positive")
+        mu = require_positive(to_mpf(mu, digits), "mu", PartialThetaError)
         nn = mp.mpf(n) * n
         lhs = s0(mu, n, digits)
         star = mp.fsum(
@@ -142,9 +144,7 @@ def bound_rhs(mu, n: int, precision_digits: int = 30):
     _require_quarter(n)
     digits = precision_digits
     with working_dps(digits):
-        mu = to_mpf(mu, digits)
-        if not mu > 0:
-            raise PartialThetaError("mu must be positive")
+        mu = require_positive(to_mpf(mu, digits), "mu", PartialThetaError)
         nn = mp.mpf(n) * n
         s = s0(mu, n, digits)
         e4 = mp.exp(-mu / 4)
@@ -162,52 +162,20 @@ def leading_term(mu, n: int, precision_digits: int = DOUBLE_DIGITS):
     """
     if not (isinstance(n, int) and n >= 1):
         raise PartialThetaError("N must be an integer >= 1")
-    if precision_digits <= DOUBLE_DIGITS:
-        m = float(mu)
-        if not (math.isfinite(m) and m > 0):
-            raise PartialThetaError("mu must be positive")
-        return math.exp(-m / 4.0) * (2.0 * m - m * m) / (n * n)
-    with working_dps(precision_digits):
-        m = to_mpf(mu, precision_digits)
-        if not m > 0:
-            raise PartialThetaError("mu must be positive")
-        return mp.exp(-m / 4) * (2 * m - m * m) / (mp.mpf(n) * n)
-
-
-def bringmann_coefficient(a: int) -> float:
-    """Normalized even-order derivative of 1/(1 - e^{2 pi i z}) at z = 1/2.
-
-    The function is 1/2 plus an odd function of (z - 1/2), so every even
-    coefficient past the constant vanishes.
-    """
-    if not (isinstance(a, int) and a >= 0):
-        raise PartialThetaError("order must be a nonnegative integer")
-    return 0.5 if a == 0 else 0.0
+    with numeric(precision_digits) as x:
+        m = require_positive(x.num(mu), "mu", PartialThetaError)
+        return x.exp(-m / 4) * (2 * m - m * m) / (x.num(n) * n)
 
 
 def mu_of_lambda(lam, precision_digits: int = DOUBLE_DIGITS):
     """mu = 4 pi^2 lambda, the bandwidth in circumference-fraction units."""
-    if precision_digits <= DOUBLE_DIGITS:
-        val = float(lam)
-        if not (math.isfinite(val) and val > 0):
-            raise PartialThetaError("lambda must be positive")
-        return 4.0 * math.pi * math.pi * val
-    with working_dps(precision_digits):
-        val = to_mpf(lam, precision_digits)
-        if not val > 0:
-            raise PartialThetaError("lambda must be positive")
-        return 4 * mp.pi * mp.pi * val
+    with numeric(precision_digits) as x:
+        lam = require_positive(x.num(lam), "lambda", PartialThetaError)
+        return 4 * x.pi * x.pi * lam
 
 
 def lambda_of_mu(mu, precision_digits: int = DOUBLE_DIGITS):
     """Inverse of mu_of_lambda."""
-    if precision_digits <= DOUBLE_DIGITS:
-        val = float(mu)
-        if not (math.isfinite(val) and val > 0):
-            raise PartialThetaError("mu must be positive")
-        return val / (4.0 * math.pi * math.pi)
-    with working_dps(precision_digits):
-        val = to_mpf(mu, precision_digits)
-        if not val > 0:
-            raise PartialThetaError("mu must be positive")
-        return val / (4 * mp.pi * mp.pi)
+    with numeric(precision_digits) as x:
+        mu = require_positive(x.num(mu), "mu", PartialThetaError)
+        return mu / (4 * x.pi * x.pi)

@@ -1,15 +1,18 @@
 """Working-precision plumbing shared by the series and spectrum code.
 
 Everything at or below :data:`DOUBLE_DIGITS` significant digits runs on
-IEEE doubles; above that, computations switch to mpmath wide floats.  The
-default wide precision is 30 digits and can be overridden with the
-``GEOKERNEL_PRECISION`` environment variable.
+IEEE doubles; above that, computations switch to mpmath wide floats.
+:func:`numeric` hands out the arithmetic for a precision, so each formula
+is written once for both.  The default wide precision is 30 digits and
+can be overridden with the ``GEOKERNEL_PRECISION`` environment variable.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 import mpmath as mp
 
@@ -68,11 +71,43 @@ def working_dps(digits: int):
         yield
 
 
+# math.fsum, not mpmath's fp.fsum: only the former is compensated
+_DOUBLE = SimpleNamespace(
+    num=float, exp=math.exp, cos=math.cos, sqrt=math.sqrt, pi=math.pi,
+    fsum=math.fsum,
+)
+_WIDE = SimpleNamespace(
+    num=mp.mpf, exp=mp.exp, cos=mp.cos, sqrt=mp.sqrt, pi=mp.pi,
+    fsum=mp.fsum,
+)
+
+
+@contextmanager
+def numeric(digits: int):
+    """Arithmetic at ``digits``: floats and :mod:`math` up to
+    :data:`DOUBLE_DIGITS`, mpmath inside :func:`working_dps` above it.
+
+    Yields a namespace with ``num`` (parse a number), ``exp``, ``cos``,
+    ``sqrt``, ``pi`` and ``fsum``.
+    """
+    if digits <= DOUBLE_DIGITS:
+        yield _DOUBLE
+    else:
+        with working_dps(digits):
+            yield _WIDE
+
+
+def require_positive(value, what: str, error: type[Exception]):
+    """``value`` itself when it is finite and > 0, float or mpf alike;
+    otherwise ``error``."""
+    if not 0 < value < math.inf:
+        raise error(f"{what} must be positive")
+    return value
+
+
 def to_mpf(value, digits: int) -> mp.mpf:
     """Parse a number (float, int, mpf, or decimal string) at ``digits``."""
     with working_dps(digits):
-        if isinstance(value, str):
-            return mp.mpf(value)
         return mp.mpf(value)
 
 

@@ -11,10 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
-from .precision import DOUBLE_DIGITS, resolve_digits, working_dps
+from .precision import DOUBLE_DIGITS, numeric, resolve_digits
 
 # Convergence: off-diagonal Frobenius norm relative to the input norm.
 JACOBI_OFF_TOL = 1e-14
@@ -174,22 +173,13 @@ def circulant_eigenvalues(first_row, precision_digits: int | None = None) -> Spe
     if n < 1:
         raise ValueError("empty first row")
     _check_circulant_symmetry(row)
-    if digits <= DOUBLE_DIGITS:
-        frow = [float(x) for x in row]
-        base = [math.cos(2.0 * math.pi * m / n) for m in range(n)]
+    with numeric(digits) as x:
+        row = [x.num(v) for v in row]
+        base = [x.cos(2 * x.pi * m / n) for m in range(n)]
         values = [
-            math.fsum(frow[k] * base[(j * k) % n] for k in range(n))
+            x.fsum(row[k] * base[(j * k) % n] for k in range(n))
             for j in range(n)
         ]
-    else:
-        with working_dps(digits):
-            mrow = [mp.mpf(x) if not isinstance(x, mp.mpf) else x for x in row]
-            two_pi = 2 * mp.pi
-            base = [mp.cos(two_pi * m / n) for m in range(n)]
-            values = [
-                mp.fsum(mrow[k] * base[(j * k) % n] for k in range(n))
-                for j in range(n)
-            ]
     order = sorted(range(n), key=lambda j: values[j])
     eigs = tuple(values[j] for j in order)
     return SpectrumReport(

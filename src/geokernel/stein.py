@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spaces as sp
-from .certificates import WitnessCertificate, build_certificate
+from .certificates import CERT_MARGIN, WitnessCertificate, build_certificate
 from .gram import KernelParam, gram
 from .precision import DOUBLE_DIGITS
 from .spectral import jacobi_eigenvalues, psd_tolerance
@@ -135,7 +135,7 @@ def probe(
         k = gram(space, points, param)
         report = jacobi_eigenvalues(k.entries)
         min_seen = min(min_seen, report.min_eigenvalue)
-        if report.min_eigenvalue < -10.0 * tol:
+        if report.min_eigenvalue < -CERT_MARGIN * tol:
             cert = build_certificate(space, float(lam), points, DOUBLE_DIGITS)
             return SteinProbeReport(
                 n=n,

@@ -188,8 +188,9 @@ def test_psd_decision_dispatch():
     assert method == "jacobi"
     assert report.order == 5
 
-    with pytest.raises(PrecisionError):
-        gk.psd_decision(gk.Sphere(2), pts, 0.1, 30)
+    for digits in (30, 5):  # wide is refused, out-of-range is invalid
+        with pytest.raises(PrecisionError):
+            gk.psd_decision(gk.Sphere(2), pts, 0.1, digits)
 
 
 def test_psd_decision_scaled_circle():

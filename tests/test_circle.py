@@ -41,6 +41,13 @@ def test_w_half_requires_quarter_order():
             gk.w_half(1.0, n)
 
 
+def test_w_half_rejects_non_finite_mu_at_every_precision():
+    for digits in (17, 30):
+        for bad in ("inf", "nan", "0"):
+            with pytest.raises(CircleError):
+                gk.w_half(bad, 8, digits)
+
+
 def test_find_witness_size_small_lambda():
     n, w = gk.find_witness_size(0.1, 64, 17)
     assert n == 4

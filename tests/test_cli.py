@@ -115,6 +115,21 @@ def test_witness_space_reports_unit_bandwidth(tmp_path, capsys):
     assert code == 0
 
 
+def test_witness_space_torus_certificate_verifies(tmp_path, capsys):
+    cert_path = str(tmp_path / "torus.json")
+    code, _, _ = run(capsys, "witness", "space", "--target", "torus",
+                     "--lambda", "0.4", "--out", cert_path)
+    assert code == 0
+    doc = json.loads(open(cert_path).read())
+    assert doc["lambda"] == "0.4"
+    assert doc["unit_circle_lambda"] == "0.4"
+    assert float(doc["quad_form"]) == pytest.approx(-0.015050166445732458, rel=1e-12)
+
+    code, out, _ = run(capsys, "verify-certificate", cert_path)
+    assert code == 0
+    assert json.loads(out)["outputs"]["ok"] is True
+
+
 def test_circle_spectrum_csv(capsys):
     code, out, _ = run(capsys, "circle-spectrum", "--lambda", "0.3", "--n", "8",
                        "--precision", "17")
@@ -203,6 +218,18 @@ def test_runtime_errors_exit_one(capsys):
     code, _, err = run(capsys, "embed-verify", "--target", "spd:3")
     assert code == 1
     assert "error:" in err
+
+
+def test_non_finite_bandwidth_exits_one(capsys):
+    for argv in (
+        ("witness", "circle", "--lambda", "inf"),
+        ("witness", "circle", "--lambda", "inf", "--precision", "17"),
+        ("bound-check", "--mu", "inf", "--n-list", "4", "--precision", "30"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "must be positive" in err
 
 
 def test_version_flag(capsys):

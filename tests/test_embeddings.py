@@ -137,5 +137,15 @@ def test_witness_for_target_end_to_end():
     assert gk.verify_certificate(cert).ok
 
 
+def test_witness_for_target_torus_from_decimal_text():
+    # the CLI hands lambda over as text; the wide certificate stores it parsed
+    cert = gk.witness_for_target(gk.FlatTorus(), "0.4")
+    assert cert is not None
+    assert cert.precision_digits == 30
+    assert cert.order == 8
+    assert float(cert.quad_form) == pytest.approx(-0.015050166445732458, rel=1e-12)
+    assert gk.verify_certificate(cert).ok
+
+
 def test_witness_for_target_exhausted():
     assert gk.witness_for_target(gk.Sphere(2), 1.0, n_max=12) is None

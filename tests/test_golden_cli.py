@@ -1,0 +1,32 @@
+"""Byte-identity of CLI output across refactors of the numeric layer.
+
+``golden/cli_outputs.json`` holds stdout and exit code for commands that
+reach every double/wide formula (w_half, the witness search, circulant
+rows and spectra, the leading term, mu/lambda maps) at 17 digits and at
+wide precision.  The expected text was captured before the double and
+wide formulas were merged into one numeric context; any change to it is
+a change in behaviour, not a refactor.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from geokernel.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+CASES = json.loads((GOLDEN / "cli_outputs.json").read_text())
+
+
+@pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"]) for c in CASES])
+def test_cli_output_is_byte_identical(case, monkeypatch):
+    monkeypatch.delenv("GEOKERNEL_PRECISION", raising=False)
+    monkeypatch.chdir(GOLDEN)  # pd-check reports its points path verbatim
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(case["argv"])
+    assert code == case["exit"]
+    assert out.getvalue() == case["stdout"]

@@ -1,6 +1,5 @@
 """Gram assembly, the kernel map, and matrix-level closure properties."""
 
-import json
 import math
 
 import numpy as np
@@ -8,13 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import geokernel as gk
-from geokernel.gram import (
-    GramError,
-    gram_from_csv,
-    gram_from_json,
-    gram_to_csv,
-    gram_to_json,
-)
+from geokernel.gram import GramError
 from geokernel.spaces import sample_points
 
 
@@ -134,30 +127,6 @@ def test_restriction_keeps_psd():
     assert gk.jacobi_eigenvalues(k.entries).min_eigenvalue >= -gk.psd_tolerance(10)
     sub = gk.principal_submatrix(k, [1, 3, 4, 8])
     assert gk.jacobi_eigenvalues(sub.entries).min_eigenvalue >= -gk.psd_tolerance(4)
-
-
-def test_gram_json_round_trip():
-    space = gk.Circle()
-    pts = [0.0, 1.1, 3.3, 5.2]
-    k = gk.gram(space, pts, gk.KernelParam(0.4))
-    payload = gram_to_json(k)
-    assert payload["order"] == 4
-    assert payload["lambda"] == 0.4
-    # row-major lower triangle, diagonal included
-    assert len(payload["entries"]) == 10
-    text = json.dumps(payload)
-    back = gram_from_json(json.loads(text))
-    assert np.array_equal(back.entries, k.entries)
-
-
-def test_gram_csv_round_trip(tmp_path):
-    space = gk.Euclidean(3)
-    pts = sample_points(space, 2, 5)
-    k = gk.gram(space, pts, gk.KernelParam(1.5))
-    path = tmp_path / "gram.csv"
-    path.write_text(gram_to_csv(k))
-    back = gram_from_csv(path.read_text())
-    assert np.array_equal(back, k.entries)
 
 
 @given(

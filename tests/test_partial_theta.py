@@ -100,23 +100,14 @@ def test_leading_term_closed_form_and_sign():
     assert abs(float(wide) - gk.leading_term(3.0, 16)) <= 1e-16
 
 
-def test_bringmann_coefficient():
-    assert gk.bringmann_coefficient(0) == 0.5
-    for a in (1, 2, 7):
-        assert gk.bringmann_coefficient(a) == 0.0
-    for bad in (-1, 0.5):
-        with pytest.raises(PartialThetaError):
-            gk.bringmann_coefficient(bad)
-
-
 def test_bringmann_coefficient_against_derivatives():
-    # the closed form is the 2a-th scaled derivative of 1/(1 + e^{2 pi i u})
-    # at u = 0; the odd tangent part kills every order above zero
+    # the 2a-th scaled derivative of 1/(1 + e^{2 pi i u}) at u = 0 is 1/2
+    # for a = 0; the odd tangent part kills every order above zero
     with mp.workdps(60):
         h = lambda u: 1 / (1 + mp.e ** (2j * mp.pi * u))
         for a in range(4):
             numeric = mp.diff(h, 0, 2 * a) * (-1) ** a / (2 * mp.pi) ** (2 * a)
-            assert abs(numeric.real - gk.bringmann_coefficient(a)) < mpf("1e-40")
+            assert abs(numeric.real - (0.5 if a == 0 else 0)) < mpf("1e-40")
             assert abs(numeric.imag) < mpf("1e-40")
 
 
@@ -125,3 +116,18 @@ def test_mu_lambda_maps_are_inverse():
         assert gk.lambda_of_mu(gk.mu_of_lambda(lam)) == pytest.approx(lam, rel=1e-15)
     # the sign threshold mu = 2 sits at lambda = 1/(2 pi^2)
     assert gk.lambda_of_mu(2.0) == pytest.approx(1.0 / (2.0 * math.pi ** 2), rel=1e-15)
+
+
+def test_non_finite_parameters_rejected_at_every_precision():
+    for digits in (17, 30):
+        for bad in ("inf", "-inf", "nan", "0", "-1"):
+            with pytest.raises(PartialThetaError):
+                gk.mu_of_lambda(bad, digits)
+            with pytest.raises(PartialThetaError):
+                gk.lambda_of_mu(bad, digits)
+            with pytest.raises(PartialThetaError):
+                gk.leading_term(bad, 8, digits)
+    with pytest.raises(PartialThetaError):
+        gk.partial_theta(gk.PartialThetaQuery(mu="inf", r=0, n=4))
+    with pytest.raises(PartialThetaError):
+        gk.bound_rhs("inf", 8, 30)
