@@ -1,0 +1,86 @@
+"""Rebuild ``cli_outputs.json`` from the argv list below.
+
+Run from anywhere, at the commit whose behaviour is to be frozen:
+
+    PYTHONPATH=src python3 tests/golden/capture.py
+
+Each case is run in-process through ``geokernel.cli.main`` with this
+directory as the working directory (``pd-check`` reports its points path
+verbatim) and ``GEOKERNEL_PRECISION`` unset; stdout and the exit code
+are stored as they come, so no expected output is ever edited by hand.
+The SPD point files are regenerated from their seeds first.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+from pathlib import Path
+
+from geokernel import spaces as sp
+from geokernel.cli import main
+
+GOLDEN = Path(__file__).resolve().parent
+
+# file name -> (space text, sample seed, point count)
+POINT_FILES = {
+    "spd3_stein.json": ("spd:3:stein", 31, 12),
+    "spd3_log_euclidean.json": ("spd:3:log_euclidean", 32, 12),
+}
+
+CASES = (
+    ("witness", "circle", "--lambda", "0.1"),
+    ("witness", "circle", "--lambda", "1", "--precision", "17"),
+    ("circle-spectrum", "--lambda", "1", "--n", "16", "--precision", "17"),
+    ("circle-spectrum", "--lambda", "1", "--n", "16", "--precision", "40"),
+    ("bound-check", "--mu", "20", "--n-list", "4,8,16", "--precision", "17"),
+    ("bound-check", "--mu", "20", "--n-list", "4,8,16", "--precision", "60"),
+    ("theta", "--mu", "1,10", "--r", "0,1", "--n", "4,8", "--precision", "17"),
+    ("theta", "--mu", "1,10", "--r", "0,1", "--n", "4,8", "--precision", "80"),
+    ("lambda-profile", "--n-list", "4,8,16"),
+    ("pd-check", "--points", "circle16.json", "--lambda", "1", "--precision", "17"),
+    ("pd-check", "--points", "circle16.json", "--lambda", "1", "--precision", "40"),
+    # the frozen Stein hit: found at trial index 62 (ill_conditioned)
+    ("stein-scan", "--dim", "3", "--points", "10", "--lambda", "0.01",
+     "--trials", "80", "--seed", "7"),
+    # a gap bandwidth and an in-set one, both searched without a hit
+    ("stein-scan", "--dim", "3", "--points", "10", "--lambda", "0.75",
+     "--trials", "24", "--seed", "11"),
+    ("stein-scan", "--dim", "3", "--points", "10", "--lambda", "0.5",
+     "--trials", "24", "--seed", "12"),
+    ("pd-check", "--points", "spd3_stein.json", "--lambda", "0.3"),
+    ("pd-check", "--points", "spd3_log_euclidean.json", "--lambda", "0.3"),
+)
+
+
+def write_point_files() -> None:
+    for name, (text, seed, count) in POINT_FILES.items():
+        space = sp.parse_space(text)
+        obj = sp.pointset_to_json(space, sp.sample_points(space, seed, count))
+        (GOLDEN / name).write_text(json.dumps(obj, indent=1) + "\n")
+
+
+def run_case(argv) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return {"argv": list(argv), "exit": code, "stdout": out.getvalue()}
+
+
+def main_capture() -> None:
+    os.environ.pop("GEOKERNEL_PRECISION", None)
+    write_point_files()
+    cwd = os.getcwd()
+    os.chdir(GOLDEN)
+    try:
+        cases = [run_case(argv) for argv in CASES]
+    finally:
+        os.chdir(cwd)
+    (GOLDEN / "cli_outputs.json").write_text(json.dumps(cases, indent=1) + "\n")
+    print(f"captured {len(cases)} cases")
+
+
+if __name__ == "__main__":
+    main_capture()

@@ -3,9 +3,11 @@
 ``golden/cli_outputs.json`` holds stdout and exit code for commands that
 reach every double/wide formula (w_half, the witness search, circulant
 rows and spectra, the leading term, mu/lambda maps) at 17 digits and at
-wide precision.  The expected text was captured before the double and
-wide formulas were merged into one numeric context; any change to it is
-a change in behaviour, not a refactor.
+wide precision, and the Stein probe and SPD Grams that go through the
+pairwise-distance routine (the frozen seed-7 hit, a gap scan, an in-set
+scan, ``pd-check`` on Stein and log-Euclidean points).  ``capture.py``
+rebuilds the file from its argv list at the commit being frozen; any
+change to the expected text is a change in behaviour, not a refactor.
 """
 
 import contextlib
