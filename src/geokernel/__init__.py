@@ -18,6 +18,7 @@ from .spaces import (
     Sphere,
     circle_equispaced,
     distance,
+    distance_matrix,
     parse_space,
     principal_angles,
     sample_points,
@@ -93,7 +94,7 @@ __all__ = [
     "__version__",
     "Circle", "Euclidean", "FlatTorus", "Grassmannian", "ProjectiveSpace",
     "SpdMatrices", "Sphere", "InvalidPointError", "InvalidSpaceError",
-    "circle_equispaced", "distance", "parse_space", "principal_angles",
+    "circle_equispaced", "distance", "distance_matrix", "parse_space", "principal_angles",
     "sample_points", "validate_point",
     "GramMatrix", "KernelParam", "gaussian_kernel", "gram", "hadamard",
     "principal_submatrix",

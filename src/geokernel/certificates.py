@@ -102,11 +102,12 @@ def quadratic_form(space: sp.Space, lam, points, coefficients, precision_digits:
 
 
 def _pair_distance(space: sp.Space, points: list, digits: int, x):
-    """(i, j) -> d(p_i, p_j): the space's own metric at double precision;
-    wide precision needs circle or torus points, whose angle payloads
-    give exact arcs."""
+    """(i, j) -> d(p_i, p_j): the space's own metric at double precision,
+    every pair from one ``distance_matrix``; wide precision needs circle
+    or torus points, whose angle payloads give exact arcs."""
     if digits <= DOUBLE_DIGITS:
-        return lambda i, j: sp.distance(space, points[i], points[j])
+        dist = sp.distance_matrix(space, points).tolist()
+        return lambda i, j: dist[i][j]
     if not isinstance(space, (sp.Circle, sp.FlatTorus)):
         raise PrecisionError(
             "wide-precision re-evaluation needs angle payloads (circle or "

@@ -79,12 +79,11 @@ def gram(space: sp.Space, points, param: KernelParam) -> GramMatrix:
     n = len(points)
     if n < 1:
         raise GramError("need at least one point")
-    for p in points:
-        sp.require_valid(space, p)
+    d = sp.distance_matrix(space, points).tolist()
     k = np.ones((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            value = gaussian_kernel(param, sp.distance(space, points[i], points[j]))
+            value = gaussian_kernel(param, d[i][j])
             k[i, j] = value
             k[j, i] = value
     return GramMatrix(entries=k, space=space, lam=float(param.lam), points=tuple(points))

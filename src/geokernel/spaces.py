@@ -4,7 +4,9 @@ Each space is a small frozen descriptor; points are plain payloads (an
 angle, a unit vector, an orthonormal matrix, an SPD matrix).  Distances
 follow the closed-form geodesic or matrix-metric formulas, with inner
 products clamped to [-1, 1] and an error raised only when the excess
-betrays genuinely non-unit input.
+betrays genuinely non-unit input.  ``distance_matrix`` validates and
+factors each point once and derives every pair from that; ``distance``
+is its two-point case.
 """
 
 from __future__ import annotations
@@ -21,9 +23,6 @@ TWO_PI = 2.0 * math.pi
 
 # arccos inputs may exceed 1 by rounding; beyond this the input was bad
 CLAMP_EXCESS = 1e-8
-# cos^2 eigenvalues this close to 1 read as a zero principal angle
-ANGLE_SNAP = 4e-15
-
 UNIT_NORM_TOL = 1e-12
 ORTHONORMAL_TOL = 1e-10
 SYMMETRY_TOL = 1e-12
@@ -154,70 +153,83 @@ def _angle_violation(value) -> str | None:
     return None
 
 
-def validate_point(space: Space, point) -> str | None:
-    """None if the payload satisfies its space's invariants, else the
-    violated invariant spelled out."""
+def _checked(space: Space, point) -> tuple[str | None, object]:
+    """(violated invariant, None) for a bad payload, else (None, the
+    payload in the form the distance formulas read): a float angle, an
+    angle pair, an array, or an SPD matrix with its Cholesky factor."""
     if isinstance(space, Circle):
-        return _angle_violation(point)
+        violation = _angle_violation(point)
+        return (violation, None) if violation else (None, float(point))
 
     if isinstance(space, FlatTorus):
         try:
             a, b = point
         except (TypeError, ValueError):
-            return "torus point must be a pair of angles"
-        return _angle_violation(a) or _angle_violation(b)
+            return "torus point must be a pair of angles", None
+        violation = _angle_violation(a) or _angle_violation(b)
+        return (violation, None) if violation else (None, (float(a), float(b)))
 
     if isinstance(space, (Sphere, ProjectiveSpace)):
         v = np.asarray(point, dtype=float)
         if v.shape != (space.n + 1,):
-            return f"expected vector of length {space.n + 1}, got shape {v.shape}"
+            return f"expected vector of length {space.n + 1}, got shape {v.shape}", None
         if not np.all(np.isfinite(v)):
-            return "vector has non-finite entries"
+            return "vector has non-finite entries", None
         if abs(float(np.linalg.norm(v)) - 1.0) > UNIT_NORM_TOL:
-            return "norm != 1"
-        return None
+            return "norm != 1", None
+        return None, v
 
     if isinstance(space, Grassmannian):
         a = np.asarray(point, dtype=float)
         if a.shape != (space.n, space.k):
-            return f"expected {space.n}x{space.k} representative, got shape {a.shape}"
+            return f"expected {space.n}x{space.k} representative, got shape {a.shape}", None
         if not np.all(np.isfinite(a)):
-            return "representative has non-finite entries"
+            return "representative has non-finite entries", None
         gram = a.T @ a
         if float(np.max(np.abs(gram - np.eye(space.k)))) > ORTHONORMAL_TOL:
-            return "columns not orthonormal"
-        return None
+            return "columns not orthonormal", None
+        return None, a
 
     if isinstance(space, SpdMatrices):
         m = np.asarray(point, dtype=float)
         if m.shape != (space.n, space.n):
-            return f"expected {space.n}x{space.n} matrix, got shape {m.shape}"
+            return f"expected {space.n}x{space.n} matrix, got shape {m.shape}", None
         if not np.all(np.isfinite(m)):
-            return "matrix has non-finite entries"
+            return "matrix has non-finite entries", None
         scale = max(1.0, float(np.max(np.abs(m))))
         if float(np.max(np.abs(m - m.T))) > SYMMETRY_TOL * scale:
-            return "not symmetric"
+            return "not symmetric", None
         try:
-            np.linalg.cholesky(m)
+            lower = np.linalg.cholesky(m)
         except np.linalg.LinAlgError:
-            return "not positive definite"
-        return None
+            return "not positive definite", None
+        return None, (m, lower)
 
     if isinstance(space, Euclidean):
         v = np.asarray(point, dtype=float)
         if v.shape != (space.n,):
-            return f"expected vector of length {space.n}, got shape {v.shape}"
+            return f"expected vector of length {space.n}, got shape {v.shape}", None
         if not np.all(np.isfinite(v)):
-            return "vector has non-finite entries"
-        return None
+            return "vector has non-finite entries", None
+        return None, v
 
     raise InvalidSpaceError(f"unknown space {space!r}")
 
 
-def require_valid(space: Space, point) -> None:
-    violation = validate_point(space, point)
+def validate_point(space: Space, point) -> str | None:
+    """None if the payload satisfies its space's invariants, else the
+    violated invariant spelled out."""
+    return _checked(space, point)[0]
+
+
+def require_valid(space: Space, point):
+    """The payload in the form the distance formulas read (see
+    ``_checked``); InvalidPointError naming the violated invariant
+    otherwise."""
+    violation, form = _checked(space, point)
     if violation is not None:
         raise InvalidPointError(f"{space.variant}: {violation}")
+    return form
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +253,13 @@ def _unit_angle(p: np.ndarray, q: np.ndarray) -> float:
     )
 
 
+def _line_angle(p: np.ndarray, q: np.ndarray) -> float:
+    """Angle between lines: pick the representative on the same side first."""
+    if float(np.dot(p, q)) < 0.0:
+        q = -q
+    return _unit_angle(p, q)
+
+
 def circle_arc(theta_p: float, theta_q: float, scale: float = 1.0) -> float:
     """Shorter arc between two angles, scaled."""
     delta = abs(theta_p - theta_q)
@@ -255,86 +274,137 @@ def matrix_log(m: np.ndarray) -> np.ndarray:
     return (vectors * np.log(values)) @ vectors.T
 
 
+# math.atan2 elementwise: numpy's SIMD arctan2 rounds some inputs
+# differently depending on where they sit in the array, and a pair's
+# distance must not depend on the batch it was computed in
+_atan2 = np.frompyfunc(math.atan2, 2, 1)
+
+
 def principal_angles(a, b) -> np.ndarray:
     """Principal angles between the column spans of two orthonormal
-    representatives, ascending in angle.
+    representatives, ascending; stacks of pairs, shaped (..., n, k),
+    give one row of angles per pair.
 
-    cos(theta_i) are the singular values of A^T B, obtained as square
-    roots of the eigenvalues of (A^T B)^T (A^T B) clamped to [0, 1].
+    B splits into its projection A (A^T B) onto span A and the rest:
+    the singular values of the first are the cosines, those of the
+    second the sines (Bjorck & Golub 1973).  Each angle is
+    atan2(sine, cosine), which keeps the relative accuracy of the sine
+    for small angles, so distinct spans stay at a positive distance,
+    and that of the cosine near pi/2 (Knyazev & Argentati 2002).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    m = a.T @ b
-    values, _ = jacobi_eigensystem(m.T @ m)
-    angles = []
-    for lam in values:
-        if lam > 1.0 + CLAMP_EXCESS:
-            raise InvalidPointError(
-                f"cos^2 eigenvalue {lam!r} exceeds 1 beyond rounding"
-            )
-        if lam >= 1.0 - ANGLE_SNAP:
-            # below the eigensolver's backward error the cosine route
-            # cannot resolve the angle from zero; identical spans must
-            # land at exactly zero
-            angles.append(0.0)
-            continue
-        sigma = math.sqrt(min(1.0, max(0.0, float(lam))))
-        angles.append(math.acos(sigma))
-    # eigenvalues ascend, so cosines ascend and angles descend; flip
-    return np.array(sorted(angles))
+    along = a @ (np.swapaxes(a, -1, -2) @ b)
+    cosines, sines = np.linalg.svd(np.stack((along, b - along)), compute_uv=False)
+    if cosines.max() > 1.0 + CLAMP_EXCESS:
+        raise InvalidPointError(
+            f"cosine {cosines.max()!r} of a principal angle exceeds 1 beyond rounding"
+        )
+    # cosines descend and sines ascend along the same angle order
+    return _atan2(sines[..., ::-1], cosines).astype(float)
+
+
+def chol_logdet(lower: np.ndarray) -> float:
+    """log det(L L^T) from the Cholesky factor L."""
+    return 2.0 * math.fsum(math.log(x) for x in np.diag(lower))
+
+
+def _pair_indices(pairs) -> tuple[np.ndarray, np.ndarray]:
+    i, j = np.asarray(pairs, dtype=int).reshape(-1, 2).T
+    return i, j
+
+
+def stein_divergences(matrices, logdets, pairs) -> list[float]:
+    """S(A_i, A_j) = logdet((A_i + A_j)/2) - (logdet A_i + logdet A_j)/2
+    for each (i, j) in pairs, given every matrix's own log-determinant.
+
+    All midpoints are factored by one stacked Cholesky.  S is zero iff
+    A_i = A_j and mathematically nonnegative (concavity of logdet), so
+    the rounding residue below zero is clipped.
+    """
+    stack = np.asarray(matrices, dtype=float)
+    i, j = _pair_indices(pairs)
+    try:
+        lowers = np.linalg.cholesky((stack[i] + stack[j]) / 2.0)
+    except np.linalg.LinAlgError:
+        raise InvalidPointError("stein midpoint is not positive definite") from None
+    return [
+        max(0.0, chol_logdet(low) - 0.5 * (logdets[p] + logdets[q]))
+        for low, (p, q) in zip(lowers, pairs)
+    ]
+
+
+def _distance_forms(space: Space, points) -> list:
+    """Each point validated once, then reduced to what its metric reads:
+    the projector for the projection Grassmannian, the matrix log for
+    log-Euclidean SPD, the Cholesky log-determinant for Stein."""
+    forms = [require_valid(space, p) for p in points]
+    if isinstance(space, Grassmannian) and space.metric == "projection":
+        return [a @ a.T for a in forms]
+    if isinstance(space, SpdMatrices):
+        if space.metric == "log_euclidean":
+            return [matrix_log(m) for m, _ in forms]
+        if space.metric == "stein":
+            return [(m, chol_logdet(lower)) for m, lower in forms]
+        return [m for m, _ in forms]
+    return forms
+
+
+def _norm_distance(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.linalg.norm(a - b))
+
+
+def _pair_formula(space: Space):
+    """(form_p, form_q) -> d(p, q) for the metrics computed pair by pair."""
+    if isinstance(space, Circle):
+        return lambda p, q: circle_arc(p, q, space.scale)
+    if isinstance(space, FlatTorus):
+        return lambda p, q: math.hypot(circle_arc(p[0], q[0]), circle_arc(p[1], q[1]))
+    if isinstance(space, Sphere):
+        return _unit_angle
+    if isinstance(space, ProjectiveSpace):
+        return _line_angle
+    if isinstance(space, (Grassmannian, SpdMatrices, Euclidean)):
+        return _norm_distance
+    raise InvalidSpaceError(f"unknown space {space!r}")
+
+
+def _pair_distances(space: Space, forms: list, pairs) -> list[float]:
+    """d(p_i, p_j) for each (i, j) in pairs, from the points' forms;
+    the Stein and Grassmann geodesic distances run as stacked LAPACK
+    calls over all pairs at once."""
+    if isinstance(space, SpdMatrices) and space.metric == "stein":
+        divergences = stein_divergences(
+            [m for m, _ in forms], [ld for _, ld in forms], pairs
+        )
+        return [math.sqrt(s) for s in divergences]
+    if isinstance(space, Grassmannian) and space.metric == "principal_angle":
+        stack = np.asarray(forms)
+        i, j = _pair_indices(pairs)
+        return [math.hypot(*row) for row in principal_angles(stack[i], stack[j]).tolist()]
+    formula = _pair_formula(space)
+    return [formula(forms[i], forms[j]) for i, j in pairs]
+
+
+def distance_matrix(space: Space, points) -> np.ndarray:
+    """Symmetric matrix of d(p_i, p_j) with a zero diagonal.
+
+    Each point is validated and factored once, not once per pair; the
+    entries are bitwise the values ``distance`` gives for the same pair.
+    """
+    forms = _distance_forms(space, points)
+    n = len(forms)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    d = np.zeros((n, n))
+    if pairs:
+        rows, cols = zip(*pairs)
+        d[rows, cols] = d[cols, rows] = _pair_distances(space, forms, pairs)
+    return d
 
 
 def distance(space: Space, p, q) -> float:
     """Metric distance between two valid points of the space."""
-    require_valid(space, p)
-    require_valid(space, q)
-
-    if isinstance(space, Circle):
-        return circle_arc(float(p), float(q), space.scale)
-
-    if isinstance(space, FlatTorus):
-        d1 = circle_arc(float(p[0]), float(q[0]))
-        d2 = circle_arc(float(p[1]), float(q[1]))
-        return math.hypot(d1, d2)
-
-    if isinstance(space, Sphere):
-        pa = np.asarray(p, dtype=float)
-        qa = np.asarray(q, dtype=float)
-        return _unit_angle(pa, qa)
-
-    if isinstance(space, ProjectiveSpace):
-        pa = np.asarray(p, dtype=float)
-        qa = np.asarray(q, dtype=float)
-        # lines: pick the representative on the same side first
-        if float(np.dot(pa, qa)) < 0.0:
-            qa = -qa
-        return _unit_angle(pa, qa)
-
-    if isinstance(space, Grassmannian):
-        a = np.asarray(p, dtype=float)
-        b = np.asarray(q, dtype=float)
-        if space.metric == "projection":
-            diff = a @ a.T - b @ b.T
-            return float(np.linalg.norm(diff))
-        theta = principal_angles(a, b)
-        return math.sqrt(float(np.dot(theta, theta)))
-
-    if isinstance(space, SpdMatrices):
-        a = np.asarray(p, dtype=float)
-        b = np.asarray(q, dtype=float)
-        if space.metric == "frobenius":
-            return float(np.linalg.norm(a - b))
-        if space.metric == "log_euclidean":
-            return float(np.linalg.norm(matrix_log(a) - matrix_log(b)))
-        from .stein import stein_divergence  # deferred: stein builds on this module
-
-        return math.sqrt(max(0.0, stein_divergence(a, b)))
-
-    if isinstance(space, Euclidean):
-        diff = np.asarray(p, dtype=float) - np.asarray(q, dtype=float)
-        return float(np.linalg.norm(diff))
-
-    raise InvalidSpaceError(f"unknown space {space!r}")
+    return _pair_distances(space, _distance_forms(space, (p, q)), ((0, 1),))[0]
 
 
 # ---------------------------------------------------------------------------

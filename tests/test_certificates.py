@@ -147,6 +147,30 @@ def test_verify_rejects_invalid_points():
         gk.verify_certificate(dataclasses.replace(cert, points=tuple(points)))
 
 
+def test_verify_certificate_validates_each_point_at_most_twice(monkeypatch):
+    # once at the verifier's boundary and once in the pairwise distances,
+    # never once per pair
+    import geokernel.spaces as sp
+    from collections import Counter
+
+    stein = gk.probe(3, 0.01, 80, 10, seed=7).witness
+    angles = [0.0, math.pi / 2 + 0.01, math.pi, 3 * math.pi / 2 - 0.02]
+    circle = gk.build_certificate(gk.Circle(), 0.1, angles, 17)
+    original = sp.require_valid
+    counts = Counter()
+
+    def counting(space, point):
+        counts[id(point)] += 1
+        return original(space, point)
+
+    monkeypatch.setattr(sp, "require_valid", counting)
+    for cert in (stein, circle):
+        counts.clear()
+        assert gk.verify_certificate(cert).ok
+        assert len(counts) == len({id(p) for p in cert.points})
+        assert max(counts.values()) <= 2
+
+
 def test_cert_json_round_trip_double():
     cert = gk.circle_witness(0.1, n_max=16, precision_digits=17)
     payload = gk.cert_to_json(cert)

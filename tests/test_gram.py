@@ -48,6 +48,24 @@ def test_gram_validates_points():
         gk.gram(gk.Sphere(2), [np.array([1.0, 0.5, 0.0])], gk.KernelParam(1.0))
 
 
+def test_gram_validates_each_point_once(monkeypatch):
+    import geokernel.spaces as sp
+
+    seen = []
+    original = sp.require_valid
+
+    def counting(space, point):
+        seen.append(id(point))
+        return original(space, point)
+
+    monkeypatch.setattr(sp, "require_valid", counting)
+    for space in (gk.SpdMatrices(3, metric="stein"), gk.Sphere(2), gk.Grassmannian(2, 4)):
+        seen.clear()
+        pts = sample_points(space, 4, 7)
+        gk.gram(space, pts, gk.KernelParam(0.5))
+        assert sorted(seen) == sorted(id(p) for p in pts)
+
+
 def test_hadamard_schur_closure():
     # entrywise products of PSD matrices stay PSD
     rng = np.random.default_rng(42)

@@ -122,6 +122,36 @@ def test_grassmann_projection_cross_check():
         )
 
 
+@pytest.mark.parametrize("t", [1e-4, 1e-6, 1e-8])
+def test_grassmann_small_angles_keep_relative_accuracy(t):
+    # spans of [e1, e2] and [cos t e1 + sin t e3, cos 2t e2 + sin 2t e4]:
+    # principal angles t and 2t, stored exactly up to the rounding of
+    # sin and cos themselves
+    space = gk.Grassmannian(2, 4)
+    a = np.eye(4)[:, :2]
+    b = np.zeros((4, 2))
+    b[0, 0], b[2, 0] = math.cos(t), math.sin(t)
+    b[1, 1], b[3, 1] = math.cos(2 * t), math.sin(2 * t)
+    thetas = gk.principal_angles(a, b)
+    assert thetas[0] == pytest.approx(t, rel=1e-10)
+    assert thetas[1] == pytest.approx(2 * t, rel=1e-10)
+    d = gk.distance(space, a, b)
+    assert d > 0.0
+    assert d == pytest.approx(math.sqrt(5.0) * t, rel=1e-10)
+    assert gk.distance(space, b, a) == pytest.approx(d, rel=1e-10)
+
+
+def test_distance_is_the_two_point_distance_matrix():
+    for space in CATALOG:
+        pts = sample_points(space, 17, 5)
+        d = gk.distance_matrix(space, pts)
+        assert d.shape == (5, 5)
+        for i in range(5):
+            assert d[i, i] == 0.0
+            for j in range(i + 1, 5):
+                assert d[i, j] == d[j, i] == gk.distance(space, pts[i], pts[j])
+
+
 def test_spd_frobenius_is_plain_norm():
     space = gk.SpdMatrices(2)
     a = np.array([[2.0, 0.3], [0.3, 1.0]])

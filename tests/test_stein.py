@@ -109,3 +109,28 @@ def test_strategy_families_are_valid_points():
     for strategy in PROBE_STRATEGIES:
         for p in _strategy_points(strategy, rng, 4, 5):
             assert gk.validate_point(space, p) is None
+
+
+@pytest.mark.parametrize("lam", [0.01, 0.25, 0.5, 0.75, 1.0])
+def test_screen_matches_jacobi_on_every_trial(lam, monkeypatch):
+    # the LAPACK screen only skips trials that cannot change the report
+    import geokernel.stein as stein
+    from geokernel.certificates import cert_to_json
+
+    cases = [(seed, 24) for seed in range(4)]
+    if lam == 0.01:
+        cases.append((7, 80))  # the frozen hit at trial index 62
+    screened = [gk.probe(3, lam, trials, 10, seed) for seed, trials in cases]
+    monkeypatch.setattr(stein, "eigvalsh", lambda m: np.array([-np.inf]))
+    unscreened = [gk.probe(3, lam, trials, 10, seed) for seed, trials in cases]
+    for a, b in zip(screened, unscreened):
+        assert a.trials_run == b.trials_run
+        assert a.min_eig_seen.hex() == b.min_eig_seen.hex()
+        assert a.witness_trial == b.witness_trial
+        assert a.witness_strategy == b.witness_strategy
+        assert (a.witness is None) == (b.witness is None)
+        if a.witness is not None:
+            assert cert_to_json(a.witness) == cert_to_json(b.witness)
+    if lam == 0.01:
+        assert screened[-1].witness_trial == 62
+
