@@ -19,6 +19,7 @@ from .spaces import (
     circle_equispaced,
     distance,
     distance_matrix,
+    pair_distances,
     parse_space,
     principal_angles,
     sample_points,
@@ -94,8 +95,8 @@ __all__ = [
     "__version__",
     "Circle", "Euclidean", "FlatTorus", "Grassmannian", "ProjectiveSpace",
     "SpdMatrices", "Sphere", "InvalidPointError", "InvalidSpaceError",
-    "circle_equispaced", "distance", "distance_matrix", "parse_space", "principal_angles",
-    "sample_points", "validate_point",
+    "circle_equispaced", "distance", "distance_matrix", "pair_distances",
+    "parse_space", "principal_angles", "sample_points", "validate_point",
     "GramMatrix", "KernelParam", "gaussian_kernel", "gram", "hadamard",
     "principal_submatrix",
     "PdVerdict", "SpectrumReport", "circulant_eigenvalues",

@@ -158,13 +158,11 @@ def embedding_for(target: sp.Space) -> EmbeddingMap:
 def verify_isometry(emb: EmbeddingMap, pair_count: int = 1000, seed: int = 0) -> float:
     """Max |d_target(iota a, iota b) - d_source(a, b)| over seeded pairs."""
     rng = np.random.default_rng(seed)
-    pairs = rng.uniform(0.0, 2.0 * math.pi, (pair_count, 2))
-    worst = 0.0
-    for a, b in pairs:
-        d_src = sp.distance(emb.source, float(a), float(b))
-        d_tgt = sp.distance(emb.target, emb.apply(a), emb.apply(b))
-        worst = max(worst, abs(d_tgt - d_src))
-    return worst
+    angles = rng.uniform(0.0, 2.0 * math.pi, (pair_count, 2)).ravel().tolist()
+    pairs = [(k, k + 1) for k in range(0, len(angles), 2)]
+    d_src = sp.pair_distances(emb.source, angles, pairs)
+    d_tgt = sp.pair_distances(emb.target, [emb.apply(t) for t in angles], pairs)
+    return max((abs(t - s) for s, t in zip(d_src, d_tgt)), default=0.0)
 
 
 def transfer_witness(cert: WitnessCertificate, emb: EmbeddingMap) -> WitnessCertificate:

@@ -4,9 +4,10 @@ Each space is a small frozen descriptor; points are plain payloads (an
 angle, a unit vector, an orthonormal matrix, an SPD matrix).  Distances
 follow the closed-form geodesic or matrix-metric formulas, with inner
 products clamped to [-1, 1] and an error raised only when the excess
-betrays genuinely non-unit input.  ``distance_matrix`` validates and
-factors each point once and derives every pair from that; ``distance``
-is its two-point case.
+betrays genuinely non-unit input.  ``pair_distances`` validates and
+factors each point once and derives every pair from that;
+``distance_matrix`` (all pairs) and ``distance`` (one pair) are its
+cases.
 """
 
 from __future__ import annotations
@@ -141,16 +142,16 @@ Space = Circle | Sphere | ProjectiveSpace | Grassmannian | SpdMatrices | Euclide
 # ---------------------------------------------------------------------------
 # validation
 
-def _angle_violation(value) -> str | None:
+def _checked_angle(value) -> tuple[str | None, float | None]:
     try:
         theta = float(value)
     except (TypeError, ValueError):
-        return "angle payload is not a real number"
+        return "angle payload is not a real number", None
     if not math.isfinite(theta):
-        return "angle is not finite"
+        return "angle is not finite", None
     if not (0.0 <= theta < TWO_PI):
-        return "angle outside [0, 2*pi)"
-    return None
+        return "angle outside [0, 2*pi)", None
+    return None, theta
 
 
 def _checked(space: Space, point) -> tuple[str | None, object]:
@@ -158,16 +159,16 @@ def _checked(space: Space, point) -> tuple[str | None, object]:
     payload in the form the distance formulas read): a float angle, an
     angle pair, an array, or an SPD matrix with its Cholesky factor."""
     if isinstance(space, Circle):
-        violation = _angle_violation(point)
-        return (violation, None) if violation else (None, float(point))
+        return _checked_angle(point)
 
     if isinstance(space, FlatTorus):
         try:
             a, b = point
         except (TypeError, ValueError):
             return "torus point must be a pair of angles", None
-        violation = _angle_violation(a) or _angle_violation(b)
-        return (violation, None) if violation else (None, (float(a), float(b)))
+        (violation_a, a), (violation_b, b) = _checked_angle(a), _checked_angle(b)
+        violation = violation_a or violation_b
+        return (violation, None) if violation else (None, (a, b))
 
     if isinstance(space, (Sphere, ProjectiveSpace)):
         v = np.asarray(point, dtype=float)
@@ -309,11 +310,6 @@ def chol_logdet(lower: np.ndarray) -> float:
     return 2.0 * math.fsum(math.log(x) for x in np.diag(lower))
 
 
-def _pair_indices(pairs) -> tuple[np.ndarray, np.ndarray]:
-    i, j = np.asarray(pairs, dtype=int).reshape(-1, 2).T
-    return i, j
-
-
 def stein_divergences(matrices, logdets, pairs) -> list[float]:
     """S(A_i, A_j) = logdet((A_i + A_j)/2) - (logdet A_i + logdet A_j)/2
     for each (i, j) in pairs, given every matrix's own log-determinant.
@@ -323,7 +319,7 @@ def stein_divergences(matrices, logdets, pairs) -> list[float]:
     the rounding residue below zero is clipped.
     """
     stack = np.asarray(matrices, dtype=float)
-    i, j = _pair_indices(pairs)
+    i, j = np.asarray(pairs, dtype=int).T
     try:
         lowers = np.linalg.cholesky((stack[i] + stack[j]) / 2.0)
     except np.linalg.LinAlgError:
@@ -355,7 +351,9 @@ def _norm_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _pair_formula(space: Space):
-    """(form_p, form_q) -> d(p, q) for the metrics computed pair by pair."""
+    """(form_p, form_q) -> d(p, q) for the metrics computed pair by
+    pair; None for Stein and the Grassmann geodesic, which run as
+    stacked LAPACK calls over all pairs at once."""
     if isinstance(space, Circle):
         return lambda p, q: circle_arc(p, q, space.scale)
     if isinstance(space, FlatTorus):
@@ -364,47 +362,54 @@ def _pair_formula(space: Space):
         return _unit_angle
     if isinstance(space, ProjectiveSpace):
         return _line_angle
+    if isinstance(space, (Grassmannian, SpdMatrices)) and \
+            space.metric in ("stein", "principal_angle"):
+        return None
     if isinstance(space, (Grassmannian, SpdMatrices, Euclidean)):
         return _norm_distance
     raise InvalidSpaceError(f"unknown space {space!r}")
 
 
-def _pair_distances(space: Space, forms: list, pairs) -> list[float]:
-    """d(p_i, p_j) for each (i, j) in pairs, from the points' forms;
-    the Stein and Grassmann geodesic distances run as stacked LAPACK
-    calls over all pairs at once."""
-    if isinstance(space, SpdMatrices) and space.metric == "stein":
+def pair_distances(space: Space, points, pairs) -> list[float]:
+    """d(points[i], points[j]) for each (i, j) in pairs.
+
+    Each point is validated and factored once, however many pairs it is
+    in; a pair's value does not depend on the other pairs or points.
+    """
+    forms = _distance_forms(space, points)
+    formula = _pair_formula(space)
+    if formula is not None:
+        return [formula(forms[i], forms[j]) for i, j in pairs]
+    if not pairs:
+        return []
+    if isinstance(space, SpdMatrices):
         divergences = stein_divergences(
             [m for m, _ in forms], [ld for _, ld in forms], pairs
         )
         return [math.sqrt(s) for s in divergences]
-    if isinstance(space, Grassmannian) and space.metric == "principal_angle":
-        stack = np.asarray(forms)
-        i, j = _pair_indices(pairs)
-        return [math.hypot(*row) for row in principal_angles(stack[i], stack[j]).tolist()]
-    formula = _pair_formula(space)
-    return [formula(forms[i], forms[j]) for i, j in pairs]
+    stack = np.asarray(forms)
+    i, j = np.asarray(pairs, dtype=int).T
+    return [math.hypot(*row) for row in principal_angles(stack[i], stack[j]).tolist()]
 
 
 def distance_matrix(space: Space, points) -> np.ndarray:
-    """Symmetric matrix of d(p_i, p_j) with a zero diagonal.
-
-    Each point is validated and factored once, not once per pair; the
-    entries are bitwise the values ``distance`` gives for the same pair.
-    """
-    forms = _distance_forms(space, points)
-    n = len(forms)
+    """Symmetric matrix of d(p_i, p_j) with a zero diagonal: every pair
+    of ``pair_distances``."""
+    points = list(points)
+    n = len(points)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     d = np.zeros((n, n))
+    values = pair_distances(space, points, pairs)  # validates even one point
     if pairs:
         rows, cols = zip(*pairs)
-        d[rows, cols] = d[cols, rows] = _pair_distances(space, forms, pairs)
+        d[rows, cols] = d[cols, rows] = values
     return d
 
 
 def distance(space: Space, p, q) -> float:
-    """Metric distance between two valid points of the space."""
-    return _pair_distances(space, _distance_forms(space, (p, q)), ((0, 1),))[0]
+    """Metric distance between two valid points of the space: the
+    one-pair case of ``pair_distances``."""
+    return pair_distances(space, (p, q), ((0, 1),))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -141,7 +141,9 @@ def test_grassmann_small_angles_keep_relative_accuracy(t):
     assert gk.distance(space, b, a) == pytest.approx(d, rel=1e-10)
 
 
-def test_distance_is_the_two_point_distance_matrix():
+def test_distance_is_one_pair_of_the_pairwise_routine():
+    # bitwise: a pair's value does not depend on the batch it is in
+    pairs = [(4, 0), (1, 1), (2, 3), (2, 3)]
     for space in CATALOG:
         pts = sample_points(space, 17, 5)
         d = gk.distance_matrix(space, pts)
@@ -150,6 +152,9 @@ def test_distance_is_the_two_point_distance_matrix():
             assert d[i, i] == 0.0
             for j in range(i + 1, 5):
                 assert d[i, j] == d[j, i] == gk.distance(space, pts[i], pts[j])
+        assert gk.pair_distances(space, pts, pairs) == [
+            gk.distance(space, pts[i], pts[j]) for i, j in pairs
+        ]
 
 
 def test_spd_frobenius_is_plain_norm():
