@@ -104,7 +104,8 @@ def quadratic_form(space: sp.Space, lam, points, coefficients, precision_digits:
 def _pair_distance(space: sp.Space, points: list, digits: int, x):
     """(i, j) -> d(p_i, p_j): the space's own metric at double precision,
     every pair from one ``distance_matrix``; wide precision needs circle
-    or torus points, whose angle payloads give exact arcs."""
+    or torus points, whose angle payloads give exact arcs.  Either way
+    each point is validated once."""
     if digits <= DOUBLE_DIGITS:
         dist = sp.distance_matrix(space, points).tolist()
         return lambda i, j: dist[i][j]
@@ -113,6 +114,8 @@ def _pair_distance(space: sp.Space, points: list, digits: int, x):
             "wide-precision re-evaluation needs angle payloads (circle or "
             "torus); rebuild the certificate at <= 17 digits"
         )
+    for p in points:
+        sp.require_valid(space, p)
     two_pi = 2 * x.pi
 
     def arc(a, b):
@@ -133,9 +136,9 @@ def build_certificate(space: sp.Space, lam, points, precision_digits: int | None
     """Certify that the Gram of (space, lambda, points) is not PSD.
 
     Equispaced circle configurations go through the exact circulant
-    spectrum (any precision); everything else through dense Jacobi at
-    double precision.  Refuses when the minimum eigenvalue does not
-    clear ten times the PSD tolerance.
+    spectrum (any precision); everything else through the dense
+    eigensolver at double precision.  Refuses when the minimum eigenvalue
+    does not clear ten times the PSD tolerance.
     """
     points = list(points)
     if len(points) < 2:
@@ -233,8 +236,6 @@ def verify_certificate(cert: WitnessCertificate) -> VerificationResult:
     """
     if cert.schema_version != SCHEMA_VERSION:
         raise CertificateError(f"unknown schema version {cert.schema_version!r}")
-    for p in cert.points:
-        sp.require_valid(cert.space, p)
     recomputed = quadratic_form(
         cert.space, cert.lam, cert.points, cert.coefficients, cert.precision_digits
     )
@@ -266,7 +267,8 @@ def psd_decision(space: sp.Space, points, lam, precision_digits: int | None = No
     """(verdict, spectrum, method) for the Gram of (space, lambda, points).
 
     Equispaced circle points ride the exact circulant path at the
-    requested precision; anything else gets dense Jacobi at double.
+    requested precision; anything else gets the dense eigensolver at
+    double.
     """
     points = list(points)
     if len(points) < 1:

@@ -1,9 +1,13 @@
 """Symmetric eigensolvers and PSD verdicts.
 
-Two routes to a spectrum: a dense cyclic Jacobi solver (double precision,
-any symmetric matrix) and an exact discrete-Fourier path for symmetric
-circulant first rows (double or wide precision).  Keeping both lets every
-circulant result be cross-checked against dense linear algebra.
+Two routes to a spectrum: LAPACK's dense symmetric eigensolver (double
+precision, any symmetric matrix) and an exact discrete-Fourier path for
+symmetric circulant first rows (double or wide precision).  Keeping both
+lets every circulant result be cross-checked against dense linear algebra.
+
+The dense route only searches: a witness's violation is re-derived from
+raw points, bandwidth and coefficients by the certificate verifier,
+which uses no eigensolver.
 """
 
 from __future__ import annotations
@@ -15,17 +19,10 @@ import numpy as np
 
 from .precision import DOUBLE_DIGITS, numeric, resolve_digits
 
-# Convergence: off-diagonal Frobenius norm relative to the input norm.
-JACOBI_OFF_TOL = 1e-14
-JACOBI_MAX_SWEEPS = 100
-
 # PSD tolerance coefficient at double precision; at p wide digits the
 # circulant path's rounding floor drops to ~10^-p, so the band scales
 # as 10^-(p-7) (1e-10 is exactly the p=17 case).
 PSD_TOL_COEFF = 1e-10
-
-INVERSE_ITER_MAX = 50
-INVERSE_ITER_TOL = 1e-8
 
 
 class AsymmetricInputError(ValueError):
@@ -33,7 +30,7 @@ class AsymmetricInputError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Iteration budget exhausted; carries the residual reached."""
+    """A spectrum failed its consistency check; carries the residual."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(f"{message} (residual {residual:.3e})")
@@ -53,7 +50,6 @@ class SpectrumReport:
     min_eigenvalue: float
     method: str
     precision_digits: int
-    offdiag_residual: float | None = None
     fourier_indices: tuple[int, ...] | None = None
 
     @property
@@ -76,87 +72,33 @@ def _check_symmetric(m: np.ndarray) -> None:
         raise AsymmetricInputError("asymmetric input beyond 1e-12 relative")
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
 def jacobi_eigensystem(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi sweeps; returns (eigenvalues ascending, eigenvector columns).
-
-    Rotations zero one off-diagonal pair at a time; each sweep visits all
-    pairs in row order.  Stops when the off-diagonal Frobenius norm falls
-    below JACOBI_OFF_TOL times the input norm.
-    """
-    values, vectors, _ = _jacobi_sweeps(matrix)
-    return values, vectors
-
-
-def _jacobi_sweeps(matrix) -> tuple[np.ndarray, np.ndarray, float]:
+    """(eigenvalues ascending, eigenvector columns) of a symmetric matrix,
+    from LAPACK's symmetric eigensolver (``numpy.linalg.eigh``)."""
     a = np.array(matrix, dtype=float)
     _check_symmetric(a)
-    n = a.shape[0]
-    v = np.eye(n)
-    norm = float(np.linalg.norm(a))
-    target = JACOBI_OFF_TOL * norm
-    # rotations below this cannot keep the off-norm above target
-    skip = target / (10.0 * max(n, 1))
-    off = _offdiag_norm(a)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if off <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                app, aqq = a[p, p], a[q, q]
-                tau = (aqq - app) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                new_p = c * col_p - s * col_q
-                new_q = s * col_p + c * col_q
-                a[:, p] = new_p
-                a[p, :] = new_p
-                a[:, q] = new_q
-                a[q, :] = new_q
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = a[q, p] = 0.0
-                vec_p = v[:, p].copy()
-                vec_q = v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
-        off = _offdiag_norm(a)
-    else:
-        raise ConvergenceError(
-            f"jacobi did not converge in {JACOBI_MAX_SWEEPS} sweeps", off
-        )
-    diag = np.diag(a).copy()
-    order = np.argsort(diag, kind="stable")
-    return diag[order], v[:, order], off
+    return np.linalg.eigh(a)
 
 
 def jacobi_eigenvalues(matrix) -> SpectrumReport:
-    """Dense double-precision spectrum via cyclic Jacobi rotations."""
+    """Dense double-precision spectrum of a symmetric matrix.
+
+    The method label stays "jacobi": it names the dense route in stored
+    certificates and CLI output.  The eigenvalues must sum to the trace,
+    which also rejects a spectrum with non-finite entries.
+    """
     a = np.array(matrix, dtype=float)
-    values, _, residual = _jacobi_sweeps(a)
+    values, _ = jacobi_eigensystem(a)
     scale = max(1.0, float(np.max(np.abs(a), initial=0.0)))
     n = a.shape[0]
-    if abs(float(np.trace(a)) - float(np.sum(values))) > 1e-10 * n * scale:
-        raise ConvergenceError("trace not conserved by rotations", residual)
+    drift = abs(float(np.trace(a)) - float(np.sum(values)))
+    if not drift <= 1e-10 * n * scale:
+        raise ConvergenceError("trace not conserved by the eigensolver", drift)
     return SpectrumReport(
         eigenvalues=tuple(float(x) for x in values),
         min_eigenvalue=float(values[0]),
         method="jacobi",
         precision_digits=DOUBLE_DIGITS,
-        offdiag_residual=residual,
     )
 
 
@@ -230,40 +172,9 @@ def pd_verdict(report: SpectrumReport, scale: float) -> PdVerdict:
 
 
 def min_eigenvector(matrix, target: float) -> np.ndarray:
-    """Unit eigenvector for the eigenvalue nearest ``target``.
-
-    Inverse iteration with a slightly detuned shift; the residual
-    requirement is ||M c - target c|| <= 1e-8 ||M||_F.
-    """
-    m = np.array(matrix, dtype=float)
-    _check_symmetric(m)
-    n = m.shape[0]
-    norm = float(np.linalg.norm(m))
-    detune = 1e-11 * max(norm, 1.0)
-    shifted = m - (float(target) + detune) * np.eye(n)
-    x = np.ones(n) / math.sqrt(n)
-    best = None
-    for _ in range(INVERSE_ITER_MAX):
-        try:
-            y = np.linalg.solve(shifted, x)
-        except np.linalg.LinAlgError:
-            detune *= 10.0
-            shifted = m - (float(target) + detune) * np.eye(n)
-            continue
-        ynorm = float(np.linalg.norm(y))
-        if not math.isfinite(ynorm) or ynorm == 0.0:
-            detune *= 10.0
-            shifted = m - (float(target) + detune) * np.eye(n)
-            continue
-        x = y / ynorm
-        residual = float(np.linalg.norm(m @ x - float(target) * x))
-        if best is None or residual < best[0]:
-            best = (residual, x.copy())
-        if residual <= INVERSE_ITER_TOL * max(norm, 1e-300):
-            break
-    else:
-        raise ConvergenceError("inverse iteration did not converge", best[0])
-    x = best[1]
+    """Unit eigenvector for the eigenvalue nearest ``target``."""
+    values, vectors = jacobi_eigensystem(matrix)
+    x = vectors[:, int(np.argmin(np.abs(values - float(target))))]
     # canonical sign: first component of visible magnitude is positive
     for comp in x:
         if abs(comp) > 1e-12:

@@ -55,11 +55,17 @@ CASES = (
 )
 
 
+def point_file_text(name: str) -> str:
+    """The seeded regeneration of one SPD point file."""
+    text, seed, count = POINT_FILES[name]
+    space = sp.parse_space(text)
+    obj = sp.pointset_to_json(space, sp.sample_points(space, seed, count))
+    return json.dumps(obj, indent=1) + "\n"
+
+
 def write_point_files() -> None:
-    for name, (text, seed, count) in POINT_FILES.items():
-        space = sp.parse_space(text)
-        obj = sp.pointset_to_json(space, sp.sample_points(space, seed, count))
-        (GOLDEN / name).write_text(json.dumps(obj, indent=1) + "\n")
+    for name in POINT_FILES:
+        (GOLDEN / name).write_text(point_file_text(name))
 
 
 def run_case(argv) -> dict:

@@ -140,22 +140,31 @@ def test_verify_rejects_unknown_schema():
 
 
 def test_verify_rejects_invalid_points():
-    cert = gk.witness_for_target(gk.Sphere(2), 0.1)
-    points = list(cert.points)
-    points[0] = points[0] * 1.01  # off the sphere
-    with pytest.raises(gk.InvalidPointError):
-        gk.verify_certificate(dataclasses.replace(cert, points=tuple(points)))
+    sphere = gk.witness_for_target(gk.Sphere(2), 0.1)
+    circle = _unit_witness(digits=30)
+    torus = gk.witness_for_target(gk.FlatTorus(), "0.4")
+    assert circle.precision_digits == torus.precision_digits == 30
+    bad_first = (
+        (sphere, sphere.points[0] * 1.01),  # off the sphere
+        (circle, mpf("-0.5")),  # angle outside [0, 2*pi)
+        (torus, (mpf(7), torus.points[0][1])),
+    )
+    for cert, bad in bad_first:
+        points = (bad,) + tuple(cert.points[1:])
+        with pytest.raises(gk.InvalidPointError):
+            gk.verify_certificate(dataclasses.replace(cert, points=points))
 
 
-def test_verify_certificate_validates_each_point_at_most_twice(monkeypatch):
-    # once at the verifier's boundary and once in the pairwise distances,
-    # never once per pair
+def test_verify_certificate_validates_each_point_once(monkeypatch):
+    # in the pairwise distances at double precision, before the exact arcs
+    # at wide precision; never once per pair
     import geokernel.spaces as sp
     from collections import Counter
 
     stein = gk.probe(3, 0.01, 80, 10, seed=7).witness
     angles = [0.0, math.pi / 2 + 0.01, math.pi, 3 * math.pi / 2 - 0.02]
     circle = gk.build_certificate(gk.Circle(), 0.1, angles, 17)
+    wide = _unit_witness(digits=30)
     original = sp.require_valid
     counts = Counter()
 
@@ -164,11 +173,11 @@ def test_verify_certificate_validates_each_point_at_most_twice(monkeypatch):
         return original(space, point)
 
     monkeypatch.setattr(sp, "require_valid", counting)
-    for cert in (stein, circle):
+    for cert in (stein, circle, wide):
         counts.clear()
         assert gk.verify_certificate(cert).ok
         assert len(counts) == len({id(p) for p in cert.points})
-        assert max(counts.values()) <= 2
+        assert max(counts.values()) == 1
 
 
 def test_cert_json_round_trip_double():

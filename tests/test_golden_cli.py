@@ -7,10 +7,12 @@ wide precision, and the Stein probe and SPD Grams that go through the
 pairwise-distance routine (the frozen seed-7 hit, a gap scan, an in-set
 scan, ``pd-check`` on Stein and log-Euclidean points).  ``capture.py``
 rebuilds the file from its argv list at the commit being frozen; any
-change to the expected text is a change in behaviour, not a refactor.
+change to the expected text is a change in behaviour, not a refactor,
+and is made by running the script, never by editing the file.
 """
 
 import contextlib
+import importlib.util
 import io
 import json
 from pathlib import Path
@@ -32,3 +34,12 @@ def test_cli_output_is_byte_identical(case, monkeypatch):
         code = main(case["argv"])
     assert code == case["exit"]
     assert out.getvalue() == case["stdout"]
+
+
+def test_golden_file_is_the_capture_scripts_output():
+    spec = importlib.util.spec_from_file_location("capture", GOLDEN / "capture.py")
+    capture = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(capture)
+    assert [tuple(c["argv"]) for c in CASES] == list(capture.CASES)
+    for name in capture.POINT_FILES:
+        assert (GOLDEN / name).read_text() == capture.point_file_text(name), name
