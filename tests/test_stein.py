@@ -118,3 +118,41 @@ def test_probe_hit_coefficients_are_an_eigenvector():
     k = gk.gram(cert.space, cert.points, gk.KernelParam(cert.lam)).entries
     c = np.asarray(cert.coefficients)
     assert np.linalg.norm(k @ c - cert.min_eigenvalue * c) <= 1e-12
+
+
+@pytest.mark.parametrize("lam", [0.01, 0.25, 0.5, 0.75, 1.0])
+def test_probe_report_matches_trial_replay(lam):
+    # replay the seeded trial stream with an independent eigvalsh: the probe
+    # stops at the first trial below the certification threshold, reports
+    # the minimum over exactly the trials it ran, and names that trial
+    import geokernel.stein as stein
+    from geokernel.certificates import CERT_MARGIN
+    from geokernel.precision import DOUBLE_DIGITS
+
+    threshold = -CERT_MARGIN * gk.psd_tolerance(10, DOUBLE_DIGITS)
+    cases = [(seed, 24) for seed in range(4)]
+    if lam == 0.01:
+        cases.append((7, 80))  # the frozen hit at trial index 62
+    space = gk.SpdMatrices(n=3, metric="stein")
+    for seed, trials in cases:
+        report = gk.probe(3, lam, trials, 10, seed)
+        rng = np.random.default_rng(seed)
+        mins, hit = [], None
+        for trial in range(trials):
+            strategy = PROBE_STRATEGIES[trial % len(PROBE_STRATEGIES)]
+            points = stein._strategy_points(strategy, rng, 3, 10)
+            k = gk.gram(space, points, gk.KernelParam(lam)).entries
+            mins.append(float(np.linalg.eigvalsh(np.asarray(k))[0]))
+            if mins[-1] < threshold:
+                hit = trial
+                break
+        assert report.trials_run == len(mins)
+        assert abs(report.min_eig_seen - min(mins)) <= 1e-14
+        assert report.witness_trial == hit
+        if hit is None:
+            assert report.witness is None and report.witness_strategy is None
+        else:
+            assert report.witness_strategy == PROBE_STRATEGIES[hit % 3]
+            assert gk.verify_certificate(report.witness).ok
+    if lam == 0.01:
+        assert report.witness_trial == 62
