@@ -28,6 +28,7 @@ GOLDEN = Path(__file__).resolve().parent
 POINT_FILES = {
     "spd3_stein.json": ("spd:3:stein", 31, 12),
     "spd3_log_euclidean.json": ("spd:3:log_euclidean", 32, 12),
+    "sphere2.json": ("sphere:2", 33, 40),
 }
 
 CASES = (
@@ -52,6 +53,16 @@ CASES = (
      "--trials", "24", "--seed", "12"),
     ("pd-check", "--points", "spd3_stein.json", "--lambda", "0.3"),
     ("pd-check", "--points", "spd3_log_euclidean.json", "--lambda", "0.3"),
+    # circle witnesses carried into each embedding target
+    ("witness", "space", "--target", "sphere:2", "--lambda", "0.4"),
+    ("witness", "space", "--target", "projective:2", "--lambda", "0.4"),
+    ("witness", "space", "--target", "torus", "--lambda", "0.4"),
+    ("witness", "space", "--target", "grassmann:2,4", "--lambda", "0.4",
+     "--precision", "17"),
+    # the dense route on sphere points: PD at lambda 1, not PSD at 0.05
+    ("pd-check", "--points", "sphere2.json", "--lambda", "1"),
+    ("pd-check", "--points", "sphere2.json", "--lambda", "0.05"),
+    ("embed-verify", "--target", "sphere:2", "--pairs", "50"),
 )
 
 
