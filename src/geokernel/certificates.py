@@ -4,6 +4,12 @@ A certificate stores the space, bandwidth, points, and a coefficient
 vector c with c^T K c < 0.  Everything needed to re-derive the violation
 travels with it, so an independent verifier can recompute all distances,
 kernel values, and the quadratic form from raw data alone.
+
+Building one is a search: :func:`psd_decision` picks the route (exact
+circulant spectrum for equispaced circle points, dense eigensolver
+otherwise) and returns the spectrum, and one tail turns any spectrum
+into a witness (minimum-mode coefficients, recomputed quadratic form,
+both checked against :func:`certification_threshold`).
 """
 
 from __future__ import annotations
@@ -132,57 +138,39 @@ def _pair_distance(space: sp.Space, points: list, digits: int, x):
     )
 
 
+def certification_threshold(n: int, digits: int):
+    """The bar a certified violation must lie below: ten times the PSD
+    tolerance band of an order-n spectrum at ``digits``, negated."""
+    return -CERT_MARGIN * psd_tolerance(n, digits)
+
+
+def _certify_threshold(value, n: int, digits: int, what: str) -> None:
+    bar = certification_threshold(n, digits)
+    if not value < bar:
+        raise CertificateError(
+            f"{what} {float(value):.6e} is not below the certification "
+            f"threshold {bar:.6e}; refusing to certify"
+        )
+
+
 def build_certificate(space: sp.Space, lam, points, precision_digits: int | None = None) -> WitnessCertificate:
     """Certify that the Gram of (space, lambda, points) is not PSD.
 
-    Equispaced circle configurations go through the exact circulant
-    spectrum (any precision); everything else through the dense
-    eigensolver at double precision.  Refuses when the minimum eigenvalue
-    does not clear ten times the PSD tolerance.
+    The spectrum comes from :func:`psd_decision` (exact circulant for
+    equispaced circle points at any precision, dense at double
+    otherwise); the witness is the minimum eigenvalue's unit
+    eigenvector.  Refuses unless both the minimum eigenvalue and the
+    recomputed quadratic form clear the certification threshold and
+    agree with each other.
     """
     points = list(points)
     if len(points) < 2:
         raise CertificateError("need at least two points")
-    method, digits = _route(space, points, precision_digits)
-    if method == "circulant":
-        return _build_circulant(space, lam, points, digits)
-    return _build_jacobi(space, lam, points)
-
-
-def _route(space: sp.Space, points: list, precision_digits: int | None) -> tuple[str, int]:
-    """("circulant", resolved digits) for equispaced circle points, else
-    ("jacobi", DOUBLE_DIGITS); the dense route refuses wide precision."""
-    if isinstance(space, sp.Circle) and sp.equispaced_order(points) == len(points):
-        return "circulant", resolve_digits(precision_digits)
-    if precision_digits is not None and check_digits(precision_digits) > DOUBLE_DIGITS:
-        raise PrecisionError(
-            "dense route is double precision only; wide precision needs "
-            "equispaced circle points"
-        )
-    return "jacobi", DOUBLE_DIGITS
-
-
-def _certify_threshold(value, n: int, digits: int, what: str) -> None:
-    tol = psd_tolerance(n, digits)
-    if not value < -CERT_MARGIN * tol:
-        raise CertificateError(
-            f"{what} {float(value):.6e} is not below the certification "
-            f"threshold {-CERT_MARGIN * tol:.6e}; refusing to certify"
-        )
-
-
-def _build_circulant(space: sp.Circle, lam, points, digits: int) -> WitnessCertificate:
-    n = len(points)
-    row = circulant_row(lam, n, digits, scale=space.scale)
-    report = circulant_eigenvalues(row, digits)
+    _, report, method = psd_decision(space, points, lam, precision_digits)
+    n, digits = len(points), report.precision_digits
     w_min = report.min_eigenvalue
     _certify_threshold(w_min, n, digits, "minimum eigenvalue")
-    j_star = report.fourier_indices[0]
-    with numeric(digits) as x:
-        comps = [x.cos(2 * x.pi * j_star * k / n) for k in range(n)]
-        norm = x.sqrt(x.fsum(c * c for c in comps))
-        coeffs = tuple(c / norm for c in comps)
-        stored_lam = x.num(lam)
+    coeffs = min_eigenvector(report)
     quad = quadratic_form(space, lam, points, coeffs, digits)
     _certify_threshold(quad, n, digits, "quadratic form")
     if abs(quad - w_min) > 1e-8 * n * max(1.0, abs(float(w_min))):
@@ -190,6 +178,8 @@ def _build_circulant(space: sp.Circle, lam, points, digits: int) -> WitnessCerti
             "quadratic form disagrees with the spectral value; "
             "certificate construction is inconsistent"
         )
+    with numeric(digits) as x:
+        stored_lam = x.num(lam)
     return WitnessCertificate(
         space=space,
         lam=stored_lam,
@@ -197,34 +187,8 @@ def _build_circulant(space: sp.Circle, lam, points, digits: int) -> WitnessCerti
         coefficients=coeffs,
         quad_form=quad,
         min_eigenvalue=w_min,
-        method="circulant",
+        method=method,
         precision_digits=digits,
-    )
-
-
-def _build_jacobi(space: sp.Space, lam, points) -> WitnessCertificate:
-    n = len(points)
-    k = gram(space, points, KernelParam(float(lam)))
-    report = jacobi_eigenvalues(k.entries)
-    w_min = report.min_eigenvalue
-    _certify_threshold(w_min, n, DOUBLE_DIGITS, "minimum eigenvalue")
-    c = min_eigenvector(k.entries, w_min)
-    quad = quadratic_form(space, lam, points, [float(x) for x in c], DOUBLE_DIGITS)
-    _certify_threshold(quad, n, DOUBLE_DIGITS, "quadratic form")
-    if abs(quad - w_min) > 1e-6 * n * max(1.0, abs(w_min)):
-        raise CertificateError(
-            "quadratic form disagrees with the spectral value; "
-            "certificate construction is inconsistent"
-        )
-    return WitnessCertificate(
-        space=space,
-        lam=float(lam),
-        points=tuple(points),
-        coefficients=tuple(float(x) for x in c),
-        quad_form=quad,
-        min_eigenvalue=w_min,
-        method="jacobi",
-        precision_digits=DOUBLE_DIGITS,
     )
 
 
@@ -261,26 +225,31 @@ def verify_certificate(cert: WitnessCertificate) -> VerificationResult:
 
 
 # ---------------------------------------------------------------------------
-# PSD decision shared by the CLI and the probes
+# PSD decision shared by the builder, the CLI and the probes
 
 def psd_decision(space: sp.Space, points, lam, precision_digits: int | None = None) -> tuple:
     """(verdict, spectrum, method) for the Gram of (space, lambda, points).
 
-    Equispaced circle points ride the exact circulant path at the
-    requested precision; anything else gets the dense eigensolver at
-    double.
+    The one place that picks the route: equispaced circle points ride the
+    exact circulant path at the requested precision; anything else gets
+    the dense eigensolver at double, which refuses wide precision.
     """
     points = list(points)
     if len(points) < 1:
         raise CertificateError("need at least one point")
-    method, digits = _route(space, points, precision_digits)
-    if method == "circulant":
+    if isinstance(space, sp.Circle) and sp.equispaced_order(points) == len(points):
+        digits = resolve_digits(precision_digits)
         row = circulant_row(lam, len(points), digits, scale=space.scale)
         report = circulant_eigenvalues(row, digits)
+    elif precision_digits is not None and check_digits(precision_digits) > DOUBLE_DIGITS:
+        raise PrecisionError(
+            "dense route is double precision only; wide precision needs "
+            "equispaced circle points"
+        )
     else:
         k = gram(space, points, KernelParam(float(lam)))
         report = jacobi_eigenvalues(k.entries)
-    return pd_verdict(report, 1.0), report, method
+    return pd_verdict(report, 1.0), report, report.method
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +279,8 @@ def cert_from_json(obj: dict) -> WitnessCertificate:
     if version != SCHEMA_VERSION:
         raise CertificateError(f"unknown schema version {version!r}")
     try:
-        digits = int(obj["precision_digits"])
+        # range-check before parsing: numbers are parsed at this precision
+        digits = check_digits(int(obj["precision_digits"]))
         space = sp.space_from_json(obj["space"])
         num = lambda x: number_from_json(x, digits)
         points = tuple(sp.point_from_json(space, p, digits) for p in obj["points"])
@@ -329,7 +299,6 @@ def cert_from_json(obj: dict) -> WitnessCertificate:
         )
     except (KeyError, TypeError, IndexError) as exc:
         raise CertificateError(f"malformed certificate: {exc!r}") from None
-    check_digits(cert.precision_digits)
     if cert.method not in ("circulant", "jacobi"):
         raise CertificateError(f"unknown method {cert.method!r}")
     return cert

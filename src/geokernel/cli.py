@@ -2,14 +2,17 @@
 
 Commands that decide or certify emit JSON (reports wrapped in a
 deterministic envelope, certificates bare so the verifier can consume
-them); tabular commands emit headered CSV with LF line endings.  Exit
-codes: 0 success / PD / witness found, 2 not PSD (pd-check), 3 search
-exhausted, 1 usage or numeric error.
+them); tabular commands emit headered CSV with LF line endings, quoting
+any cell that holds a comma.  Exit codes: 0 success / PD / witness
+found, 2 not PSD (pd-check), 3 search exhausted, 1 usage or numeric
+error.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 
@@ -30,7 +33,7 @@ from .partial_theta import (
     leading_term,
     partial_theta,
 )
-from .precision import DOUBLE_DIGITS, number_to_json, resolve_digits
+from .precision import DOUBLE_DIGITS, check_digits, number_to_json, resolve_digits
 from .spectral import circulant_eigenvalues
 from .stein import lambda_plus_set, probe
 
@@ -73,9 +76,9 @@ def _emit_json(obj: dict, out_path: str | None = None) -> None:
 
 
 def _emit_csv(header: list[str], rows: list[list], out_path: str | None = None) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(str(cell) for cell in row) for row in rows]
-    text = "\n".join(lines) + "\n"
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    text = buf.getvalue()
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -177,7 +180,8 @@ def build_parser() -> _Parser:
 def _cmd_pd_check(args) -> int:
     with open(args.points, encoding="utf-8") as fh:
         data = json.load(fh)
-    digits = args.precision
+    # range-check first: parsing a file at a huge precision is slow
+    digits = None if args.precision is None else check_digits(args.precision)
     space, points = sp.pointset_from_json(
         data, digits if digits is not None else DOUBLE_DIGITS
     )

@@ -18,14 +18,13 @@ import numpy as np
 
 from . import spaces as sp
 from .certificates import (
-    CERT_MARGIN,
     CertificateError,
     WitnessCertificate,
+    certification_threshold,
     quadratic_form,
 )
 from .circle import circle_witness
 from .precision import DOUBLE_DIGITS, numeric
-from .spectral import psd_tolerance
 
 DIRECTION_TOL = 1e-12
 
@@ -192,11 +191,11 @@ def transfer_witness(cert: WitnessCertificate, emb: EmbeddingMap) -> WitnessCert
     lam = float(cert.lam) if coerced else cert.lam
 
     quad = quadratic_form(emb.target, lam, images, coeffs, digits)
-    tol = psd_tolerance(len(images), digits)
-    if not quad < -CERT_MARGIN * tol:
+    bar = certification_threshold(len(images), digits)
+    if not quad < bar:
         raise CertificateError(
             f"transferred violation {float(quad):.3e} does not clear the "
-            f"certification threshold {-CERT_MARGIN * tol:.3e} at {digits} digits"
+            f"certification threshold {bar:.3e} at {digits} digits"
         )
     stored = cert.quad_form
     if abs(quad - stored) > 1e-12 * abs(stored):

@@ -13,7 +13,7 @@ which uses no eigensolver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,7 +43,8 @@ class SpectrumReport:
 
     eigenvalues are ascending; fourier_indices, present only on the
     circulant path, maps each sorted eigenvalue back to its frequency
-    index j.
+    index j; eigenvectors, present only on the dense path, holds the
+    matching unit eigenvectors as columns.
     """
 
     eigenvalues: tuple
@@ -51,6 +52,7 @@ class SpectrumReport:
     method: str
     precision_digits: int
     fourier_indices: tuple[int, ...] | None = None
+    eigenvectors: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def order(self) -> int:
@@ -88,7 +90,7 @@ def jacobi_eigenvalues(matrix) -> SpectrumReport:
     which also rejects a spectrum with non-finite entries.
     """
     a = np.array(matrix, dtype=float)
-    values, _ = jacobi_eigensystem(a)
+    values, vectors = jacobi_eigensystem(a)
     scale = max(1.0, float(np.max(np.abs(a), initial=0.0)))
     n = a.shape[0]
     drift = abs(float(np.trace(a)) - float(np.sum(values)))
@@ -99,6 +101,7 @@ def jacobi_eigenvalues(matrix) -> SpectrumReport:
         min_eigenvalue=float(values[0]),
         method="jacobi",
         precision_digits=DOUBLE_DIGITS,
+        eigenvectors=vectors,
     )
 
 
@@ -171,14 +174,21 @@ def pd_verdict(report: SpectrumReport, scale: float) -> PdVerdict:
     return PdVerdict(verdict=verdict, min_eigenvalue=float(lo), tolerance=tol)
 
 
-def min_eigenvector(matrix, target: float) -> np.ndarray:
-    """Unit eigenvector for the eigenvalue nearest ``target``."""
-    values, vectors = jacobi_eigensystem(matrix)
-    x = vectors[:, int(np.argmin(np.abs(values - float(target))))]
+def min_eigenvector(report: SpectrumReport) -> tuple:
+    """Unit eigenvector of ``report``'s minimum eigenvalue, in the
+    report's arithmetic: the cosine mode of its frequency on the
+    circulant path, the first eigenvector column on the dense path."""
+    if report.fourier_indices is not None:
+        n, j = report.order, report.fourier_indices[0]
+        with numeric(report.precision_digits) as x:
+            comps = [x.cos(2 * x.pi * j * k / n) for k in range(n)]
+            norm = x.sqrt(x.fsum(c * c for c in comps))
+            return tuple(c / norm for c in comps)
+    v = report.eigenvectors[:, 0]
     # canonical sign: first component of visible magnitude is positive
-    for comp in x:
+    for comp in v:
         if abs(comp) > 1e-12:
             if comp < 0:
-                x = -x
+                v = -v
             break
-    return x
+    return tuple(float(c) for c in v)

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spaces as sp
-from .certificates import CERT_MARGIN, WitnessCertificate, build_certificate
+from .certificates import WitnessCertificate, build_certificate, certification_threshold
 from .gram import KernelParam, gram
 from .precision import DOUBLE_DIGITS
-from .spectral import jacobi_eigenvalues, psd_tolerance
+from .spectral import jacobi_eigenvalues
 
 PROBE_STRATEGIES = ("wishart", "diagonal", "ill_conditioned")
 
@@ -119,7 +119,7 @@ def probe(
     space = sp.SpdMatrices(n=n, metric="stein")
     param = KernelParam(float(lam))
     rng = np.random.default_rng(seed)
-    threshold = -CERT_MARGIN * psd_tolerance(points_per_trial, DOUBLE_DIGITS)
+    threshold = certification_threshold(points_per_trial, DOUBLE_DIGITS)
     min_seen = math.inf
     for trial in range(trials):
         strategy = PROBE_STRATEGIES[trial % len(PROBE_STRATEGIES)]

@@ -82,6 +82,26 @@ def test_build_certificate_jacobi_on_generic_points():
         gk.build_certificate(gk.Circle(), 0.1, angles, 30)
 
 
+def test_dense_certificate_solves_its_gram_once(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+    angles = [0.0, math.pi / 2 + 0.01, math.pi, 3 * math.pi / 2 - 0.02]
+    cert = gk.build_certificate(gk.Circle(), 0.1, angles)
+    assert cert.method == "jacobi"
+    assert len(calls) == 1
+
+
+def test_certificate_takes_its_spectrum_from_psd_decision():
+    angles = [0.0, math.pi / 2 + 0.01, math.pi, 3 * math.pi / 2 - 0.02]
+    for points in (circle_equispaced(8), angles):
+        _, report, method = gk.psd_decision(gk.Circle(), points, 0.1)
+        cert = gk.build_certificate(gk.Circle(), 0.1, points)
+        assert cert.method == method
+        assert cert.min_eigenvalue == report.min_eigenvalue
+        assert cert.coefficients == gk.min_eigenvector(report)
+
+
 def test_build_certificate_refuses_psd_input():
     with pytest.raises(CertificateError):
         gk.build_certificate(gk.Circle(), 1.0, circle_equispaced(4), 17)
@@ -208,6 +228,21 @@ def test_cert_json_rejects_bad_method():
     payload = gk.cert_to_json(_unit_witness())
     payload["method"] = "gaussian_elimination"
     with pytest.raises(CertificateError):
+        gk.cert_from_json(payload)
+
+
+def test_cert_from_json_checks_precision_before_parsing(monkeypatch):
+    import geokernel.certificates as certificates
+
+    payload = gk.cert_to_json(_unit_witness())
+    payload["precision_digits"] = 10 ** 7
+
+    def refuse(value, digits):
+        raise AssertionError("parsed a number before the precision check")
+
+    monkeypatch.setattr(certificates, "number_from_json", refuse)
+    monkeypatch.setattr(gk.spaces, "number_from_json", refuse)
+    with pytest.raises(PrecisionError, match="must be <= 100"):
         gk.cert_from_json(payload)
 
 

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, envelopes, files, determinism."""
 
+import csv
 import json
 import math
 import os
@@ -200,9 +201,41 @@ def test_embed_verify_csv(capsys):
     code, out, _ = run(capsys, "embed-verify", "--target", "grassmann:2,4",
                        "--pairs", "200")
     assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "target,pairs,seed,max_deviation"
-    assert float(lines[1].split(",")[3]) <= 1e-10
+    header, row = csv.reader(out.splitlines())
+    assert header == ["target", "pairs", "seed", "max_deviation"]
+    assert row[0] == "grassmann:2,4"
+    assert float(row[-1]) <= 1e-10
+
+
+@pytest.mark.parametrize("argv", [
+    ("circle-spectrum", "--lambda", "1", "--n", "8"),
+    ("circle-spectrum", "--lambda", "1", "--n", "8", "--precision", "40"),
+    ("lambda-profile", "--n-list", "4,8"),
+    ("theta", "--mu", "1,10", "--r", "0,1", "--n", "4", "--precision", "40"),
+    ("bound-check", "--mu", "20", "--n-list", "4,8", "--precision", "40"),
+    ("embed-verify", "--target", "grassmann:2,4", "--pairs", "10"),
+    ("embed-verify", "--target", "sphere:2", "--pairs", "10"),
+])
+def test_csv_rows_match_header_width(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    header, *rows = csv.reader(out.splitlines())
+    assert rows
+    assert all(len(row) == len(header) for row in rows)
+
+
+def test_pd_check_checks_precision_before_parsing(tmp_path, capsys, monkeypatch):
+    path = _pointset_file(tmp_path, gk.Sphere(2), sample_points(gk.Sphere(2), 1, 6))
+
+    def refuse(value, digits):
+        raise AssertionError("parsed a number before the precision check")
+
+    monkeypatch.setattr(gk.spaces, "number_from_json", refuse)
+    code, out, err = run(capsys, "pd-check", "--points", path, "--lambda", "1",
+                         "--precision", str(10 ** 7))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: precision_digits must be <= 100, got {10 ** 7}\n"
 
 
 def test_usage_errors_exit_one(capsys):

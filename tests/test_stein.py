@@ -120,16 +120,26 @@ def test_probe_hit_coefficients_are_an_eigenvector():
     assert np.linalg.norm(k @ c - cert.min_eigenvalue * c) <= 1e-12
 
 
+def test_probe_hit_solves_each_gram_once(monkeypatch):
+    # one eigensolve per trial, plus one for the hit's certificate
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+    report = gk.probe(3, 0.01, 80, 10, seed=7)
+    assert report.trials_run == 63
+    assert len(calls) == 64
+
+
 @pytest.mark.parametrize("lam", [0.01, 0.25, 0.5, 0.75, 1.0])
 def test_probe_report_matches_trial_replay(lam):
     # replay the seeded trial stream with an independent eigvalsh: the probe
     # stops at the first trial below the certification threshold, reports
     # the minimum over exactly the trials it ran, and names that trial
     import geokernel.stein as stein
-    from geokernel.certificates import CERT_MARGIN
+    from geokernel.certificates import certification_threshold
     from geokernel.precision import DOUBLE_DIGITS
 
-    threshold = -CERT_MARGIN * gk.psd_tolerance(10, DOUBLE_DIGITS)
+    threshold = certification_threshold(10, DOUBLE_DIGITS)
     cases = [(seed, 24) for seed in range(4)]
     if lam == 0.01:
         cases.append((7, 80))  # the frozen hit at trial index 62
