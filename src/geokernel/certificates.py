@@ -88,7 +88,10 @@ def circulant_row(lam, n: int, precision_digits: int = DOUBLE_DIGITS, scale=1.0)
 def quadratic_form(space: sp.Space, lam, points, coefficients, precision_digits: int):
     """c^T K c recomputed from scratch: distances, kernel values, then a
     compensated double sum.  Wide precision is supported for circle and
-    torus points, whose payloads are exact angles."""
+    torus points, whose payloads are exact angles.  The kernel is
+    evaluated once per distinct pair key (see :func:`_pair_distance`),
+    which fixes the distance bit for bit, and the terms ``(2 c_i) c_j K_ij``
+    stream into the sum in the order of the plain double loop."""
     points = list(points)
     n = len(points)
     if len(coefficients) != n:
@@ -97,24 +100,35 @@ def quadratic_form(space: sp.Space, lam, points, coefficients, precision_digits:
         )
     with numeric(precision_digits) as x:
         lam = require_positive(x.num(lam), "lambda", CertificateError)
-        dist = _pair_distance(space, points, precision_digits, x)
+        key, dist = _pair_distance(space, points, precision_digits, x)
         c = [x.num(v) for v in coefficients]
-        terms = [ci * ci for ci in c]  # diagonal: kernel value is 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = dist(i, j)
-                terms.append(2 * c[i] * c[j] * x.exp(-lam * d * d))
-        return x.fsum(terms)
+
+        def terms():
+            kernel = {}
+            yield from (ci * ci for ci in c)  # diagonal: kernel value is 1
+            for i in range(n):
+                two_ci = 2 * c[i]  # doubling is exact
+                for j in range(i + 1, n):
+                    if (kv := kernel.get(k := key(i, j))) is None:
+                        d = dist(k)
+                        kv = kernel[k] = x.exp(-lam * d * d)
+                    yield two_ci * c[j] * kv
+
+        return x.fsum(terms())
 
 
 def _pair_distance(space: sp.Space, points: list, digits: int, x):
-    """(i, j) -> d(p_i, p_j): the space's own metric at double precision,
-    every pair from one ``distance_matrix``; wide precision needs circle
-    or torus points, whose angle payloads give exact arcs.  Either way
-    each point is validated once."""
+    """(key, dist): ``key(i, j)`` is hashable and fixes d(p_i, p_j) bit
+    for bit, and ``dist(key)`` is that distance.  At double precision the
+    key is the distance, the space's own metric with every pair from one
+    ``distance_matrix``.  Wide precision needs circle or torus points,
+    whose angle payloads give exact arcs; the key is the rounded angle
+    difference the arc reads (one per torus factor), not the index gap,
+    which parsed angles do not fix to the last bit.  Either way each
+    point is validated once."""
     if digits <= DOUBLE_DIGITS:
         dist = sp.distance_matrix(space, points).tolist()
-        return lambda i, j: dist[i][j]
+        return (lambda i, j: dist[i][j]), (lambda d: d)
     if not isinstance(space, (sp.Circle, sp.FlatTorus)):
         raise PrecisionError(
             "wide-precision re-evaluation needs angle payloads (circle or "
@@ -124,18 +138,17 @@ def _pair_distance(space: sp.Space, points: list, digits: int, x):
         sp.require_valid(space, p)
     two_pi = 2 * x.pi
 
-    def arc(a, b):
-        d = abs(a - b)
+    def arc(diff):
+        d = abs(diff)
         return min(d, two_pi - d)
 
     if isinstance(space, sp.Circle):
         scale = x.num(space.scale)
         angles = [x.num(p) for p in points]
-        return lambda i, j: scale * arc(angles[i], angles[j])
+        return (lambda i, j: angles[i] - angles[j]), (lambda k: scale * arc(k))
     pairs = [(x.num(p[0]), x.num(p[1])) for p in points]
-    return lambda i, j: x.sqrt(
-        arc(pairs[i][0], pairs[j][0]) ** 2 + arc(pairs[i][1], pairs[j][1]) ** 2
-    )
+    return (lambda i, j: (pairs[i][0] - pairs[j][0], pairs[i][1] - pairs[j][1])), (
+        lambda k: x.sqrt(arc(k[0]) ** 2 + arc(k[1]) ** 2))
 
 
 def certification_threshold(n: int, digits: int):
@@ -278,9 +291,11 @@ def cert_from_json(obj: dict) -> WitnessCertificate:
     version = obj.get("schema_version")
     if version != SCHEMA_VERSION:
         raise CertificateError(f"unknown schema version {version!r}")
+    digits = obj.get("precision_digits")
+    if type(digits) is not int:  # not isinstance: a bool is an int
+        raise CertificateError(f"precision_digits must be an integer, got {digits!r}")
+    digits = check_digits(digits)  # range-check before parsing any number
     try:
-        # range-check before parsing: numbers are parsed at this precision
-        digits = check_digits(int(obj["precision_digits"]))
         space = sp.space_from_json(obj["space"])
         num = lambda x: number_from_json(x, digits)
         points = tuple(sp.point_from_json(space, p, digits) for p in obj["points"])
@@ -297,7 +312,7 @@ def cert_from_json(obj: dict) -> WitnessCertificate:
                 num(obj["unit_circle_lambda"]) if "unit_circle_lambda" in obj else None
             ),
         )
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise CertificateError(f"malformed certificate: {exc!r}") from None
     if cert.method not in ("circulant", "jacobi"):
         raise CertificateError(f"unknown method {cert.method!r}")

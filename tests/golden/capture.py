@@ -8,7 +8,8 @@ Each case is run in-process through ``geokernel.cli.main`` with this
 directory as the working directory (``pd-check`` reports its points path
 verbatim) and ``GEOKERNEL_PRECISION`` unset; stdout and the exit code
 are stored as they come, so no expected output is ever edited by hand.
-The SPD point files are regenerated from their seeds first.
+The SPD point files are regenerated from their seeds first, and the
+certificate files from the command that builds them.
 """
 
 from __future__ import annotations
@@ -29,6 +30,11 @@ POINT_FILES = {
     "spd3_stein.json": ("spd:3:stein", 31, 12),
     "spd3_log_euclidean.json": ("spd:3:log_euclidean", 32, 12),
     "sphere2.json": ("sphere:2", 33, 40),
+}
+
+# file name -> the command whose stdout is the certificate
+CERT_FILES = {
+    "circle_cert70.json": ("witness", "circle", "--lambda", "10", "--precision", "70"),
 }
 
 CASES = (
@@ -63,6 +69,10 @@ CASES = (
     ("pd-check", "--points", "sphere2.json", "--lambda", "1"),
     ("pd-check", "--points", "sphere2.json", "--lambda", "0.05"),
     ("embed-verify", "--target", "sphere:2", "--pairs", "50"),
+    # wide circle and torus certificates: build, and verify from raw data
+    ("witness", "circle", "--lambda", "5", "--precision", "50"),
+    ("verify-certificate", "circle_cert70.json"),
+    ("witness", "space", "--target", "torus", "--lambda", "0.4", "--precision", "30"),
 )
 
 
@@ -74,9 +84,16 @@ def point_file_text(name: str) -> str:
     return json.dumps(obj, indent=1) + "\n"
 
 
-def write_point_files() -> None:
+def cert_file_text(name: str) -> str:
+    """The certificate that one file's command prints."""
+    return run_case(CERT_FILES[name])["stdout"]
+
+
+def write_data_files() -> None:
     for name in POINT_FILES:
         (GOLDEN / name).write_text(point_file_text(name))
+    for name in CERT_FILES:
+        (GOLDEN / name).write_text(cert_file_text(name))
 
 
 def run_case(argv) -> dict:
@@ -88,7 +105,7 @@ def run_case(argv) -> dict:
 
 def main_capture() -> None:
     os.environ.pop("GEOKERNEL_PRECISION", None)
-    write_point_files()
+    write_data_files()
     cwd = os.getcwd()
     os.chdir(GOLDEN)
     try:

@@ -4,15 +4,25 @@ independent verifier with tamper detection."""
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from mpmath import mp, mpf
 
 import geokernel as gk
+from geokernel import precision
 from geokernel.certificates import CertificateError, circulant_row
-from geokernel.precision import PrecisionError
+from geokernel.precision import DOUBLE_DIGITS, PrecisionError, numeric
 from geokernel.spaces import circle_equispaced, sample_points
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _golden_cert70():
+    """The committed 70-digit circle certificate: lambda 10, N = 128."""
+    return gk.cert_from_json(json.loads((GOLDEN / "circle_cert70.json").read_text()))
 
 
 def _unit_witness(lam=0.1, digits=None):
@@ -56,6 +66,89 @@ def test_quadratic_form_wide_needs_angle_payloads():
         value = gk.quadratic_form(gk.Circle(), mpf("0.1"), angles, (0.5, -0.5, 0.5, -0.5), 30)
         assert isinstance(value, mpf)
         assert abs(value - mpf("-0.18997962224145058659")) < mpf("1e-19")
+
+
+def _plain_quadratic_form(space, lam, points, coefficients, digits):
+    """c^T K c as the plain double loop: one kernel evaluation per pair,
+    arcs from raw angles at wide precision."""
+    n = len(points)
+    with numeric(digits) as x:
+        lam = x.num(lam)
+        if digits <= DOUBLE_DIGITS:
+            matrix = gk.distance_matrix(space, list(points)).tolist()
+            dist = lambda i, j: matrix[i][j]
+        else:
+            two_pi = 2 * x.pi
+
+            def arc(a, b):
+                d = abs(a - b)
+                return min(d, two_pi - d)
+
+            if isinstance(space, gk.Circle):
+                scale = x.num(space.scale)
+                angles = [x.num(p) for p in points]
+                dist = lambda i, j: scale * arc(angles[i], angles[j])
+            else:
+                pts = [(x.num(p[0]), x.num(p[1])) for p in points]
+                dist = lambda i, j: x.sqrt(
+                    arc(pts[i][0], pts[j][0]) ** 2 + arc(pts[i][1], pts[j][1]) ** 2
+                )
+        c = [x.num(v) for v in coefficients]
+        terms = [ci * ci for ci in c]
+        for i in range(n):
+            for j in range(i + 1, n):
+                d = dist(i, j)
+                terms.append(2 * c[i] * c[j] * x.exp(-lam * d * d))
+        return x.fsum(terms)
+
+
+def _bits(value):
+    return value._mpf_ if isinstance(value, mpf) else float(value).hex()
+
+
+def _bit_identity_cases():
+    cert70 = _golden_cert70()
+    yield "circle lambda 10, 70 digits", cert70.space, cert70.lam, cert70.points, \
+        cert70.coefficients, 70
+    scaled = gk.circle_witness(5, precision_digits=50, scale=0.7)
+    yield "circle scale 0.7, 50 digits", scaled.space, scaled.lam, scaled.points, \
+        scaled.coefficients, 50
+    rng = np.random.default_rng(3)
+    with mp.workdps(40):
+        angles = [2 * mp.pi * mpf(u) for u in rng.random(30)]
+    yield "random circle angles, 40 digits", gk.Circle(), mpf("0.3"), angles, \
+        rng.standard_normal(30).tolist(), 40
+    torus = gk.witness_for_target(gk.FlatTorus(), "0.4", precision_digits=30)
+    yield "torus, 30 digits", torus.space, torus.lam, torus.points, \
+        torus.coefficients, 30
+    for text in ("sphere:2", "grassmann:2,4"):
+        space = gk.parse_space(text)
+        pts = sample_points(space, 11, 24)
+        yield text, space, 0.4, pts, rng.standard_normal(24).tolist(), 17
+
+
+def test_quadratic_form_memo_is_bit_identical():
+    for what, space, lam, pts, coeffs, digits in _bit_identity_cases():
+        memo = gk.quadratic_form(space, lam, pts, coeffs, digits)
+        plain = _plain_quadratic_form(space, lam, pts, coeffs, digits)
+        assert type(memo) is type(plain), what
+        assert _bits(memo) == _bits(plain), what
+
+
+def test_quadratic_form_evaluates_each_distinct_pair_once(monkeypatch):
+    cert = _golden_cert70()
+    n = cert.order
+    with numeric(70) as x:
+        angles = [x.num(p) for p in cert.points]
+        offsets = {angles[i] - angles[j] for i in range(n) for j in range(i + 1, n)}
+    # parsed angles are rounded, so equal index gaps give many offsets
+    assert n - 1 < len(offsets) < n * (n - 1) // 2 / 3
+    calls = []
+    exp = precision._WIDE.exp
+    monkeypatch.setattr(precision._WIDE, "exp", lambda v: calls.append(v) or exp(v))
+    value = gk.quadratic_form(cert.space, cert.lam, cert.points, cert.coefficients, 70)
+    assert value < 0
+    assert len(calls) == len(offsets)
 
 
 def test_build_certificate_circulant_fields():
@@ -231,18 +324,37 @@ def test_cert_json_rejects_bad_method():
         gk.cert_from_json(payload)
 
 
-def test_cert_from_json_checks_precision_before_parsing(monkeypatch):
+def _refuse_number_parsing(monkeypatch):
     import geokernel.certificates as certificates
-
-    payload = gk.cert_to_json(_unit_witness())
-    payload["precision_digits"] = 10 ** 7
 
     def refuse(value, digits):
         raise AssertionError("parsed a number before the precision check")
 
     monkeypatch.setattr(certificates, "number_from_json", refuse)
     monkeypatch.setattr(gk.spaces, "number_from_json", refuse)
+
+
+def test_cert_from_json_checks_precision_before_parsing(monkeypatch):
+    payload = gk.cert_to_json(_unit_witness())
+    payload["precision_digits"] = 10 ** 7
+    _refuse_number_parsing(monkeypatch)
     with pytest.raises(PrecisionError, match="must be <= 100"):
+        gk.cert_from_json(payload)
+
+
+@pytest.mark.parametrize("digits", [17.9, "abc", "30", True, None])
+def test_cert_from_json_rejects_non_integer_precision(digits, monkeypatch):
+    payload = gk.cert_to_json(_unit_witness())
+    payload["precision_digits"] = digits
+    _refuse_number_parsing(monkeypatch)
+    with pytest.raises(CertificateError, match="precision_digits must be an integer"):
+        gk.cert_from_json(payload)
+
+
+def test_cert_from_json_rejects_non_numeric_coefficient():
+    payload = gk.cert_to_json(_unit_witness(digits=30))
+    payload["coefficients"][1] = "minus one half"
+    with pytest.raises(CertificateError, match="malformed certificate"):
         gk.cert_from_json(payload)
 
 

@@ -43,3 +43,5 @@ def test_golden_file_is_the_capture_scripts_output():
     assert [tuple(c["argv"]) for c in CASES] == list(capture.CASES)
     for name in capture.POINT_FILES:
         assert (GOLDEN / name).read_text() == capture.point_file_text(name), name
+    for name in capture.CERT_FILES:
+        assert (GOLDEN / name).read_text() == capture.cert_file_text(name), name
