@@ -14,7 +14,12 @@ both checked against :func:`certification_threshold`).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from operator import mul
+
+import mpmath as mp
+from mpmath.libmp import mpf_sub
 
 from . import spaces as sp
 from .gram import KernelParam, gram
@@ -22,11 +27,13 @@ from .precision import (
     DOUBLE_DIGITS,
     PrecisionError,
     check_digits,
+    lift,
     number_from_json,
     number_to_json,
     numeric,
     require_positive,
     resolve_digits,
+    unlift,
 )
 from .spectral import (
     circulant_eigenvalues,
@@ -86,12 +93,16 @@ def circulant_row(lam, n: int, precision_digits: int = DOUBLE_DIGITS, scale=1.0)
 
 
 def quadratic_form(space: sp.Space, lam, points, coefficients, precision_digits: int):
-    """c^T K c recomputed from scratch: distances, kernel values, then a
-    compensated double sum.  Wide precision is supported for circle and
-    torus points, whose payloads are exact angles.  The kernel is
-    evaluated once per distinct pair key (see :func:`_pair_distance`),
-    which fixes the distance bit for bit, and the terms ``(2 c_i) c_j K_ij``
-    stream into the sum in the order of the plain double loop."""
+    """c^T K c recomputed from scratch: distances, kernel values, then the
+    sum.  The kernel is evaluated once per distinct pair key (see
+    :func:`_pair_distance`), which fixes the distance bit for bit.
+
+    At double precision the terms ``(2 c_i) c_j K_ij`` stream into a
+    compensated sum in the order of the plain double loop.  Wide precision
+    (circle and torus points, whose payloads are exact angles) sums in
+    integer fixed point: ``c_i c_j`` accumulates exactly per pair key, each
+    key's kernel value multiplies its total, and the sum is rounded once,
+    so the only rounding is in the coefficients and kernel values."""
     points = list(points)
     n = len(points)
     if len(coefficients) != n:
@@ -101,20 +112,42 @@ def quadratic_form(space: sp.Space, lam, points, coefficients, precision_digits:
     with numeric(precision_digits) as x:
         lam = require_positive(x.num(lam), "lambda", CertificateError)
         key, dist = _pair_distance(space, points, precision_digits, x)
+
+        def kernel(k):
+            d = dist(k)
+            return x.exp(-lam * d * d)
+
         c = [x.num(v) for v in coefficients]
+        if precision_digits > DOUBLE_DIGITS:
+            return _exact_form(c, key, kernel)
 
         def terms():
-            kernel = {}
+            memo = {}
             yield from (ci * ci for ci in c)  # diagonal: kernel value is 1
             for i in range(n):
                 two_ci = 2 * c[i]  # doubling is exact
                 for j in range(i + 1, n):
-                    if (kv := kernel.get(k := key(i, j))) is None:
-                        d = dist(k)
-                        kv = kernel[k] = x.exp(-lam * d * d)
+                    if (kv := memo.get(k := key(i, j))) is None:
+                        kv = memo[k] = kernel(k)
                     yield two_ci * c[j] * kv
 
         return x.fsum(terms())
+
+
+def _exact_form(c: list, key, kernel):
+    """The wide quadratic form: sum_i c_i^2 + 2 sum_key K_key S_key, with
+    S_key the exact integer sum of c_i c_j over the pairs i < j with that
+    key, rounded once."""
+    if not all(map(mp.isfinite, c)):
+        return mp.nan  # an infinite coefficient leaves the form undefined
+    cs, exp_c = lift(c)
+    sums = defaultdict(int)
+    for i, ci in enumerate(cs):
+        for j in range(i + 1, len(cs)):
+            sums[key(i, j)] += ci * cs[j]
+    ks, exp_k = lift([mp.mpf(1), *map(kernel, sums)])
+    total = ks[0] * sum(ci * ci for ci in cs) + 2 * sum(map(mul, ks[1:], sums.values()))
+    return unlift(total, exp_k + 2 * exp_c)
 
 
 def _pair_distance(space: sp.Space, points: list, digits: int, x):
@@ -123,9 +156,12 @@ def _pair_distance(space: sp.Space, points: list, digits: int, x):
     key is the distance, the space's own metric with every pair from one
     ``distance_matrix``.  Wide precision needs circle or torus points,
     whose angle payloads give exact arcs; the key is the rounded angle
-    difference the arc reads (one per torus factor), not the index gap,
-    which parsed angles do not fix to the last bit.  Either way each
-    point is validated once."""
+    difference the arc reads (one per torus factor) as mpmath's raw
+    ``(sign, man, exp, bc)`` tuple, which hashes fast, not the index gap,
+    which parsed angles do not fix to the last bit.  The sum over pairs
+    is then exact and rounded once (:func:`quadratic_form`), so only
+    these distances and their kernel values carry rounding.  Either way
+    each point is validated once."""
     if digits <= DOUBLE_DIGITS:
         dist = sp.distance_matrix(space, points).tolist()
         return (lambda i, j: dist[i][j]), (lambda d: d)
@@ -137,17 +173,21 @@ def _pair_distance(space: sp.Space, points: list, digits: int, x):
     for p in points:
         sp.require_valid(space, p)
     two_pi = 2 * x.pi
+    prec, rnd = mp.mp._prec_rounding
+
+    def differences(angles):
+        raw = [x.num(a)._mpf_ for a in angles]
+        return lambda i, j: mpf_sub(raw[i], raw[j], prec, rnd)
 
     def arc(diff):
-        d = abs(diff)
+        d = abs(mp.make_mpf(diff))
         return min(d, two_pi - d)
 
     if isinstance(space, sp.Circle):
         scale = x.num(space.scale)
-        angles = [x.num(p) for p in points]
-        return (lambda i, j: angles[i] - angles[j]), (lambda k: scale * arc(k))
-    pairs = [(x.num(p[0]), x.num(p[1])) for p in points]
-    return (lambda i, j: (pairs[i][0] - pairs[j][0], pairs[i][1] - pairs[j][1])), (
+        return differences(points), (lambda k: scale * arc(k))
+    dx, dy = differences(p[0] for p in points), differences(p[1] for p in points)
+    return (lambda i, j: (dx(i, j), dy(i, j))), (
         lambda k: x.sqrt(arc(k[0]) ** 2 + arc(k[1]) ** 2))
 
 

@@ -5,6 +5,12 @@ IEEE doubles; above that, computations switch to mpmath wide floats.
 :func:`numeric` hands out the arithmetic for a precision, so each formula
 is written once for both.  The default wide precision is 30 digits and
 can be overridden with the ``GEOKERNEL_PRECISION`` environment variable.
+
+Wide sums of products (quadratic forms, circulant spectra) run in
+integer fixed point: :func:`lift` puts a list of mpf values on one
+binary exponent, the products and the sum are exact Python integers,
+and :func:`unlift` rounds the total once.  The only rounding in such a
+sum is in its inputs.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from contextlib import contextmanager
 from types import SimpleNamespace
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp
 
 # Significant decimal digits representable by an IEEE double.  Requests at
 # or below this run entirely in hardware floats.
@@ -28,6 +35,10 @@ ENV_VAR = "GEOKERNEL_PRECISION"
 # Guard digits added on top of the requested precision while summing, so
 # the returned values are correctly rounded at the requested precision.
 GUARD_DIGITS = 10
+
+# lift() keeps bits down to this many working precisions below its
+# largest value; mpf_sum likewise drops terms past a gap of two
+LIFT_SPAN = 3
 
 
 class PrecisionError(ValueError):
@@ -95,6 +106,38 @@ def numeric(digits: int):
     else:
         with working_dps(digits):
             yield _WIDE
+
+
+def lift(values) -> tuple[list[int], int]:
+    """(mantissas, exponent) with ``mantissas[i] * 2**exponent`` equal to
+    ``values[i]``, finite mpf values at the working precision.
+
+    Bits more than :data:`LIFT_SPAN` working precisions below the largest
+    value are truncated toward zero, so the integers stay that narrow
+    whatever exponents the inputs carry.  Non-finite values raise
+    ``ValueError``.
+    """
+    raws = [v._mpf_ for v in values]
+    if any(not man and exp for _, man, exp, _ in raws):
+        raise ValueError("cannot lift a non-finite value")
+    nonzero = [(exp, bc) for _, man, exp, bc in raws if man]
+    if not nonzero:
+        return [0] * len(raws), 0
+    cut = max(exp + bc for exp, bc in nonzero) - LIFT_SPAN * mp.mp.prec
+    # values wholly under the cut lift to 0 and do not widen the rest
+    floor = max(cut, min(exp for exp, bc in nonzero if exp + bc > cut))
+    out = []
+    for sign, man, exp, _ in raws:
+        man = man << (exp - floor) if exp >= floor else man >> (floor - exp)
+        out.append(-man if sign else man)
+    return out, floor
+
+
+def unlift(mantissa: int, exponent: int) -> mp.mpf:
+    """``mantissa * 2**exponent`` rounded once at the working precision
+    and rounding mode: the inverse of :func:`lift`."""
+    prec, rnd = mp.mp._prec_rounding
+    return mp.make_mpf(from_man_exp(mantissa, exponent, prec, rnd))
 
 
 def require_positive(value, what: str, error: type[Exception]):

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import mul
 
 import numpy as np
 
-from .precision import DOUBLE_DIGITS, numeric, resolve_digits
+from .precision import DOUBLE_DIGITS, lift, numeric, resolve_digits, unlift
 
 # PSD tolerance coefficient at double precision; at p wide digits the
 # circulant path's rounding floor drops to ~10^-p, so the band scales
@@ -108,9 +109,12 @@ def jacobi_eigenvalues(matrix) -> SpectrumReport:
 def circulant_eigenvalues(first_row, precision_digits: int | None = None) -> SpectrumReport:
     """Spectrum of the symmetric circulant with the given first row.
 
-    w_j = sum_k row[k] cos(2 pi j k / N), evaluated with exact compensated
-    summation (math.fsum) at double precision or mpmath arithmetic above
-    it.  Eigenvalues come back ascending with their frequency indices.
+    w_j = sum_k row[k] cos(2 pi j k / N).  At double precision the
+    products are summed with exact compensated summation (math.fsum).
+    Above it, row and cosines are lifted once to integer fixed point
+    (:func:`~geokernel.precision.lift`), so each w_j is an exact integer
+    sum of exact products, rounded once.  Eigenvalues come back ascending
+    with their frequency indices.
     """
     digits = resolve_digits(precision_digits)
     row = list(first_row)
@@ -121,10 +125,18 @@ def circulant_eigenvalues(first_row, precision_digits: int | None = None) -> Spe
     with numeric(digits) as x:
         row = [x.num(v) for v in row]
         base = [x.cos(2 * x.pi * m / n) for m in range(n)]
-        values = [
-            x.fsum(row[k] * base[(j * k) % n] for k in range(n))
-            for j in range(n)
-        ]
+        if digits <= DOUBLE_DIGITS:
+            values = [
+                x.fsum(row[k] * base[(j * k) % n] for k in range(n))
+                for j in range(n)
+            ]
+        else:
+            (ints, exp_r), (cosines, exp_b) = lift(row), lift(base)
+            values = [
+                unlift(sum(map(mul, ints, [cosines[j * k % n] for k in range(n)])),
+                       exp_r + exp_b)
+                for j in range(n)
+            ]
     order = sorted(range(n), key=lambda j: values[j])
     eigs = tuple(values[j] for j in order)
     return SpectrumReport(

@@ -4,11 +4,13 @@ independent verifier with tamper detection."""
 import dataclasses
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import mpf_mul, mpf_pos, mpf_sum, round_nearest
 
 import geokernel as gk
 from geokernel import precision
@@ -68,9 +70,25 @@ def test_quadratic_form_wide_needs_angle_payloads():
         assert abs(value - mpf("-0.18997962224145058659")) < mpf("1e-19")
 
 
+def _exact(*factors):
+    """The product of mpf factors as a raw mpf, with no rounding."""
+    raw = factors[0]._mpf_
+    for f in factors[1:]:
+        raw = mpf_mul(raw, f._mpf_, 0)
+    return raw
+
+
+def _rounded_once(raws):
+    """The exact sum of raw mpf terms, rounded once at the working
+    precision."""
+    return mp.make_mpf(mpf_pos(mpf_sum(raws, 0), mp.prec, round_nearest))
+
+
 def _plain_quadratic_form(space, lam, points, coefficients, digits):
-    """c^T K c as the plain double loop: one kernel evaluation per pair,
-    arcs from raw angles at wide precision."""
+    """c^T K c as the plain loop: one kernel evaluation per pair, arcs from
+    raw angles at wide precision.  Double precision streams the terms into
+    the compensated sum; wide precision forms every product and the sum
+    without rounding and rounds once."""
     n = len(points)
     with numeric(digits) as x:
         lam = x.num(lam)
@@ -94,12 +112,14 @@ def _plain_quadratic_form(space, lam, points, coefficients, digits):
                     arc(pts[i][0], pts[j][0]) ** 2 + arc(pts[i][1], pts[j][1]) ** 2
                 )
         c = [x.num(v) for v in coefficients]
-        terms = [ci * ci for ci in c]
+        pairs = []
         for i in range(n):
             for j in range(i + 1, n):
                 d = dist(i, j)
-                terms.append(2 * c[i] * c[j] * x.exp(-lam * d * d))
-        return x.fsum(terms)
+                pairs.append((2 * c[i], c[j], x.exp(-lam * d * d)))
+        if digits <= DOUBLE_DIGITS:
+            return x.fsum([ci * ci for ci in c] + [a * b * k for a, b, k in pairs])
+        return _rounded_once([_exact(ci, ci) for ci in c] + [_exact(*t) for t in pairs])
 
 
 def _bits(value):
@@ -128,11 +148,27 @@ def _bit_identity_cases():
 
 
 def test_quadratic_form_memo_is_bit_identical():
+    # double precision: the memo streams the plain loop's terms in order;
+    # wide precision: the exact sum of the plain loop's terms, rounded once
     for what, space, lam, pts, coeffs, digits in _bit_identity_cases():
         memo = gk.quadratic_form(space, lam, pts, coeffs, digits)
         plain = _plain_quadratic_form(space, lam, pts, coeffs, digits)
         assert type(memo) is type(plain), what
         assert _bits(memo) == _bits(plain), what
+
+
+def test_wide_quadratic_form_is_permutation_invariant():
+    rng = np.random.default_rng(5)
+    for what, space, lam, pts, coeffs, digits in _bit_identity_cases():
+        if digits <= DOUBLE_DIGITS:
+            continue
+        value = gk.quadratic_form(space, lam, pts, coeffs, digits)
+        for _ in range(2):
+            perm = rng.permutation(len(pts))
+            shuffled = gk.quadratic_form(
+                space, lam, [pts[i] for i in perm], [coeffs[i] for i in perm], digits
+            )
+            assert _bits(shuffled) == _bits(value), what
 
 
 def test_quadratic_form_evaluates_each_distinct_pair_once(monkeypatch):
@@ -149,6 +185,27 @@ def test_quadratic_form_evaluates_each_distinct_pair_once(monkeypatch):
     value = gk.quadratic_form(cert.space, cert.lam, cert.points, cert.coefficients, 70)
     assert value < 0
     assert len(calls) == len(offsets)
+
+
+@pytest.fixture(scope="module")
+def cert_lambda20():
+    """The 100-digit circle certificate at lambda 20 (N = 256), as JSON."""
+    return gk.cert_to_json(gk.circle_witness(20, n_max=1024, precision_digits=100))
+
+
+@pytest.mark.parametrize("field, index, ok, detail", [
+    ("coefficients", 0, False, "recomputed value nonnegative, stored negative"),
+    ("points", 0, True, None),
+    ("points", 1, False, "recomputed value nonnegative, stored negative"),
+])
+def test_verify_survives_extreme_exponents(cert_lambda20, field, index, ok, detail):
+    obj = json.loads(json.dumps(cert_lambda20))
+    obj[field][index] = "1e-100000"
+    cert = gk.cert_from_json(obj)
+    start = time.perf_counter()
+    result = gk.verify_certificate(cert)
+    assert time.perf_counter() - start < 1.0
+    assert (result.ok, result.detail) == (ok, detail)
 
 
 def test_build_certificate_circulant_fields():
@@ -380,3 +437,11 @@ def test_psd_decision_scaled_circle():
     assert verdict.verdict == "not_psd"
     verdict, _, _ = gk.psd_decision(gk.Circle(scale=2.0), circle_equispaced(4), 0.25)
     assert verdict.verdict != "not_psd"
+
+
+@pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+def test_verify_rejects_non_finite_coefficient(bad):
+    obj = json.loads((GOLDEN / "circle_cert70.json").read_text())
+    obj["coefficients"][3] = bad
+    result = gk.verify_certificate(gk.cert_from_json(obj))
+    assert (result.ok, result.detail) == (False, "recomputed value nonnegative, stored negative")

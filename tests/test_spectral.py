@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import mpf_mul, mpf_pos, mpf_sum, round_nearest
 
 import geokernel as gk
 from geokernel.certificates import circulant_row
+from geokernel.precision import numeric
 from geokernel.spectral import (
     AsymmetricInputError,
     ConvergenceError,
@@ -126,6 +128,40 @@ def test_circulant_wide_agrees_with_double():
     assert isinstance(fine.eigenvalues[0], mpf)
     for a, b in zip(fine.eigenvalues, coarse.eigenvalues):
         assert abs(float(a) - b) <= 1e-14
+
+
+def _wide_rows():
+    yield "lambda 1, N 16, 40 digits", circulant_row(1, 16, 40), 40
+    yield "lambda 5, N 68, 50 digits", circulant_row(5, 68, 50), 50
+    yield "lambda 20, N 256, 100 digits", circulant_row(20, 256, 100), 100
+    rng = np.random.default_rng(2)
+    half = rng.standard_normal(12).tolist()
+    yield "random symmetric row, 30 digits", half + half[-2:0:-1], 30
+
+
+def test_circulant_wide_is_the_exact_sum_rounded_once():
+    for what, row, digits in _wide_rows():
+        report = gk.circulant_eigenvalues(row, digits)
+        n = len(row)
+        with numeric(digits):
+            row = [mpf(v)._mpf_ for v in row]
+            base = [mp.cos(2 * mp.pi * m / n)._mpf_ for m in range(n)]
+            exact = [
+                mpf_pos(mpf_sum([mpf_mul(row[k], base[j * k % n], 0) for k in range(n)], 0),
+                        mp.prec, round_nearest)
+                for j in range(n)
+            ]
+        mine = dict(zip(report.fourier_indices, report.eigenvalues))
+        assert [mine[j]._mpf_ for j in range(n)] == exact, what
+
+
+def test_circulant_wide_mirror_frequencies_are_bitwise_equal():
+    for what, row, digits in _wide_rows():
+        report = gk.circulant_eigenvalues(row, digits)
+        n = len(row)
+        mine = dict(zip(report.fourier_indices, report.eigenvalues))
+        for j in range(1, n):
+            assert mine[j]._mpf_ == mine[n - j]._mpf_, (what, j)
 
 
 def test_min_eigenvector_residual_and_sign():
