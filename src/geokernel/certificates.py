@@ -102,7 +102,9 @@ def quadratic_form(space: sp.Space, lam, points, coefficients, precision_digits:
     (circle and torus points, whose payloads are exact angles) sums in
     integer fixed point: ``c_i c_j`` accumulates exactly per pair key, each
     key's kernel value multiplies its total, and the sum is rounded once,
-    so the only rounding is in the coefficients and kernel values."""
+    so the only rounding is in the coefficients and kernel values.  A
+    non-finite coefficient, or double terms past the double range, give
+    nan, which no verification accepts."""
     points = list(points)
     n = len(points)
     if len(coefficients) != n:
@@ -118,6 +120,8 @@ def quadratic_form(space: sp.Space, lam, points, coefficients, precision_digits:
             return x.exp(-lam * d * d)
 
         c = [x.num(v) for v in coefficients]
+        if not all(map(x.isfinite, c)):
+            return x.num("nan")  # an infinite coefficient leaves the form undefined
         if precision_digits > DOUBLE_DIGITS:
             return _exact_form(c, key, kernel)
 
@@ -131,15 +135,16 @@ def quadratic_form(space: sp.Space, lam, points, coefficients, precision_digits:
                         kv = memo[k] = kernel(k)
                     yield two_ci * c[j] * kv
 
-        return x.fsum(terms())
+        try:
+            return x.fsum(terms())
+        except (ValueError, OverflowError):  # products past the double range
+            return x.num("nan")
 
 
 def _exact_form(c: list, key, kernel):
     """The wide quadratic form: sum_i c_i^2 + 2 sum_key K_key S_key, with
     S_key the exact integer sum of c_i c_j over the pairs i < j with that
     key, rounded once."""
-    if not all(map(mp.isfinite, c)):
-        return mp.nan  # an infinite coefficient leaves the form undefined
     cs, exp_c = lift(c)
     sums = defaultdict(int)
     for i, ci in enumerate(cs):

@@ -2,22 +2,38 @@
 
 For N equispaced points the Gram is circulant and the j = N/2 eigenvalue
 collapses to a short alternating sum.  That sum goes negative for some
-finite N at every bandwidth, which is what the witness search exploits;
+finite N at every bandwidth, which is what the witness search exploits
+(deciding most N with a double-precision screen of the same sum);
 lambda_crit profiles, per N, where the whole spectrum turns PSD.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from . import spaces as sp
 from .certificates import WitnessCertificate, build_certificate, circulant_row
 from .partial_theta import _require_quarter, mu_of_lambda
-from .precision import DOUBLE_DIGITS, numeric, require_positive, resolve_digits
+from .precision import (
+    DOUBLE_DIGITS,
+    GUARD_DIGITS,
+    numeric,
+    require_positive,
+    resolve_digits,
+)
 from .spectral import circulant_eigenvalues
 
 LAMBDA_CRIT_TOL = 1e-8
 BRACKET_DOUBLINGS = 60
+
+# unit roundoff of an IEEE double
+ULP = 2.0 ** -53
+# terms of either theta form; the first omitted one is below e^{-30 pi}
+THETA_TERMS = 6
+# the screen's band around the search threshold, in natural-log units,
+# on top of its rounding budget
+SCREEN_MARGIN = 1e-9
 
 
 class CircleError(ValueError):
@@ -47,6 +63,14 @@ def find_witness_size(lam, n_max: int, precision_digits: int = 30):
     Returns (N, w value) or None when the scan is exhausted; the bar is
     w < -10^(-digits+5) so rounding noise can never be mistaken for a
     witness.
+
+    Above double precision a double screen (:func:`_screen_clears`)
+    skips each N at which it proves the wide ``w_half`` cannot fall below
+    the bar; every other N, the hit included, is decided by ``w_half``
+    itself, so the result is bitwise that of the plain scan.  The wide
+    value's own rounding is bounded by E_w = 16 (N/2 + 2)
+    10^-(digits + GUARD_DIGITS): N/2 + 2 terms of magnitude <= 2 at the
+    working precision, with room to spare.
     """
     if n_max < 4:
         raise CircleError("n_max must be at least 4")
@@ -54,10 +78,86 @@ def find_witness_size(lam, n_max: int, precision_digits: int = 30):
     mu = mu_of_lambda(lam, digits)
     with numeric(digits) as x:
         threshold = -(x.num(10) ** (-digits + 5))
+    # at double precision E_w comes close to the bar: no screen there
+    mu_f = float(mu)
+    screen = digits > DOUBLE_DIGITS and 0 < mu_f < math.inf
     for n in range(4, n_max + 1, 4):
+        rel = 16 * (n // 2 + 2) * 10.0 ** -(GUARD_DIGITS + 5)  # E_w / |bar|
+        if screen and _screen_clears(
+                mu_f, n, -(digits - 5) * math.log(10) + math.log1p(-rel)):
+            continue
         w = w_half(mu, n, digits)
         if w < threshold:
             return n, w
+    return None
+
+
+def _screen_clears(mu: float, n: int, log_bar: float) -> bool:
+    """True when double precision proves w_{N/2}(mu) > -e^{log_bar}.
+
+    For 4 | N, w_{N/2} = e^{-mu/4} s with s = theta e^{mu/4} + T (see
+    :func:`_log_scaled_theta` and :func:`_scaled_tail`), and T >= -1.
+    A lower bound on s, with every rounding of the double evaluation and
+    of ``float(mu)`` in its error budget, decides in logs, since
+    e^{mu/4} overflows a double above lambda ~ 72.  Anything within
+    SCREEN_MARGIN of the bar, or a tail longer than N/2 terms, is left
+    undecided (False).
+    """
+    slack = SCREEN_MARGIN + 8 * ULP * (mu / 4 + abs(log_bar))
+
+    def above_bar(s_lo: float) -> bool:
+        # float(mu) is within ULP * mu of mu, so mu/4 is at least this
+        return s_lo >= 0 or math.log(-s_lo) - mu / 4 * (1 - 2 * ULP) < log_bar - slack
+
+    log_p, err_p = _log_scaled_theta(mu, n)
+    # theta e^{mu/4} > 2 > |T|, or e^{-mu/4} alone is under the bar
+    if log_p - err_p > math.log(2) or above_bar(-1.0):
+        return True
+    tail = _scaled_tail(mu, n)
+    if tail is None:
+        return False
+    t, err_t = tail
+    return above_bar(max(-1.0, math.exp(log_p - err_p) + t - err_t - 16 * ULP))
+
+
+def _log_scaled_theta(mu: float, n: int) -> tuple[float, float]:
+    """(ln(theta e^{mu/4}), error bound) in double, for
+    theta = sum_{k in Z} (-1)^k e^{-a k^2} with a = mu/N^2.
+
+    Summed directly when a >= pi; otherwise through the Jacobi
+    transformation theta = 2N sqrt(pi/mu) e^{-c/4} sum_{m>=0}
+    e^{-c m(m+1)} with c = pi^2 N^2/mu > pi.  Either way THETA_TERMS
+    terms leave a truncation far below a double's rounding.  The bound
+    covers the rounding of each piece and the error of ``float(mu)``,
+    which moves the log by about (mu/4 + c/4) ULP.
+    """
+    a = mu / (n * n)
+    if a >= math.pi:
+        series = math.fsum((-1) ** k * math.exp(-a * k * k) for k in range(1, THETA_TERMS))
+        log_theta, size = math.log(1 + 2 * series), 0.0
+    else:
+        c = (math.pi * n) ** 2 / mu
+        head = math.log(2 * n) + 0.5 * math.log(math.pi / mu)
+        series = math.fsum(math.exp(-c * m * (m + 1)) for m in range(1, THETA_TERMS))
+        log_theta, size = head - c / 4 + math.log1p(series), abs(head) + c / 4
+    return mu / 4 + log_theta, 32 * ULP * (mu / 4 + size + 4)
+
+
+def _scaled_tail(mu: float, n: int) -> tuple[float, float] | None:
+    """(T, error bound) in double for
+    T = -1 + 2 sum_{j>=1} (-1)^{j+1} e^{-b j - a j^2}, b = mu/N, a = mu/N^2,
+    or None when it needs more than N/2 terms.
+
+    The alternating terms decrease, so the first omitted one bounds the
+    truncation, and the partial sums stay in [0, 1].
+    """
+    a, b = mu / (n * n), mu / n
+    total = 0.0
+    for j in range(1, n // 2 + 1):
+        t = math.exp(-(b + a * j) * j)
+        if t < ULP:
+            return 2 * total - 1, 2 * t + 16 * j * ULP
+        total += t if j % 2 else -t
     return None
 
 

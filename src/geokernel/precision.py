@@ -85,11 +85,11 @@ def working_dps(digits: int):
 # math.fsum, not mpmath's fp.fsum: only the former is compensated
 _DOUBLE = SimpleNamespace(
     num=float, exp=math.exp, cos=math.cos, sqrt=math.sqrt, pi=math.pi,
-    fsum=math.fsum,
+    fsum=math.fsum, isfinite=math.isfinite,
 )
 _WIDE = SimpleNamespace(
     num=mp.mpf, exp=mp.exp, cos=mp.cos, sqrt=mp.sqrt, pi=mp.pi,
-    fsum=mp.fsum,
+    fsum=mp.fsum, isfinite=mp.isfinite,
 )
 
 
@@ -99,7 +99,7 @@ def numeric(digits: int):
     :data:`DOUBLE_DIGITS`, mpmath inside :func:`working_dps` above it.
 
     Yields a namespace with ``num`` (parse a number), ``exp``, ``cos``,
-    ``sqrt``, ``pi`` and ``fsum``.
+    ``sqrt``, ``pi``, ``fsum`` and ``isfinite``.
     """
     if digits <= DOUBLE_DIGITS:
         yield _DOUBLE

@@ -113,30 +113,34 @@ def circulant_eigenvalues(first_row, precision_digits: int | None = None) -> Spe
     products are summed with exact compensated summation (math.fsum).
     Above it, row and cosines are lifted once to integer fixed point
     (:func:`~geokernel.precision.lift`), so each w_j is an exact integer
-    sum of exact products, rounded once.  Eigenvalues come back ascending
-    with their frequency indices.
+    sum of exact products, rounded once.  Either way w_j is the exactly
+    rounded sum of its products, so when the row is exactly symmetric
+    (row[k] == row[N-k]) the reindexing k -> N-k makes w_{N-j} the same
+    sum as w_j: only j <= N/2 are formed and the rest are copied.
+    Eigenvalues come back ascending with their frequency indices.
     """
     digits = resolve_digits(precision_digits)
     row = list(first_row)
     n = len(row)
     if n < 1:
         raise ValueError("empty first row")
-    _check_circulant_symmetry(row)
     with numeric(digits) as x:
         row = [x.num(v) for v in row]
+        formed = n // 2 + 1 if _check_circulant_symmetry(row) else n
         base = [x.cos(2 * x.pi * m / n) for m in range(n)]
         if digits <= DOUBLE_DIGITS:
             values = [
                 x.fsum(row[k] * base[(j * k) % n] for k in range(n))
-                for j in range(n)
+                for j in range(formed)
             ]
         else:
             (ints, exp_r), (cosines, exp_b) = lift(row), lift(base)
             values = [
                 unlift(sum(map(mul, ints, [cosines[j * k % n] for k in range(n)])),
                        exp_r + exp_b)
-                for j in range(n)
+                for j in range(formed)
             ]
+        values += [values[n - j] for j in range(formed, n)]
     order = sorted(range(n), key=lambda j: values[j])
     eigs = tuple(values[j] for j in order)
     return SpectrumReport(
@@ -148,20 +152,25 @@ def circulant_eigenvalues(first_row, precision_digits: int | None = None) -> Spe
     )
 
 
-def _check_circulant_symmetry(row) -> None:
+def _check_circulant_symmetry(row) -> bool:
+    """Whether row[k] == row[N-k] exactly for every k; raises
+    AsymmetricInputError when some pair differs by more than the band."""
     # rows assembled from computed distances carry a few ulp of exp/arc
     # rounding even when the configuration is exactly symmetric, so the
     # band is 8 ulp at unit scale rather than exact equality
     n = len(row)
+    exact = True
     for k in range(1, n // 2 + 1):
         a, b = row[k], row[n - k]
-        fa, fb = float(a), float(b)
-        if fa == fb:
+        if a == b:
             continue
+        exact = False
+        fa, fb = float(a), float(b)
         if abs(fa - fb) > 8.0 * math.ulp(max(abs(fa), abs(fb), 1.0)):
             raise AsymmetricInputError(
                 f"first row not symmetric under k -> N-k at k={k}"
             )
+    return exact
 
 
 def psd_tolerance(order: int, precision_digits: int = DOUBLE_DIGITS, scale: float = 1.0) -> float:

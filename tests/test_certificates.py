@@ -445,3 +445,21 @@ def test_verify_rejects_non_finite_coefficient(bad):
     obj["coefficients"][3] = bad
     result = gk.verify_certificate(gk.cert_from_json(obj))
     assert (result.ok, result.detail) == (False, "recomputed value nonnegative, stored negative")
+
+
+@pytest.mark.parametrize("digits", [17, 30])
+def test_verify_rejects_infinite_coefficient_at_every_precision(digits):
+    # JSON's Infinity literal parses to a float at either precision
+    text = json.dumps(gk.cert_to_json(gk.circle_witness(0.1, precision_digits=digits)))
+    obj = json.loads(text)
+    obj["coefficients"][0] = math.inf
+    result = gk.verify_certificate(gk.cert_from_json(json.loads(json.dumps(obj))))
+    assert (result.ok, result.detail) == (False, "recomputed value nonnegative, stored negative")
+    assert math.isnan(result.recomputed)
+
+
+def test_double_form_past_the_double_range_is_nan():
+    cert = _unit_witness(digits=17)
+    huge = tuple(1e200 * (-1) ** k for k in range(cert.order))
+    result = gk.verify_certificate(dataclasses.replace(cert, coefficients=huge))
+    assert (result.ok, result.detail) == (False, "recomputed value nonnegative, stored negative")

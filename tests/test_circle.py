@@ -7,8 +7,10 @@ import pytest
 from mpmath import mp, mpf
 
 import geokernel as gk
+from geokernel import circle
 from geokernel.certificates import circulant_row
 from geokernel.circle import CircleError, min_circulant_eigenvalue
+from geokernel.precision import numeric
 
 # root of a^3 + a^2 + a = 1 pushed through lambda = -4 ln(a) / pi^2
 LAMBDA_CRIT_4 = 0.2469715456351
@@ -125,3 +127,95 @@ def test_circle_witness_wide_precision():
     assert cert.precision_digits == 40
     assert isinstance(cert.quad_form, mpf)
     assert gk.verify_certificate(cert).ok
+
+
+def _plain_scan(lam, n_max, digits):
+    """The witness scan with every N decided by the wide w_half."""
+    mu = gk.mu_of_lambda(lam, digits)
+    with numeric(digits) as x:
+        threshold = -(x.num(10) ** (-digits + 5))
+    for n in range(4, n_max + 1, 4):
+        w = gk.w_half(mu, n, digits)
+        if w < threshold:
+            return n, w
+    return None
+
+
+def _bitwise(hit):
+    if hit is None:
+        return None
+    n, w = hit
+    return n, type(w), w._mpf_ if isinstance(w, mpf) else w.hex()
+
+
+def _count_w_half(monkeypatch):
+    calls = []
+    real = circle.w_half
+    monkeypatch.setattr(circle, "w_half", lambda *a: calls.append(a[1]) or real(*a))
+    return calls
+
+
+@pytest.mark.parametrize("digits", [17, 30, 40, 70, 100])
+def test_screened_scan_is_the_plain_scan(digits):
+    # N = 320 covers every hit of the grid; 17 digits is never screened
+    n_max = 1024 if digits == 17 else 320
+    for lam in ("0.01", "0.1", "0.3", "1", "2", "5", "10", "15", "20", "50"):
+        with mp.workdps(digits + 10):
+            lam = mpf(lam)
+        assert _bitwise(gk.find_witness_size(lam, n_max, digits)) == \
+            _bitwise(_plain_scan(lam, n_max, digits)), (lam, digits)
+
+
+def test_screen_defers_when_the_tail_needs_more_than_n_over_2_terms():
+    mu = float(gk.mu_of_lambda(1e-4))
+    for n in (4, 64, 1024):
+        assert circle._scaled_tail(mu, n) is None
+        assert not circle._screen_clears(mu, n, -25 * math.log(10))
+    assert _bitwise(gk.find_witness_size(mpf("1e-4"), 64, 30)) == \
+        _bitwise(_plain_scan(mpf("1e-4"), 64, 30))
+
+
+def test_screened_scan_near_the_threshold(monkeypatch):
+    # bisect lambda until the first negative w_half sits at the bar
+    digits, n_max = 30, 128
+    with mp.workdps(digits + 10):
+        lo, hi = mpf(5), mpf(7)
+        while hi - lo > mpf("1e-30"):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if _plain_scan(mid, n_max, digits) else (lo, mid)
+        n, w = _plain_scan(lo, n_max, digits)
+        assert abs(w / -mpf(10) ** -(digits - 5) - 1) < mpf("0.01")
+        assert _plain_scan(hi, n_max, digits) is None
+        calls = _count_w_half(monkeypatch)
+        for lam in (lo, hi):
+            assert _bitwise(gk.find_witness_size(lam, n_max, digits)) == \
+                _bitwise(_plain_scan(lam, n_max, digits))
+        # inside the screen's band, so both sides went to w_half at N
+        assert calls.count(n) == 2
+
+
+def test_screened_scan_calls_w_half_only_where_undecided(monkeypatch):
+    calls = _count_w_half(monkeypatch)
+    assert gk.find_witness_size(10, 512, 30) is None  # the default exhaust
+    assert calls == []
+    hit = gk.find_witness_size(20, 1024, 100)
+    assert hit[0] == 256
+    assert 1 <= len(calls) <= 2
+
+
+@pytest.mark.parametrize("lam, n", [
+    (2, 4), (2, 28), (2, 64), (5, 8), (5, 68), (5, 72), (10, 12), (10, 128),
+    (20, 8), (20, 12), (20, 248), (20, 256), (20, 300),
+])
+def test_screen_matches_the_scaled_alternating_eigenvalue(lam, n):
+    # 60 digits resolve w_{N/2} ~ e^{-mu/4} up to lambda 10; 100 beyond
+    digits = 60 if lam <= 10 else 100
+    with mp.workdps(digits + 10):
+        mu = gk.mu_of_lambda(mpf(lam), digits)
+        scaled = float(gk.w_half(mu, n, digits) * mp.exp(mu / 4))
+    log_p, err_p = circle._log_scaled_theta(float(mu), n)
+    t, err_t = circle._scaled_tail(float(mu), n)
+    s = math.exp(log_p) + t
+    assert abs(s / scaled - 1) < 1e-9
+    # and the screen's error budget covers the true value
+    assert abs(s - scaled) <= math.exp(log_p) * 2 * err_p + err_t

@@ -164,6 +164,48 @@ def test_circulant_wide_mirror_frequencies_are_bitwise_equal():
             assert mine[j]._mpf_ == mine[n - j]._mpf_, (what, j)
 
 
+def _full_circulant_reference(row, digits):
+    """Every frequency formed on its own, no mirror copies: (eigenvalues,
+    fourier_indices) as circulant_eigenvalues reports them."""
+    n = len(row)
+    with numeric(digits) as x:
+        row = [x.num(v) for v in row]
+        base = [x.cos(2 * x.pi * m / n) for m in range(n)]
+        if digits <= 17:
+            values = [math.fsum(row[k] * base[j * k % n] for k in range(n)) for j in range(n)]
+        else:
+            row, base = [v._mpf_ for v in row], [v._mpf_ for v in base]
+            values = [
+                mpf(mpf_pos(mpf_sum([mpf_mul(row[k], base[j * k % n], 0) for k in range(n)], 0),
+                            mp.prec, round_nearest))
+                for j in range(n)
+            ]
+    order = sorted(range(n), key=lambda j: values[j])
+    return tuple(values[j] for j in order), tuple(order)
+
+
+def _symmetric_rows(digits):
+    for n in (5, 27, 192, 256):
+        yield f"N {n}", circulant_row(0.7, n, digits)
+    rng = np.random.default_rng(3)
+    half = rng.standard_normal(13).tolist()
+    yield "random symmetric row, N 24", half + half[-2:0:-1]
+    near = circulant_row(0.7, 28, digits)
+    near[3] = near[3] * (1 + 2.0 ** -52)  # one ulp off its mirror, inside the band
+    assert near[3] != near[25]
+    yield "near-symmetric row, N 28", near
+
+
+@pytest.mark.parametrize("digits", [17, 30])
+def test_circulant_half_spectrum_is_the_full_spectrum(digits):
+    for what, row in _symmetric_rows(digits):
+        report = gk.circulant_eigenvalues(row, digits)
+        values, indices = _full_circulant_reference(row, digits)
+        assert report.fourier_indices == indices, what
+        bits = (lambda v: v._mpf_) if digits > 17 else float.hex
+        assert list(map(bits, report.eigenvalues)) == list(map(bits, values)), what
+
+
 def test_min_eigenvector_residual_and_sign():
     rng = np.random.default_rng(1)
     m = _random_symmetric(rng, 6)
