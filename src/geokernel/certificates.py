@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from operator import mul
 
 import mpmath as mp
-from mpmath.libmp import mpf_sub
+from mpmath.libmp import from_man_exp
 
 from . import spaces as sp
 from .gram import KernelParam, gram
@@ -100,11 +100,12 @@ def quadratic_form(space: sp.Space, lam, points, coefficients, precision_digits:
     At double precision the terms ``(2 c_i) c_j K_ij`` stream into a
     compensated sum in the order of the plain double loop.  Wide precision
     (circle and torus points, whose payloads are exact angles) sums in
-    integer fixed point: ``c_i c_j`` accumulates exactly per pair key, each
-    key's kernel value multiplies its total, and the sum is rounded once,
-    so the only rounding is in the coefficients and kernel values.  A
-    non-finite coefficient, or double terms past the double range, give
-    nan, which no verification accepts."""
+    integer fixed point (:func:`_exact_form`): ``c_i c_j`` accumulates
+    exactly per pair key, each key's kernel value multiplies its total,
+    and the sum is rounded once, so the only rounding is in the
+    coefficients and kernel values.  A non-finite coefficient, or double
+    terms past the double range, give nan, which no verification
+    accepts."""
     points = list(points)
     n = len(points)
     if len(coefficients) != n:
@@ -123,7 +124,7 @@ def quadratic_form(space: sp.Space, lam, points, coefficients, precision_digits:
         if not all(map(x.isfinite, c)):
             return x.num("nan")  # an infinite coefficient leaves the form undefined
         if precision_digits > DOUBLE_DIGITS:
-            return _exact_form(c, key, kernel)
+            return _exact_form(c, *key, kernel)
 
         def terms():
             memo = {}
@@ -141,32 +142,51 @@ def quadratic_form(space: sp.Space, lam, points, coefficients, precision_digits:
             return x.num("nan")
 
 
-def _exact_form(c: list, key, kernel):
+def _exact_form(c: list, labels: list, rounded, kernel):
     """The wide quadratic form: sum_i c_i^2 + 2 sum_key K_key S_key, with
     S_key the exact integer sum of c_i c_j over the pairs i < j with that
-    key, rounded once."""
+    key, rounded once.
+
+    A pair's exact key is ``labels[i] - labels[j]``, one Python-int
+    subtraction beside its ``c_i c_j``.  Before any kernel is evaluated
+    the exact keys are merged by ``rounded(key)``, the working-precision
+    difference the arc reads, so each distinct rounded key costs one
+    kernel evaluation however many exact keys round to it."""
     cs, exp_c = lift(c)
     sums = defaultdict(int)
-    for i, ci in enumerate(cs):
-        for j in range(i + 1, len(cs)):
-            sums[key(i, j)] += ci * cs[j]
-    ks, exp_k = lift([mp.mpf(1), *map(kernel, sums)])
-    total = ks[0] * sum(ci * ci for ci in cs) + 2 * sum(map(mul, ks[1:], sums.values()))
+    for i, (ci, li) in enumerate(zip(cs, labels)):
+        for cj, lj in zip(cs[i + 1:], labels[i + 1:]):
+            sums[li - lj] += ci * cj
+    merged = defaultdict(int)
+    for k, s in sums.items():
+        merged[rounded(k)] += s
+    ks, exp_k = lift([mp.mpf(1), *map(kernel, merged)])
+    total = ks[0] * sum(ci * ci for ci in cs) + 2 * sum(map(mul, ks[1:], merged.values()))
     return unlift(total, exp_k + 2 * exp_c)
 
 
 def _pair_distance(space: sp.Space, points: list, digits: int, x):
-    """(key, dist): ``key(i, j)`` is hashable and fixes d(p_i, p_j) bit
-    for bit, and ``dist(key)`` is that distance.  At double precision the
-    key is the distance, the space's own metric with every pair from one
-    ``distance_matrix``.  Wide precision needs circle or torus points,
-    whose angle payloads give exact arcs; the key is the rounded angle
-    difference the arc reads (one per torus factor) as mpmath's raw
-    ``(sign, man, exp, bc)`` tuple, which hashes fast, not the index gap,
-    which parsed angles do not fix to the last bit.  The sum over pairs
-    is then exact and rounded once (:func:`quadratic_form`), so only
-    these distances and their kernel values carry rounding.  Either way
-    each point is validated once."""
+    """(key, dist) for the pairs of ``points``; ``dist(k)`` is the
+    distance of a pair with key ``k``, a key fixing it bit for bit.
+
+    At double precision ``key(i, j)`` is the distance itself, the space's
+    own metric with every pair from one ``distance_matrix``.
+
+    Wide precision needs circle or torus points, whose angle payloads
+    give exact arcs.  There ``key`` is ``(labels, rounded)`` for
+    :func:`_exact_form`: each point's angles are lifted once to integers
+    on one exponent per torus factor (:func:`~geokernel.precision.lift`),
+    so ``labels[i] - labels[j]`` is the exact angle difference, and
+    ``rounded`` maps it to the difference rounded at the working
+    precision, mpmath's raw ``(sign, man, exp, bc)`` tuple (one per torus
+    factor), exactly what ``mpf_sub`` of the two angles returns.  That
+    rounded difference, not the index gap, is the key: parsed angles need
+    not fix the gap to the last bit.  An angle more than ``LIFT_SPAN``
+    working precisions below the largest lifts truncated, and its pair
+    distances then differ from the rounded differences by less than
+    2^-(3 prec) of the largest angle; such a distance is so small that
+    its kernel value rounds to 1 either way.  Either way each point is
+    validated once."""
     if digits <= DOUBLE_DIGITS:
         dist = sp.distance_matrix(space, points).tolist()
         return (lambda i, j: dist[i][j]), (lambda d: d)
@@ -180,19 +200,27 @@ def _pair_distance(space: sp.Space, points: list, digits: int, x):
     two_pi = 2 * x.pi
     prec, rnd = mp.mp._prec_rounding
 
-    def differences(angles):
-        raw = [x.num(a)._mpf_ for a in angles]
-        return lambda i, j: mpf_sub(raw[i], raw[j], prec, rnd)
-
     def arc(diff):
         d = abs(mp.make_mpf(diff))
         return min(d, two_pi - d)
 
     if isinstance(space, sp.Circle):
+        labels, exp = lift([x.num(p) for p in points])
         scale = x.num(space.scale)
-        return differences(points), (lambda k: scale * arc(k))
-    dx, dy = differences(p[0] for p in points), differences(p[1] for p in points)
-    return (lambda i, j: (dx(i, j), dy(i, j))), (
+        return (labels, lambda k: from_man_exp(k, exp, prec, rnd)), (
+            lambda k: scale * arc(k))
+    (lx, ex), (ly, ey) = (lift([x.num(p[f]) for p in points]) for f in (0, 1))
+    # valid angles lift to integers >= 0, so one label per point packs the
+    # second factor below the first with a sign bit to spare
+    shift = max(ly, default=0).bit_length() + 1
+    half, mask = 1 << (shift - 1), (1 << shift) - 1
+
+    def rounded(k):
+        dy = ((k + half) & mask) - half
+        return (from_man_exp((k - dy) >> shift, ex, prec, rnd),
+                from_man_exp(dy, ey, prec, rnd))
+
+    return ([a << shift | b for a, b in zip(lx, ly)], rounded), (
         lambda k: x.sqrt(arc(k[0]) ** 2 + arc(k[1]) ** 2))
 
 

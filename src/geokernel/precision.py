@@ -21,7 +21,7 @@ from contextlib import contextmanager
 from types import SimpleNamespace
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, repr_dps
 
 # Significant decimal digits representable by an IEEE double.  Requests at
 # or below this run entirely in hardware floats.
@@ -157,15 +157,35 @@ def to_mpf(value, digits: int) -> mp.mpf:
 def number_to_json(value, digits: int):
     """JSON payload for a number: raw float at double precision, decimal
     string above it (floats survive JSON round-trips exactly; wide values
-    need the string form)."""
+    need the string form).
+
+    A wide value is written at ``digits + 5`` significant digits when
+    that text parses back to the same mpf at the working precision (so a
+    bandwidth given as ``"0.4"`` keeps its short text), and otherwise at
+    mpmath's ``repr_dps`` of the working precision
+    (``digits + GUARD_DIGITS + 3``), which always does.  Either way
+    :func:`number_from_json` returns the value bit for bit."""
     if digits <= DOUBLE_DIGITS:
         return float(value)
     with working_dps(digits):
-        return mp.nstr(mp.mpf(value), digits + 5, strip_zeros=True)
+        value = mp.mpf(value)
+        text = mp.nstr(value, repr_dps(mp.mp.prec), strip_zeros=True)
+        # the short text reads back only from within half an ulp of the
+        # value, and then text's digits just past it are all 0 or all 9;
+        # only then is it worth forming and parsing
+        mantissa = text.lstrip("+-").split("e")[0].replace(".", "").lstrip("0")
+        if mantissa.ljust(digits + 9, "0")[digits + 5:digits + 9] in ("0000", "9999"):
+            short = mp.nstr(value, digits + 5, strip_zeros=True)
+            if mp.mpf(short)._mpf_ == value._mpf_:
+                return short
+        return text
 
 
 def number_from_json(value, digits: int):
-    """Inverse of :func:`number_to_json`."""
+    """Inverse of :func:`number_to_json`: a float at double precision, an
+    mpf at the working precision above it.  On text that
+    :func:`number_to_json` wrote it is exact; older certificates, written
+    at ``digits + 5`` digits throughout, parse to the nearest mpf."""
     if digits <= DOUBLE_DIGITS:
         return float(value)
     return to_mpf(value, digits)

@@ -13,7 +13,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import mpf_mul, mpf_pos, mpf_sum, round_nearest
 
 import geokernel as gk
-from geokernel import precision
+from geokernel import certificates, precision
 from geokernel.certificates import CertificateError, circulant_row
 from geokernel.precision import DOUBLE_DIGITS, PrecisionError, numeric
 from geokernel.spaces import circle_equispaced, sample_points
@@ -206,6 +206,87 @@ def test_verify_survives_extreme_exponents(cert_lambda20, field, index, ok, deta
     result = gk.verify_certificate(cert)
     assert time.perf_counter() - start < 1.0
     assert (result.ok, result.detail) == (ok, detail)
+
+
+@pytest.mark.parametrize("target, lam, digits, parent_count", [
+    ("circle", 5, 50, 881),
+    ("circle", 10, 70, 2333),
+    ("circle", 20, 100, 6457),
+    ("torus", "0.4", 30, None),
+])
+def test_fresh_certificate_verifies_at_the_builders_cost(
+        monkeypatch, target, lam, digits, parent_count):
+    # the builder's points, coefficients, lambda and quad form read back
+    # bit for bit, so the verify repeats the build's kernel evaluations
+    calls = []
+    exp = precision._WIDE.exp
+    monkeypatch.setattr(precision._WIDE, "exp", lambda v: calls.append(v) or exp(v))
+    quadratic_form = certificates.quadratic_form
+    built = []
+
+    def counted_form(*args):
+        before = len(calls)
+        value = quadratic_form(*args)
+        built.append(len(calls) - before)
+        return value
+
+    monkeypatch.setattr(certificates, "quadratic_form", counted_form)
+    if target == "circle":
+        cert = gk.circle_witness(lam, n_max=1024, precision_digits=digits)
+    else:
+        cert = gk.witness_for_target(gk.FlatTorus(), lam, precision_digits=digits)
+    back = gk.cert_from_json(json.loads(json.dumps(gk.cert_to_json(cert))))
+    monkeypatch.setattr(certificates, "quadratic_form", quadratic_form)
+    del calls[:]
+    result = gk.verify_certificate(back)
+    assert result.ok
+    assert result.recomputed._mpf_ == result.stored._mpf_ == cert.quad_form._mpf_
+    assert built == [len(calls)]
+    if parent_count is not None:
+        assert len(calls) < parent_count
+
+
+def _old_format(cert):
+    """The certificate's JSON with every wide number at digits + 5
+    significant digits, as certificates were written before their numbers
+    read back bit for bit."""
+    digits = cert.precision_digits
+    with numeric(digits):
+        old = lambda v: mp.nstr(mpf(v), digits + 5, strip_zeros=True)
+        obj = gk.cert_to_json(cert)
+        obj.update(
+            points=[old(p) for p in cert.points],
+            coefficients=[old(c) for c in cert.coefficients],
+            quad_form=old(cert.quad_form),
+            min_eigenvalue=old(cert.min_eigenvalue),
+        )
+    return obj
+
+
+def test_old_format_certificate_still_verifies():
+    cert = gk.cert_from_json(_old_format(gk.circle_witness(10, precision_digits=70)))
+    assert gk.verify_certificate(cert).ok
+    args = cert.space, cert.lam, cert.points, cert.coefficients, 70
+    assert _bits(gk.quadratic_form(*args)) == _bits(_plain_quadratic_form(*args))
+
+
+@pytest.mark.parametrize("space", [gk.Circle(), gk.FlatTorus()])
+def test_angles_below_the_lift_cut_keep_the_rounded_form(space):
+    # 1e-100000 and 3e-100000 lift to 0 beside 3; their pair distances are
+    # so small that every kernel value still rounds to 1, so the form is
+    # the one from rounded (mpf_sub) angle differences
+    with numeric(30):
+        angles = [mpf(0), mpf("1e-100000"), mpf("3e-100000"), mpf(3)]
+        points = angles if isinstance(space, gk.Circle) else [
+            (a, b) for a, b in zip(angles, reversed(angles))]
+        coeffs = [mpf("0.5"), mpf("-0.25"), mpf("0.75"), mpf("-1.5")]
+    args = space, mpf("0.4"), points, coeffs, 30
+    assert _bits(gk.quadratic_form(*args)) == _bits(_plain_quadratic_form(*args))
+
+
+@pytest.mark.parametrize("space", [gk.Circle(), gk.FlatTorus()])
+def test_wide_form_of_no_points_is_zero(space):
+    assert gk.quadratic_form(space, "0.4", [], [], 30) == 0
 
 
 def test_build_certificate_circulant_fields():

@@ -1,9 +1,20 @@
-"""Integer fixed point for wide sums: lift and its inverse."""
+"""Integer fixed point for wide sums (lift and its inverse) and the
+JSON text of wide numbers."""
+
+import random
 
 import pytest
 from mpmath import mp, mpf
 
-from geokernel.precision import LIFT_SPAN, lift, numeric, unlift
+from geokernel.precision import (
+    GUARD_DIGITS,
+    LIFT_SPAN,
+    lift,
+    number_from_json,
+    number_to_json,
+    numeric,
+    unlift,
+)
 
 
 def test_lift_is_exact_and_unlift_inverts_it():
@@ -41,3 +52,50 @@ def test_lift_rejects_non_finite_values(bad):
     with numeric(30):
         with pytest.raises(ValueError):
             lift([mpf(1), mpf(bad)])
+
+
+def _wide_values(digits):
+    """Angles 2 pi k / N for N <= 1024, random signed values, short
+    decimals, 0, and exponents near +-100000, at the working precision of
+    ``digits``."""
+    rng = random.Random(digits)
+    with numeric(digits) as x:
+        for n in (3, 64, 256, 1000, 1024):
+            yield from (2 * x.pi * k / n for k in range(n))
+        yield mpf(0)
+        for _ in range(100):
+            yield mpf(rng.uniform(-1, 1)) * mpf(2) ** rng.randint(-60, 60) / 3
+        for length in (1, 3, digits, digits + 5):
+            for _ in range(20):
+                text = "".join(rng.choice("0123456789") for _ in range(length))
+                yield mpf(f"{rng.choice('-+')}0.{text}e{rng.randint(-40, 40)}")
+            yield mpf("9." + "9" * (length - 1))
+        for e in (-100001, -99999, 99999, 100001):
+            yield mpf(rng.uniform(1, 2)) / 7 * mpf(10) ** e
+            yield -mp.pi * mpf(10) ** e
+            yield mpf(f"0.4e{e}")
+
+
+@pytest.mark.parametrize("digits", [18, 30, 50, 70, 100])
+def test_number_json_reads_back_bit_for_bit(digits):
+    forms = set()
+    for value in _wide_values(digits):
+        text = number_to_json(value, digits)
+        assert number_from_json(text, digits)._mpf_ == value._mpf_, text
+        # the digits + 5 text wherever it reads back, else the repr_dps one
+        with numeric(digits):
+            short = mp.nstr(value, digits + 5, strip_zeros=True)
+            if mp.mpf(short)._mpf_ == value._mpf_:
+                assert text == short
+            else:
+                assert text == mp.nstr(value, digits + GUARD_DIGITS + 3, strip_zeros=True)
+        forms.add(text == short)
+    assert forms == {True, False}
+
+
+@pytest.mark.parametrize("digits", [18, 30, 50, 70, 100])
+def test_number_json_keeps_short_text(digits):
+    for text in ("0.4", "0.1", "-2.5"):
+        value = number_from_json(text, digits)
+        assert number_to_json(value, digits) == text
+        assert number_to_json(text, digits) == text
