@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import combinations
 from operator import mul
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, mpf_sub
 
 from . import spaces as sp
 from .gram import KernelParam, gram
@@ -142,7 +143,7 @@ def quadratic_form(space: sp.Space, lam, points, coefficients, precision_digits:
             return x.num("nan")
 
 
-def _exact_form(c: list, labels: list, rounded, kernel):
+def _exact_form(c: list, labels: list, rounded, direct, kernel):
     """The wide quadratic form: sum_i c_i^2 + 2 sum_key K_key S_key, with
     S_key the exact integer sum of c_i c_j over the pairs i < j with that
     key, rounded once.
@@ -151,15 +152,23 @@ def _exact_form(c: list, labels: list, rounded, kernel):
     subtraction beside its ``c_i c_j``.  Before any kernel is evaluated
     the exact keys are merged by ``rounded(key)``, the working-precision
     difference the arc reads, so each distinct rounded key costs one
-    kernel evaluation however many exact keys round to it."""
+    kernel evaluation however many exact keys round to it.  A pair with a
+    point labelled None takes that rounded difference as ``direct(i, j)``
+    instead."""
     cs, exp_c = lift(c)
+    whole = [i for i, label in enumerate(labels) if label is not None]
+    wc, wl = [cs[i] for i in whole], [labels[i] for i in whole]
     sums = defaultdict(int)
-    for i, (ci, li) in enumerate(zip(cs, labels)):
-        for cj, lj in zip(cs[i + 1:], labels[i + 1:]):
+    for i, (ci, li) in enumerate(zip(wc, wl)):
+        for cj, lj in zip(wc[i + 1:], wl[i + 1:]):
             sums[li - lj] += ci * cj
     merged = defaultdict(int)
     for k, s in sums.items():
         merged[rounded(k)] += s
+    if len(whole) < len(cs):
+        for i, j in combinations(range(len(cs)), 2):
+            if labels[i] is None or labels[j] is None:
+                merged[direct(i, j)] += cs[i] * cs[j]
     ks, exp_k = lift([mp.mpf(1), *map(kernel, merged)])
     total = ks[0] * sum(ci * ci for ci in cs) + 2 * sum(map(mul, ks[1:], merged.values()))
     return unlift(total, exp_k + 2 * exp_c)
@@ -173,7 +182,7 @@ def _pair_distance(space: sp.Space, points: list, digits: int, x):
     own metric with every pair from one ``distance_matrix``.
 
     Wide precision needs circle or torus points, whose angle payloads
-    give exact arcs.  There ``key`` is ``(labels, rounded)`` for
+    give exact arcs.  There ``key`` is ``(labels, rounded, direct)`` for
     :func:`_exact_form`: each point's angles are lifted once to integers
     on one exponent per torus factor (:func:`~geokernel.precision.lift`),
     so ``labels[i] - labels[j]`` is the exact angle difference, and
@@ -182,10 +191,10 @@ def _pair_distance(space: sp.Space, points: list, digits: int, x):
     factor), exactly what ``mpf_sub`` of the two angles returns.  That
     rounded difference, not the index gap, is the key: parsed angles need
     not fix the gap to the last bit.  An angle more than ``LIFT_SPAN``
-    working precisions below the largest lifts truncated, and its pair
-    distances then differ from the rounded differences by less than
-    2^-(3 prec) of the largest angle; such a distance is so small that
-    its kernel value rounds to 1 either way.  Either way each point is
+    working precisions below the largest lifts truncated; its point is
+    labelled None, and ``direct(i, j)`` forms that point's keys with
+    ``mpf_sub`` from the raw angles, so every key is the rounded
+    difference whatever the angles' exponents.  Either way each point is
     validated once."""
     if digits <= DOUBLE_DIGITS:
         dist = sp.distance_matrix(space, points).tolist()
@@ -200,19 +209,33 @@ def _pair_distance(space: sp.Space, points: list, digits: int, x):
     two_pi = 2 * x.pi
     prec, rnd = mp.mp._prec_rounding
 
+    def lifted(angles):
+        # a nonzero mpf mantissa is odd, so an angle below the lift's
+        # exponent has lost bits: its label is None
+        ints, exp = lift(angles)
+        return [None if a._mpf_[1] and a._mpf_[2] < exp else k
+                for a, k in zip(angles, ints)], exp
+
+    def differences(angles):
+        raw = [a._mpf_ for a in angles]
+        return lambda i, j: mpf_sub(raw[i], raw[j], prec, rnd)
+
     def arc(diff):
         d = abs(mp.make_mpf(diff))
         return min(d, two_pi - d)
 
     if isinstance(space, sp.Circle):
-        labels, exp = lift([x.num(p) for p in points])
+        angles = [x.num(p) for p in points]
+        labels, exp = lifted(angles)
         scale = x.num(space.scale)
-        return (labels, lambda k: from_man_exp(k, exp, prec, rnd)), (
+        return (labels, lambda k: from_man_exp(k, exp, prec, rnd), differences(angles)), (
             lambda k: scale * arc(k))
-    (lx, ex), (ly, ey) = (lift([x.num(p[f]) for p in points]) for f in (0, 1))
-    # valid angles lift to integers >= 0, so one label per point packs the
-    # second factor below the first with a sign bit to spare
-    shift = max(ly, default=0).bit_length() + 1
+    xs, ys = ([x.num(p[f]) for p in points] for f in (0, 1))
+    (lx, ex), (ly, ey) = lifted(xs), lifted(ys)
+    # one label per point packs the second factor below the first; a tiny
+    # negative angle passes validation, so the shift leaves room for
+    # second-factor differences of either sign
+    shift = max((abs(b) for b in ly if b is not None), default=0).bit_length() + 2
     half, mask = 1 << (shift - 1), (1 << shift) - 1
 
     def rounded(k):
@@ -220,7 +243,9 @@ def _pair_distance(space: sp.Space, points: list, digits: int, x):
         return (from_man_exp((k - dy) >> shift, ex, prec, rnd),
                 from_man_exp(dy, ey, prec, rnd))
 
-    return ([a << shift | b for a, b in zip(lx, ly)], rounded), (
+    sub_x, sub_y = differences(xs), differences(ys)
+    labels = [None if a is None or b is None else (a << shift) + b for a, b in zip(lx, ly)]
+    return (labels, rounded, lambda i, j: (sub_x(i, j), sub_y(i, j))), (
         lambda k: x.sqrt(arc(k[0]) ** 2 + arc(k[1]) ** 2))
 
 

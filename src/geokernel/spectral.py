@@ -135,11 +135,9 @@ def circulant_eigenvalues(first_row, precision_digits: int | None = None) -> Spe
             ]
         else:
             (ints, exp_r), (cosines, exp_b) = lift(row), lift(base)
-            # an object array of Python ints, so numpy gathers each
-            # frequency's cosines and the products stay exact
-            cosines, ks = np.array(cosines, dtype=object), np.arange(n)
             values = [
-                unlift(sum(map(mul, ints, cosines[ks * j % n])), exp_r + exp_b)
+                unlift(sum(map(mul, ints, [cosines[j * k % n] for k in range(n)])),
+                       exp_r + exp_b)
                 for j in range(formed)
             ]
         values += [values[n - j] for j in range(formed, n)]

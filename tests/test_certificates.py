@@ -270,17 +270,39 @@ def test_old_format_certificate_still_verifies():
     assert _bits(gk.quadratic_form(*args)) == _bits(_plain_quadratic_form(*args))
 
 
-@pytest.mark.parametrize("space", [gk.Circle(), gk.FlatTorus()])
-def test_angles_below_the_lift_cut_keep_the_rounded_form(space):
-    # 1e-100000 and 3e-100000 lift to 0 beside 3; their pair distances are
-    # so small that every kernel value still rounds to 1, so the form is
-    # the one from rounded (mpf_sub) angle differences
+@pytest.mark.parametrize("space, lam, tiny", [
+    (gk.Circle(), "0.4", "1e-100000"),
+    (gk.FlatTorus(), "0.4", "1e-100000"),
+    (gk.Circle(), "0.4", "1e-130"),
+    (gk.FlatTorus(), "0.4", "1e-130"),
+    # a wide scale or bandwidth makes the tiny angles' distance matter
+    (gk.Circle(scale=1e300), "0.4", "1e-130"),
+    (gk.Circle(), "1e300", "1e-130"),
+    (gk.FlatTorus(), "1e300", "1e-130"),
+])
+def test_angles_below_the_lift_cut_keep_the_rounded_form(space, lam, tiny):
+    # tiny and 3 * tiny lie more than LIFT_SPAN precisions below 3 and lift
+    # truncated; their pairs must still read the rounded (mpf_sub) angle
+    # differences
     with numeric(30):
-        angles = [mpf(0), mpf("1e-100000"), mpf("3e-100000"), mpf(3)]
+        angles = [mpf(0), mpf(tiny), 3 * mpf(tiny), mpf(3)]
         points = angles if isinstance(space, gk.Circle) else [
             (a, b) for a, b in zip(angles, reversed(angles))]
         coeffs = [mpf("0.5"), mpf("-0.25"), mpf("0.75"), mpf("-1.5")]
-    args = space, mpf("0.4"), points, coeffs, 30
+    args = space, mpf(lam), points, coeffs, 30
+    assert _bits(gk.quadratic_form(*args)) == _bits(_plain_quadratic_form(*args))
+
+
+@pytest.mark.parametrize("beside", ["1e-400", "1e-300"])
+def test_torus_keeps_first_angles_beside_a_tiny_negative_second_angle(beside):
+    # float("-1e-400") is -0.0, so the angle passes validation and lifts
+    # exactly beside other tiny angles; the packed label must keep the
+    # point's first angle
+    with numeric(30):
+        points = [(mpf(1), mpf("-1e-400")), (mpf(2), mpf(beside)),
+                  (mpf(3), mpf("2e-400")), (mpf(0), mpf(0))]
+        coeffs = [mpf("0.5"), mpf("-0.25"), mpf("0.75"), mpf("-1.5")]
+    args = gk.FlatTorus(), mpf("0.4"), points, coeffs, 30
     assert _bits(gk.quadratic_form(*args)) == _bits(_plain_quadratic_form(*args))
 
 

@@ -1,7 +1,6 @@
 """Dense eigensolver and the exact circulant spectrum path."""
 
 import math
-from operator import mul
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from mpmath.libmp import mpf_mul, mpf_pos, mpf_sum, round_nearest
 
 import geokernel as gk
 from geokernel.certificates import circulant_row
-from geokernel.precision import lift, numeric, unlift
+from geokernel.precision import numeric
 from geokernel.spectral import (
     AsymmetricInputError,
     ConvergenceError,
@@ -205,23 +204,6 @@ def test_circulant_half_spectrum_is_the_full_spectrum(digits):
         assert report.fourier_indices == indices, what
         bits = (lambda v: v._mpf_) if digits > 17 else float.hex
         assert list(map(bits, report.eigenvalues)) == list(map(bits, values)), what
-
-
-@pytest.mark.parametrize("n", [5, 27, 256, 1024])
-def test_circulant_wide_gather_is_the_list_comprehension(n):
-    # numpy gathers each frequency's lifted cosines; the plain list
-    # comprehension over k must give the same integer sums bit for bit
-    row = circulant_row(0.1, n, 40)
-    report = gk.circulant_eigenvalues(row, 40)
-    with numeric(40) as x:
-        ints, exp_r = lift([x.num(v) for v in row])
-        cosines, exp_b = lift([x.cos(2 * x.pi * m / n) for m in range(n)])
-        values = [
-            unlift(sum(map(mul, ints, [cosines[j * k % n] for k in range(n)])), exp_r + exp_b)
-            for j in range(n)
-        ]
-    mine = dict(zip(report.fourier_indices, report.eigenvalues))
-    assert [mine[j]._mpf_ for j in range(n)] == [v._mpf_ for v in values]
 
 
 def test_min_eigenvector_residual_and_sign():
