@@ -35,6 +35,8 @@ POINT_FILES = {
 # file name -> the command whose stdout is the certificate
 CERT_FILES = {
     "circle_cert70.json": ("witness", "circle", "--lambda", "10", "--precision", "70"),
+    "torus_cert70.json": ("witness", "space", "--target", "torus", "--lambda", "10",
+                          "--precision", "70"),
 }
 
 CASES = (
@@ -73,6 +75,8 @@ CASES = (
     ("witness", "circle", "--lambda", "5", "--precision", "50"),
     ("verify-certificate", "circle_cert70.json"),
     ("witness", "space", "--target", "torus", "--lambda", "0.4", "--precision", "30"),
+    # a large torus form (N = 128): every pair keyed on both angles
+    ("verify-certificate", "torus_cert70.json"),
 )
 
 
