@@ -95,18 +95,18 @@ def circulant_row(lam, n: int, precision_digits: int = DOUBLE_DIGITS, scale=1.0)
 
 def quadratic_form(space: sp.Space, lam, points, coefficients, precision_digits: int):
     """c^T K c recomputed from scratch: distances, kernel values, then the
-    sum.  The kernel is evaluated once per distinct pair key (see
-    :func:`_pair_distance`), which fixes the distance bit for bit.
+    sum.
 
-    At double precision the terms ``(2 c_i) c_j K_ij`` stream into a
-    compensated sum in the order of the plain double loop.  Wide precision
-    (circle and torus points, whose payloads are exact angles) sums in
-    integer fixed point (:func:`_exact_form`): ``c_i c_j`` accumulates
-    exactly per pair key, each key's kernel value multiplies its total,
-    and the sum is rounded once, so the only rounding is in the
-    coefficients and kernel values.  A non-finite coefficient, or double
-    terms past the double range, give nan, which no verification
-    accepts."""
+    At double precision the kernel values are the entries of :func:`gram`,
+    and the terms ``(2 c_i) c_j K_ij`` stream into a compensated sum in the
+    order of the plain double loop.  Wide precision needs circle or torus
+    points, whose payloads are exact angles, and sums in integer fixed
+    point: ``c_i c_j`` accumulates exactly per pair key (the pair's
+    rounded angle differences, :func:`_pair_sums`), each key's kernel value
+    multiplies its total, and the sum is rounded once, so the only rounding
+    is in the coefficients and kernel values.  A non-finite coefficient, or
+    double terms past the double range, give nan, which no verification
+    accepts.  Each point is validated once."""
     points = list(points)
     n = len(points)
     if len(coefficients) != n:
@@ -115,27 +115,32 @@ def quadratic_form(space: sp.Space, lam, points, coefficients, precision_digits:
         )
     with numeric(precision_digits) as x:
         lam = require_positive(x.num(lam), "lambda", CertificateError)
-        key, dist = _pair_distance(space, points, precision_digits, x)
-
-        def kernel(k):
-            d = dist(k)
-            return x.exp(-lam * d * d)
-
+        if precision_digits <= DOUBLE_DIGITS:
+            kernel = gram(space, points, KernelParam(lam)).entries.tolist() if n else []
+        elif not isinstance(space, (sp.Circle, sp.FlatTorus)):
+            raise PrecisionError(
+                "wide-precision re-evaluation needs angle payloads (circle or "
+                "torus); rebuild the certificate at <= 17 digits"
+            )
+        else:
+            for p in points:
+                sp.require_valid(space, p)
         c = [x.num(v) for v in coefficients]
         if not all(map(x.isfinite, c)):
             return x.num("nan")  # an infinite coefficient leaves the form undefined
         if precision_digits > DOUBLE_DIGITS:
-            return _exact_form(c, *key, kernel)
+            cs, exp_c = lift(c)
+            sums, dist = _pair_sums(space, points, cs, x)
+            ks, exp_k = lift([mp.mpf(1), *(x.exp(-lam * d * d) for d in map(dist, sums))])
+            total = ks[0] * sum(ci * ci for ci in cs) + 2 * sum(map(mul, ks[1:], sums.values()))
+            return unlift(total, exp_k + 2 * exp_c)
 
         def terms():
-            memo = {}
             yield from (ci * ci for ci in c)  # diagonal: kernel value is 1
-            for i in range(n):
+            for i, row in enumerate(kernel):
                 two_ci = 2 * c[i]  # doubling is exact
                 for j in range(i + 1, n):
-                    if (kv := memo.get(k := key(i, j))) is None:
-                        kv = memo[k] = kernel(k)
-                    yield two_ci * c[j] * kv
+                    yield two_ci * c[j] * row[j]
 
         try:
             return x.fsum(terms())
@@ -143,82 +148,27 @@ def quadratic_form(space: sp.Space, lam, points, coefficients, precision_digits:
             return x.num("nan")
 
 
-def _exact_form(c: list, labels: list, rounded, direct, kernel):
-    """The wide quadratic form: sum_i c_i^2 + 2 sum_key K_key S_key, with
-    S_key the exact integer sum of c_i c_j over the pairs i < j with that
-    key, rounded once.
+def _pair_sums(space: sp.Space, points: list, cs: list, x):
+    """(sums, dist) for wide circle or torus ``points`` and lifted
+    coefficients ``cs``: ``sums`` maps each pair key to the exact integer
+    sum of ``cs[i] * cs[j]`` over the pairs i < j with that key, and
+    ``dist(key)`` is the distance those pairs share.
 
-    A pair's exact key is ``labels[i] - labels[j]``, one Python-int
-    subtraction beside its ``c_i c_j``.  Before any kernel is evaluated
-    the exact keys are merged by ``rounded(key)``, the working-precision
-    difference the arc reads, so each distinct rounded key costs one
-    kernel evaluation however many exact keys round to it.  A pair with a
-    point labelled None takes that rounded difference as ``direct(i, j)``
-    instead."""
-    cs, exp_c = lift(c)
-    whole = [i for i, label in enumerate(labels) if label is not None]
-    wc, wl = [cs[i] for i in whole], [labels[i] for i in whole]
-    sums = defaultdict(int)
-    for i, (ci, li) in enumerate(zip(wc, wl)):
-        for cj, lj in zip(wc[i + 1:], wl[i + 1:]):
-            sums[li - lj] += ci * cj
-    merged = defaultdict(int)
-    for k, s in sums.items():
-        merged[rounded(k)] += s
-    if len(whole) < len(cs):
-        for i, j in combinations(range(len(cs)), 2):
-            if labels[i] is None or labels[j] is None:
-                merged[direct(i, j)] += cs[i] * cs[j]
-    ks, exp_k = lift([mp.mpf(1), *map(kernel, merged)])
-    total = ks[0] * sum(ci * ci for ci in cs) + 2 * sum(map(mul, ks[1:], merged.values()))
-    return unlift(total, exp_k + 2 * exp_c)
+    A key is the tuple of the pair's angle differences rounded at the
+    working precision, one raw mpf per factor: exactly what ``mpf_sub`` of
+    the two angles returns, which fixes the distance bit for bit (parsed
+    angles need not fix the index gap to the last bit).
 
-
-def _pair_distance(space: sp.Space, points: list, digits: int, x):
-    """(key, dist) for the pairs of ``points``; ``dist(k)`` is the
-    distance of a pair with key ``k``, a key fixing it bit for bit.
-
-    At double precision ``key(i, j)`` is the distance itself, the space's
-    own metric with every pair from one ``distance_matrix``.
-
-    Wide precision needs circle or torus points, whose angle payloads
-    give exact arcs.  There ``key`` is ``(labels, rounded, direct)`` for
-    :func:`_exact_form`: each point's angles are lifted once to integers
-    on one exponent per torus factor (:func:`~geokernel.precision.lift`),
-    so ``labels[i] - labels[j]`` is the exact angle difference, and
-    ``rounded`` maps it to the difference rounded at the working
-    precision, mpmath's raw ``(sign, man, exp, bc)`` tuple (one per torus
-    factor), exactly what ``mpf_sub`` of the two angles returns.  That
-    rounded difference, not the index gap, is the key: parsed angles need
-    not fix the gap to the last bit.  An angle more than ``LIFT_SPAN``
-    working precisions below the largest lifts truncated; its point is
-    labelled None, and ``direct(i, j)`` forms that point's keys with
-    ``mpf_sub`` from the raw angles, so every key is the rounded
-    difference whatever the angles' exponents.  Either way each point is
-    validated once."""
-    if digits <= DOUBLE_DIGITS:
-        dist = sp.distance_matrix(space, points).tolist()
-        return (lambda i, j: dist[i][j]), (lambda d: d)
-    if not isinstance(space, (sp.Circle, sp.FlatTorus)):
-        raise PrecisionError(
-            "wide-precision re-evaluation needs angle payloads (circle or "
-            "torus); rebuild the certificate at <= 17 digits"
-        )
-    for p in points:
-        sp.require_valid(space, p)
-    two_pi = 2 * x.pi
+    Circle angles that all lift whole (:func:`~geokernel.precision.lift`)
+    take the fast path: a pair's exact key is ``labels[i] - labels[j]``,
+    one Python-int subtraction, and the exact keys are merged by their
+    rounded value before any kernel is evaluated.  Everything else (torus
+    points, or a circle angle more than ``LIFT_SPAN`` working precisions
+    below the largest, which lifts truncated) forms each key with
+    ``mpf_sub`` from the raw angles."""
     prec, rnd = mp.mp._prec_rounding
-
-    def lifted(angles):
-        # a nonzero mpf mantissa is odd, so an angle below the lift's
-        # exponent has lost bits: its label is None
-        ints, exp = lift(angles)
-        return [None if a._mpf_[1] and a._mpf_[2] < exp else k
-                for a, k in zip(angles, ints)], exp
-
-    def differences(angles):
-        raw = [a._mpf_ for a in angles]
-        return lambda i, j: mpf_sub(raw[i], raw[j], prec, rnd)
+    two_pi = 2 * x.pi
+    sums = defaultdict(int)
 
     def arc(diff):
         d = abs(mp.make_mpf(diff))
@@ -226,27 +176,27 @@ def _pair_distance(space: sp.Space, points: list, digits: int, x):
 
     if isinstance(space, sp.Circle):
         angles = [x.num(p) for p in points]
-        labels, exp = lifted(angles)
         scale = x.num(space.scale)
-        return (labels, lambda k: from_man_exp(k, exp, prec, rnd), differences(angles)), (
-            lambda k: scale * arc(k))
-    xs, ys = ([x.num(p[f]) for p in points] for f in (0, 1))
-    (lx, ex), (ly, ey) = lifted(xs), lifted(ys)
-    # one label per point packs the second factor below the first; a tiny
-    # negative angle passes validation, so the shift leaves room for
-    # second-factor differences of either sign
-    shift = max((abs(b) for b in ly if b is not None), default=0).bit_length() + 2
-    half, mask = 1 << (shift - 1), (1 << shift) - 1
-
-    def rounded(k):
-        dy = ((k + half) & mask) - half
-        return (from_man_exp((k - dy) >> shift, ex, prec, rnd),
-                from_man_exp(dy, ey, prec, rnd))
-
-    sub_x, sub_y = differences(xs), differences(ys)
-    labels = [None if a is None or b is None else (a << shift) + b for a, b in zip(lx, ly)]
-    return (labels, rounded, lambda i, j: (sub_x(i, j), sub_y(i, j))), (
-        lambda k: x.sqrt(arc(k[0]) ** 2 + arc(k[1]) ** 2))
+        dist = lambda k: scale * arc(k[0])
+        labels, exp = lift(angles)
+        # a nonzero mpf mantissa is odd, so an angle below the lift's
+        # exponent has lost bits
+        if all(not a._mpf_[1] or a._mpf_[2] >= exp for a in angles):
+            exact = defaultdict(int)
+            for i, (ci, li) in enumerate(zip(cs, labels)):
+                for cj, lj in zip(cs[i + 1:], labels[i + 1:]):
+                    exact[li - lj] += ci * cj
+            for k, s in exact.items():
+                sums[(from_man_exp(k, exp, prec, rnd),)] += s
+            return sums, dist
+        factors = [angles]
+    else:
+        factors = [[x.num(p[f]) for p in points] for f in (0, 1)]
+        dist = lambda k: x.sqrt(arc(k[0]) ** 2 + arc(k[1]) ** 2)
+    raws = [[a._mpf_ for a in f] for f in factors]
+    for i, j in combinations(range(len(cs)), 2):
+        sums[tuple(mpf_sub(r[i], r[j], prec, rnd) for r in raws)] += cs[i] * cs[j]
+    return sums, dist
 
 
 def certification_threshold(n: int, digits: int):

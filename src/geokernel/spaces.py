@@ -145,11 +145,13 @@ Space = Circle | Sphere | ProjectiveSpace | Grassmannian | SpdMatrices | Euclide
 def _checked_angle(value) -> tuple[str | None, float | None]:
     try:
         theta = float(value)
+        # float() rounds a tiny negative wide angle to -0.0
+        negative = theta == 0.0 and value < 0
     except (TypeError, ValueError):
         return "angle payload is not a real number", None
     if not math.isfinite(theta):
         return "angle is not finite", None
-    if not (0.0 <= theta < TWO_PI):
+    if negative or not (0.0 <= theta < TWO_PI):
         return "angle outside [0, 2*pi)", None
     return None, theta
 

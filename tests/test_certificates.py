@@ -15,8 +15,9 @@ from mpmath.libmp import mpf_mul, mpf_pos, mpf_sum, round_nearest
 import geokernel as gk
 from geokernel import certificates, precision
 from geokernel.certificates import CertificateError, circulant_row
+from geokernel.cli import main
 from geokernel.precision import DOUBLE_DIGITS, PrecisionError, numeric
-from geokernel.spaces import circle_equispaced, sample_points
+from geokernel.spaces import circle_equispaced, require_valid, sample_points
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -138,7 +139,15 @@ def _bit_identity_cases():
         angles = [2 * mp.pi * mpf(u) for u in rng.random(30)]
     yield "random circle angles, 40 digits", gk.Circle(), mpf("0.3"), angles, \
         rng.standard_normal(30).tolist(), 40
-    torus = gk.witness_for_target(gk.FlatTorus(), "0.4", precision_digits=30)
+    # below the lift cut: every pair keyed by its rounded difference
+    with mp.workdps(40):
+        below = [*angles, mpf("1e-130")]
+        pairs = [(2 * mp.pi * mpf(u), 2 * mp.pi * mpf(v)) for u, v in rng.random((30, 2))]
+    yield "random circle angles and 1e-130, 40 digits", gk.Circle(), mpf("0.3"), below, \
+        rng.standard_normal(31).tolist(), 40
+    yield "random torus angles, 40 digits", gk.FlatTorus(), mpf("0.3"), pairs, \
+        rng.standard_normal(30).tolist(), 40
+    torus =gk.witness_for_target(gk.FlatTorus(), "0.4", precision_digits=30)
     yield "torus, 30 digits", torus.space, torus.lam, torus.points, \
         torus.coefficients, 30
     for text in ("sphere:2", "grassmann:2,4"):
@@ -293,22 +302,39 @@ def test_angles_below_the_lift_cut_keep_the_rounded_form(space, lam, tiny):
     assert _bits(gk.quadratic_form(*args)) == _bits(_plain_quadratic_form(*args))
 
 
-@pytest.mark.parametrize("beside", ["1e-400", "1e-300"])
-def test_torus_keeps_first_angles_beside_a_tiny_negative_second_angle(beside):
-    # float("-1e-400") is -0.0, so the angle passes validation and lifts
-    # exactly beside other tiny angles; the packed label must keep the
-    # point's first angle
-    with numeric(30):
-        points = [(mpf(1), mpf("-1e-400")), (mpf(2), mpf(beside)),
-                  (mpf(3), mpf("2e-400")), (mpf(0), mpf(0))]
-        coeffs = [mpf("0.5"), mpf("-0.25"), mpf("0.75"), mpf("-1.5")]
-    args = gk.FlatTorus(), mpf("0.4"), points, coeffs, 30
-    assert _bits(gk.quadratic_form(*args)) == _bits(_plain_quadratic_form(*args))
+@pytest.mark.parametrize("target", ["circle", "torus"])
+def test_angle_just_below_zero_is_rejected(target, tmp_path, capsys):
+    # float("-1e-400") is -0.0, so the check must read the wide angle itself
+    if target == "circle":
+        space, cert = gk.Circle(), _unit_witness(digits=30)
+        bad = lambda p: "-1e-400"
+    else:
+        space, cert = gk.FlatTorus(), gk.witness_for_target(gk.FlatTorus(), "0.4")
+        bad = lambda p: [p[0], "-1e-400"]
+    assert cert.precision_digits == 30
+    obj = gk.cert_to_json(cert)
+    obj["points"][0] = bad(obj["points"][0])
+    forged = gk.cert_from_json(obj)
+    with pytest.raises(gk.InvalidPointError, match="outside"):
+        require_valid(space, forged.points[0])
+    with pytest.raises(gk.InvalidPointError, match="outside"):
+        gk.quadratic_form(space, forged.lam, forged.points, forged.coefficients, 30)
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(obj))
+    assert main(["verify-certificate", str(path)]) == 1
+    capsys.readouterr()
+    # a zero angle, float or wide, still passes
+    zero = {"circle": [0.0, mpf(0)], "torus": [(0.0, mpf(0)), (mpf(0), 0.0)]}[target]
+    for point in zero:
+        require_valid(space, point)
 
 
-@pytest.mark.parametrize("space", [gk.Circle(), gk.FlatTorus()])
-def test_wide_form_of_no_points_is_zero(space):
-    assert gk.quadratic_form(space, "0.4", [], [], 30) == 0
+@pytest.mark.parametrize("space, digits", [
+    (gk.Circle(), 30), (gk.FlatTorus(), 30),
+    (gk.Circle(), 17), (gk.FlatTorus(), 17), (gk.Sphere(2), 17),
+], ids=["circle-30", "torus-30", "circle-17", "torus-17", "sphere-17"])
+def test_form_of_no_points_is_zero(space, digits):
+    assert gk.quadratic_form(space, "0.4", [], [], digits) == 0
 
 
 def test_build_certificate_circulant_fields():
