@@ -303,6 +303,22 @@ def test_angles_below_the_lift_cut_keep_the_rounded_form(space, lam, tiny):
     assert _bits(gk.quadratic_form(*args)) == _bits(_plain_quadratic_form(*args))
 
 
+@pytest.mark.parametrize("beside", ["1e-400", "1e-300"])
+def test_torus_keeps_first_angles_beside_a_tiny_negative_second_angle(beside):
+    # the tiny negative second angle is rejected; at its mirror +1e-400 the
+    # point lies beside the other tiny angles, and each pair must still read
+    # its points' own first angles
+    with numeric(30):
+        points = [(mpf(1), mpf("-1e-400")), (mpf(2), mpf(beside)),
+                  (mpf(3), mpf("2e-400")), (mpf(0), mpf(0))]
+        coeffs = [mpf("0.5"), mpf("-0.25"), mpf("0.75"), mpf("-1.5")]
+    with pytest.raises(gk.InvalidPointError, match="outside"):
+        gk.quadratic_form(gk.FlatTorus(), mpf("0.4"), points, coeffs, 30)
+    points[0] = (mpf(1), mpf("1e-400"))
+    args = gk.FlatTorus(), mpf("0.4"), points, coeffs, 30
+    assert _bits(gk.quadratic_form(*args)) == _bits(_plain_quadratic_form(*args))
+
+
 @pytest.mark.parametrize("target", ["circle", "torus"])
 def test_angle_just_below_zero_is_rejected(target, tmp_path):
     # float("-1e-400") is -0.0, so the check must read the wide angle itself
