@@ -117,7 +117,7 @@ def quadratic_form(space: sp.Space, lam, points, coefficients, precision_digits:
         lam = require_positive(x.num(lam), "lambda", CertificateError)
         if precision_digits <= DOUBLE_DIGITS:
             kernel = gram(space, points, KernelParam(lam)).entries.tolist() if n else []
-        elif not isinstance(space, (sp.Circle, sp.FlatTorus)):
+        elif not isinstance(space, sp.ANGLE_SPACES):
             raise PrecisionError(
                 "wide-precision re-evaluation needs angle payloads (circle or "
                 "torus); rebuild the certificate at <= 17 digits"

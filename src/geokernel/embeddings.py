@@ -11,9 +11,11 @@ the very same coefficients.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
+import mpmath as mp
 import numpy as np
 
 from . import spaces as sp
@@ -50,19 +52,24 @@ class EmbeddingMap:
         return self._apply(theta)
 
 
-def great_circle(n: int) -> EmbeddingMap:
-    """theta -> (cos theta, sin theta, 0, ..., 0) on the n-sphere."""
-    if n < 1:
-        raise EmbeddingError("sphere dimension must be >= 1")
+def _turning(n: int, rate: float) -> Callable:
+    """theta -> (cos t, sin t, 0, ..., 0) in R^(n+1) with t = rate * theta."""
 
     def apply(theta):
-        t = float(theta)
+        t = float(theta) * rate
         v = np.zeros(n + 1)
         v[0] = math.cos(t)
         v[1] = math.sin(t)
         return v
 
-    return EmbeddingMap("great_circle", sp.Circle(), sp.Sphere(n), apply)
+    return apply
+
+
+def great_circle(n: int) -> EmbeddingMap:
+    """theta -> (cos theta, sin theta, 0, ..., 0) on the n-sphere."""
+    if n < 1:
+        raise EmbeddingError("sphere dimension must be >= 1")
+    return EmbeddingMap("great_circle", sp.Circle(), sp.Sphere(n), _turning(n, 1.0))
 
 
 def projective_line(n: int) -> EmbeddingMap:
@@ -74,15 +81,9 @@ def projective_line(n: int) -> EmbeddingMap:
     """
     if n < 1:
         raise EmbeddingError("projective dimension must be >= 1")
-
-    def apply(theta):
-        t = float(theta) / 2.0
-        v = np.zeros(n + 1)
-        v[0] = math.cos(t)
-        v[1] = math.sin(t)
-        return v
-
-    return EmbeddingMap("projective_line", sp.Circle(scale=0.5), sp.ProjectiveSpace(n), apply)
+    return EmbeddingMap(
+        "projective_line", sp.Circle(scale=0.5), sp.ProjectiveSpace(n), _turning(n, 0.5)
+    )
 
 
 def grassmann_circle(k: int, n: int, base=None, direction=None) -> EmbeddingMap:
@@ -165,24 +166,21 @@ def verify_isometry(emb: EmbeddingMap, pair_count: int = 1000, seed: int = 0) ->
 
 
 def transfer_witness(cert: WitnessCertificate, emb: EmbeddingMap) -> WitnessCertificate:
-    """Carry a circle witness to the embedding target.
+    """Carry a witness on the map's source circle to the embedding target.
 
     The images keep the source distances, so the same lambda and the
     same coefficients give the same quadratic form; it is recomputed in
-    the target from scratch and must agree within 1e-12 relative.
+    the target from scratch and must agree with the stored value within
+    the rounding of the two evaluations (``_rounding_bound``), and clear
+    the certification threshold.
 
     Targets with non-angle payloads store points in double precision, so
     a wide source certificate is re-anchored at 17 digits; the transfer
     refuses if the violation would drown in double-precision noise.
     """
-    if not isinstance(cert.space, sp.Circle):
-        raise CertificateError("only circle certificates transfer through embeddings")
-    if abs(cert.space.scale - emb.source.scale) > 1e-15:
-        raise CertificateError(
-            f"scale mismatch: certificate on Circle{{{cert.space.scale}}}, "
-            f"map source Circle{{{emb.source.scale}}}"
-        )
-    wide_target = isinstance(emb.target, (sp.Circle, sp.FlatTorus))
+    if cert.space != emb.source:
+        raise CertificateError(f"certificate on {cert.space!r}, map source {emb.source!r}")
+    wide_target = isinstance(emb.target, sp.ANGLE_SPACES)
     digits = cert.precision_digits if wide_target else min(cert.precision_digits, DOUBLE_DIGITS)
     coerced = digits < cert.precision_digits
 
@@ -198,10 +196,11 @@ def transfer_witness(cert: WitnessCertificate, emb: EmbeddingMap) -> WitnessCert
             f"certification threshold {bar:.3e} at {digits} digits"
         )
     stored = cert.quad_form
-    if abs(quad - stored) > 1e-12 * abs(stored):
+    allowed = _rounding_bound(coeffs, lam, emb.scale, digits)
+    if not abs(quad - stored) <= allowed:
         raise CertificateError(
             f"target Gram re-verification failed: {float(quad)!r} vs "
-            f"stored {float(stored)!r}"
+            f"stored {float(stored)!r}, allowed {float(allowed):.1e}"
         )
     with numeric(digits) as x:
         unit_lambda = lam * x.num(emb.source.scale) ** 2
@@ -216,6 +215,25 @@ def transfer_witness(cert: WitnessCertificate, emb: EmbeddingMap) -> WitnessCert
         precision_digits=digits,
         unit_circle_lambda=unit_lambda,
     )
+
+
+def _rounding_bound(coefficients, lam, scale: float, digits: int):
+    """How far two evaluations of one form c^T K c on the circle of
+    ``scale``, or an isometric image, may differ by rounding alone.
+
+    With eps the machine epsilon of the evaluation (2^-52 at double, the
+    working precision's above) and D = pi * scale the largest distance:
+    a distance is off by at most 4 eps D (payloads and formula; the
+    embeddings measure under 2 eps D for both sides together), which
+    moves K = exp(-lambda d^2) <= 1 by 2 lambda d * 4 eps D * K; forming
+    -lambda d^2 adds 2 lambda d^2 eps K and exp eps K; the coefficients
+    and products of a term add 4 eps |c_i c_j|, and the sum eps S.  So one
+    evaluation is within eps S (10 lambda D^2 + 6), S = (sum |c_i|)^2,
+    and the bound is twice that, one for each side."""
+    with numeric(digits) as x:
+        eps = mp.eps if digits > DOUBLE_DIGITS else sys.float_info.epsilon
+        s = x.fsum(abs(x.num(c)) for c in coefficients) ** 2
+        return 2 * eps * s * (10 * x.num(lam) * (x.pi * scale) ** 2 + 6)
 
 
 def witness_for_target(

@@ -1,19 +1,22 @@
 """Catalog of metric spaces: descriptors, point validation, exact distances.
 
-Each space is a small frozen descriptor; points are plain payloads (an
-angle, a unit vector, an orthonormal matrix, an SPD matrix).  Distances
-follow the closed-form geodesic or matrix-metric formulas, with inner
-products clamped to [-1, 1] and an error raised only when the excess
-betrays genuinely non-unit input.  ``pair_distances`` validates and
-factors each point once and derives every pair from that;
-``distance_matrix`` (all pairs) and ``distance`` (one pair) are its
-cases.
+Each space is a small frozen descriptor class, listed once in
+:data:`VARIANTS`, that holds its parameters (whose fields also give the
+text and JSON forms), payload check, distance formula and sampler.
+Points are plain payloads (an angle, an angle pair, a unit vector, an
+orthonormal matrix, an SPD matrix).  Distances follow the closed-form
+geodesic or matrix-metric formulas, with inner products clamped to
+[-1, 1] and an error raised only when the excess betrays genuinely
+non-unit input.  ``pair_distances`` validates and factors each point
+once and derives every pair from that; ``distance_matrix`` (all pairs)
+and ``distance`` (one pair) are its cases.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
+from itertools import groupby
 
 import numpy as np
 
@@ -39,204 +42,40 @@ class InvalidPointError(ValueError):
     """Point payload fails the invariants of its space."""
 
 
-def _require(cond: bool, message: str) -> None:
+def _require(cond: bool, message: str, error: type = InvalidSpaceError) -> None:
     if not cond:
-        raise InvalidSpaceError(message)
-
-
-@dataclass(frozen=True)
-class Circle:
-    """Circle of circumference 2*pi*scale; points are angles in [0, 2*pi)."""
-
-    scale: float = 1.0
-    variant = "circle"
-
-    def __post_init__(self):
-        _require(
-            isinstance(self.scale, (int, float))
-            and math.isfinite(self.scale)
-            and self.scale > 0,
-            "circle scale must be a positive real",
-        )
-
-
-@dataclass(frozen=True)
-class Sphere:
-    """Unit n-sphere in R^(n+1) with the great-circle (arc) distance."""
-
-    n: int
-    variant = "sphere"
-
-    def __post_init__(self):
-        _require(isinstance(self.n, int) and self.n >= 1, "sphere needs n >= 1")
-
-
-@dataclass(frozen=True)
-class ProjectiveSpace:
-    """Real projective n-space: antipodal unit vectors identified."""
-
-    n: int
-    variant = "projective"
-
-    def __post_init__(self):
-        _require(isinstance(self.n, int) and self.n >= 1, "projective needs n >= 1")
-
-
-@dataclass(frozen=True)
-class Grassmannian:
-    """k-planes in R^n; metric is principal_angle (geodesic) or projection."""
-
-    k: int
-    n: int
-    metric: str = "principal_angle"
-    variant = "grassmannian"
-
-    def __post_init__(self):
-        _require(
-            isinstance(self.k, int) and isinstance(self.n, int) and 1 <= self.k < self.n,
-            "grassmannian needs 1 <= k < n",
-        )
-        _require(
-            self.metric in ("principal_angle", "projection"),
-            f"unknown grassmannian metric {self.metric!r}",
-        )
-
-
-@dataclass(frozen=True)
-class SpdMatrices:
-    """Symmetric positive definite n x n matrices under a chosen metric."""
-
-    n: int
-    metric: str = "frobenius"
-    variant = "spd"
-
-    def __post_init__(self):
-        _require(isinstance(self.n, int) and self.n >= 1, "spd needs n >= 1")
-        _require(
-            self.metric in ("frobenius", "log_euclidean", "stein"),
-            f"unknown spd metric {self.metric!r}",
-        )
-
-
-@dataclass(frozen=True)
-class Euclidean:
-    n: int
-    variant = "euclidean"
-
-    def __post_init__(self):
-        _require(isinstance(self.n, int) and self.n >= 1, "euclidean needs n >= 1")
-
-
-@dataclass(frozen=True)
-class FlatTorus:
-    """Product of two unit circles; points are angle pairs, distances add
-    in quadrature.  Serves as the flat target that still contains an
-    isometric circle."""
-
-    variant = "torus"
-
-
-Space = Circle | Sphere | ProjectiveSpace | Grassmannian | SpdMatrices | Euclidean | FlatTorus
+        raise error(message)
 
 
 # ---------------------------------------------------------------------------
-# validation
+# payload checks
 
-def _checked_angle(value) -> tuple[str | None, float | None]:
+def _angle(value) -> float:
     try:
         theta = float(value)
         # float() rounds a tiny negative wide angle to -0.0
         negative = theta == 0.0 and value < 0
     except (TypeError, ValueError):
-        return "angle payload is not a real number", None
-    if not math.isfinite(theta):
-        return "angle is not finite", None
-    if negative or not (0.0 <= theta < TWO_PI):
-        return "angle outside [0, 2*pi)", None
-    return None, theta
+        raise InvalidPointError("angle payload is not a real number") from None
+    _require(math.isfinite(theta), "angle is not finite", InvalidPointError)
+    _require(not negative and 0.0 <= theta < TWO_PI, "angle outside [0, 2*pi)", InvalidPointError)
+    return theta
 
 
-def _checked(space: Space, point) -> tuple[str | None, object]:
-    """(violated invariant, None) for a bad payload, else (None, the
-    payload in the form the distance formulas read): a float angle, an
-    angle pair, an array, or an SPD matrix with its Cholesky factor."""
-    if isinstance(space, Circle):
-        return _checked_angle(point)
-
-    if isinstance(space, FlatTorus):
-        try:
-            a, b = point
-        except (TypeError, ValueError):
-            return "torus point must be a pair of angles", None
-        (violation_a, a), (violation_b, b) = _checked_angle(a), _checked_angle(b)
-        violation = violation_a or violation_b
-        return (violation, None) if violation else (None, (a, b))
-
-    if isinstance(space, (Sphere, ProjectiveSpace)):
-        v = np.asarray(point, dtype=float)
-        if v.shape != (space.n + 1,):
-            return f"expected vector of length {space.n + 1}, got shape {v.shape}", None
-        if not np.all(np.isfinite(v)):
-            return "vector has non-finite entries", None
-        if abs(float(np.linalg.norm(v)) - 1.0) > UNIT_NORM_TOL:
-            return "norm != 1", None
-        return None, v
-
-    if isinstance(space, Grassmannian):
-        a = np.asarray(point, dtype=float)
-        if a.shape != (space.n, space.k):
-            return f"expected {space.n}x{space.k} representative, got shape {a.shape}", None
-        if not np.all(np.isfinite(a)):
-            return "representative has non-finite entries", None
-        gram = a.T @ a
-        if float(np.max(np.abs(gram - np.eye(space.k)))) > ORTHONORMAL_TOL:
-            return "columns not orthonormal", None
-        return None, a
-
-    if isinstance(space, SpdMatrices):
-        m = np.asarray(point, dtype=float)
-        if m.shape != (space.n, space.n):
-            return f"expected {space.n}x{space.n} matrix, got shape {m.shape}", None
-        if not np.all(np.isfinite(m)):
-            return "matrix has non-finite entries", None
-        scale = max(1.0, float(np.max(np.abs(m))))
-        if float(np.max(np.abs(m - m.T))) > SYMMETRY_TOL * scale:
-            return "not symmetric", None
-        try:
-            lower = np.linalg.cholesky(m)
-        except np.linalg.LinAlgError:
-            return "not positive definite", None
-        return None, (m, lower)
-
-    if isinstance(space, Euclidean):
-        v = np.asarray(point, dtype=float)
-        if v.shape != (space.n,):
-            return f"expected vector of length {space.n}, got shape {v.shape}", None
-        if not np.all(np.isfinite(v)):
-            return "vector has non-finite entries", None
-        return None, v
-
-    raise InvalidSpaceError(f"unknown space {space!r}")
-
-
-def validate_point(space: Space, point) -> str | None:
-    """None if the payload satisfies its space's invariants, else the
-    violated invariant spelled out."""
-    return _checked(space, point)[0]
-
-
-def require_valid(space: Space, point):
-    """The payload in the form the distance formulas read (see
-    ``_checked``); InvalidPointError naming the violated invariant
-    otherwise."""
-    violation, form = _checked(space, point)
-    if violation is not None:
-        raise InvalidPointError(f"{space.variant}: {violation}")
-    return form
+def _array(point, shape: tuple, noun: str) -> np.ndarray:
+    """The payload as a float array of ``shape`` with finite entries."""
+    a = np.asarray(point, dtype=float)
+    if a.shape != shape:
+        size = f"{noun} of length {shape[0]}" if len(shape) == 1 else \
+            f"{shape[0]}x{shape[1]} {noun}"
+        raise InvalidPointError(f"expected {size}, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise InvalidPointError(f"{noun} has non-finite entries")
+    return a
 
 
 # ---------------------------------------------------------------------------
-# distances
+# distance formulas
 
 def _unit_angle(p: np.ndarray, q: np.ndarray) -> float:
     """Angle between unit vectors: arccos of the inner product, evaluated
@@ -332,66 +171,244 @@ def stein_divergences(matrices, logdets, pairs) -> list[float]:
     ]
 
 
-def _distance_forms(space: Space, points) -> list:
-    """Each point validated once, then reduced to what its metric reads:
-    the projector for the projection Grassmannian, the matrix log for
-    log-Euclidean SPD, the Cholesky log-determinant for Stein."""
-    forms = [require_valid(space, p) for p in points]
-    if isinstance(space, Grassmannian) and space.metric == "projection":
-        return [a @ a.T for a in forms]
-    if isinstance(space, SpdMatrices):
-        if space.metric == "log_euclidean":
-            return [matrix_log(m) for m, _ in forms]
-        if space.metric == "stein":
-            return [(m, chol_logdet(lower)) for m, lower in forms]
-        return [m for m, _ in forms]
-    return forms
+# ---------------------------------------------------------------------------
+# descriptors
+
+# field annotation -> (types its value may have, conversion from text)
+_FIELD_TYPES = {"int": (int, int), "float": ((int, float), float), "str": (str, str)}
 
 
-def _norm_distance(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.linalg.norm(a - b))
+class Space:
+    """Base of the descriptors: frozen dataclasses that set ``variant``
+    and define ``_check(point)`` (the form the distance formulas read, or
+    InvalidPointError) and ``_sample(rng, count)``.  A metric other than
+    the norm of the difference overrides ``_pair``, or ``_distances`` to
+    run all pairs at once; ``_form`` reduces a checked payload first."""
+
+    metrics: tuple = ()  # the values a str (metric) field may take
+
+    def __post_init__(self):
+        # numbers are positive, ints at least 1; a bool is no number here
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type][0]):
+                raise InvalidSpaceError(f"{self.variant} {f.name} must be {f.type}, got {value!r}")
+            if f.type == "int" and value < 1:
+                raise InvalidSpaceError(f"{self.variant} needs {f.name} >= 1")
+            if f.type == "float" and not (math.isfinite(value) and value > 0):
+                raise InvalidSpaceError(f"{self.variant} {f.name} must be a positive real")
+            if f.type == "str" and value not in self.metrics:
+                raise InvalidSpaceError(f"unknown {self.variant} {f.name} {value!r}")
+
+    def _form(self, checked):
+        return checked
+
+    def _distances(self, forms: list, pairs) -> list[float]:
+        pair = self._pair
+        return [pair(forms[i], forms[j]) for i, j in pairs]
+
+    def _pair(self, p, q) -> float:
+        return float(np.linalg.norm(p - q))
 
 
-def _pair_formula(space: Space):
-    """(form_p, form_q) -> d(p, q) for the metrics computed pair by
-    pair; None for Stein and the Grassmann geodesic, which run as
-    stacked LAPACK calls over all pairs at once."""
-    if isinstance(space, Circle):
-        return lambda p, q: circle_arc(p, q, space.scale)
-    if isinstance(space, FlatTorus):
-        return lambda p, q: math.hypot(circle_arc(p[0], q[0]), circle_arc(p[1], q[1]))
-    if isinstance(space, Sphere):
-        return _unit_angle
-    if isinstance(space, ProjectiveSpace):
-        return _line_angle
-    if isinstance(space, (Grassmannian, SpdMatrices)) and \
-            space.metric in ("stein", "principal_angle"):
-        return None
-    if isinstance(space, (Grassmannian, SpdMatrices, Euclidean)):
-        return _norm_distance
-    raise InvalidSpaceError(f"unknown space {space!r}")
+@dataclass(frozen=True)
+class Circle(Space):
+    """Circle of circumference 2*pi*scale; points are angles in [0, 2*pi)."""
+
+    scale: float = 1.0
+    variant = "circle"
+    _check = staticmethod(_angle)
+
+    def _pair(self, p, q):
+        return circle_arc(p, q, self.scale)
+
+    def _sample(self, rng, count):
+        return [float(t) for t in rng.uniform(0.0, TWO_PI, count)]
+
+
+class _UnitVectors(Space):
+    def _check(self, point):
+        v = _array(point, (self.n + 1,), "vector")
+        _require(abs(float(np.linalg.norm(v)) - 1.0) <= UNIT_NORM_TOL, "norm != 1",
+                 InvalidPointError)
+        return v
+
+    def _sample(self, rng, count):
+        points = []
+        while len(points) < count:
+            v = rng.standard_normal(self.n + 1)
+            norm = float(np.linalg.norm(v))
+            if norm >= 1e-8:
+                points.append(v / norm)
+        return points
+
+
+@dataclass(frozen=True)
+class Sphere(_UnitVectors):
+    """Unit n-sphere in R^(n+1) with the great-circle (arc) distance."""
+
+    n: int
+    variant = "sphere"
+    _pair = staticmethod(_unit_angle)
+
+
+@dataclass(frozen=True)
+class ProjectiveSpace(_UnitVectors):
+    """Real projective n-space: antipodal unit vectors identified."""
+
+    n: int
+    variant = "projective"
+    _pair = staticmethod(_line_angle)
+
+
+@dataclass(frozen=True)
+class Grassmannian(Space):
+    """k-planes in R^n; metric is principal_angle (geodesic) or projection
+    (the distance of the projectors)."""
+
+    k: int
+    n: int
+    metric: str = "principal_angle"
+    variant = "grassmannian"
+    metrics = ("principal_angle", "projection")
+
+    def __post_init__(self):
+        super().__post_init__()
+        _require(self.k < self.n, "grassmannian needs 1 <= k < n")
+
+    def _check(self, point):
+        a = _array(point, (self.n, self.k), "representative")
+        _require(float(np.max(np.abs(a.T @ a - np.eye(self.k)))) <= ORTHONORMAL_TOL,
+                 "columns not orthonormal", InvalidPointError)
+        return a
+
+    def _form(self, a):  # the projector, for the projection metric
+        return a @ a.T if self.metric == "projection" else a
+
+    def _distances(self, forms, pairs):
+        if self.metric == "projection":
+            return super()._distances(forms, pairs)
+        # the geodesic: one stacked LAPACK call over all pairs
+        stack = np.asarray(forms)
+        i, j = np.asarray(pairs, dtype=int).T
+        return [math.hypot(*row) for row in principal_angles(stack[i], stack[j]).tolist()]
+
+    def _sample(self, rng, count):
+        qrs = (np.linalg.qr(rng.standard_normal((self.n, self.k))) for _ in range(count))
+        # canonical representative: nonnegative diagonal in R
+        return [q * np.where(np.diag(r) < 0.0, -1.0, 1.0) for q, r in qrs]
+
+
+@dataclass(frozen=True)
+class SpdMatrices(Space):
+    """Symmetric positive definite n x n matrices under a chosen metric.
+    A checked point carries its Cholesky factor."""
+
+    n: int
+    metric: str = "frobenius"
+    variant = "spd"
+    metrics = ("frobenius", "log_euclidean", "stein")
+
+    def _check(self, point):
+        m = _array(point, (self.n, self.n), "matrix")
+        scale = max(1.0, float(np.max(np.abs(m))))
+        _require(float(np.max(np.abs(m - m.T))) <= SYMMETRY_TOL * scale, "not symmetric",
+                 InvalidPointError)
+        try:
+            return m, np.linalg.cholesky(m)
+        except np.linalg.LinAlgError:
+            raise InvalidPointError("not positive definite") from None
+
+    def _form(self, checked):  # the matrix log, or the Cholesky log-determinant
+        m, lower = checked
+        if self.metric == "log_euclidean":
+            return matrix_log(m)
+        return (m, chol_logdet(lower)) if self.metric == "stein" else m
+
+    def _distances(self, forms, pairs):
+        if self.metric != "stein":
+            return super()._distances(forms, pairs)
+        divergences = stein_divergences([m for m, _ in forms], [ld for _, ld in forms], pairs)
+        return [math.sqrt(s) for s in divergences]
+
+    def _sample(self, rng, count):
+        gs = (rng.standard_normal((self.n, self.n)) for _ in range(count))
+        ms = (g @ g.T + SPD_SAMPLE_RIDGE * np.eye(self.n) for g in gs)
+        return [(m + m.T) / 2.0 for m in ms]
+
+
+@dataclass(frozen=True)
+class Euclidean(Space):
+    n: int
+    variant = "euclidean"
+
+    def _check(self, point):
+        return _array(point, (self.n,), "vector")
+
+    def _sample(self, rng, count):
+        return [rng.standard_normal(self.n) for _ in range(count)]
+
+
+@dataclass(frozen=True)
+class FlatTorus(Space):
+    """Product of two unit circles; points are angle pairs, distances add
+    in quadrature.  Serves as the flat target that still contains an
+    isometric circle."""
+
+    variant = "torus"
+
+    def _check(self, point):
+        try:
+            a, b = point
+        except (TypeError, ValueError):
+            raise InvalidPointError("torus point must be a pair of angles") from None
+        return _angle(a), _angle(b)
+
+    def _pair(self, p, q):
+        return math.hypot(circle_arc(p[0], q[0]), circle_arc(p[1], q[1]))
+
+    def _sample(self, rng, count):
+        return [(float(a), float(b)) for a, b in rng.uniform(0.0, TWO_PI, (count, 2))]
+
+
+# variant name -> descriptor class: the one list of the spaces
+VARIANTS = {cls.variant: cls for cls in (
+    Circle, Sphere, ProjectiveSpace, Grassmannian, SpdMatrices, Euclidean, FlatTorus,
+)}
+
+# the spaces whose payloads are exact angles, kept at the working precision
+ANGLE_SPACES = (Circle, FlatTorus)
+
+
+def validate_point(space: Space, point) -> str | None:
+    """None if the payload satisfies its space's invariants, else the
+    violated invariant spelled out."""
+    try:
+        space._check(point)
+    except InvalidPointError as exc:
+        return str(exc)
+
+
+def require_valid(space: Space, point):
+    """The payload in the form the distance formulas read (a float angle,
+    an angle pair, an array, or an SPD matrix with its Cholesky factor);
+    InvalidPointError naming the violated invariant otherwise."""
+    try:
+        return space._check(point)
+    except InvalidPointError as exc:
+        raise InvalidPointError(f"{space.variant}: {exc}") from None
 
 
 def pair_distances(space: Space, points, pairs) -> list[float]:
     """d(points[i], points[j]) for each (i, j) in pairs.
 
-    Each point is validated and factored once, however many pairs it is
-    in; a pair's value does not depend on the other pairs or points.
+    Each point is validated and reduced to what its metric reads (see
+    ``_form``) once, however many pairs it is in; a pair's value does not
+    depend on the other pairs or points.
     """
-    forms = _distance_forms(space, points)
-    formula = _pair_formula(space)
-    if formula is not None:
-        return [formula(forms[i], forms[j]) for i, j in pairs]
-    if not pairs:
-        return []
-    if isinstance(space, SpdMatrices):
-        divergences = stein_divergences(
-            [m for m, _ in forms], [ld for _, ld in forms], pairs
-        )
-        return [math.sqrt(s) for s in divergences]
-    stack = np.asarray(forms)
-    i, j = np.asarray(pairs, dtype=int).T
-    return [math.hypot(*row) for row in principal_angles(stack[i], stack[j]).tolist()]
+    checked = [require_valid(space, p) for p in points]
+    forms = [space._form(c) for c in checked]
+    return space._distances(forms, pairs) if pairs else []
 
 
 def distance_matrix(space: Space, points) -> np.ndarray:
@@ -436,52 +453,13 @@ def equispaced_order(angles) -> int | None:
     return n
 
 
-def sample_points(space: Space, seed: int, count: int) -> list:
-    """Deterministic random points, all valid for the space."""
+def sample_points(space: Space, seed, count: int) -> list:
+    """Deterministic random points, all valid for the space, drawn from
+    ``np.random.default_rng(seed)``: a seed, or a Generator drawn from as
+    it stands."""
     if count < 1:
         raise InvalidSpaceError("count must be >= 1")
-    rng = np.random.default_rng(seed)
-
-    if isinstance(space, Circle):
-        return [float(t) for t in rng.uniform(0.0, TWO_PI, count)]
-
-    if isinstance(space, FlatTorus):
-        pairs = rng.uniform(0.0, TWO_PI, (count, 2))
-        return [(float(a), float(b)) for a, b in pairs]
-
-    if isinstance(space, (Sphere, ProjectiveSpace)):
-        points = []
-        while len(points) < count:
-            v = rng.standard_normal(space.n + 1)
-            norm = float(np.linalg.norm(v))
-            if norm < 1e-8:
-                continue
-            points.append(v / norm)
-        return points
-
-    if isinstance(space, Grassmannian):
-        points = []
-        for _ in range(count):
-            g = rng.standard_normal((space.n, space.k))
-            q, r = np.linalg.qr(g)
-            # canonical representative: positive diagonal in R
-            signs = np.sign(np.diag(r))
-            signs[signs == 0.0] = 1.0
-            points.append(q * signs)
-        return points
-
-    if isinstance(space, SpdMatrices):
-        points = []
-        for _ in range(count):
-            g = rng.standard_normal((space.n, space.n))
-            m = g @ g.T + SPD_SAMPLE_RIDGE * np.eye(space.n)
-            points.append((m + m.T) / 2.0)
-        return points
-
-    if isinstance(space, Euclidean):
-        return [rng.standard_normal(space.n) for _ in range(count)]
-
-    raise InvalidSpaceError(f"unknown space {space!r}")
+    return space._sample(np.random.default_rng(seed), count)
 
 
 # ---------------------------------------------------------------------------
@@ -492,100 +470,65 @@ def parse_space(text: str) -> Space:
 
     circle[:scale] | sphere:n | projective:n | grassmann:k,n[:metric]
     | spd:n[:metric] | euclidean:n | torus
+
+    After the variant name (any case), the descriptor's fields in order:
+    one ``:`` group per run of same-typed fields, joined by ``,`` within a
+    run.  Defaulted groups may be left off; extra groups are ignored.
     """
-    parts = text.strip().split(":")
-    head = parts[0].lower()
+    head, *groups = text.strip().split(":")
+    head = head.lower()
+    cls = VARIANTS.get({"grassmann": "grassmannian"}.get(head, head))
+    if cls is None:
+        raise InvalidSpaceError(f"unknown space {text!r}")
+    values = {}
     try:
-        if head == "circle":
-            if len(parts) == 1:
-                return Circle()
-            return Circle(scale=float(parts[1]))
-        if head == "sphere":
-            return Sphere(n=int(parts[1]))
-        if head == "projective":
-            return ProjectiveSpace(n=int(parts[1]))
-        if head in ("grassmann", "grassmannian"):
-            k_str, n_str = parts[1].split(",")
-            metric = parts[2] if len(parts) > 2 else "principal_angle"
-            return Grassmannian(k=int(k_str), n=int(n_str), metric=metric)
-        if head == "spd":
-            metric = parts[2] if len(parts) > 2 else "frobenius"
-            return SpdMatrices(n=int(parts[1]), metric=metric)
-        if head == "euclidean":
-            return Euclidean(n=int(parts[1]))
-        if head == "torus":
-            return FlatTorus()
-    except (IndexError, ValueError) as exc:
+        for (_, run), group in zip(groupby(fields(cls), key=lambda f: f.type), groups):
+            run, items = list(run), group.split(",")
+            if len(items) != len(run):
+                raise ValueError(f"expected {','.join(f.name for f in run)}, got {group!r}")
+            values.update((f.name, _FIELD_TYPES[f.type][1](v)) for f, v in zip(run, items))
+        return cls(**values)
+    except (TypeError, ValueError) as exc:  # a bad value, or a field left off
         raise InvalidSpaceError(f"cannot parse space {text!r}: {exc}") from None
-    raise InvalidSpaceError(f"unknown space {text!r}")
 
 
 def space_to_json(space: Space) -> dict:
-    if isinstance(space, Circle):
-        return {"variant": "circle", "scale": space.scale}
-    if isinstance(space, Sphere):
-        return {"variant": "sphere", "n": space.n}
-    if isinstance(space, ProjectiveSpace):
-        return {"variant": "projective", "n": space.n}
-    if isinstance(space, Grassmannian):
-        return {"variant": "grassmannian", "k": space.k, "n": space.n, "metric": space.metric}
-    if isinstance(space, SpdMatrices):
-        return {"variant": "spd", "n": space.n, "metric": space.metric}
-    if isinstance(space, Euclidean):
-        return {"variant": "euclidean", "n": space.n}
-    if isinstance(space, FlatTorus):
-        return {"variant": "torus"}
-    raise InvalidSpaceError(f"unknown space {space!r}")
+    return {"variant": space.variant, **asdict(space)}
 
 
-def space_from_json(obj: dict) -> Space:
-    variant = obj.get("variant")
-    if variant == "circle":
-        return Circle(scale=float(obj.get("scale", 1.0)))
-    if variant == "sphere":
-        return Sphere(n=int(obj["n"]))
-    if variant == "projective":
-        return ProjectiveSpace(n=int(obj["n"]))
-    if variant == "grassmannian":
-        return Grassmannian(
-            k=int(obj["k"]), n=int(obj["n"]),
-            metric=obj.get("metric", "principal_angle"),
-        )
-    if variant == "spd":
-        return SpdMatrices(n=int(obj["n"]), metric=obj.get("metric", "frobenius"))
-    if variant == "euclidean":
-        return Euclidean(n=int(obj["n"]))
-    if variant == "torus":
-        return FlatTorus()
-    raise InvalidSpaceError(f"unknown space variant {variant!r}")
+def space_from_json(obj) -> Space:
+    """Inverse of :func:`space_to_json`; a field left out takes its
+    default, or raises TypeError when it has none."""
+    variant = obj.get("variant") if isinstance(obj, dict) else None
+    cls = VARIANTS.get(variant) if isinstance(variant, str) else None
+    if cls is None:
+        raise InvalidSpaceError(f"no known space variant in {obj!r}")
+    return cls(**{f.name: obj[f.name] for f in fields(cls) if f.name in obj})
+
+
+def _nested(obj, leaf):
+    """``obj`` with ``leaf`` applied to each number in its nested lists."""
+    return [_nested(x, leaf) for x in obj] if isinstance(obj, list) else leaf(obj)
 
 
 def point_to_json(space: Space, point, digits: int = DOUBLE_DIGITS):
-    """Variant-matched nested lists; numbers become decimal strings when
-    digits exceed double precision."""
-    enc = lambda x: number_to_json(x, digits)
-    if isinstance(space, Circle):
-        return enc(point)
-    if isinstance(space, FlatTorus):
-        return [enc(point[0]), enc(point[1])]
-    if isinstance(space, (Sphere, ProjectiveSpace, Euclidean)):
-        return [enc(x) for x in np.asarray(point).tolist()]
-    if isinstance(space, (Grassmannian, SpdMatrices)):
-        return [[enc(x) for x in row] for row in np.asarray(point).tolist()]
-    raise InvalidSpaceError(f"unknown space {space!r}")
+    """The payload as it nests (an angle, an angle pair, a vector or a
+    matrix), its numbers decimal strings when digits exceed double
+    precision.  ``space`` is not read: the payload's shape is its own."""
+    return _nested(np.asarray(point).tolist(), lambda x: number_to_json(x, digits))
 
 
 def point_from_json(space: Space, obj, digits: int = DOUBLE_DIGITS):
+    """Inverse of :func:`point_to_json`.  Angles (``ANGLE_SPACES``: a
+    number, or a pair of exactly two) keep the working precision; vectors
+    and matrices become float arrays."""
     dec = lambda x: number_from_json(x, digits)
-    if isinstance(space, Circle):
+    if not isinstance(space, ANGLE_SPACES):
+        return np.array(_nested(obj, dec), dtype=float)
+    if not isinstance(obj, list):
         return dec(obj)
-    if isinstance(space, FlatTorus):
-        return (dec(obj[0]), dec(obj[1]))
-    if isinstance(space, (Sphere, ProjectiveSpace, Euclidean)):
-        return np.array([float(dec(x)) for x in obj], dtype=float)
-    if isinstance(space, (Grassmannian, SpdMatrices)):
-        return np.array([[float(dec(x)) for x in row] for row in obj], dtype=float)
-    raise InvalidSpaceError(f"unknown space {space!r}")
+    a, b = obj  # a pair has exactly two
+    return dec(a), dec(b)
 
 
 def pointset_to_json(space: Space, points, digits: int = DOUBLE_DIGITS) -> dict:

@@ -79,12 +79,7 @@ class SteinProbeReport:
 
 def _strategy_points(strategy: str, rng: np.random.Generator, n: int, count: int) -> list:
     if strategy == "wishart":
-        points = []
-        for _ in range(count):
-            g = rng.standard_normal((n, n))
-            m = g @ g.T + 1e-6 * np.eye(n)
-            points.append((m + m.T) / 2.0)
-        return points
+        return sp.sample_points(sp.SpdMatrices(n), rng, count)
     if strategy == "diagonal":
         return [np.diag(10.0 ** rng.uniform(-3.0, 3.0, n)) for _ in range(count)]
     if strategy == "ill_conditioned":

@@ -560,6 +560,30 @@ def test_cert_from_json_rejects_non_numeric_coefficient():
         gk.cert_from_json(payload)
 
 
+@pytest.mark.parametrize("space", [5, [], "circle"])
+def test_cert_from_json_rejects_a_space_that_is_no_object(space):
+    payload = gk.cert_to_json(_unit_witness())
+    payload["space"] = space
+    with pytest.raises(CertificateError, match="malformed certificate"):
+        gk.cert_from_json(payload)
+
+
+@pytest.mark.parametrize("n", [2.9, True, "2"])
+def test_cert_from_json_takes_only_a_json_integer_for_an_integer_field(n):
+    payload = gk.cert_to_json(gk.witness_for_target(gk.Sphere(2), 0.1))
+    payload["space"]["n"] = n
+    with pytest.raises(CertificateError, match="malformed certificate"):
+        gk.cert_from_json(payload)
+
+
+def test_cert_from_json_takes_a_torus_point_as_exactly_two_angles():
+    payload = gk.cert_to_json(gk.witness_for_target(gk.FlatTorus(), "0.4"))
+    assert gk.verify_certificate(gk.cert_from_json(payload)).ok
+    payload["points"][1] = [*payload["points"][1], "999"]
+    with pytest.raises(CertificateError, match="malformed certificate"):
+        gk.cert_from_json(payload)
+
+
 def test_psd_decision_dispatch():
     verdict, report, method = gk.psd_decision(gk.Circle(), circle_equispaced(4), 0.1)
     assert method == "circulant"

@@ -131,6 +131,21 @@ def test_witness_space_torus_certificate_verifies(tmp_path, capsys):
     assert json.loads(out)["outputs"]["ok"] is True
 
 
+@pytest.mark.parametrize("target, lam", [
+    ("sphere:2", "1"), ("projective:2", "5"), ("grassmann:2,4", "5"),
+])
+def test_witness_space_survives_double_rounding(tmp_path, capsys, target, lam):
+    # 16- and 20-point double forms: the target form differs from the stored
+    # one by about 1e-12 relative, all of it rounding
+    cert_path = str(tmp_path / "cert.json")
+    code, _, err = run(capsys, "witness", "space", "--target", target,
+                       "--lambda", lam, "--out", cert_path)
+    assert code == 0, err
+    code, out, _ = run(capsys, "verify-certificate", cert_path)
+    assert code == 0
+    assert json.loads(out)["outputs"]["ok"] is True
+
+
 def test_circle_spectrum_csv(capsys):
     code, out, _ = run(capsys, "circle-spectrum", "--lambda", "0.3", "--n", "8",
                        "--precision", "17")

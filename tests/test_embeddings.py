@@ -9,7 +9,7 @@ from mpmath import mp, mpf
 
 import geokernel as gk
 from geokernel.certificates import CertificateError
-from geokernel.embeddings import EmbeddingError, EmbeddingMap
+from geokernel.embeddings import EmbeddingError, EmbeddingMap, _rounding_bound
 
 TARGETS = [
     gk.Sphere(2),
@@ -115,6 +115,22 @@ def test_transfer_coerces_wide_to_double_for_vector_targets():
     assert moved.precision_digits == 17
     assert isinstance(moved.quad_form, float)
     assert gk.verify_certificate(moved).ok
+
+
+def test_transfer_refuses_a_stored_value_past_the_rounding_bound():
+    cert = gk.circle_witness(1, n_max=64, precision_digits=17)
+    emb = gk.great_circle(2)
+    bound = _rounding_bound(cert.coefficients, cert.lam, emb.scale, 17)
+    # the two evaluations agree far inside the bound, which stays far
+    # below the violation itself
+    moved = gk.transfer_witness(cert, emb)
+    assert abs(moved.quad_form - cert.quad_form) < bound < 1e-6 * abs(cert.quad_form)
+    nudged = dataclasses.replace(cert, quad_form=cert.quad_form + bound / 2)
+    assert gk.transfer_witness(nudged, emb).quad_form == moved.quad_form
+    for shift in (10 * bound, -10 * bound):
+        forged = dataclasses.replace(cert, quad_form=cert.quad_form + shift)
+        with pytest.raises(CertificateError, match="re-verification failed"):
+            gk.transfer_witness(forged, emb)
 
 
 def test_flat_torus_transfer_keeps_wide_precision():

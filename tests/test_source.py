@@ -1,8 +1,9 @@
-"""Source hygiene: every name a module imports is used in that module.
+"""Source hygiene: every name a module imports is used in that module,
+and every private top-level helper is used somewhere in the package.
 
 No linter ships with the toolchain, so this reads each module's syntax
-tree instead.  ``__init__.py`` is left out: it imports names to re-export
-them.
+tree instead.  ``__init__.py`` is left out of the import check: it
+imports names to re-export them.
 """
 
 import ast
@@ -35,3 +36,31 @@ def test_every_imported_name_is_used(path):
     # an attribute chain such as ``np.linalg.eigh`` starts from a Name
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(_imported_names(tree) - used) == []
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    """Names read as a bare name, an attribute (``sp._helper``) or an
+    imported name anywhere in the module."""
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+             and not isinstance(node.ctx, ast.Store)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return names | _imported_names(tree)
+
+
+def _private_definitions(tree: ast.Module) -> set[str]:
+    """Top-level ``_private`` functions, classes and constants."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def test_every_private_helper_is_referenced():
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE.rglob("*.py")]
+    referenced = set().union(*map(_referenced_names, trees))
+    defined = set().union(*map(_private_definitions, trees))
+    assert sorted(defined - referenced) == []

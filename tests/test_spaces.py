@@ -1,12 +1,16 @@
 """Metric catalog: distances, point validation, serialization."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 import geokernel as gk
+from geokernel.precision import numeric
 from geokernel.spaces import (
+    ANGLE_SPACES,
+    VARIANTS,
     circle_arc,
     circle_equispaced,
     equispaced_order,
@@ -37,22 +41,34 @@ CATALOG = [
 
 
 def test_parse_space_round_trip():
-    texts = [
-        "circle", "circle:2.5", "sphere:3", "projective:2",
-        "grassmann:2,4", "grassmann:2,4:projection",
-        "spd:3", "spd:3:log_euclidean", "spd:3:stein",
-        "euclidean:4", "torus",
-    ]
-    for text in texts:
+    texts = {
+        "circle": gk.Circle(), "circle:2.5": gk.Circle(2.5), "sphere:3": gk.Sphere(3),
+        "projective:2": gk.ProjectiveSpace(2), "grassmann:2,4": gk.Grassmannian(2, 4),
+        "grassmann:2,4:projection": gk.Grassmannian(2, 4, "projection"),
+        "spd:3": gk.SpdMatrices(3), "spd:3:log_euclidean": gk.SpdMatrices(3, "log_euclidean"),
+        "spd:3:stein": gk.SpdMatrices(3, "stein"), "euclidean:4": gk.Euclidean(4),
+        "torus": gk.FlatTorus(),
+        # lenient forms the grammar has always taken
+        "circle:1:extra": gk.Circle(1.0), "torus:1": gk.FlatTorus(), " sphere:2 ": gk.Sphere(2),
+        "CIRCLE:2": gk.Circle(2.0), "grassmannian:2,4": gk.Grassmannian(2, 4),
+    }
+    for text, expected in texts.items():
         space = gk.parse_space(text)
-        again = space_from_json(space_to_json(space))
-        assert again == space, text
+        assert repr(space) == repr(expected), text
+        obj = space_to_json(space)
+        assert list(obj)[0] == "variant", text
+        assert space_from_json(json.loads(json.dumps(obj))) == space, text
+    assert {space.variant for space in texts.values()} == set(VARIANTS)
+    for space in CATALOG:
+        assert space_from_json(space_to_json(space)) == space
 
 
 def test_parse_space_rejects_garbage():
     for text in ["", "nope", "circle:0", "circle:-1", "sphere:0",
                  "grassmann:4,2", "grassmann:0,3", "spd:2:weird",
-                 "euclidean:nope"]:
+                 "euclidean:nope", "grassmann:2", "grassmann:2,4,5",
+                 "grassmann:2:4", "sphere", "sphere:2,3", "sphere:2.0",
+                 "spd", "euclidean"]:
         with pytest.raises((gk.InvalidSpaceError, ValueError)):
             gk.parse_space(text)
 
@@ -258,6 +274,12 @@ def test_point_json_round_trip_double():
             back = point_from_json(space, obj, 17)
             assert np.allclose(np.asarray(back, dtype=float),
                                np.asarray(p, dtype=float), rtol=0, atol=0)
+        if isinstance(space, ANGLE_SPACES):  # angle payloads also go wide
+            with numeric(30) as x:
+                p = x.num(1) / 3 if space.variant == "circle" else (x.pi / 7, x.num(2) / 3)
+            obj = json.loads(json.dumps(point_to_json(space, p, 30)))
+            back = point_from_json(space, obj, 30)
+            assert back == p and type(back) is type(p)
 
 
 def test_point_json_wide_circle_keeps_digits():
