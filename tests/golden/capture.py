@@ -71,6 +71,8 @@ CASES = (
     ("pd-check", "--points", "sphere2.json", "--lambda", "1"),
     ("pd-check", "--points", "sphere2.json", "--lambda", "0.05"),
     ("embed-verify", "--target", "sphere:2", "--pairs", "50"),
+    ("embed-verify", "--target", "grassmann:2,4", "--pairs", "50"),
+    ("embed-verify", "--target", "projective:2", "--pairs", "50"),
     # wide circle and torus certificates: build, and verify from raw data
     ("witness", "circle", "--lambda", "5", "--precision", "50"),
     ("verify-certificate", "circle_cert70.json"),
