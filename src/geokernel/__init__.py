@@ -23,7 +23,6 @@ from .spaces import (
     parse_space,
     principal_angles,
     sample_points,
-    validate_point,
 )
 from .gram import (
     GramMatrix,
@@ -96,7 +95,7 @@ __all__ = [
     "Circle", "Euclidean", "FlatTorus", "Grassmannian", "ProjectiveSpace",
     "SpdMatrices", "Sphere", "InvalidPointError", "InvalidSpaceError",
     "circle_equispaced", "distance", "distance_matrix", "pair_distances",
-    "parse_space", "principal_angles", "sample_points", "validate_point",
+    "parse_space", "principal_angles", "sample_points",
     "GramMatrix", "KernelParam", "gaussian_kernel", "gram", "hadamard",
     "principal_submatrix",
     "PdVerdict", "SpectrumReport", "circulant_eigenvalues",

@@ -227,7 +227,7 @@ def build_certificate(space: sp.Space, lam, points, precision_digits: int | None
     points = list(points)
     if len(points) < 2:
         raise CertificateError("need at least two points")
-    _, report, method = psd_decision(space, points, lam, precision_digits)
+    _, report = psd_decision(space, points, lam, precision_digits)
     n, digits = len(points), report.precision_digits
     w_min = report.min_eigenvalue
     _certify_threshold(w_min, n, digits, "minimum eigenvalue")
@@ -248,7 +248,7 @@ def build_certificate(space: sp.Space, lam, points, precision_digits: int | None
         coefficients=coeffs,
         quad_form=quad,
         min_eigenvalue=w_min,
-        method=method,
+        method=report.method,
         precision_digits=digits,
     )
 
@@ -289,7 +289,7 @@ def verify_certificate(cert: WitnessCertificate) -> VerificationResult:
 # PSD decision shared by the builder, the CLI and the probes
 
 def psd_decision(space: sp.Space, points, lam, precision_digits: int | None = None) -> tuple:
-    """(verdict, spectrum, method) for the Gram of (space, lambda, points).
+    """(verdict, spectrum) for the Gram of (space, lambda, points).
 
     The one place that picks the route: equispaced circle points ride the
     exact circulant path at the requested precision; anything else gets
@@ -310,7 +310,7 @@ def psd_decision(space: sp.Space, points, lam, precision_digits: int | None = No
     else:
         k = gram(space, points, KernelParam(float(lam)))
         report = jacobi_eigenvalues(k.entries)
-    return pd_verdict(report, 1.0), report, report.method
+    return pd_verdict(report), report
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +336,8 @@ def cert_to_json(cert: WitnessCertificate) -> dict:
 
 
 def cert_from_json(obj: dict) -> WitnessCertificate:
+    if not isinstance(obj, dict):
+        raise CertificateError(f"a certificate is a JSON object, got {type(obj).__name__}")
     version = obj.get("schema_version")
     if version != SCHEMA_VERSION:
         raise CertificateError(f"unknown schema version {version!r}")

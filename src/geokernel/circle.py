@@ -16,6 +16,7 @@ from . import spaces as sp
 from .certificates import WitnessCertificate, build_certificate, circulant_row
 from .partial_theta import _require_quarter, mu_of_lambda
 from .precision import (
+    DEFAULT_DIGITS,
     DOUBLE_DIGITS,
     GUARD_DIGITS,
     numeric,
@@ -40,7 +41,7 @@ class CircleError(ValueError):
     pass
 
 
-def w_half(mu, n: int, precision_digits: int = 30):
+def w_half(mu, n: int, precision_digits: int = DEFAULT_DIGITS):
     """The alternating Fourier eigenvalue of the equispaced-circle Gram:
 
     w_{N/2} = -1 + 2 sum_{k<N/2} (-1)^k exp(-mu k^2/N^2) + exp(-mu/4)
@@ -56,7 +57,7 @@ def w_half(mu, n: int, precision_digits: int = 30):
         return x.fsum(terms)
 
 
-def find_witness_size(lam, n_max: int, precision_digits: int = 30):
+def find_witness_size(lam, n_max: int, precision_digits: int = DEFAULT_DIGITS):
     """Scan N = 4, 8, 12, ... <= n_max for the first clearly negative
     alternating eigenvalue at bandwidth lambda.
 

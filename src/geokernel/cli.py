@@ -190,12 +190,12 @@ def _cmd_pd_check(args) -> int:
             f"--space {args.space!r} does not match the file's space "
             f"{sp.space_to_json(space)}"
         )
-    verdict, report, method = psd_decision(space, points, args.lam, digits)
+    verdict, report = psd_decision(space, points, args.lam, digits)
     outputs = {
         "verdict": verdict.verdict,
         "min_eigenvalue": number_to_json(verdict.min_eigenvalue, report.precision_digits),
         "tolerance": verdict.tolerance,
-        "method": method,
+        "method": report.method,
         "order": report.order,
         "precision_digits": report.precision_digits,
     }

@@ -28,8 +28,6 @@ from .certificates import (
 from .circle import circle_witness
 from .precision import DOUBLE_DIGITS, numeric
 
-DIRECTION_TOL = 1e-12
-
 
 class EmbeddingError(ValueError):
     pass
@@ -42,14 +40,7 @@ class EmbeddingMap:
     name: str
     source: sp.Circle
     target: sp.Space
-    _apply: Callable = field(repr=False)
-
-    @property
-    def scale(self) -> float:
-        return self.source.scale
-
-    def apply(self, theta):
-        return self._apply(theta)
+    apply: Callable = field(repr=False)
 
 
 def _turning(n: int, rate: float) -> Callable:
@@ -86,43 +77,20 @@ def projective_line(n: int) -> EmbeddingMap:
     )
 
 
-def grassmann_circle(k: int, n: int, base=None, direction=None) -> EmbeddingMap:
+def grassmann_circle(k: int, n: int) -> EmbeddingMap:
     """Half-scale circle into the Grassmannian of k-planes in R^n.
 
-    iota(t) = span{cos(t/2) u_1 + sin(t/2) v, u_2, ..., u_k} with u_i the
-    base columns and v a unit direction orthogonal to all of them; only
-    the first principal angle moves, by |dt|/2.
+    iota(t) = span{cos(t/2) e_1 + sin(t/2) e_(k+1), e_2, ..., e_k} with
+    e_i the standard basis; only the first principal angle moves, by
+    |dt|/2.
     """
     target = sp.Grassmannian(k=k, n=n, metric="principal_angle")
-    if base is None:
-        base = np.eye(n)[:, :k]
-    else:
-        base = np.array(base, dtype=float)
-    violation = sp.validate_point(target, base)
-    if violation is not None:
-        raise EmbeddingError(f"base representative invalid: {violation}")
-    if direction is None:
-        # steepest standard direction out of the base span, reprojected
-        resid = np.eye(n) - base @ base.T
-        cand = resid[:, int(np.argmax(np.linalg.norm(resid, axis=0)))]
-        cand = cand - base @ (base.T @ cand)
-        direction = cand / float(np.linalg.norm(cand))
-    else:
-        direction = np.array(direction, dtype=float)
-    if direction.shape != (n,):
-        raise EmbeddingError(f"direction must be a vector of length {n}")
-    if abs(float(np.linalg.norm(direction)) - 1.0) > DIRECTION_TOL:
-        raise EmbeddingError("direction must be a unit vector")
-    overlap = float(np.max(np.abs(base.T @ direction)))
-    if overlap > DIRECTION_TOL:
-        raise EmbeddingError(
-            f"direction not orthogonal to the base columns (overlap {overlap:.2e})"
-        )
+    basis = np.eye(n)
 
     def apply(theta):
         t = float(theta) / 2.0
-        first = math.cos(t) * base[:, 0] + math.sin(t) * direction
-        return np.column_stack([first, base[:, 1:]])
+        first = math.cos(t) * basis[:, 0] + math.sin(t) * basis[:, k]
+        return np.column_stack([first, basis[:, 1:k]])
 
     return EmbeddingMap("grassmann_circle", sp.Circle(scale=0.5), target, apply)
 
@@ -196,7 +164,7 @@ def transfer_witness(cert: WitnessCertificate, emb: EmbeddingMap) -> WitnessCert
             f"certification threshold {bar:.3e} at {digits} digits"
         )
     stored = cert.quad_form
-    allowed = _rounding_bound(coeffs, lam, emb.scale, digits)
+    allowed = _rounding_bound(coeffs, lam, emb.source.scale, digits)
     if not abs(quad - stored) <= allowed:
         raise CertificateError(
             f"target Gram re-verification failed: {float(quad)!r} vs "

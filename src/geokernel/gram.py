@@ -9,13 +9,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import spaces as sp
-
-FOUR_PI_SQ = 4.0 * math.pi * math.pi
 
 
 class GramError(ValueError):
@@ -24,19 +22,13 @@ class GramError(ValueError):
 
 @dataclass(frozen=True)
 class KernelParam:
-    """Bandwidth lambda with its rescaled form mu = 4 pi^2 lambda.
-
-    mu is the natural parameter once circle distances are written as
-    fractions of the circumference: exp(-lam d^2) = exp(-mu (d/2pi)^2).
-    """
+    """Bandwidth lambda of the kernel exp(-lambda d^2): a positive real."""
 
     lam: float
-    mu: float = field(init=False)
 
     def __post_init__(self):
         if not (isinstance(self.lam, (int, float)) and math.isfinite(self.lam) and self.lam > 0):
             raise GramError("bandwidth lambda must be a positive real")
-        object.__setattr__(self, "mu", FOUR_PI_SQ * float(self.lam))
 
 
 def gaussian_kernel(param: KernelParam, d: float) -> float:

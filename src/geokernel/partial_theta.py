@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .precision import (
+    DEFAULT_DIGITS,
     DOUBLE_DIGITS,
     check_digits,
     numeric,
@@ -40,7 +41,7 @@ class PartialThetaQuery:
     mu: object
     r: object
     n: int
-    precision_digits: int = 30
+    precision_digits: int = DEFAULT_DIGITS
 
     def __post_init__(self):
         if not (isinstance(self.n, int) and self.n >= 1):
@@ -95,14 +96,14 @@ def partial_theta(query: PartialThetaQuery) -> PartialThetaResult:
                 )
 
 
-def s0(mu, n: int, precision_digits: int = 30):
+def s0(mu, n: int, precision_digits: int = DEFAULT_DIGITS):
     """Convenience: S_0(N) value only."""
     return partial_theta(
         PartialThetaQuery(mu=mu, r=0, n=n, precision_digits=precision_digits)
     ).value
 
 
-def tail_decomposition_check(mu, n: int, precision_digits: int = 30):
+def tail_decomposition_check(mu, n: int, precision_digits: int = DEFAULT_DIGITS):
     """Residual of the exact tail-split identity for S_0(N).
 
     S_0(N) = sum_{k<N/2} (-1)^k e^{-mu k^2/N^2}
@@ -135,7 +136,7 @@ def tail_decomposition_check(mu, n: int, precision_digits: int = 30):
         return abs(lhs - rhs)
 
 
-def bound_rhs(mu, n: int, precision_digits: int = 30):
+def bound_rhs(mu, n: int, precision_digits: int = DEFAULT_DIGITS):
     """Closed-form upper bound for the alternating Fourier eigenvalue:
 
     -1 + 2 S_0(N) + e^{-mu/4} (-1 + 2 e^{-mu/N^2 - mu/N}

@@ -3,8 +3,9 @@
 Everything at or below :data:`DOUBLE_DIGITS` significant digits runs on
 IEEE doubles; above that, computations switch to mpmath wide floats.
 :func:`numeric` hands out the arithmetic for a precision, so each formula
-is written once for both.  The default wide precision is 30 digits and
-can be overridden with the ``GEOKERNEL_PRECISION`` environment variable.
+is written once for both.  The default wide precision is
+:data:`DEFAULT_DIGITS` (30 digits); commands that take ``--precision``
+override it per call.
 
 Wide sums of products (quadratic forms, circulant spectra) run in
 integer fixed point: :func:`lift` puts a list of mpf values on one
@@ -16,7 +17,6 @@ sum is in its inputs.
 from __future__ import annotations
 
 import math
-import os
 from contextlib import contextmanager
 from types import SimpleNamespace
 
@@ -30,8 +30,6 @@ DOUBLE_DIGITS = 17
 DEFAULT_DIGITS = 30
 MAX_DIGITS = 100
 
-ENV_VAR = "GEOKERNEL_PRECISION"
-
 # Guard digits added on top of the requested precision while summing, so
 # the returned values are correctly rounded at the requested precision.
 GUARD_DIGITS = 10
@@ -43,18 +41,6 @@ LIFT_SPAN = 3
 
 class PrecisionError(ValueError):
     """Requested precision outside the supported range."""
-
-
-def default_digits() -> int:
-    """Resolve the default working precision, honoring the environment."""
-    raw = os.environ.get(ENV_VAR)
-    if raw is None:
-        return DEFAULT_DIGITS
-    try:
-        digits = int(raw)
-    except ValueError as exc:
-        raise PrecisionError(f"{ENV_VAR} must be an integer, got {raw!r}") from exc
-    return check_digits(digits)
 
 
 def check_digits(digits: int) -> int:
@@ -72,7 +58,7 @@ def check_digits(digits: int) -> int:
 
 
 def resolve_digits(digits: int | None) -> int:
-    return default_digits() if digits is None else check_digits(digits)
+    return DEFAULT_DIGITS if digits is None else check_digits(digits)
 
 
 @contextmanager

@@ -380,15 +380,6 @@ VARIANTS = {cls.variant: cls for cls in (
 ANGLE_SPACES = (Circle, FlatTorus)
 
 
-def validate_point(space: Space, point) -> str | None:
-    """None if the payload satisfies its space's invariants, else the
-    violated invariant spelled out."""
-    try:
-        space._check(point)
-    except InvalidPointError as exc:
-        return str(exc)
-
-
 def require_valid(space: Space, point):
     """The payload in the form the distance formulas read (a float angle,
     an angle pair, an array, or an SPD matrix with its Cholesky factor);
@@ -539,6 +530,15 @@ def pointset_to_json(space: Space, points, digits: int = DOUBLE_DIGITS) -> dict:
 
 
 def pointset_from_json(obj: dict, digits: int = DOUBLE_DIGITS) -> tuple[Space, list]:
+    if not isinstance(obj, dict):
+        raise InvalidSpaceError(f"a point set is a JSON object, got {type(obj).__name__}")
+    for key in ("space", "points"):
+        if key not in obj:
+            raise InvalidSpaceError(f"point set has no {key!r} entry")
+    if not isinstance(obj["points"], list):
+        raise InvalidSpaceError(
+            f"point set entry 'points' must be a list, got {type(obj['points']).__name__}"
+        )
     space = space_from_json(obj["space"])
     points = [point_from_json(space, p, digits) for p in obj["points"]]
     return space, points

@@ -173,18 +173,18 @@ def _check_circulant_symmetry(row) -> bool:
     return exact
 
 
-def psd_tolerance(order: int, precision_digits: int = DOUBLE_DIGITS, scale: float = 1.0) -> float:
-    """Halfwidth of the PSD tolerance band: 1e-10 * N * scale at double
+def psd_tolerance(order: int, precision_digits: int = DOUBLE_DIGITS) -> float:
+    """Halfwidth of the PSD tolerance band: 1e-10 * N at double
     precision; a spectrum computed at p wide digits earns the tighter
     10^-(p-7) coefficient (1e-10 is exactly the p = 17 case)."""
     coeff = PSD_TOL_COEFF if precision_digits <= DOUBLE_DIGITS \
         else 10.0 ** (-(precision_digits - 7))
-    return coeff * order * scale
+    return coeff * order
 
 
-def pd_verdict(report: SpectrumReport, scale: float) -> PdVerdict:
-    """Classify a spectrum against the order- and magnitude-scaled band."""
-    tol = psd_tolerance(report.order, report.precision_digits, scale)
+def pd_verdict(report: SpectrumReport) -> PdVerdict:
+    """Classify a spectrum against the order-scaled band."""
+    tol = psd_tolerance(report.order, report.precision_digits)
     lo = report.min_eigenvalue
     if lo < -tol:
         verdict = "not_psd"

@@ -51,10 +51,11 @@ class LambdaPlusSet:
     discrete: tuple[float, ...]
     continuous_from: float
 
-    def contains(self, lam: float, tol: float = 1e-12) -> bool:
-        if lam >= self.continuous_from - tol:
+    def contains(self, lam: float) -> bool:
+        """Membership up to 1e-12, so a computed half-integer counts."""
+        if lam >= self.continuous_from - 1e-12:
             return True
-        return any(abs(lam - d) <= tol for d in self.discrete)
+        return any(abs(lam - d) <= 1e-12 for d in self.discrete)
 
 
 def lambda_plus_set(n: int) -> LambdaPlusSet:
@@ -66,11 +67,7 @@ def lambda_plus_set(n: int) -> LambdaPlusSet:
 
 @dataclass(frozen=True)
 class SteinProbeReport:
-    n: int
-    lam: float
     trials_run: int
-    points_per_trial: int
-    seed: int
     min_eig_seen: float
     witness: WitnessCertificate | None
     witness_trial: int | None = None
@@ -125,22 +122,14 @@ def probe(
         if report.min_eigenvalue < threshold:
             cert = build_certificate(space, float(lam), points, DOUBLE_DIGITS)
             return SteinProbeReport(
-                n=n,
-                lam=float(lam),
                 trials_run=trial + 1,
-                points_per_trial=points_per_trial,
-                seed=seed,
                 min_eig_seen=float(min_seen),
                 witness=cert,
                 witness_trial=trial,
                 witness_strategy=strategy,
             )
     return SteinProbeReport(
-        n=n,
-        lam=float(lam),
         trials_run=trials,
-        points_per_trial=points_per_trial,
-        seed=seed,
         min_eig_seen=float(min_seen),
         witness=None,
     )

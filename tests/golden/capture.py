@@ -6,8 +6,7 @@ Run from anywhere, at the commit whose behaviour is to be frozen:
 
 Each case is run in-process through ``geokernel.cli.main`` with this
 directory as the working directory (``pd-check`` reports its points path
-verbatim) and ``GEOKERNEL_PRECISION`` unset; stdout and the exit code
-are stored as they come, so no expected output is ever edited by hand.
+verbatim); stdout and the exit code are stored as they come, so no expected output is ever edited by hand.
 The SPD point files are regenerated from their seeds first, and the
 certificate files from the command that builds them.
 """
@@ -110,7 +109,6 @@ def run_case(argv) -> dict:
 
 
 def main_capture() -> None:
-    os.environ.pop("GEOKERNEL_PRECISION", None)
     write_data_files()
     cwd = os.getcwd()
     os.chdir(GOLDEN)

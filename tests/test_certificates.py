@@ -390,9 +390,9 @@ def test_dense_certificate_solves_its_gram_once(monkeypatch):
 def test_certificate_takes_its_spectrum_from_psd_decision():
     angles = [0.0, math.pi / 2 + 0.01, math.pi, 3 * math.pi / 2 - 0.02]
     for points in (circle_equispaced(8), angles):
-        _, report, method = gk.psd_decision(gk.Circle(), points, 0.1)
+        _, report = gk.psd_decision(gk.Circle(), points, 0.1)
         cert = gk.build_certificate(gk.Circle(), 0.1, points)
-        assert cert.method == method
+        assert cert.method == report.method
         assert cert.min_eigenvalue == report.min_eigenvalue
         assert cert.coefficients == gk.min_eigenvector(report)
 
@@ -568,6 +568,12 @@ def test_cert_from_json_rejects_a_space_that_is_no_object(space):
         gk.cert_from_json(payload)
 
 
+@pytest.mark.parametrize("top", [[], "x", 5, None])
+def test_cert_from_json_rejects_a_top_level_that_is_no_object(top):
+    with pytest.raises(CertificateError, match="certificate is a JSON object"):
+        gk.cert_from_json(top)
+
+
 @pytest.mark.parametrize("n", [2.9, True, "2"])
 def test_cert_from_json_takes_only_a_json_integer_for_an_integer_field(n):
     payload = gk.cert_to_json(gk.witness_for_target(gk.Sphere(2), 0.1))
@@ -585,13 +591,13 @@ def test_cert_from_json_takes_a_torus_point_as_exactly_two_angles():
 
 
 def test_psd_decision_dispatch():
-    verdict, report, method = gk.psd_decision(gk.Circle(), circle_equispaced(4), 0.1)
-    assert method == "circulant"
+    verdict, report = gk.psd_decision(gk.Circle(), circle_equispaced(4), 0.1)
+    assert report.method == "circulant"
     assert verdict.verdict == "not_psd"
 
     pts = sample_points(gk.Sphere(2), 6, 5)
-    verdict, report, method = gk.psd_decision(gk.Sphere(2), pts, 0.1)
-    assert method == "jacobi"
+    verdict, report = gk.psd_decision(gk.Sphere(2), pts, 0.1)
+    assert report.method == "jacobi"
     assert report.order == 5
 
     for digits in (30, 5):  # wide is refused, out-of-range is invalid
@@ -601,10 +607,10 @@ def test_psd_decision_dispatch():
 
 def test_psd_decision_scaled_circle():
     # the equispaced shortcut must respect the circle scale
-    verdict, _, method = gk.psd_decision(gk.Circle(scale=2.0), circle_equispaced(4), 0.025)
-    assert method == "circulant"
+    verdict, report = gk.psd_decision(gk.Circle(scale=2.0), circle_equispaced(4), 0.025)
+    assert report.method == "circulant"
     assert verdict.verdict == "not_psd"
-    verdict, _, _ = gk.psd_decision(gk.Circle(scale=2.0), circle_equispaced(4), 0.25)
+    verdict, _ = gk.psd_decision(gk.Circle(scale=2.0), circle_equispaced(4), 0.25)
     assert verdict.verdict != "not_psd"
 
 

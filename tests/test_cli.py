@@ -3,7 +3,6 @@
 import csv
 import json
 import math
-import os
 import subprocess
 import sys
 
@@ -20,13 +19,10 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_proc(*argv, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_proc(*argv):
     return subprocess.run(
         [sys.executable, "-m", "geokernel.cli", *argv],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True,
     )
 
 
@@ -70,6 +66,14 @@ def test_pd_check_space_mismatch(tmp_path, capsys):
                        "--lambda", "0.1", "--space", "sphere:2")
     assert code == 1
     assert "error" in err
+
+
+def test_pd_check_names_a_missing_points_entry(tmp_path, capsys):
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps({"space": {"variant": "circle"}}))
+    code, out, err = run(capsys, "pd-check", "--points", str(path), "--lambda", "0.1")
+    assert (code, out) == (1, "")
+    assert err == "error: point set has no 'points' entry\n"
 
 
 def test_witness_circle_certificate_flow(tmp_path, capsys):
@@ -298,13 +302,6 @@ def test_reruns_are_byte_identical(tmp_path):
     d = run_proc("stein-scan", "--dim", "3", "--lambda", "0.25",
                  "--trials", "15", "--points", "6", "--seed", "11")
     assert c.stdout == d.stdout
-
-
-def test_precision_env_sets_default(tmp_path):
-    res = run_proc("witness", "circle", "--lambda", "0.1",
-                   env_extra={"GEOKERNEL_PRECISION": "40"})
-    assert res.returncode == 0
-    assert json.loads(res.stdout)["precision_digits"] == 40
 
 
 def test_fresh_process_verifies_in_process_certificate(tmp_path, capsys):

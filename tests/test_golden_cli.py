@@ -27,7 +27,6 @@ CASES = json.loads((GOLDEN / "cli_outputs.json").read_text())
 
 @pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"]) for c in CASES])
 def test_cli_output_is_byte_identical(case, monkeypatch):
-    monkeypatch.delenv("GEOKERNEL_PRECISION", raising=False)
     monkeypatch.chdir(GOLDEN)  # pd-check reports its points path verbatim
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

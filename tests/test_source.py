@@ -1,5 +1,6 @@
 """Source hygiene: every name a module imports is used in that module,
-and every private top-level helper is used somewhere in the package.
+every private top-level helper is used somewhere in the package, and the
+package's ``__all__`` lists exactly the public names it imports.
 
 No linter ships with the toolchain, so this reads each module's syntax
 tree instead.  ``__init__.py`` is left out of the import check: it
@@ -64,3 +65,13 @@ def test_every_private_helper_is_referenced():
     referenced = set().union(*map(_referenced_names, trees))
     defined = set().union(*map(_private_definitions, trees))
     assert sorted(defined - referenced) == []
+
+
+def test_all_lists_exactly_what_the_package_imports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    (exported,) = [ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["__all__"]]
+    public = {n for n in _imported_names(tree) if not n.startswith("_")}
+    assert len(exported) == len(set(exported))
+    assert set(exported) - {"__version__"} == public

@@ -230,16 +230,19 @@ def test_triangle_inequality_catalog():
 def test_sampled_points_are_valid():
     for space in CATALOG:
         for p in sample_points(space, 3, 8):
-            assert gk.validate_point(space, p) is None
+            require_valid(space, p)
 
 
-def test_validate_point_messages():
-    assert "norm != 1" in gk.validate_point(gk.Sphere(2), np.array([1.0, 0.5, 0.0]))
+def test_require_valid_messages():
+    with pytest.raises(gk.InvalidPointError, match="norm != 1"):
+        require_valid(gk.Sphere(2), np.array([1.0, 0.5, 0.0]))
     bad_spd = np.array([[2.0, 0.1, 0.0], [0.1, 1.0, 0.0], [0.0, 0.0, -1.0]])
-    assert "not positive definite" in gk.validate_point(gk.SpdMatrices(3), bad_spd)
+    with pytest.raises(gk.InvalidPointError, match="not positive definite"):
+        require_valid(gk.SpdMatrices(3), bad_spd)
     skew = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 2)))[0].copy()
     skew[0, 0] += 1e-3
-    assert "columns not orthonormal" in gk.validate_point(gk.Grassmannian(2, 4), skew)
+    with pytest.raises(gk.InvalidPointError, match="columns not orthonormal"):
+        require_valid(gk.Grassmannian(2, 4), skew)
     with pytest.raises(gk.InvalidPointError):
         require_valid(gk.Sphere(2), np.array([1.0, 0.5, 0.0]))
 
@@ -299,3 +302,15 @@ def test_pointset_json_round_trip():
     space2, pts2 = pointset_from_json(payload)
     assert space2 == space
     assert all(np.allclose(a, b) for a, b in zip(pts, pts2))
+
+
+@pytest.mark.parametrize("obj, message", [
+    ([], "point set is a JSON object, got list"),
+    (None, "point set is a JSON object, got NoneType"),
+    ({"points": [0.0]}, "no 'space' entry"),
+    ({"space": {"variant": "circle"}}, "no 'points' entry"),
+    ({"space": {"variant": "circle"}, "points": 0.5}, "'points' must be a list, got float"),
+])
+def test_pointset_from_json_names_the_malformed_entry(obj, message):
+    with pytest.raises(gk.InvalidSpaceError, match=message):
+        pointset_from_json(obj)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import geokernel as gk
+from geokernel.spaces import require_valid
 from geokernel.stein import PROBE_STRATEGIES, SteinError
 
 
@@ -108,7 +109,7 @@ def test_strategy_families_are_valid_points():
     space = gk.SpdMatrices(4, metric="stein")
     for strategy in PROBE_STRATEGIES:
         for p in _strategy_points(strategy, rng, 4, 5):
-            assert gk.validate_point(space, p) is None
+            require_valid(space, p)
 
 
 def test_probe_hit_coefficients_are_an_eigenvector():
