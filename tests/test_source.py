@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+import geokernel
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "geokernel"
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
 
@@ -69,9 +71,6 @@ def test_every_private_helper_is_referenced():
 
 def test_all_lists_exactly_what_the_package_imports():
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    (exported,) = [ast.literal_eval(node.value) for node in tree.body
-                   if isinstance(node, ast.Assign)
-                   and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["__all__"]]
     public = {n for n in _imported_names(tree) if not n.startswith("_")}
-    assert len(exported) == len(set(exported))
-    assert set(exported) - {"__version__"} == public
+    assert len(geokernel.__all__) == len(set(geokernel.__all__))
+    assert set(geokernel.__all__) - {"__version__"} == public
