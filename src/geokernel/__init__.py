@@ -74,10 +74,6 @@ from .certificates import (
 from .embeddings import (
     EmbeddingMap,
     embedding_for,
-    flat_torus,
-    grassmann_circle,
-    great_circle,
-    projective_line,
     transfer_witness,
     verify_isometry,
     witness_for_target,
@@ -109,8 +105,7 @@ __all__ = [
     "CertificateError", "VerificationResult", "WitnessCertificate",
     "build_certificate", "cert_from_json", "cert_to_json", "psd_decision",
     "quadratic_form", "verify_certificate",
-    "EmbeddingMap", "embedding_for", "flat_torus", "grassmann_circle",
-    "great_circle", "projective_line", "transfer_witness", "verify_isometry",
+    "EmbeddingMap", "embedding_for", "transfer_witness", "verify_isometry",
     "witness_for_target",
     "LambdaPlusSet", "SteinProbeReport", "lambda_plus_set", "probe",
     "stein_divergence",

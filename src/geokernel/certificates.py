@@ -117,7 +117,7 @@ def quadratic_form(space: sp.Space, lam, points, coefficients, precision_digits:
         lam = require_positive(x.num(lam), "lambda", CertificateError)
         if precision_digits <= DOUBLE_DIGITS:
             kernel = gram(space, points, KernelParam(lam)).entries.tolist() if n else []
-        elif not isinstance(space, sp.ANGLE_SPACES):
+        elif not space.angles:
             raise PrecisionError(
                 "wide-precision re-evaluation needs angle payloads (circle or "
                 "torus); rebuild the certificate at <= 17 digits"
@@ -323,7 +323,7 @@ def cert_to_json(cert: WitnessCertificate) -> dict:
         "schema_version": cert.schema_version,
         "space": sp.space_to_json(cert.space),
         "lambda": num(cert.lam),
-        "points": [sp.point_to_json(cert.space, p, digits) for p in cert.points],
+        "points": [sp.point_to_json(p, digits) for p in cert.points],
         "coefficients": [num(c) for c in cert.coefficients],
         "quad_form": num(cert.quad_form),
         "min_eigenvalue": num(cert.min_eigenvalue),

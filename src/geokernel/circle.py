@@ -162,13 +162,14 @@ def _scaled_tail(mu: float, n: int) -> tuple[float, float] | None:
     return None
 
 
-def min_circulant_eigenvalue(lam, n: int, precision_digits: int = DOUBLE_DIGITS):
-    """Most negative eigenvalue over all N Fourier indices."""
-    row = circulant_row(lam, n, precision_digits)
-    return circulant_eigenvalues(row, precision_digits).min_eigenvalue
+def min_circulant_eigenvalue(lam, n: int):
+    """Most negative eigenvalue over all N Fourier indices, at double
+    precision."""
+    row = circulant_row(lam, n, DOUBLE_DIGITS)
+    return circulant_eigenvalues(row, DOUBLE_DIGITS).min_eigenvalue
 
 
-def lambda_crit(n: int, precision_digits: int = DOUBLE_DIGITS) -> float:
+def lambda_crit(n: int) -> float:
     """Supremum of the non-PSD bandwidth region for N equispaced points.
 
     Bisection on the predicate min_j w_j < 0 over the full spectrum (at
@@ -176,10 +177,9 @@ def lambda_crit(n: int, precision_digits: int = DOUBLE_DIGITS) -> float:
     grown by doubling from 1e-6, absolute tolerance 1e-8.
     """
     _require_quarter(n, CircleError)
-    digits = precision_digits
 
     def not_psd(lam: float) -> bool:
-        return min_circulant_eigenvalue(lam, n, digits) < 0
+        return min_circulant_eigenvalue(lam, n) < 0
 
     lo = 1e-6
     if not not_psd(lo):
@@ -213,12 +213,12 @@ class ProfileRow:
     min_eig_at_probe: float
 
 
-def lambda_profile(n_list, precision_digits: int = DOUBLE_DIGITS) -> list[ProfileRow]:
+def lambda_profile(n_list) -> list[ProfileRow]:
     """Per-N critical bandwidths with the spectrum floor at each probe."""
     rows = []
     for n in n_list:
-        crit = lambda_crit(n, precision_digits)
-        floor = float(min_circulant_eigenvalue(crit, n, precision_digits))
+        crit = lambda_crit(n)
+        floor = min_circulant_eigenvalue(crit, n)
         rows.append(ProfileRow(n=n, lambda_crit=crit, min_eig_at_probe=floor))
     return rows
 

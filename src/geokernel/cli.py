@@ -66,24 +66,22 @@ def _envelope(command: str, inputs: dict, outputs: dict, seed=None) -> dict:
     }
 
 
-def _emit_json(obj: dict, out_path: str | None = None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _write(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_json(obj: dict, out_path: str | None = None) -> None:
+    _write(json.dumps(obj, sort_keys=True, indent=2) + "\n", out_path)
 
 
 def _emit_csv(header: list[str], rows: list[list], out_path: str | None = None) -> None:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows([header, *rows])
-    text = buf.getvalue()
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(buf.getvalue(), out_path)
 
 
 def _fmt(value, digits: int):
@@ -104,7 +102,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("pd-check", help="PSD verdict for a point-set file")
     p.add_argument("--points", required=True, help="point-set JSON file")
     p.add_argument("--lambda", dest="lam", type=str, required=True)
-    p.add_argument("--space", help="optional space text; must match the file")
     p.add_argument("--precision", type=int)
     p.set_defaults(func=_cmd_pd_check)
 
@@ -118,24 +115,19 @@ def build_parser() -> _Parser:
     p = sub.add_parser("witness", help="non-PSD witness certificates")
     wsub = p.add_subparsers(dest="witness_kind", required=True, parser_class=_Parser)
 
-    w = wsub.add_parser("circle", help="witness on the unit circle")
-    w.add_argument("--lambda", dest="lam", type=str, required=True)
-    w.add_argument("--max-n", type=int, default=512)
-    w.add_argument("--precision", type=int)
-    w.add_argument("--out")
-    w.set_defaults(func=_cmd_witness_circle)
-
-    w = wsub.add_parser("space", help="witness transferred to an embedding target")
-    w.add_argument("--target", required=True)
-    w.add_argument("--lambda", dest="lam", type=str, required=True)
-    w.add_argument("--max-n", type=int, default=512)
-    w.add_argument("--precision", type=int)
-    w.add_argument("--out")
-    w.set_defaults(func=_cmd_witness_space)
+    for kind, text in (("circle", "witness on the unit circle"),
+                       ("space", "witness transferred to an embedding target")):
+        w = wsub.add_parser(kind, help=text)
+        if kind == "space":
+            w.add_argument("--target", required=True)
+        w.add_argument("--lambda", dest="lam", type=str, required=True)
+        w.add_argument("--max-n", type=int, default=512)
+        w.add_argument("--precision", type=int)
+        w.add_argument("--out")
+        w.set_defaults(func=_cmd_witness, target=None)
 
     p = sub.add_parser("lambda-profile", help="critical bandwidth per point count")
     p.add_argument("--n-list", required=True)
-    p.add_argument("--precision", type=int, default=DOUBLE_DIGITS)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_lambda_profile)
 
@@ -185,15 +177,10 @@ def _cmd_pd_check(args) -> int:
     space, points = sp.pointset_from_json(
         data, digits if digits is not None else DOUBLE_DIGITS
     )
-    if args.space is not None and sp.parse_space(args.space) != space:
-        raise ValueError(
-            f"--space {args.space!r} does not match the file's space "
-            f"{sp.space_to_json(space)}"
-        )
     verdict, report = psd_decision(space, points, args.lam, digits)
     outputs = {
         "verdict": verdict.verdict,
-        "min_eigenvalue": number_to_json(verdict.min_eigenvalue, report.precision_digits),
+        "min_eigenvalue": number_to_json(report.min_eigenvalue, report.precision_digits),
         "tolerance": verdict.tolerance,
         "method": report.method,
         "order": report.order,
@@ -221,35 +208,27 @@ def _cmd_circle_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _cmd_witness_circle(args) -> int:
-    cert = circle_witness(args.lam, n_max=args.max_n, precision_digits=args.precision)
-    if cert is None:
-        _emit_json(
-            {"found": False, "lambda": args.lam, "max_n": args.max_n,
-             "schema_version": SCHEMA_VERSION}
+def _cmd_witness(args) -> int:
+    """``witness circle``, or ``witness space`` when a target is given."""
+    missing = {"found": False, "lambda": args.lam, "max_n": args.max_n,
+               "schema_version": SCHEMA_VERSION}
+    if args.target is None:
+        cert = circle_witness(args.lam, n_max=args.max_n, precision_digits=args.precision)
+    else:
+        target = sp.parse_space(args.target)
+        missing["target"] = sp.space_to_json(target)
+        cert = witness_for_target(
+            target, args.lam, n_max=args.max_n, precision_digits=args.precision
         )
-        return EXIT_EXHAUSTED
-    _emit_json(cert_to_json(cert), args.out)
-    return EXIT_OK
-
-
-def _cmd_witness_space(args) -> int:
-    target = sp.parse_space(args.target)
-    cert = witness_for_target(
-        target, args.lam, n_max=args.max_n, precision_digits=args.precision
-    )
     if cert is None:
-        _emit_json(
-            {"found": False, "lambda": args.lam, "max_n": args.max_n,
-             "target": sp.space_to_json(target), "schema_version": SCHEMA_VERSION}
-        )
+        _emit_json(missing)
         return EXIT_EXHAUSTED
     _emit_json(cert_to_json(cert), args.out)
     return EXIT_OK
 
 
 def _cmd_lambda_profile(args) -> int:
-    rows = lambda_profile(_int_list(args.n_list), args.precision)
+    rows = lambda_profile(_int_list(args.n_list))
     table = [
         [row.n, repr(row.lambda_crit), repr(row.min_eig_at_probe)] for row in rows
     ]

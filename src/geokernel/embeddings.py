@@ -1,11 +1,12 @@
-"""Isometric circle embeddings and witness transfer.
+"""Witness transfer along isometric circle embeddings.
 
-Spheres contain great circles; projective spaces and Grassmannians
-contain a circle of half scale (rotating a line by t moves the point by
-t/2, so the angle payload is halved inside the map).  Since an isometry
-preserves every pairwise distance, a Gram matrix built on the image
-equals the source Gram entrywise, and a non-PSD witness transfers with
-the very same coefficients.
+Each space descriptor that contains an isometric circle says so itself
+(``circle_scale`` and ``_circle_point`` in :mod:`geokernel.spaces`):
+spheres contain great circles; projective spaces and Grassmannians
+contain a circle of half scale, since rotating a line by t moves the
+point by t/2.  Since an isometry preserves every pairwise distance, a
+Gram matrix built on the image equals the source Gram entrywise, and a
+non-PSD witness transfers with the very same coefficients.
 """
 
 from __future__ import annotations
@@ -35,92 +36,19 @@ class EmbeddingError(ValueError):
 
 @dataclass(frozen=True)
 class EmbeddingMap:
-    """A named isometry from a (possibly rescaled) circle into a target."""
+    """An isometry from a (possibly rescaled) circle into a target."""
 
-    name: str
     source: sp.Circle
     target: sp.Space
     apply: Callable = field(repr=False)
 
 
-def _turning(n: int, rate: float) -> Callable:
-    """theta -> (cos t, sin t, 0, ..., 0) in R^(n+1) with t = rate * theta."""
-
-    def apply(theta):
-        t = float(theta) * rate
-        v = np.zeros(n + 1)
-        v[0] = math.cos(t)
-        v[1] = math.sin(t)
-        return v
-
-    return apply
-
-
-def great_circle(n: int) -> EmbeddingMap:
-    """theta -> (cos theta, sin theta, 0, ..., 0) on the n-sphere."""
-    if n < 1:
-        raise EmbeddingError("sphere dimension must be >= 1")
-    return EmbeddingMap("great_circle", sp.Circle(), sp.Sphere(n), _turning(n, 1.0))
-
-
-def projective_line(n: int) -> EmbeddingMap:
-    """Half-scale circle into projective n-space.
-
-    The line spanned by (cos(t/2), sin(t/2), 0, ...) moves through an
-    angle of |dt|/2 as t varies, matching the source metric of
-    Circle{1/2} exactly; antipodal t land on the same line.
-    """
-    if n < 1:
-        raise EmbeddingError("projective dimension must be >= 1")
-    return EmbeddingMap(
-        "projective_line", sp.Circle(scale=0.5), sp.ProjectiveSpace(n), _turning(n, 0.5)
-    )
-
-
-def grassmann_circle(k: int, n: int) -> EmbeddingMap:
-    """Half-scale circle into the Grassmannian of k-planes in R^n.
-
-    iota(t) = span{cos(t/2) e_1 + sin(t/2) e_(k+1), e_2, ..., e_k} with
-    e_i the standard basis; only the first principal angle moves, by
-    |dt|/2.
-    """
-    target = sp.Grassmannian(k=k, n=n, metric="principal_angle")
-    basis = np.eye(n)
-
-    def apply(theta):
-        t = float(theta) / 2.0
-        first = math.cos(t) * basis[:, 0] + math.sin(t) * basis[:, k]
-        return np.column_stack([first, basis[:, 1:k]])
-
-    return EmbeddingMap("grassmann_circle", sp.Circle(scale=0.5), target, apply)
-
-
-def flat_torus() -> EmbeddingMap:
-    """Unit circle into the flat product of two circles, second
-    coordinate pinned."""
-
-    def apply(theta):
-        return (theta, 0.0)
-
-    return EmbeddingMap("flat_torus", sp.Circle(), sp.FlatTorus(), apply)
-
-
 def embedding_for(target: sp.Space) -> EmbeddingMap:
-    """The canonical circle embedding for a supported target space."""
-    if isinstance(target, sp.Sphere):
-        return great_circle(target.n)
-    if isinstance(target, sp.ProjectiveSpace):
-        return projective_line(target.n)
-    if isinstance(target, sp.Grassmannian):
-        if target.metric != "principal_angle":
-            raise EmbeddingError(
-                "the projection metric rescales arcs nonlinearly; only the "
-                "principal-angle Grassmannian admits the circle isometry"
-            )
-        return grassmann_circle(target.k, target.n)
-    if isinstance(target, sp.FlatTorus):
-        return flat_torus()
-    raise EmbeddingError(f"no circle embedding constructor for {target!r}")
+    """The isometric circle that the target space carries: the circle of
+    its ``circle_scale``, mapped by its ``_circle_point``."""
+    if target.circle_scale is None:
+        raise EmbeddingError(f"{target!r} contains no isometric circle")
+    return EmbeddingMap(sp.Circle(scale=target.circle_scale), target, target._circle_point)
 
 
 def verify_isometry(emb: EmbeddingMap, pair_count: int = 1000, seed: int = 0) -> float:
@@ -148,7 +76,7 @@ def transfer_witness(cert: WitnessCertificate, emb: EmbeddingMap) -> WitnessCert
     """
     if cert.space != emb.source:
         raise CertificateError(f"certificate on {cert.space!r}, map source {emb.source!r}")
-    wide_target = isinstance(emb.target, sp.ANGLE_SPACES)
+    wide_target = emb.target.angles > 0
     digits = cert.precision_digits if wide_target else min(cert.precision_digits, DOUBLE_DIGITS)
     coerced = digits < cert.precision_digits
 

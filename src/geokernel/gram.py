@@ -88,7 +88,7 @@ def _entries_of(k) -> np.ndarray:
 def _point_ids(k: GramMatrix) -> list[str] | None:
     if k.points is None:
         return None
-    return [json.dumps(sp.point_to_json(k.space, p), sort_keys=True) for p in k.points]
+    return [json.dumps(sp.point_to_json(p), sort_keys=True) for p in k.points]
 
 
 def hadamard(k1, k2) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 Each space is a small frozen descriptor class, listed once in
 :data:`VARIANTS`, that holds its parameters (whose fields also give the
-text and JSON forms), payload check, distance formula and sampler.
+text and JSON forms), payload check, distance formula, sampler and, when
+it contains one, its isometric circle (``circle_scale`` and
+``_circle_point``).
 Points are plain payloads (an angle, an angle pair, a unit vector, an
 orthonormal matrix, an SPD matrix).  Distances follow the closed-form
 geodesic or matrix-metric formulas, with inner products clamped to
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 from itertools import groupby
 
 import numpy as np
@@ -183,9 +186,15 @@ class Space:
     and define ``_check(point)`` (the form the distance formulas read, or
     InvalidPointError) and ``_sample(rng, count)``.  A metric other than
     the norm of the difference overrides ``_pair``, or ``_distances`` to
-    run all pairs at once; ``_form`` reduces a checked payload first."""
+    run all pairs at once; ``_form`` reduces a checked payload first.
+
+    A space that contains an isometric copy of Circle{circle_scale}
+    sets ``circle_scale`` and maps an angle of that circle to its image
+    point with ``_circle_point(theta)``."""
 
     metrics: tuple = ()  # the values a str (metric) field may take
+    angles = 0  # payload: this many exact angles, or a float array if 0
+    circle_scale = None
 
     def __post_init__(self):
         # numbers are positive, ints at least 1; a bool is no number here
@@ -217,6 +226,7 @@ class Circle(Space):
 
     scale: float = 1.0
     variant = "circle"
+    angles = 1
     _check = staticmethod(_angle)
 
     def _pair(self, p, q):
@@ -231,6 +241,16 @@ class _UnitVectors(Space):
         v = _array(point, (self.n + 1,), "vector")
         _require(abs(float(np.linalg.norm(v)) - 1.0) <= UNIT_NORM_TOL, "norm != 1",
                  InvalidPointError)
+        return v
+
+    def _circle_point(self, theta):
+        """(cos t, sin t, 0, ..., 0) with t = circle_scale * theta: a great
+        circle, or on projective space the lines through it, which turn
+        by |dt|/2 as t varies (antipodal t give the same line)."""
+        t = float(theta) * self.circle_scale
+        v = np.zeros(self.n + 1)
+        v[0] = math.cos(t)
+        v[1] = math.sin(t)
         return v
 
     def _sample(self, rng, count):
@@ -249,6 +269,7 @@ class Sphere(_UnitVectors):
 
     n: int
     variant = "sphere"
+    circle_scale = 1.0
     _pair = staticmethod(_unit_angle)
 
 
@@ -258,6 +279,7 @@ class ProjectiveSpace(_UnitVectors):
 
     n: int
     variant = "projective"
+    circle_scale = 0.5
     _pair = staticmethod(_line_angle)
 
 
@@ -275,6 +297,23 @@ class Grassmannian(Space):
     def __post_init__(self):
         super().__post_init__()
         _require(self.k < self.n, "grassmannian needs 1 <= k < n")
+
+    @property
+    def circle_scale(self):
+        # the projection metric bends arcs (chord of the angle): no circle
+        return 0.5 if self.metric == "principal_angle" else None
+
+    @cached_property
+    def _frame(self):
+        return np.eye(self.n)
+
+    def _circle_point(self, theta):
+        """span{cos(t/2) e_1 + sin(t/2) e_(k+1), e_2, ..., e_k}: only the
+        first principal angle moves, by |dt|/2."""
+        basis = self._frame
+        t = float(theta) / 2.0
+        first = math.cos(t) * basis[:, 0] + math.sin(t) * basis[:, self.k]
+        return np.column_stack([first, basis[:, 1:self.k]])
 
     def _check(self, point):
         a = _array(point, (self.n, self.k), "representative")
@@ -356,6 +395,11 @@ class FlatTorus(Space):
     isometric circle."""
 
     variant = "torus"
+    angles = 2
+    circle_scale = 1.0
+
+    def _circle_point(self, theta):  # the second angle pinned at 0
+        return (theta, 0.0)
 
     def _check(self, point):
         try:
@@ -375,9 +419,6 @@ class FlatTorus(Space):
 VARIANTS = {cls.variant: cls for cls in (
     Circle, Sphere, ProjectiveSpace, Grassmannian, SpdMatrices, Euclidean, FlatTorus,
 )}
-
-# the spaces whose payloads are exact angles, kept at the working precision
-ANGLE_SPACES = (Circle, FlatTorus)
 
 
 def require_valid(space: Space, point):
@@ -502,30 +543,32 @@ def _nested(obj, leaf):
     return [_nested(x, leaf) for x in obj] if isinstance(obj, list) else leaf(obj)
 
 
-def point_to_json(space: Space, point, digits: int = DOUBLE_DIGITS):
+def point_to_json(point, digits: int = DOUBLE_DIGITS):
     """The payload as it nests (an angle, an angle pair, a vector or a
     matrix), its numbers decimal strings when digits exceed double
-    precision.  ``space`` is not read: the payload's shape is its own."""
+    precision."""
     return _nested(np.asarray(point).tolist(), lambda x: number_to_json(x, digits))
 
 
 def point_from_json(space: Space, obj, digits: int = DOUBLE_DIGITS):
-    """Inverse of :func:`point_to_json`.  Angles (``ANGLE_SPACES``: a
-    number, or a pair of exactly two) keep the working precision; vectors
-    and matrices become float arrays."""
+    """Inverse of :func:`point_to_json`.  Angles (a circle's number, a
+    torus's list of exactly two) keep the working precision; vectors and
+    matrices become float arrays."""
     dec = lambda x: number_from_json(x, digits)
-    if not isinstance(space, ANGLE_SPACES):
+    if not space.angles:
         return np.array(_nested(obj, dec), dtype=float)
-    if not isinstance(obj, list):
-        return dec(obj)
-    a, b = obj  # a pair has exactly two
-    return dec(a), dec(b)
+    one = space.angles == 1
+    if isinstance(obj, list) == one or not one and len(obj) != space.angles:
+        raise InvalidPointError(
+            "expected one angle, got a list" if one else f"expected a list of {space.angles} angles"
+        )
+    return dec(obj) if one else tuple(map(dec, obj))
 
 
 def pointset_to_json(space: Space, points, digits: int = DOUBLE_DIGITS) -> dict:
     return {
         "space": space_to_json(space),
-        "points": [point_to_json(space, p, digits) for p in points],
+        "points": [point_to_json(p, digits) for p in points],
     }
 
 
@@ -540,5 +583,10 @@ def pointset_from_json(obj: dict, digits: int = DOUBLE_DIGITS) -> tuple[Space, l
             f"point set entry 'points' must be a list, got {type(obj['points']).__name__}"
         )
     space = space_from_json(obj["space"])
-    points = [point_from_json(space, p, digits) for p in obj["points"]]
+    points = []
+    for i, p in enumerate(obj["points"]):
+        try:
+            points.append(point_from_json(space, p, digits))
+        except (TypeError, ValueError) as exc:  # InvalidPointError is one
+            raise InvalidPointError(f"point {i} of {space!r}: {exc}") from None
     return space, points

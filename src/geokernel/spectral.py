@@ -63,7 +63,6 @@ class SpectrumReport:
 @dataclass(frozen=True)
 class PdVerdict:
     verdict: str  # positive_definite | positive_semidefinite | not_psd
-    min_eigenvalue: float
     tolerance: float
 
 
@@ -192,7 +191,7 @@ def pd_verdict(report: SpectrumReport) -> PdVerdict:
         verdict = "positive_definite"
     else:
         verdict = "positive_semidefinite"
-    return PdVerdict(verdict=verdict, min_eigenvalue=float(lo), tolerance=tol)
+    return PdVerdict(verdict=verdict, tolerance=tol)
 
 
 def min_eigenvector(report: SpectrumReport) -> tuple:

@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 
+import mpmath
 import pytest
 
 import geokernel as gk
@@ -60,20 +61,42 @@ def test_pd_check_jacobi_route(tmp_path, capsys):
     assert json.loads(out)["outputs"]["method"] == "jacobi"
 
 
-def test_pd_check_space_mismatch(tmp_path, capsys):
-    path = _pointset_file(tmp_path, gk.Circle(), circle_equispaced(4))
-    code, _, err = run(capsys, "pd-check", "--points", path,
-                       "--lambda", "0.1", "--space", "sphere:2")
-    assert code == 1
-    assert "error" in err
-
-
 def test_pd_check_names_a_missing_points_entry(tmp_path, capsys):
     path = tmp_path / "points.json"
     path.write_text(json.dumps({"space": {"variant": "circle"}}))
     code, out, err = run(capsys, "pd-check", "--points", str(path), "--lambda", "0.1")
     assert (code, out) == (1, "")
     assert err == "error: point set has no 'points' entry\n"
+
+
+def test_pd_check_prints_the_wide_minimum(tmp_path, capsys):
+    # at 40 digits pd-check reports the spectrum's own minimum, the very
+    # cell circle-spectrum prints for it, not a double copy
+    path = _pointset_file(tmp_path, gk.Circle(), circle_equispaced(16))
+    code, out, _ = run(capsys, "pd-check", "--points", path, "--lambda", "1",
+                       "--precision", "40")
+    assert code == 2
+    reported = json.loads(out)["outputs"]["min_eigenvalue"]
+    code, out, _ = run(capsys, "circle-spectrum", "--lambda", "1", "--n", "16",
+                       "--precision", "40")
+    assert code == 0
+    cells = [row.split(",")[1] for row in out.splitlines()[1:]]
+    assert reported == min(cells, key=mpmath.mpf)
+    assert len(reported) > 30
+
+
+@pytest.mark.parametrize("space, points", [
+    ({"variant": "circle"}, [[0.1, 0.2], [0.3, 0.4]]),
+    ({"variant": "circle"}, [[0.1]]),
+    ({"variant": "sphere", "n": 2}, [["a", 0, 1]]),
+    ({"variant": "torus"}, [[1, 0, 3]]),
+], ids=["circle-pairs", "circle-singleton", "sphere-text", "torus-triple"])
+def test_pd_check_names_a_malformed_point(tmp_path, capsys, space, points):
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps({"space": space, "points": points}))
+    code, out, err = run(capsys, "pd-check", "--points", str(path), "--lambda", "0.1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: point 0 of ")
 
 
 def test_witness_circle_certificate_flow(tmp_path, capsys):

@@ -9,7 +9,7 @@ from mpmath import mp, mpf
 import geokernel as gk
 from geokernel.certificates import CertificateError
 from geokernel.embeddings import EmbeddingError, EmbeddingMap, _rounding_bound
-from geokernel.spaces import require_valid
+from geokernel.spaces import VARIANTS, require_valid
 
 TARGETS = [
     gk.Sphere(2),
@@ -27,6 +27,34 @@ def test_isometry_across_catalog():
         assert gk.verify_isometry(emb, pair_count=400, seed=1) <= 1e-10
 
 
+# one or two instances of every descriptor in the variant table, with the
+# scale of the isometric circle each contains (None: it contains none)
+INSTANCES = {
+    "circle": [(gk.Circle(), None), (gk.Circle(scale=0.5), None)],
+    "sphere": [(gk.Sphere(1), 1.0), (gk.Sphere(4), 1.0)],
+    "projective": [(gk.ProjectiveSpace(1), 0.5), (gk.ProjectiveSpace(3), 0.5)],
+    "grassmannian": [(gk.Grassmannian(1, 3), 0.5), (gk.Grassmannian(2, 5), 0.5),
+                     (gk.Grassmannian(2, 4, metric="projection"), None)],
+    "spd": [(gk.SpdMatrices(2), None), (gk.SpdMatrices(3, metric="stein"), None)],
+    "euclidean": [(gk.Euclidean(3), None)],
+    "torus": [(gk.FlatTorus(), 1.0)],
+}
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_every_space_carries_its_circle_or_refuses(variant):
+    for space, scale in INSTANCES[variant]:
+        assert type(space) is VARIANTS[variant]
+        assert space.circle_scale == scale
+        if scale is None:
+            with pytest.raises(EmbeddingError):
+                gk.embedding_for(space)
+            continue
+        emb = gk.embedding_for(space)
+        assert emb.source == gk.Circle(scale=scale)
+        assert gk.verify_isometry(emb, pair_count=200, seed=2) <= 1e-10
+
+
 def test_source_scales():
     assert gk.embedding_for(gk.Sphere(3)).source == gk.Circle()
     assert gk.embedding_for(gk.FlatTorus()).source == gk.Circle()
@@ -37,7 +65,7 @@ def test_source_scales():
 
 
 def test_half_angle_parametrization():
-    emb = gk.projective_line(2)
+    emb = gk.embedding_for(gk.ProjectiveSpace(2))
     for a, b in [(0.0, 0.3), (1.0, 4.0), (0.2, 6.0)]:
         d_src = gk.distance(emb.source, a, b)
         d_tgt = gk.distance(emb.target, emb.apply(a), emb.apply(b))
@@ -46,7 +74,7 @@ def test_half_angle_parametrization():
 
 
 def test_great_circle_images_are_unit_vectors():
-    emb = gk.great_circle(4)
+    emb = gk.embedding_for(gk.Sphere(4))
     for theta in (0.0, 1.0, 3.5):
         img = emb.apply(theta)
         assert len(img) == 5
@@ -55,11 +83,8 @@ def test_great_circle_images_are_unit_vectors():
 
 def test_wrongly_scaled_map_fails_isometry_check():
     # negative control: claim the full-radius source for a half-angle map
-    honest = gk.projective_line(2)
-    liar = EmbeddingMap(
-        name="mislabeled", source=gk.Circle(), target=honest.target,
-        apply=honest.apply,
-    )
+    honest = gk.embedding_for(gk.ProjectiveSpace(2))
+    liar = EmbeddingMap(source=gk.Circle(), target=honest.target, apply=honest.apply)
     assert gk.verify_isometry(liar, pair_count=50, seed=0) > 1e-2
 
 
@@ -73,7 +98,7 @@ def test_embedding_for_rejects_projection_metric():
 def test_transfer_preserves_quadratic_form():
     for lam in (0.05, 0.1, 0.3):
         cert = gk.circle_witness(lam, n_max=64, precision_digits=17)
-        moved = gk.transfer_witness(cert, gk.great_circle(3))
+        moved = gk.transfer_witness(cert, gk.embedding_for(gk.Sphere(3)))
         assert moved.lam == cert.lam
         assert moved.coefficients == cert.coefficients
         assert abs(moved.quad_form - cert.quad_form) <= 1e-12 * abs(cert.quad_form)
@@ -85,18 +110,18 @@ def test_transfer_preserves_quadratic_form():
 def test_transfer_rejects_non_circle_certificates():
     moved = gk.witness_for_target(gk.Sphere(2), 0.1)
     with pytest.raises(CertificateError):
-        gk.transfer_witness(moved, gk.great_circle(2))
+        gk.transfer_witness(moved, gk.embedding_for(gk.Sphere(2)))
 
 
 def test_transfer_rejects_scale_mismatch():
     cert = gk.circle_witness(0.1, n_max=16)  # unit-circle certificate
     with pytest.raises(CertificateError):
-        gk.transfer_witness(cert, gk.projective_line(2))
+        gk.transfer_witness(cert, gk.embedding_for(gk.ProjectiveSpace(2)))
 
 
 def test_transfer_coerces_wide_to_double_for_vector_targets():
     cert = gk.circle_witness(mpf("0.1"), n_max=16, precision_digits=30)
-    moved = gk.transfer_witness(cert, gk.great_circle(2))
+    moved = gk.transfer_witness(cert, gk.embedding_for(gk.Sphere(2)))
     assert moved.precision_digits == 17
     assert isinstance(moved.quad_form, float)
     assert gk.verify_certificate(moved).ok
@@ -104,7 +129,7 @@ def test_transfer_coerces_wide_to_double_for_vector_targets():
 
 def test_transfer_refuses_a_stored_value_past_the_rounding_bound():
     cert = gk.circle_witness(1, n_max=64, precision_digits=17)
-    emb = gk.great_circle(2)
+    emb = gk.embedding_for(gk.Sphere(2))
     bound = _rounding_bound(cert.coefficients, cert.lam, emb.source.scale, 17)
     # the two evaluations agree far inside the bound, which stays far
     # below the violation itself
@@ -120,7 +145,7 @@ def test_transfer_refuses_a_stored_value_past_the_rounding_bound():
 
 def test_flat_torus_transfer_keeps_wide_precision():
     cert = gk.circle_witness(mpf("0.1"), n_max=16, precision_digits=30)
-    moved = gk.transfer_witness(cert, gk.flat_torus())
+    moved = gk.transfer_witness(cert, gk.embedding_for(gk.FlatTorus()))
     assert moved.precision_digits == 30
     assert all(p[1] == 0 for p in moved.points)
     with mp.workdps(40):

@@ -9,7 +9,6 @@ import pytest
 import geokernel as gk
 from geokernel.precision import numeric
 from geokernel.spaces import (
-    ANGLE_SPACES,
     VARIANTS,
     circle_arc,
     circle_equispaced,
@@ -273,14 +272,14 @@ def test_circle_equispaced_and_order_detection():
 def test_point_json_round_trip_double():
     for space in CATALOG:
         for p in sample_points(space, 8, 3):
-            obj = point_to_json(space, p, 17)
+            obj = point_to_json(p, 17)
             back = point_from_json(space, obj, 17)
             assert np.allclose(np.asarray(back, dtype=float),
                                np.asarray(p, dtype=float), rtol=0, atol=0)
-        if isinstance(space, ANGLE_SPACES):  # angle payloads also go wide
+        if space.angles:  # angle payloads also go wide
             with numeric(30) as x:
                 p = x.num(1) / 3 if space.variant == "circle" else (x.pi / 7, x.num(2) / 3)
-            obj = json.loads(json.dumps(point_to_json(space, p, 30)))
+            obj = json.loads(json.dumps(point_to_json(p, 30)))
             back = point_from_json(space, obj, 30)
             assert back == p and type(back) is type(p)
 
@@ -289,7 +288,7 @@ def test_point_json_wide_circle_keeps_digits():
     from mpmath import mp, mpf
     with mp.workdps(40):
         theta = 2 * mp.pi / 3
-        obj = point_to_json(gk.Circle(), theta, 30)
+        obj = point_to_json(theta, 30)
         assert isinstance(obj, str)
         back = point_from_json(gk.Circle(), obj, 30)
         assert abs(back - theta) < mpf("1e-25")
