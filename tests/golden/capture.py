@@ -43,6 +43,9 @@ CASES = (
     ("witness", "circle", "--lambda", "1", "--precision", "17"),
     ("circle-spectrum", "--lambda", "1", "--n", "16", "--precision", "17"),
     ("circle-spectrum", "--lambda", "1", "--n", "16", "--precision", "40"),
+    # an odd N: no j = N/2 frequency, every eigenvalue but w_0 mirrored
+    ("circle-spectrum", "--lambda", "0.7", "--n", "27", "--precision", "17"),
+    ("circle-spectrum", "--lambda", "0.7", "--n", "27", "--precision", "30"),
     ("bound-check", "--mu", "20", "--n-list", "4,8,16", "--precision", "17"),
     ("bound-check", "--mu", "20", "--n-list", "4,8,16", "--precision", "60"),
     ("theta", "--mu", "1,10", "--r", "0,1", "--n", "4,8", "--precision", "17"),
