@@ -24,6 +24,7 @@ from mpmath.libmp import from_man_exp, mpf_sub
 
 from . import spaces as sp
 from .gram import KernelParam, gram
+from .partial_theta import mu_of_lambda
 from .precision import (
     DOUBLE_DIGITS,
     PrecisionError,
@@ -84,11 +85,13 @@ class VerificationResult:
 
 def circulant_row(lam, n: int, precision_digits: int = DOUBLE_DIGITS, scale=1.0) -> list:
     """First row of the equispaced-circle Gram: exp(-mu m^2/N^2) with
-    m = min(k, N-k) and mu = 4 pi^2 lambda scale^2."""
+    m = min(k, N-k) and mu = :func:`~geokernel.partial_theta.mu_of_lambda`
+    times scale^2, so row[k] == row[N-k] exactly and a bandwidth that is
+    not finite and positive is refused."""
     if n < 2:
         raise CertificateError("need at least two points")
     with numeric(precision_digits) as x:
-        mu = 4 * x.pi * x.pi * x.num(lam) * x.num(scale) ** 2
+        mu = mu_of_lambda(lam, precision_digits) * x.num(scale) ** 2
         nn = x.num(n) * n
         return [x.exp(-mu * min(k, n - k) ** 2 / nn) for k in range(n)]
 

@@ -54,7 +54,6 @@ class PartialThetaResult:
     value: object
     terms_used: int
     truncation_bound: object
-    precision_digits: int
 
 
 def partial_theta(query: PartialThetaQuery) -> PartialThetaResult:
@@ -86,7 +85,6 @@ def partial_theta(query: PartialThetaQuery) -> PartialThetaResult:
                     value=+total,
                     terms_used=k,
                     truncation_bound=+head,
-                    precision_digits=digits,
                 )
             total += head - term(k + 1)
             k += 2

@@ -431,14 +431,26 @@ def require_valid(space: Space, point):
         raise InvalidPointError(f"{space.variant}: {exc}") from None
 
 
+def _each_point(space: Space, points, read) -> list:
+    """``read(p)`` for each of ``points``; the first that fails raises
+    InvalidPointError naming its index and the space."""
+    out = []
+    for i, p in enumerate(points):
+        try:
+            out.append(read(p))
+        except (TypeError, ValueError) as exc:  # InvalidPointError is one
+            raise InvalidPointError(f"point {i} of {space!r}: {exc}") from None
+    return out
+
+
 def pair_distances(space: Space, points, pairs) -> list[float]:
     """d(points[i], points[j]) for each (i, j) in pairs.
 
-    Each point is validated and reduced to what its metric reads (see
-    ``_form``) once, however many pairs it is in; a pair's value does not
-    depend on the other pairs or points.
+    Each point is validated (an invalid one is named by its index) and
+    reduced to what its metric reads (see ``_form``) once, however many
+    pairs it is in; a pair's value does not depend on the others.
     """
-    checked = [require_valid(space, p) for p in points]
+    checked = _each_point(space, points, lambda p: require_valid(space, p))
     forms = [space._form(c) for c in checked]
     return space._distances(forms, pairs) if pairs else []
 
@@ -474,13 +486,14 @@ def circle_equispaced(count: int) -> list[float]:
 
 
 def equispaced_order(angles) -> int | None:
-    """count if the angles are exactly the equispaced family 2*pi*k/count
-    in construction order (within 1e-12 each), else None."""
+    """count if the angles are exactly the family ``circle_equispaced(count)``
+    in construction order (each nonnegative and within 1e-12), else None."""
     n = len(angles)
     if n < 2:
         return None
-    for k, theta in enumerate(angles):
-        if abs(float(theta) - TWO_PI * k / n) > 1e-12:
+    for theta, target in zip(angles, circle_equispaced(n)):
+        # a negated test, since a nan angle fails every comparison
+        if not (theta >= 0 and abs(float(theta) - target) <= 1e-12):
             return None
     return n
 
@@ -583,10 +596,4 @@ def pointset_from_json(obj: dict, digits: int = DOUBLE_DIGITS) -> tuple[Space, l
             f"point set entry 'points' must be a list, got {type(obj['points']).__name__}"
         )
     space = space_from_json(obj["space"])
-    points = []
-    for i, p in enumerate(obj["points"]):
-        try:
-            points.append(point_from_json(space, p, digits))
-        except (TypeError, ValueError) as exc:  # InvalidPointError is one
-            raise InvalidPointError(f"point {i} of {space!r}: {exc}") from None
-    return space, points
+    return space, _each_point(space, obj["points"], lambda p: point_from_json(space, p, digits))

@@ -2,8 +2,9 @@
 
 Two routes to a spectrum: LAPACK's dense symmetric eigensolver (double
 precision, any symmetric matrix) and an exact discrete-Fourier path for
-symmetric circulant first rows (double or wide precision).  Keeping both
-lets every circulant result be cross-checked against dense linear algebra.
+circulant first rows that are exactly symmetric, row[k] == row[N-k] (double
+or wide precision).  Keeping both lets every circulant result be
+cross-checked against dense linear algebra.
 
 The dense route only searches: a witness's violation is re-derived from
 raw points, bandwidth and coefficients by the certificate verifier,
@@ -12,19 +13,12 @@ which uses no eigensolver.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from operator import mul
 
 import numpy as np
 
 from .precision import DOUBLE_DIGITS, lift, numeric, resolve_digits, unlift
-
-# PSD tolerance coefficient at double precision; at p wide digits the
-# circulant path's rounding floor drops to ~10^-p, so the band scales
-# as 10^-(p-7) (1e-10 is exactly the p=17 case).
-PSD_TOL_COEFF = 1e-10
-
 
 class AsymmetricInputError(ValueError):
     """Input matrix or circulant row is not symmetric."""
@@ -106,17 +100,20 @@ def jacobi_eigenvalues(matrix) -> SpectrumReport:
 
 
 def circulant_eigenvalues(first_row, precision_digits: int | None = None) -> SpectrumReport:
-    """Spectrum of the symmetric circulant with the given first row.
+    """Spectrum of the circulant with the given first row, which must be
+    exactly symmetric (row[k] == row[N-k], as every
+    :func:`~geokernel.certificates.circulant_row` is); AsymmetricInputError
+    otherwise.
 
     w_j = sum_k row[k] cos(2 pi j k / N).  At double precision the
     products are summed with exact compensated summation (math.fsum).
     Above it, row and cosines are lifted once to integer fixed point
     (:func:`~geokernel.precision.lift`), so each w_j is an exact integer
     sum of exact products, rounded once.  Either way w_j is the exactly
-    rounded sum of its products, so when the row is exactly symmetric
-    (row[k] == row[N-k]) the reindexing k -> N-k makes w_{N-j} the same
-    sum as w_j: only j <= N/2 are formed and the rest are copied.
-    Eigenvalues come back ascending with their frequency indices.
+    rounded sum of its products, and the reindexing k -> N-k makes
+    w_{N-j} the same sum as w_j: only j <= N/2 are formed and the rest
+    are copied.  Eigenvalues come back ascending with their frequency
+    indices.
     """
     digits = resolve_digits(precision_digits)
     row = list(first_row)
@@ -125,21 +122,23 @@ def circulant_eigenvalues(first_row, precision_digits: int | None = None) -> Spe
         raise ValueError("empty first row")
     with numeric(digits) as x:
         row = [x.num(v) for v in row]
-        formed = n // 2 + 1 if _check_circulant_symmetry(row) else n
+        for k in range(1, n // 2 + 1):
+            if row[k] != row[n - k]:
+                raise AsymmetricInputError(f"first row not symmetric under k -> N-k at k={k}")
         base = [x.cos(2 * x.pi * m / n) for m in range(n)]
         if digits <= DOUBLE_DIGITS:
             values = [
                 x.fsum(row[k] * base[(j * k) % n] for k in range(n))
-                for j in range(formed)
+                for j in range(n // 2 + 1)
             ]
         else:
             (ints, exp_r), (cosines, exp_b) = lift(row), lift(base)
             values = [
                 unlift(sum(map(mul, ints, [cosines[j * k % n] for k in range(n)])),
                        exp_r + exp_b)
-                for j in range(formed)
+                for j in range(n // 2 + 1)
             ]
-        values += [values[n - j] for j in range(formed, n)]
+        values += [values[n - j] for j in range(n // 2 + 1, n)]
     order = sorted(range(n), key=lambda j: values[j])
     eigs = tuple(values[j] for j in order)
     return SpectrumReport(
@@ -151,34 +150,11 @@ def circulant_eigenvalues(first_row, precision_digits: int | None = None) -> Spe
     )
 
 
-def _check_circulant_symmetry(row) -> bool:
-    """Whether row[k] == row[N-k] exactly for every k; raises
-    AsymmetricInputError when some pair differs by more than the band."""
-    # rows assembled from computed distances carry a few ulp of exp/arc
-    # rounding even when the configuration is exactly symmetric, so the
-    # band is 8 ulp at unit scale rather than exact equality
-    n = len(row)
-    exact = True
-    for k in range(1, n // 2 + 1):
-        a, b = row[k], row[n - k]
-        if a == b:
-            continue
-        exact = False
-        fa, fb = float(a), float(b)
-        if abs(fa - fb) > 8.0 * math.ulp(max(abs(fa), abs(fb), 1.0)):
-            raise AsymmetricInputError(
-                f"first row not symmetric under k -> N-k at k={k}"
-            )
-    return exact
-
-
 def psd_tolerance(order: int, precision_digits: int = DOUBLE_DIGITS) -> float:
-    """Halfwidth of the PSD tolerance band: 1e-10 * N at double
-    precision; a spectrum computed at p wide digits earns the tighter
-    10^-(p-7) coefficient (1e-10 is exactly the p = 17 case)."""
-    coeff = PSD_TOL_COEFF if precision_digits <= DOUBLE_DIGITS \
-        else 10.0 ** (-(precision_digits - 7))
-    return coeff * order
+    """Halfwidth of the PSD tolerance band: 10^-(p-7) * N at p digits,
+    1e-10 * N at double precision (p = 17), tighter with each wide digit
+    as the circulant path's rounding floor drops to ~10^-p."""
+    return 10.0 ** -(precision_digits - 7) * order
 
 
 def pd_verdict(report: SpectrumReport) -> PdVerdict:

@@ -16,6 +16,7 @@ import geokernel as gk
 from geokernel import certificates, precision
 from geokernel.certificates import CertificateError, circulant_row
 from geokernel.cli import main
+from geokernel.partial_theta import PartialThetaError
 from geokernel.precision import DOUBLE_DIGITS, PrecisionError, numeric
 from geokernel.spaces import circle_equispaced, require_valid, sample_points
 
@@ -44,6 +45,10 @@ def test_circulant_row_values():
         hop = min(k, n - k)
         assert row[k] == pytest.approx(math.exp(-mu * hop * hop / n ** 2), rel=1e-15)
     assert row[3] == row[5]
+    for digits in (17, 30):
+        for bad in (0, -1, math.nan, math.inf):
+            with pytest.raises(PartialThetaError, match="lambda must be positive"):
+                circulant_row(bad, n, digits)
 
 
 def test_quadratic_form_matches_manual():

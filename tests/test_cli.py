@@ -85,18 +85,45 @@ def test_pd_check_prints_the_wide_minimum(tmp_path, capsys):
     assert len(reported) > 30
 
 
-@pytest.mark.parametrize("space, points", [
-    ({"variant": "circle"}, [[0.1, 0.2], [0.3, 0.4]]),
-    ({"variant": "circle"}, [[0.1]]),
-    ({"variant": "sphere", "n": 2}, [["a", 0, 1]]),
-    ({"variant": "torus"}, [[1, 0, 3]]),
-], ids=["circle-pairs", "circle-singleton", "sphere-text", "torus-triple"])
-def test_pd_check_names_a_malformed_point(tmp_path, capsys, space, points):
+@pytest.mark.parametrize("space, points, index", [
+    ({"variant": "circle"}, [[0.1, 0.2], [0.3, 0.4]], 0),
+    ({"variant": "circle"}, [[0.1]], 0),
+    ({"variant": "sphere", "n": 2}, [["a", 0, 1]], 0),
+    ({"variant": "torus"}, [[1, 0, 3]], 0),
+    # parsed whole, refused by the one validation site in the Gram
+    ({"variant": "sphere", "n": 2}, [[0, 0, 1], [1, 0]], 1),
+], ids=["circle-pairs", "circle-singleton", "sphere-text", "torus-triple", "sphere-short"])
+def test_pd_check_names_a_malformed_point(tmp_path, capsys, space, points, index):
     path = tmp_path / "points.json"
     path.write_text(json.dumps({"space": space, "points": points}))
     code, out, err = run(capsys, "pd-check", "--points", str(path), "--lambda", "0.1")
     assert (code, out) == (1, "")
-    assert err.startswith("error: point 0 of ")
+    assert err.startswith(f"error: point {index} of ")
+    if index:
+        assert err == ("error: point 1 of Sphere(n=2): sphere: expected vector of "
+                       "length 3, got shape (2,)\n")
+
+
+def test_circulant_route_refuses_what_the_dense_route_refuses(tmp_path, capsys):
+    # a bandwidth that is not finite and positive, and a circle file whose
+    # first angle is nan or negative (wide "-1e-400" too, which float()
+    # rounds to -0.0), exit 1 with nothing on stdout
+    angles = circle_equispaced(16)
+    path = _pointset_file(tmp_path, gk.Circle(), angles)
+    cases = [("pd-check", "--points", path, "--lambda", lam)
+             for lam in ("nan", "inf", "0", "-1")]
+    cases.append(("circle-spectrum", "--lambda", "-1", "--n", "4"))
+    for i, first in enumerate((math.nan, -1e-13)):
+        bad = _pointset_file(tmp_path, gk.Circle(), [first, *angles[1:]], name=f"{i}.json")
+        cases.append(("pd-check", "--points", bad, "--lambda", "1"))
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"space": {"variant": "circle"},
+                                "points": ["-1e-400", *map(str, angles[1:])]}))
+    cases.append(("pd-check", "--points", str(wide), "--lambda", "1", "--precision", "30"))
+    for argv in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: "), argv
 
 
 def test_witness_circle_certificate_flow(tmp_path, capsys):
