@@ -306,6 +306,7 @@ def psd_decision(space: sp.Space, points, lam, precision_digits: int | None = No
         row = circulant_row(lam, len(points), digits, scale=space.scale)
         report = circulant_eigenvalues(row, digits)
     elif precision_digits is not None and check_digits(precision_digits) > DOUBLE_DIGITS:
+        sp.check_points(space, points)  # an invalid point is named before the refusal
         raise PrecisionError(
             "dense route is double precision only; wide precision needs "
             "equispaced circle points"

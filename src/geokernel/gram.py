@@ -71,13 +71,10 @@ def gram(space: sp.Space, points, param: KernelParam) -> GramMatrix:
     n = len(points)
     if n < 1:
         raise GramError("need at least one point")
-    d = sp.distance_matrix(space, points).tolist()
+    rows, cols, pairs = sp.upper_pairs(n)
+    values = [gaussian_kernel(param, d) for d in sp.pair_distances(space, points, pairs)]
     k = np.ones((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            value = gaussian_kernel(param, d[i][j])
-            k[i, j] = value
-            k[j, i] = value
+    k[rows, cols] = k[cols, rows] = values
     return GramMatrix(entries=k, space=space, lam=float(param.lam), points=tuple(points))
 
 

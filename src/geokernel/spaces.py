@@ -149,28 +149,30 @@ def principal_angles(a, b) -> np.ndarray:
     return _atan2(sines[..., ::-1], cosines).astype(float)
 
 
-def chol_logdet(lower: np.ndarray) -> float:
-    """log det(L L^T) from the Cholesky factor L."""
-    return 2.0 * math.fsum(math.log(x) for x in np.diag(lower))
+def chol_logdets(lowers) -> list[float]:
+    """log det(L L^T) for each Cholesky factor L of a stack."""
+    diagonals = np.diagonal(lowers, axis1=-2, axis2=-1).tolist()
+    return [2.0 * math.fsum(map(math.log, row)) for row in diagonals]
 
 
-def stein_divergences(matrices, logdets, pairs) -> list[float]:
+def stein_divergences(matrices, lowers, pairs) -> list[float]:
     """S(A_i, A_j) = logdet((A_i + A_j)/2) - (logdet A_i + logdet A_j)/2
-    for each (i, j) in pairs, given every matrix's own log-determinant.
+    for each (i, j) in pairs, given every matrix's Cholesky factor.
 
     All midpoints are factored by one stacked Cholesky.  S is zero iff
     A_i = A_j and mathematically nonnegative (concavity of logdet), so
     the rounding residue below zero is clipped.
     """
     stack = np.asarray(matrices, dtype=float)
+    logdets = chol_logdets(np.asarray(lowers))
     i, j = np.asarray(pairs, dtype=int).T
     try:
-        lowers = np.linalg.cholesky((stack[i] + stack[j]) / 2.0)
+        middles = chol_logdets(np.linalg.cholesky((stack[i] + stack[j]) / 2.0))
     except np.linalg.LinAlgError:
         raise InvalidPointError("stein midpoint is not positive definite") from None
     return [
-        max(0.0, chol_logdet(low) - 0.5 * (logdets[p] + logdets[q]))
-        for low, (p, q) in zip(lowers, pairs)
+        max(0.0, middle - 0.5 * (logdets[p] + logdets[q]))
+        for middle, (p, q) in zip(middles, pairs)
     ]
 
 
@@ -208,6 +210,9 @@ class Space:
                 raise InvalidSpaceError(f"{self.variant} {f.name} must be a positive real")
             if f.type == "str" and value not in self.metrics:
                 raise InvalidSpaceError(f"unknown {self.variant} {f.name} {value!r}")
+
+    def _check_set(self, points):  # each point's _check by stacked calls; None: one by one
+        return None
 
     def _form(self, checked):
         return checked
@@ -358,17 +363,27 @@ class SpdMatrices(Space):
         except np.linalg.LinAlgError:
             raise InvalidPointError("not positive definite") from None
 
-    def _form(self, checked):  # the matrix log, or the Cholesky log-determinant
-        m, lower = checked
+    def _check_set(self, points):
+        # the tests of _check on the P x n x n stack; None if one fails
+        try:
+            m = np.asarray(points, dtype=float)
+            if m.shape[1:] == (self.n, self.n) and np.isfinite(m).all():
+                scale = np.maximum(1.0, np.abs(m).max(axis=(1, 2)))
+                if (np.abs(m - m.swapaxes(1, 2)).max(axis=(1, 2)) <= SYMMETRY_TOL * scale).all():
+                    return list(zip(m, np.linalg.cholesky(m)))
+        except (TypeError, ValueError):  # ragged, or not PD (LinAlgError)
+            return None
+
+    def _form(self, checked):  # the matrix log; stein reads the Cholesky factor too
+        m, _ = checked
         if self.metric == "log_euclidean":
             return matrix_log(m)
-        return (m, chol_logdet(lower)) if self.metric == "stein" else m
+        return checked if self.metric == "stein" else m
 
     def _distances(self, forms, pairs):
         if self.metric != "stein":
             return super()._distances(forms, pairs)
-        divergences = stein_divergences([m for m, _ in forms], [ld for _, ld in forms], pairs)
-        return [math.sqrt(s) for s in divergences]
+        return [math.sqrt(s) for s in stein_divergences(*zip(*forms), pairs)]
 
     def _sample(self, rng, count):
         gs = (rng.standard_normal((self.n, self.n)) for _ in range(count))
@@ -443,29 +458,37 @@ def _each_point(space: Space, points, read) -> list:
     return out
 
 
+def check_points(space: Space, points) -> list:
+    """``require_valid`` of each point: by the space's stacked check when
+    it has one and every point passes, else point by point, so the first
+    invalid point raises InvalidPointError naming its index and the space."""
+    return space._check_set(points) or _each_point(space, points, lambda p: require_valid(space, p))
+
+
 def pair_distances(space: Space, points, pairs) -> list[float]:
     """d(points[i], points[j]) for each (i, j) in pairs.
 
-    Each point is validated (an invalid one is named by its index) and
+    The points are validated once (see ``check_points``) and each is
     reduced to what its metric reads (see ``_form``) once, however many
     pairs it is in; a pair's value does not depend on the others.
     """
-    checked = _each_point(space, points, lambda p: require_valid(space, p))
-    forms = [space._form(c) for c in checked]
+    forms = [space._form(c) for c in check_points(space, points)]
     return space._distances(forms, pairs) if pairs else []
+
+
+def upper_pairs(n: int) -> tuple:
+    """(rows, cols, pairs): the pairs i < j of n points, row by row."""
+    rows, cols = np.triu_indices(n, 1)
+    return rows, cols, list(zip(rows.tolist(), cols.tolist()))
 
 
 def distance_matrix(space: Space, points) -> np.ndarray:
     """Symmetric matrix of d(p_i, p_j) with a zero diagonal: every pair
     of ``pair_distances``."""
     points = list(points)
-    n = len(points)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    d = np.zeros((n, n))
-    values = pair_distances(space, points, pairs)  # validates even one point
-    if pairs:
-        rows, cols = zip(*pairs)
-        d[rows, cols] = d[cols, rows] = values
+    rows, cols, pairs = upper_pairs(len(points))
+    d = np.zeros((len(points), len(points)))
+    d[rows, cols] = d[cols, rows] = pair_distances(space, points, pairs)
     return d
 
 

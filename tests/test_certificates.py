@@ -476,8 +476,9 @@ def test_verify_rejects_invalid_points():
 
 
 def test_verify_certificate_validates_each_point_once(monkeypatch):
-    # in the pairwise distances at double precision, before the exact arcs
-    # at wide precision; never once per pair
+    # through check_points in the pairwise distances at double precision,
+    # point by point before the exact arcs at wide precision; never once
+    # per pair
     import geokernel.spaces as sp
     from collections import Counter
 
@@ -485,17 +486,22 @@ def test_verify_certificate_validates_each_point_once(monkeypatch):
     angles = [0.0, math.pi / 2 + 0.01, math.pi, 3 * math.pi / 2 - 0.02]
     circle = gk.build_certificate(gk.Circle(), 0.1, angles, 17)
     wide = _unit_witness(digits=30)
-    original = sp.require_valid
     counts = Counter()
 
-    def counting(space, point):
-        counts[id(point)] += 1
-        return original(space, point)
+    def counting(entry):
+        original = getattr(sp, entry)
 
-    monkeypatch.setattr(sp, "require_valid", counting)
-    for cert in (stein, circle, wide):
+        def count(space, points):
+            counts.update(map(id, points if entry == "check_points" else [points]))
+            return original(space, points)
+        return count
+
+    for cert, entry in ((stein, "check_points"), (circle, "check_points"),
+                        (wide, "require_valid")):
         counts.clear()
-        assert gk.verify_certificate(cert).ok
+        with monkeypatch.context() as patch:
+            patch.setattr(sp, entry, counting(entry))
+            assert gk.verify_certificate(cert).ok
         assert len(counts) == len({id(p) for p in cert.points})
         assert max(counts.values()) == 1
 

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -124,6 +125,23 @@ def test_circulant_route_refuses_what_the_dense_route_refuses(tmp_path, capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, ""), argv
         assert err.startswith("error: "), argv
+
+
+def test_point_error_wins_over_the_precision_refusal(tmp_path, capsys):
+    # above 17 digits a non-equispaced set is refused by the dense route,
+    # but an invalid point is named first, as it is at 17 digits
+    golden = json.loads(open(Path(__file__).parent / "golden" / "circle16.json").read())
+    cases = {
+        math.nan: "error: point 0 of Circle(scale=1.0): circle: angle is not finite\n",
+        0.5: "error: dense route is double precision only; wide precision needs "
+             "equispaced circle points\n",
+    }
+    for first, message in cases.items():
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps({**golden, "points": [first, *golden["points"][1:]]}))
+        code, out, err = run(capsys, "pd-check", "--points", str(path), "--lambda", "1",
+                             "--precision", "30")
+        assert (code, out, err) == (1, "", message)
 
 
 def test_witness_circle_certificate_flow(tmp_path, capsys):

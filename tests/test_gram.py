@@ -47,16 +47,17 @@ def test_gram_validates_points():
 
 
 def test_gram_validates_each_point_once(monkeypatch):
+    # every point passes the one validation entry once, never once per pair
     import geokernel.spaces as sp
 
     seen = []
-    original = sp.require_valid
+    original = sp.check_points
 
-    def counting(space, point):
-        seen.append(id(point))
-        return original(space, point)
+    def counting(space, points):
+        seen.extend(id(p) for p in points)
+        return original(space, points)
 
-    monkeypatch.setattr(sp, "require_valid", counting)
+    monkeypatch.setattr(sp, "check_points", counting)
     for space in (gk.SpdMatrices(3, metric="stein"), gk.Sphere(2), gk.Grassmannian(2, 4)):
         seen.clear()
         pts = sample_points(space, 4, 7)

@@ -247,6 +247,45 @@ def test_require_valid_messages():
         require_valid(gk.Sphere(2), np.array([1.0, 0.5, 0.0]))
 
 
+_SPD_GOOD = np.array([[2.0, 0.1, 0.0], [0.1, 1.0, 0.0], [0.0, 0.0, 3.0]])
+_SPD_BAD = {
+    "matrix has non-finite entries": np.where(np.eye(3) > 0, np.nan, _SPD_GOOD),
+    "expected 3x3 matrix, got shape (2, 2)": np.eye(2),
+    "not symmetric": _SPD_GOOD + np.triu(np.ones((3, 3)), 1) * 1e-9,
+    "not positive definite": -_SPD_GOOD,
+}
+
+
+@pytest.mark.parametrize("metric", gk.SpdMatrices.metrics)
+@pytest.mark.parametrize("message", list(_SPD_BAD))
+def test_spd_point_set_names_the_first_invalid_point(metric, message):
+    # the stacked check falls back to the point-by-point one, whose
+    # message names the first invalid point wherever it sits
+    space = gk.SpdMatrices(3, metric)
+    for index in (0, 3, 6):
+        points = [_SPD_GOOD * (k + 1) for k in range(7)]
+        points[index] = _SPD_BAD[message]
+        if index < 6:
+            points[6] = -_SPD_GOOD  # a second invalid point, never named
+        expect = f"point {index} of {space!r}: spd: {message}"
+        with pytest.raises(gk.InvalidPointError) as info:
+            gk.gram(space, points, gk.KernelParam(0.5))
+        assert str(info.value) == expect
+        with pytest.raises(gk.InvalidPointError) as info:
+            gk.pair_distances(space, points, ())
+        assert str(info.value) == expect
+
+
+def test_spd_symmetry_bar_scales_with_each_matrix():
+    # 5e-7 of asymmetry is rounding on a matrix of norm 1e6, not on one of
+    # norm 3, whatever the other points of the set
+    big = 1e6 * _SPD_GOOD + np.triu(np.ones((3, 3)), 1) * 5e-7
+    space = gk.SpdMatrices(3, "stein")
+    assert gk.distance(space, big, 2e6 * _SPD_GOOD) > 0
+    with pytest.raises(gk.InvalidPointError, match="^point 1 of .*: spd: not symmetric$"):
+        gk.distance(space, big, _SPD_GOOD + np.triu(np.ones((3, 3)), 1) * 5e-7)
+
+
 def test_space_constructor_validation():
     with pytest.raises(gk.InvalidSpaceError):
         gk.Circle(scale=0.0)

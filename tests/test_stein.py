@@ -167,3 +167,34 @@ def test_probe_report_matches_trial_replay(lam):
             assert gk.verify_certificate(report.witness).ok
     if lam == 0.01:
         assert report.witness_trial == 62
+
+
+def _reference_stein_gram(points, lam):
+    # the per-pair loop: one Cholesky per matrix and per midpoint, each
+    # log-determinant a math.fsum of math.log of the factor's diagonal
+    def logdet(m):
+        return 2.0 * math.fsum(math.log(x) for x in np.diag(np.linalg.cholesky(m)))
+
+    n = len(points)
+    k = np.ones((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            mid = (points[i] + points[j]) / 2.0
+            s = max(0.0, logdet(mid) - 0.5 * (logdet(points[i]) + logdet(points[j])))
+            d = math.sqrt(s)
+            k[i, j] = k[j, i] = math.exp(-lam * d * d)
+    return k
+
+
+@pytest.mark.parametrize("count", [2, 10, 40])
+def test_stacked_stein_gram_equals_the_per_pair_loop(count):
+    from geokernel.stein import _strategy_points
+
+    rng = np.random.default_rng(count)
+    space = gk.SpdMatrices(3, metric="stein")
+    for trial in range(9):
+        strategy = PROBE_STRATEGIES[trial % len(PROBE_STRATEGIES)]
+        points = _strategy_points(strategy, rng, 3, count)
+        k = gk.gram(space, points, gk.KernelParam(0.75))
+        assert np.array_equal(k.entries, _reference_stein_gram(points, 0.75)), strategy
+    assert gk.probe(3, 0.01, 80, 10, seed=7).trials_run == 63
