@@ -20,7 +20,7 @@ from itertools import combinations
 from operator import mul
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, mpf_sub
+from mpmath.libmp import from_man_exp, mpf_abs, mpf_lt, mpf_mul, mpf_sub
 
 from . import spaces as sp
 from .gram import KernelParam, gram
@@ -87,13 +87,15 @@ def circulant_row(lam, n: int, precision_digits: int = DOUBLE_DIGITS, scale=1.0)
     """First row of the equispaced-circle Gram: exp(-mu m^2/N^2) with
     m = min(k, N-k) and mu = :func:`~geokernel.partial_theta.mu_of_lambda`
     times scale^2, so row[k] == row[N-k] exactly and a bandwidth that is
-    not finite and positive is refused."""
+    not finite and positive is refused.  Only k <= N/2 are evaluated;
+    the rest mirror them."""
     if n < 2:
         raise CertificateError("need at least two points")
     with numeric(precision_digits) as x:
         mu = mu_of_lambda(lam, precision_digits) * x.num(scale) ** 2
         nn = x.num(n) * n
-        return [x.exp(-mu * min(k, n - k) ** 2 / nn) for k in range(n)]
+        half = [x.exp(-mu * k ** 2 / nn) for k in range(n // 2 + 1)]
+        return half + half[(n + 1) // 2 - 1:0:-1]
 
 
 def quadratic_form(space: sp.Space, lam, points, coefficients, precision_digits: int):
@@ -104,8 +106,8 @@ def quadratic_form(space: sp.Space, lam, points, coefficients, precision_digits:
     and the terms ``(2 c_i) c_j K_ij`` stream into a compensated sum in the
     order of the plain double loop.  Wide precision needs circle or torus
     points, whose payloads are exact angles, and sums in integer fixed
-    point: ``c_i c_j`` accumulates exactly per pair key (the pair's
-    rounded angle differences, :func:`_pair_sums`), each key's kernel value
+    point: ``c_i c_j`` accumulates exactly per distinct pair distance
+    (:func:`_pair_sums`), each distance's kernel value, evaluated once,
     multiplies its total, and the sum is rounded once, so the only rounding
     is in the coefficients and kernel values.  A non-finite coefficient, or
     double terms past the double range, give nan, which no verification
@@ -126,15 +128,14 @@ def quadratic_form(space: sp.Space, lam, points, coefficients, precision_digits:
                 "torus); rebuild the certificate at <= 17 digits"
             )
         else:
-            for p in points:
-                sp.require_valid(space, p)
+            sp.check_points(space, points)
         c = [x.num(v) for v in coefficients]
         if not all(map(x.isfinite, c)):
             return x.num("nan")  # an infinite coefficient leaves the form undefined
         if precision_digits > DOUBLE_DIGITS:
             cs, exp_c = lift(c)
-            sums, dist = _pair_sums(space, points, cs, x)
-            ks, exp_k = lift([mp.mpf(1), *(x.exp(-lam * d * d) for d in map(dist, sums))])
+            sums = _pair_sums(space, points, cs, x)
+            ks, exp_k = lift([mp.mpf(1), *(x.exp(-lam * d * d) for d in map(mp.make_mpf, sums))])
             total = ks[0] * sum(ci * ci for ci in cs) + 2 * sum(map(mul, ks[1:], sums.values()))
             return unlift(total, exp_k + 2 * exp_c)
 
@@ -151,55 +152,63 @@ def quadratic_form(space: sp.Space, lam, points, coefficients, precision_digits:
             return x.num("nan")
 
 
-def _pair_sums(space: sp.Space, points: list, cs: list, x):
-    """(sums, dist) for wide circle or torus ``points`` and lifted
-    coefficients ``cs``: ``sums`` maps each pair key to the exact integer
-    sum of ``cs[i] * cs[j]`` over the pairs i < j with that key, and
-    ``dist(key)`` is the distance those pairs share.
+def _pair_sums(space: sp.Space, points: list, cs: list, x) -> dict:
+    """{distance: sum} for wide circle or torus ``points`` and lifted
+    coefficients ``cs``: each distance a pair i < j can take, as a raw
+    mpf, mapped to the exact integer sum of ``cs[i] * cs[j]`` over the
+    pairs at that distance, so the caller evaluates one kernel value per
+    distinct distance.
 
-    A key is the tuple of the pair's angle differences rounded at the
+    A pair's key is the tuple of its angle differences rounded at the
     working precision, one raw mpf per factor: exactly what ``mpf_sub`` of
     the two angles returns, which fixes the distance bit for bit (parsed
-    angles need not fix the index gap to the last bit).
+    angles need not fix the index gap to the last bit).  Sums merge per
+    key first; then each distinct key's distance is formed once and keys
+    at equal distances (offsets d and 2*pi - d) merge.
 
     Circle angles that all lift whole (:func:`~geokernel.precision.lift`)
-    take the fast path: a pair's exact key is ``labels[i] - labels[j]``,
-    one Python-int subtraction, and the exact keys are merged by their
-    rounded value before any kernel is evaluated.  Everything else (torus
-    points, or a circle angle more than ``LIFT_SPAN`` working precisions
-    below the largest, which lifts truncated) forms each key with
-    ``mpf_sub`` from the raw angles."""
+    take the fast path: a pair's exact offset is ``labels[i] - labels[j]``,
+    one Python-int subtraction, and the exact offsets merge by their
+    rounded value.  Everything else (torus points, or a circle angle more
+    than ``LIFT_SPAN`` working precisions below the largest, which lifts
+    truncated) forms each key with ``mpf_sub`` from the raw angles."""
     prec, rnd = mp.mp._prec_rounding
-    two_pi = 2 * x.pi
-    sums = defaultdict(int)
+    two_pi = (2 * x.pi)._mpf_
+    keys = defaultdict(int)
 
-    def arc(diff):
-        d = abs(mp.make_mpf(diff))
-        return min(d, two_pi - d)
+    def arc(diff):  # min(|diff|, 2*pi - |diff|) on raw mpfs
+        d = mpf_abs(diff)
+        e = mpf_sub(two_pi, d, prec, rnd)
+        return e if mpf_lt(e, d) else d
 
     if isinstance(space, sp.Circle):
         angles = [x.num(p) for p in points]
-        scale = x.num(space.scale)
-        dist = lambda k: scale * arc(k[0])
+        factors = [angles]
+        scale = x.num(space.scale)._mpf_
+        dist = lambda k: mpf_mul(scale, arc(k[0]), prec, rnd)
         labels, exp = lift(angles)
         # a nonzero mpf mantissa is odd, so an angle below the lift's
         # exponent has lost bits
-        if all(not a._mpf_[1] or a._mpf_[2] >= exp for a in angles):
-            exact = defaultdict(int)
-            for i, (ci, li) in enumerate(zip(cs, labels)):
-                for cj, lj in zip(cs[i + 1:], labels[i + 1:]):
-                    exact[li - lj] += ci * cj
-            for k, s in exact.items():
-                sums[(from_man_exp(k, exp, prec, rnd),)] += s
-            return sums, dist
-        factors = [angles]
+        whole = all(not a._mpf_[1] or a._mpf_[2] >= exp for a in angles)
     else:
         factors = [[x.num(p[f]) for p in points] for f in (0, 1)]
-        dist = lambda k: x.sqrt(arc(k[0]) ** 2 + arc(k[1]) ** 2)
-    raws = [[a._mpf_ for a in f] for f in factors]
-    for i, j in combinations(range(len(cs)), 2):
-        sums[tuple(mpf_sub(r[i], r[j], prec, rnd) for r in raws)] += cs[i] * cs[j]
-    return sums, dist
+        dist = lambda k: x.sqrt(mp.make_mpf(arc(k[0])) ** 2 + mp.make_mpf(arc(k[1])) ** 2)._mpf_
+        whole = False
+    if whole:
+        exact = defaultdict(int)
+        for i, (ci, li) in enumerate(zip(cs, labels)):
+            for cj, lj in zip(cs[i + 1:], labels[i + 1:]):
+                exact[li - lj] += ci * cj
+        for k, s in exact.items():
+            keys[(from_man_exp(k, exp, prec, rnd),)] += s
+    else:
+        raws = [[a._mpf_ for a in f] for f in factors]
+        for i, j in combinations(range(len(cs)), 2):
+            keys[tuple(mpf_sub(r[i], r[j], prec, rnd) for r in raws)] += cs[i] * cs[j]
+    sums = defaultdict(int)
+    for k, s in keys.items():
+        sums[dist(k)] += s
+    return sums
 
 
 def certification_threshold(n: int, digits: int):
@@ -323,19 +332,20 @@ def psd_decision(space: sp.Space, points, lam, precision_digits: int | None = No
 def cert_to_json(cert: WitnessCertificate) -> dict:
     digits = cert.precision_digits
     num = lambda x: number_to_json(x, digits)
-    obj = {
-        "schema_version": cert.schema_version,
-        "space": sp.space_to_json(cert.space),
-        "lambda": num(cert.lam),
-        "points": [sp.point_to_json(p, digits) for p in cert.points],
-        "coefficients": [num(c) for c in cert.coefficients],
-        "quad_form": num(cert.quad_form),
-        "min_eigenvalue": num(cert.min_eigenvalue),
-        "method": cert.method,
-        "precision_digits": digits,
-    }
-    if cert.unit_circle_lambda is not None:
-        obj["unit_circle_lambda"] = num(cert.unit_circle_lambda)
+    with numeric(digits):  # once for every number below
+        obj = {
+            "schema_version": cert.schema_version,
+            "space": sp.space_to_json(cert.space),
+            "lambda": num(cert.lam),
+            "points": [sp.point_to_json(p, digits) for p in cert.points],
+            "coefficients": [num(c) for c in cert.coefficients],
+            "quad_form": num(cert.quad_form),
+            "min_eigenvalue": num(cert.min_eigenvalue),
+            "method": cert.method,
+            "precision_digits": digits,
+        }
+        if cert.unit_circle_lambda is not None:
+            obj["unit_circle_lambda"] = num(cert.unit_circle_lambda)
     return obj
 
 
@@ -350,22 +360,23 @@ def cert_from_json(obj: dict) -> WitnessCertificate:
         raise CertificateError(f"precision_digits must be an integer, got {digits!r}")
     digits = check_digits(digits)  # range-check before parsing any number
     try:
-        space = sp.space_from_json(obj["space"])
-        num = lambda x: number_from_json(x, digits)
-        points = tuple(sp.point_from_json(space, p, digits) for p in obj["points"])
-        cert = WitnessCertificate(
-            space=space,
-            lam=num(obj["lambda"]),
-            points=points,
-            coefficients=tuple(num(c) for c in obj["coefficients"]),
-            quad_form=num(obj["quad_form"]),
-            min_eigenvalue=num(obj["min_eigenvalue"]),
-            method=str(obj["method"]),
-            precision_digits=digits,
-            unit_circle_lambda=(
-                num(obj["unit_circle_lambda"]) if "unit_circle_lambda" in obj else None
-            ),
-        )
+        with numeric(digits):  # once for every number below
+            space = sp.space_from_json(obj["space"])
+            num = lambda x: number_from_json(x, digits)
+            points = tuple(sp.point_from_json(space, p, digits) for p in obj["points"])
+            cert = WitnessCertificate(
+                space=space,
+                lam=num(obj["lambda"]),
+                points=points,
+                coefficients=tuple(num(c) for c in obj["coefficients"]),
+                quad_form=num(obj["quad_form"]),
+                min_eigenvalue=num(obj["min_eigenvalue"]),
+                method=str(obj["method"]),
+                precision_digits=digits,
+                unit_circle_lambda=(
+                    num(obj["unit_circle_lambda"]) if "unit_circle_lambda" in obj else None
+                ),
+            )
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise CertificateError(f"malformed certificate: {exc!r}") from None
     if cert.method not in ("circulant", "jacobi"):

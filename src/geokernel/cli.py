@@ -33,7 +33,7 @@ from .partial_theta import (
     leading_term,
     partial_theta,
 )
-from .precision import DOUBLE_DIGITS, check_digits, number_to_json, resolve_digits
+from .precision import DOUBLE_DIGITS, check_digits, number_to_json, numeric, resolve_digits
 from .spectral import circulant_eigenvalues
 from .stein import lambda_plus_set, probe
 
@@ -203,7 +203,8 @@ def _cmd_circle_spectrum(args) -> int:
     by_index = {}
     for pos, j in enumerate(report.fourier_indices):
         by_index[j] = report.eigenvalues[pos]
-    rows = [[j, _fmt(by_index[j], digits)] for j in range(args.n)]
+    with numeric(digits):  # once for the whole table
+        rows = [[j, _fmt(by_index[j], digits)] for j in range(args.n)]
     _emit_csv(["j", "eigenvalue"], rows, args.out)
     return EXIT_OK
 
@@ -238,22 +239,17 @@ def _cmd_lambda_profile(args) -> int:
 
 def _cmd_theta(args) -> int:
     digits = resolve_digits(args.precision)
-    rows = []
-    for mu_text in args.mu.split(","):
-        for r_text in args.r.split(","):
-            for n in _int_list(args.n):
-                result = partial_theta(
-                    PartialThetaQuery(
-                        mu=mu_text.strip(), r=r_text.strip(), n=n,
-                        precision_digits=digits,
-                    )
-                )
-                rows.append([
-                    mu_text.strip(), r_text.strip(), n,
-                    _fmt(result.value, digits),
-                    _fmt(result.truncation_bound, digits),
-                    digits,
-                ])
+    results = [
+        (mu, r, n, partial_theta(PartialThetaQuery(mu=mu, r=r, n=n, precision_digits=digits)))
+        for mu in map(str.strip, args.mu.split(","))
+        for r in map(str.strip, args.r.split(","))
+        for n in _int_list(args.n)
+    ]
+    with numeric(digits):  # once for the whole table
+        rows = [
+            [mu, r, n, _fmt(res.value, digits), _fmt(res.truncation_bound, digits), digits]
+            for mu, r, n, res in results
+        ]
     _emit_csv(["mu", "r", "N", "value", "truncation_bound", "precision"], rows, args.out)
     return EXIT_OK
 
@@ -261,14 +257,12 @@ def _cmd_theta(args) -> int:
 def _cmd_bound_check(args) -> int:
     digits = resolve_digits(args.precision)
     mu = args.mu.strip()
-    rows = []
-    for n in _int_list(args.n_list):
-        rows.append([
-            n,
-            _fmt(w_half(mu, n, digits), digits),
-            _fmt(bound_rhs(mu, n, digits), digits),
-            _fmt(leading_term(mu, n, digits), digits),
-        ])
+    values = [
+        (n, w_half(mu, n, digits), bound_rhs(mu, n, digits), leading_term(mu, n, digits))
+        for n in _int_list(args.n_list)
+    ]
+    with numeric(digits):  # once for the whole table
+        rows = [[n, *(_fmt(v, digits) for v in vs)] for n, *vs in values]
     _emit_csv(["N", "w_half", "bound_rhs", "leading_term"], rows, args.out)
     return EXIT_OK
 

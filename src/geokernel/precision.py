@@ -17,11 +17,11 @@ sum is in its inputs.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from types import SimpleNamespace
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, repr_dps
+from mpmath.libmp import dps_to_prec, from_man_exp, repr_dps
 
 # Significant decimal digits representable by an IEEE double.  Requests at
 # or below this run entirely in hardware floats.
@@ -61,11 +61,13 @@ def resolve_digits(digits: int | None) -> int:
     return DEFAULT_DIGITS if digits is None else check_digits(digits)
 
 
-@contextmanager
 def working_dps(digits: int):
-    """mpmath context at ``digits`` plus guard digits."""
-    with mp.workdps(digits + GUARD_DIGITS):
-        yield
+    """mpmath context at ``digits`` plus guard digits.  Entering it where
+    that precision already holds changes nothing and costs almost
+    nothing, so a caller that formats or parses many numbers enters it
+    once around all of them."""
+    dps = digits + GUARD_DIGITS
+    return nullcontext() if mp.mp.prec == dps_to_prec(dps) else mp.workdps(dps)
 
 
 # math.fsum, not mpmath's fp.fsum: only the former is compensated

@@ -109,11 +109,13 @@ def circulant_eigenvalues(first_row, precision_digits: int | None = None) -> Spe
     products are summed with exact compensated summation (math.fsum).
     Above it, row and cosines are lifted once to integer fixed point
     (:func:`~geokernel.precision.lift`), so each w_j is an exact integer
-    sum of exact products, rounded once.  Either way w_j is the exactly
-    rounded sum of its products, and the reindexing k -> N-k makes
-    w_{N-j} the same sum as w_j: only j <= N/2 are formed and the rest
-    are copied.  Eigenvalues come back ascending with their frequency
-    indices.
+    sum of exact products, rounded once; since row[k] == row[N-k], the
+    terms k and N-k fold into one product of row[k] with the exact sum
+    of their two lifted cosines, so only k <= N/2 are multiplied.
+    Either way w_j is the exactly rounded sum of its products, and the
+    reindexing k -> N-k makes w_{N-j} the same sum as w_j: only j <= N/2
+    are formed and the rest are copied.  Eigenvalues come back ascending
+    with their frequency indices.
     """
     digits = resolve_digits(precision_digits)
     row = list(first_row)
@@ -133,8 +135,14 @@ def circulant_eigenvalues(first_row, precision_digits: int | None = None) -> Spe
             ]
         else:
             (ints, exp_r), (cosines, exp_b) = lift(row), lift(base)
+            # fold k <-> N-k: row[k] == row[N-k] and cos(2 pi j (N-k)/N)
+            # is base[-jk mod N], so each k < N/2 pairs with its mirror
+            folded = [c + cosines[-m] for m, c in enumerate(cosines)]
+            inner = range(1, (n + 1) // 2)
+            mid = ints[n // 2] if n % 2 == 0 else 0  # the unpaired k = N/2
             values = [
-                unlift(sum(map(mul, ints, [cosines[j * k % n] for k in range(n)])),
+                unlift(ints[0] * cosines[0] + mid * cosines[j * (n // 2) % n]
+                       + sum(map(mul, ints[1:], [folded[j * k % n] for k in inner])),
                        exp_r + exp_b)
                 for j in range(n // 2 + 1)
             ]

@@ -35,6 +35,22 @@ def _unit_witness(lam=0.1, digits=None):
     return cert
 
 
+@pytest.mark.parametrize("digits", [17, 30])
+def test_circulant_row_evaluates_half_the_row(monkeypatch, digits):
+    # row[k] == row[N-k]: only k <= N/2 call exp, the rest are mirrored
+    arith = precision._DOUBLE if digits <= DOUBLE_DIGITS else precision._WIDE
+    exp = arith.exp
+    for n in (2, 3, 4, 5, 16, 27, 256):
+        calls = []
+        monkeypatch.setattr(arith, "exp", lambda v: calls.append(v) or exp(v))
+        row = circulant_row(0.7, n, digits)
+        monkeypatch.setattr(arith, "exp", exp)
+        assert len(calls) == n // 2 + 1, n
+        with numeric(digits) as x:  # every k evaluated, as the formula reads
+            mu, nn = gk.mu_of_lambda(0.7, digits), x.num(n) * n
+            assert row == [exp(-mu * min(k, n - k) ** 2 / nn) for k in range(n)], n
+
+
 def test_circulant_row_values():
     lam = 0.3
     n = 8
@@ -187,19 +203,52 @@ def test_wide_quadratic_form_is_permutation_invariant():
 
 
 def test_quadratic_form_evaluates_each_distinct_pair_once(monkeypatch):
+    # one kernel exp per distinct distance: offsets d and 2*pi - d, and
+    # rounded offsets whose arcs round alike, share one
     cert = _golden_cert70()
     n = cert.order
     with numeric(70) as x:
         angles = [x.num(p) for p in cert.points]
         offsets = {angles[i] - angles[j] for i in range(n) for j in range(i + 1, n)}
+        distances = {min(abs(d), 2 * x.pi - abs(d)) for d in offsets}
+        args = sorted(-x.num(cert.lam) * d * d for d in distances)
     # parsed angles are rounded, so equal index gaps give many offsets
-    assert n - 1 < len(offsets) < n * (n - 1) // 2 / 3
+    assert n // 2 < len(distances) < len(offsets) < n * (n - 1) // 2 / 3
     calls = []
     exp = precision._WIDE.exp
     monkeypatch.setattr(precision._WIDE, "exp", lambda v: calls.append(v) or exp(v))
     value = gk.quadratic_form(cert.space, cert.lam, cert.points, cert.coefficients, 70)
     assert value < 0
-    assert len(calls) == len(offsets)
+    assert sorted(calls) == args
+
+
+def test_quadratic_form_forms_each_torus_distance_once_per_key(monkeypatch):
+    # torus keys come from mpf_sub per pair, but the distance (one sqrt)
+    # is formed once per distinct key, never once per pair
+    cert = _golden_cert70()
+    n = cert.order
+    points = [(a, cert.points[3 * i % n]) for i, a in enumerate(cert.points)]
+    with numeric(70) as x:
+        pts = [(x.num(a), x.num(b)) for a, b in points]
+        keys = {(p[0] - q[0], p[1] - q[1]) for i, p in enumerate(pts) for q in pts[i + 1:]}
+    assert len(keys) < n * (n - 1) // 2 / 3
+    calls = []
+    sqrt = precision._WIDE.sqrt
+    monkeypatch.setattr(precision._WIDE, "sqrt", lambda v: calls.append(v) or sqrt(v))
+    gk.quadratic_form(gk.FlatTorus(), cert.lam, points, cert.coefficients, 70)
+    assert 0 < len(calls) <= len(keys)
+
+
+def test_json_enters_the_working_precision_once(monkeypatch):
+    # one mpmath precision switch per certificate, not one per number
+    cert = _golden_cert70()
+    obj = gk.cert_to_json(cert)
+    calls = []
+    workdps = precision.mp.workdps
+    monkeypatch.setattr(precision.mp, "workdps", lambda dps: calls.append(dps) or workdps(dps))
+    assert gk.cert_to_json(cert) == obj
+    assert gk.cert_from_json(obj) == cert
+    assert calls == [70 + precision.GUARD_DIGITS] * 2
 
 
 @pytest.fixture(scope="module")
@@ -476,9 +525,10 @@ def test_verify_rejects_invalid_points():
 
 
 def test_verify_certificate_validates_each_point_once(monkeypatch):
-    # through check_points in the pairwise distances at double precision,
-    # point by point before the exact arcs at wide precision; never once
-    # per pair
+    # through check_points, in the pairwise distances at double precision
+    # and before the exact arcs at wide precision (a circle's check_points
+    # runs require_valid point by point, which the wide case counts);
+    # never once per pair
     import geokernel.spaces as sp
     from collections import Counter
 

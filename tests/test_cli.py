@@ -144,6 +144,20 @@ def test_point_error_wins_over_the_precision_refusal(tmp_path, capsys):
         assert (code, out, err) == (1, "", message)
 
 
+@pytest.mark.parametrize("digits, angle", [("17", 7.0), ("30", "7")])
+def test_verify_certificate_names_a_bad_angle(tmp_path, capsys, digits, angle):
+    # wide angle payloads are validated like double ones: by index
+    path = tmp_path / "cert.json"
+    code, _, _ = run(capsys, "witness", "circle", "--lambda", "1", "--precision", digits,
+                     "--out", str(path))
+    assert code == 0
+    doc = json.loads(path.read_text())
+    doc["points"][0] = angle
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "verify-certificate", str(path)) == (
+        1, "", "error: point 0 of Circle(scale=1.0): circle: angle outside [0, 2*pi)\n")
+
+
 def test_witness_circle_certificate_flow(tmp_path, capsys):
     cert_path = str(tmp_path / "cert.json")
     code, out, _ = run(capsys, "witness", "circle", "--lambda", "0.1",

@@ -10,7 +10,7 @@ from mpmath.libmp import mpf_mul, mpf_pos, mpf_sum, round_nearest
 
 import geokernel as gk
 from geokernel.certificates import circulant_row
-from geokernel.precision import numeric
+from geokernel.precision import lift, numeric, unlift
 from geokernel.spectral import (
     AsymmetricInputError,
     ConvergenceError,
@@ -159,6 +159,27 @@ def test_circulant_wide_is_the_exact_sum_rounded_once():
             ]
         mine = dict(zip(report.fourier_indices, report.eigenvalues))
         assert [mine[j]._mpf_ for j in range(n)] == exact, what
+
+
+@pytest.mark.parametrize("digits", [30, 100])
+def test_circulant_wide_fold_is_the_unfolded_sum(digits):
+    # the k <-> N-k fold regroups exact integer products, so every w_j is
+    # bit for bit the plain sum over all k of R_k * C[jk mod N]
+    rng = np.random.default_rng(4)
+    for n in [*range(2, 41), 256]:
+        half = rng.standard_normal(n // 2 + 1).tolist()
+        rows = [circulant_row(0.7, n, digits), half + half[(n + 1) // 2 - 1:0:-1]]
+        for row in rows:
+            report = gk.circulant_eigenvalues(row, digits)
+            with numeric(digits) as x:
+                ints, exp_r = lift([x.num(v) for v in row])
+                cosines, exp_b = lift([x.cos(2 * x.pi * m / n) for m in range(n)])
+                ref = [
+                    unlift(sum(ints[k] * cosines[j * k % n] for k in range(n)), exp_r + exp_b)._mpf_
+                    for j in range(n)
+                ]
+            mine = dict(zip(report.fourier_indices, report.eigenvalues))
+            assert [mine[j]._mpf_ for j in range(n)] == ref, n
 
 
 def test_circulant_wide_mirror_frequencies_are_bitwise_equal():
