@@ -64,11 +64,7 @@ class WitnessCertificate:
     points: tuple
     coefficients: tuple
     quad_form: object
-    min_eigenvalue: object
-    method: str
     precision_digits: int
-    unit_circle_lambda: object | None = None
-    schema_version: str = SCHEMA_VERSION
 
     @property
     def order(self) -> int:
@@ -259,8 +255,6 @@ def build_certificate(space: sp.Space, lam, points, precision_digits: int | None
         points=tuple(points),
         coefficients=coeffs,
         quad_form=quad,
-        min_eigenvalue=w_min,
-        method=report.method,
         precision_digits=digits,
     )
 
@@ -271,8 +265,6 @@ def verify_certificate(cert: WitnessCertificate) -> VerificationResult:
     ok iff the recomputed value matches the stored one within 1e-12
     relative and is negative.  Shares no state with the builder.
     """
-    if cert.schema_version != SCHEMA_VERSION:
-        raise CertificateError(f"unknown schema version {cert.schema_version!r}")
     recomputed = quadratic_form(
         cert.space, cert.lam, cert.points, cert.coefficients, cert.precision_digits
     )
@@ -333,23 +325,20 @@ def cert_to_json(cert: WitnessCertificate) -> dict:
     digits = cert.precision_digits
     num = lambda x: number_to_json(x, digits)
     with numeric(digits):  # once for every number below
-        obj = {
-            "schema_version": cert.schema_version,
+        return {
+            "schema_version": SCHEMA_VERSION,
             "space": sp.space_to_json(cert.space),
             "lambda": num(cert.lam),
             "points": [sp.point_to_json(p, digits) for p in cert.points],
             "coefficients": [num(c) for c in cert.coefficients],
             "quad_form": num(cert.quad_form),
-            "min_eigenvalue": num(cert.min_eigenvalue),
-            "method": cert.method,
             "precision_digits": digits,
         }
-        if cert.unit_circle_lambda is not None:
-            obj["unit_circle_lambda"] = num(cert.unit_circle_lambda)
-    return obj
 
 
 def cert_from_json(obj: dict) -> WitnessCertificate:
+    """Inverse of :func:`cert_to_json`.  Any other key, such as the echoes
+    that older schema-1 files carry, is ignored."""
     if not isinstance(obj, dict):
         raise CertificateError(f"a certificate is a JSON object, got {type(obj).__name__}")
     version = obj.get("schema_version")
@@ -364,21 +353,13 @@ def cert_from_json(obj: dict) -> WitnessCertificate:
             space = sp.space_from_json(obj["space"])
             num = lambda x: number_from_json(x, digits)
             points = tuple(sp.point_from_json(space, p, digits) for p in obj["points"])
-            cert = WitnessCertificate(
+            return WitnessCertificate(
                 space=space,
                 lam=num(obj["lambda"]),
                 points=points,
                 coefficients=tuple(num(c) for c in obj["coefficients"]),
                 quad_form=num(obj["quad_form"]),
-                min_eigenvalue=num(obj["min_eigenvalue"]),
-                method=str(obj["method"]),
                 precision_digits=digits,
-                unit_circle_lambda=(
-                    num(obj["unit_circle_lambda"]) if "unit_circle_lambda" in obj else None
-                ),
             )
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise CertificateError(f"malformed certificate: {exc!r}") from None
-    if cert.method not in ("circulant", "jacobi"):
-        raise CertificateError(f"unknown method {cert.method!r}")
-    return cert

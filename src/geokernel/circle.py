@@ -10,7 +10,7 @@ lambda_crit profiles, per N, where the whole spectrum turns PSD.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import spaces as sp
 from .certificates import WitnessCertificate, build_certificate, circulant_row
@@ -233,8 +233,7 @@ def circle_witness(
 
     The scan runs on the unit-circle equivalent lambda*scale^2 (scaling
     the circle by s multiplies every distance by s), then the
-    certificate is built on the scaled circle itself; the equivalent is
-    recorded on the certificate for bookkeeping.
+    certificate is built on the scaled circle itself.
     """
     digits = resolve_digits(precision_digits)
     with numeric(digits) as x:
@@ -246,5 +245,4 @@ def circle_witness(
     with numeric(digits) as x:
         points = [2 * x.pi * k / n for k in range(n)]
     space = sp.Circle(scale=float(scale))
-    cert = build_certificate(space, lam, points, digits)
-    return replace(cert, unit_circle_lambda=lam_unit)
+    return build_certificate(space, lam, points, digits)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -315,13 +316,16 @@ def _cmd_verify_certificate(args) -> int:
     return EXIT_OK if result.ok else EXIT_ERROR
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """One parser for every call: parse_args keeps no state between parses."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
     except Exception as exc:  # numeric and IO failures map to exit 1
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR

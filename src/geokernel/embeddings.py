@@ -98,18 +98,13 @@ def transfer_witness(cert: WitnessCertificate, emb: EmbeddingMap) -> WitnessCert
             f"target Gram re-verification failed: {float(quad)!r} vs "
             f"stored {float(stored)!r}, allowed {float(allowed):.1e}"
         )
-    with numeric(digits) as x:
-        unit_lambda = lam * x.num(emb.source.scale) ** 2
     return WitnessCertificate(
         space=emb.target,
         lam=lam,
         points=images,
         coefficients=coeffs,
         quad_form=quad,
-        min_eigenvalue=float(cert.min_eigenvalue) if coerced else cert.min_eigenvalue,
-        method=cert.method,
         precision_digits=digits,
-        unit_circle_lambda=unit_lambda,
     )
 
 

@@ -1,8 +1,8 @@
 """Gaussian kernel evaluation and Gram matrix assembly.
 
 The kernel is exp(-lambda d^2) for a metric distance d.  Gram matrices
-carry their generating metadata (space, bandwidth, points) so that
-algebraic operations can verify they are combining like with like.
+carry the points they were built on, so that algebraic operations can
+verify they are combining like with like.
 """
 
 from __future__ import annotations
@@ -40,15 +40,13 @@ def gaussian_kernel(param: KernelParam, d: float) -> float:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Symmetric kernel matrix plus how it was made.
+    """Symmetric kernel matrix plus the points it was built on.
 
     Diagonal entries are exactly 1 by construction and off-diagonal
     entries are computed once per unordered pair, then mirrored.
     """
 
     entries: np.ndarray
-    space: sp.Space | None = None
-    lam: float | None = None
     points: tuple | None = None
 
     def __post_init__(self):
@@ -75,7 +73,7 @@ def gram(space: sp.Space, points, param: KernelParam) -> GramMatrix:
     values = [gaussian_kernel(param, d) for d in sp.pair_distances(space, points, pairs)]
     k = np.ones((n, n))
     k[rows, cols] = k[cols, rows] = values
-    return GramMatrix(entries=k, space=space, lam=float(param.lam), points=tuple(points))
+    return GramMatrix(entries=k, points=tuple(points))
 
 
 def _entries_of(k) -> np.ndarray:
@@ -113,4 +111,4 @@ def principal_submatrix(k: GramMatrix, indices) -> GramMatrix:
             raise GramError(f"index {i} out of range for order {n}")
     sub = k.entries[np.ix_(idx, idx)].copy()
     points = tuple(k.points[i] for i in idx) if k.points is not None else None
-    return GramMatrix(entries=sub, space=k.space, lam=k.lam, points=points)
+    return GramMatrix(entries=sub, points=points)

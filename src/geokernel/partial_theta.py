@@ -19,7 +19,6 @@ from .precision import (
     check_digits,
     numeric,
     require_positive,
-    to_mpf,
     working_dps,
 )
 
@@ -65,8 +64,8 @@ def partial_theta(query: PartialThetaQuery) -> PartialThetaResult:
     """
     digits = query.precision_digits
     with working_dps(digits):
-        mu = require_positive(to_mpf(query.mu, digits), "mu", PartialThetaError)
-        r = to_mpf(query.r, digits)
+        mu = require_positive(mp.mpf(query.mu), "mu", PartialThetaError)
+        r = mp.mpf(query.r)
         if not r >= 0:
             raise PartialThetaError("r must be nonnegative")
         n = query.n
@@ -114,7 +113,7 @@ def tail_decomposition_check(mu, n: int, precision_digits: int = DEFAULT_DIGITS)
     _require_quarter(n)
     digits = precision_digits
     with working_dps(digits):
-        mu = require_positive(to_mpf(mu, digits), "mu", PartialThetaError)
+        mu = require_positive(mp.mpf(mu), "mu", PartialThetaError)
         nn = mp.mpf(n) * n
         lhs = s0(mu, n, digits)
         star = mp.fsum(
@@ -143,7 +142,7 @@ def bound_rhs(mu, n: int, precision_digits: int = DEFAULT_DIGITS):
     _require_quarter(n)
     digits = precision_digits
     with working_dps(digits):
-        mu = require_positive(to_mpf(mu, digits), "mu", PartialThetaError)
+        mu = require_positive(mp.mpf(mu), "mu", PartialThetaError)
         nn = mp.mpf(n) * n
         s = s0(mu, n, digits)
         e4 = mp.exp(-mu / 4)

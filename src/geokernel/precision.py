@@ -136,12 +136,6 @@ def require_positive(value, what: str, error: type[Exception]):
     return value
 
 
-def to_mpf(value, digits: int) -> mp.mpf:
-    """Parse a number (float, int, mpf, or decimal string) at ``digits``."""
-    with working_dps(digits):
-        return mp.mpf(value)
-
-
 def number_to_json(value, digits: int):
     """JSON payload for a number: raw float at double precision, decimal
     string above it (floats survive JSON round-trips exactly; wide values
@@ -176,4 +170,5 @@ def number_from_json(value, digits: int):
     at ``digits + 5`` digits throughout, parse to the nearest mpf."""
     if digits <= DOUBLE_DIGITS:
         return float(value)
-    return to_mpf(value, digits)
+    with working_dps(digits):
+        return mp.mpf(value)

@@ -70,7 +70,6 @@ class SteinProbeReport:
     trials_run: int
     min_eig_seen: float
     witness: WitnessCertificate | None
-    witness_trial: int | None = None
     witness_strategy: str | None = None
 
 
@@ -125,7 +124,6 @@ def probe(
                 trials_run=trial + 1,
                 min_eig_seen=float(min_seen),
                 witness=cert,
-                witness_trial=trial,
                 witness_strategy=strategy,
             )
     return SteinProbeReport(

@@ -196,10 +196,10 @@ def test_c08_witness_transfer_to_embedded_targets():
             assert cert is not None
             assert cert.space == target
             assert cert.quad_form == pytest.approx(quad_ref, rel=1e-12)
-            assert cert.unit_circle_lambda == pytest.approx(unit_lam, rel=1e-14)
+            assert lam * target.circle_scale ** 2 == pytest.approx(unit_lam, rel=1e-14)
             assert gk.verify_certificate(cert).ok
             # preservation against an independently built source witness
-            src = gk.circle_witness(cert.unit_circle_lambda, precision_digits=17)
+            src = gk.circle_witness(unit_lam, precision_digits=17)
             assert cert.quad_form == pytest.approx(src.quad_form, rel=1e-12)
         for spec_str in ("sphere:2", "sphere:5", "projective:2", "grassmann:2,4"):
             emb = gk.embedding_for(gk.parse_space(spec_str))

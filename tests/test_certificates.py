@@ -17,7 +17,7 @@ from geokernel import certificates, precision
 from geokernel.certificates import CertificateError, circulant_row
 from geokernel.cli import main
 from geokernel.partial_theta import PartialThetaError
-from geokernel.precision import DOUBLE_DIGITS, PrecisionError, numeric
+from geokernel.precision import DOUBLE_DIGITS, PrecisionError, number_to_json, numeric
 from geokernel.spaces import circle_equispaced, require_valid, sample_points
 
 
@@ -310,10 +310,25 @@ def test_fresh_certificate_verifies_at_the_builders_cost(
         assert len(calls) < parent_count
 
 
-def _old_format(cert):
+CERT_KEYS = {"schema_version", "space", "lambda", "points", "coefficients",
+             "quad_form", "precision_digits"}
+
+
+def _echoes(cert, method, num):
+    """The keys that schema-1 files carried beside what the verifier reads:
+    the builder's minimum eigenvalue (within its 1e-8 check of the form),
+    the spectral route, and the bandwidth on the unit circle."""
+    return {
+        "min_eigenvalue": num(cert.quad_form),
+        "method": method,
+        "unit_circle_lambda": num(cert.lam * cert.space.scale ** 2),
+    }
+
+
+def _old_format(cert, method="circulant"):
     """The certificate's JSON with every wide number at digits + 5
     significant digits, as certificates were written before their numbers
-    read back bit for bit."""
+    read back bit for bit, and with the echo keys of that time."""
     digits = cert.precision_digits
     with numeric(digits):
         old = lambda v: mp.nstr(mpf(v), digits + 5, strip_zeros=True)
@@ -322,7 +337,7 @@ def _old_format(cert):
             points=[old(p) for p in cert.points],
             coefficients=[old(c) for c in cert.coefficients],
             quad_form=old(cert.quad_form),
-            min_eigenvalue=old(cert.min_eigenvalue),
+            **_echoes(cert, method, old),
         )
     return obj
 
@@ -332,6 +347,33 @@ def test_old_format_certificate_still_verifies():
     assert gk.verify_certificate(cert).ok
     args = cert.space, cert.lam, cert.points, cert.coefficients, 70
     assert _bits(gk.quadratic_form(*args)) == _bits(_plain_quadratic_form(*args))
+
+
+@pytest.mark.parametrize("method", ["circulant", "jacobi", "gaussian_elimination"])
+def test_echo_keys_of_older_files_are_ignored(method):
+    # the loader reads the certificate's own keys and nothing else, so a
+    # schema-1 file verifies whatever its echoes say, the method included
+    cert = _unit_witness(lam=0.4, digits=30)
+    with numeric(30):
+        echoes = _echoes(cert, method, lambda v: number_to_json(v, 30))
+    result = gk.verify_certificate(gk.cert_from_json({**gk.cert_to_json(cert), **echoes}))
+    assert result.ok
+    assert result.recomputed._mpf_ == result.stored._mpf_ == cert.quad_form._mpf_
+    old = _old_format(cert, method)
+    bare = {k: v for k, v in old.items() if k in CERT_KEYS}
+    with_echoes, without = (gk.verify_certificate(gk.cert_from_json(o)) for o in (old, bare))
+    assert with_echoes.ok
+    assert _bits(with_echoes.recomputed) == _bits(without.recomputed)
+    assert _bits(with_echoes.stored) == _bits(without.stored)
+
+
+def test_fresh_certificate_holds_only_what_the_verifier_reads():
+    assert [f.name for f in dataclasses.fields(gk.WitnessCertificate)] == [
+        "space", "lam", "points", "coefficients", "quad_form", "precision_digits"]
+    for cert in (_unit_witness(), gk.witness_for_target(gk.FlatTorus(), "0.4"),
+                 gk.witness_for_target(gk.Sphere(2), 0.1),
+                 gk.probe(3, 0.01, 80, 10, seed=7).witness):
+        assert set(gk.cert_to_json(cert)) == CERT_KEYS
 
 
 @pytest.mark.parametrize("space, lam, tiny", [
@@ -411,20 +453,21 @@ def test_build_certificate_circulant_fields():
     with mp.workdps(40):
         points = [2 * mp.pi * k / 4 for k in range(4)]
         cert = gk.build_certificate(gk.Circle(), mpf("0.1"), points, 30)
-        assert cert.method == "circulant"
-        assert cert.schema_version == "1"
+        _, report = gk.psd_decision(gk.Circle(), points, mpf("0.1"), 30)
+        assert report.method == "circulant"
+        assert gk.cert_to_json(cert)["schema_version"] == "1"
         assert cert.precision_digits == 30
         assert cert.order == 4
         assert abs(mp.fsum(c * c for c in cert.coefficients) - 1) < mpf("1e-25")
         assert cert.quad_form < 0
-        assert abs(cert.quad_form - cert.min_eigenvalue) < mpf("1e-20")
+        assert abs(cert.quad_form - report.min_eigenvalue) < mpf("1e-20")
 
 
 def test_build_certificate_jacobi_on_generic_points():
     # perturbed angles lose the exact-spectrum path but keep the violation
     angles = [0.0, math.pi / 2 + 0.01, math.pi, 3 * math.pi / 2 - 0.02]
     cert = gk.build_certificate(gk.Circle(), 0.1, angles, 17)
-    assert cert.method == "jacobi"
+    assert gk.psd_decision(gk.Circle(), angles, 0.1, 17)[1].method == "jacobi"
     assert cert.quad_form < -1e-3
     assert gk.verify_certificate(cert).ok
     with pytest.raises(PrecisionError):
@@ -437,7 +480,7 @@ def test_dense_certificate_solves_its_gram_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
     angles = [0.0, math.pi / 2 + 0.01, math.pi, 3 * math.pi / 2 - 0.02]
     cert = gk.build_certificate(gk.Circle(), 0.1, angles)
-    assert cert.method == "jacobi"
+    assert cert.quad_form < 0
     assert len(calls) == 1
 
 
@@ -446,9 +489,8 @@ def test_certificate_takes_its_spectrum_from_psd_decision():
     for points in (circle_equispaced(8), angles):
         _, report = gk.psd_decision(gk.Circle(), points, 0.1)
         cert = gk.build_certificate(gk.Circle(), 0.1, points)
-        assert cert.method == report.method
-        assert cert.min_eigenvalue == report.min_eigenvalue
         assert cert.coefficients == gk.min_eigenvector(report)
+        assert abs(cert.quad_form - report.min_eigenvalue) <= 1e-8 * len(points)
 
 
 def test_build_certificate_refuses_psd_input():
@@ -502,10 +544,15 @@ def test_verify_detects_coefficient_tampering():
     assert not res.ok
 
 
-def test_verify_rejects_unknown_schema():
-    cert = _unit_witness()
-    with pytest.raises(CertificateError):
-        gk.verify_certificate(dataclasses.replace(cert, schema_version="2"))
+def test_verify_rejects_unknown_schema(tmp_path):
+    # the loader refuses the file, so no unknown schema reaches the verifier
+    payload = gk.cert_to_json(_unit_witness())
+    payload["schema_version"] = "2"
+    with pytest.raises(CertificateError, match="unknown schema version '2'"):
+        gk.cert_from_json(payload)
+    path = tmp_path / "v2.json"
+    path.write_text(json.dumps(payload))
+    assert main(["verify-certificate", str(path)]) == 1
 
 
 def test_verify_rejects_invalid_points():
@@ -578,13 +625,6 @@ def test_cert_json_round_trip_wide():
     assert back.precision_digits == 30
     assert abs(back.quad_form - cert.quad_form) < mpf("1e-25")
     assert gk.verify_certificate(back).ok
-
-
-def test_cert_json_rejects_bad_method():
-    payload = gk.cert_to_json(_unit_witness())
-    payload["method"] = "gaussian_elimination"
-    with pytest.raises(CertificateError):
-        gk.cert_from_json(payload)
 
 
 def _refuse_number_parsing(monkeypatch):

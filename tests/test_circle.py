@@ -100,9 +100,9 @@ def test_circle_witness_unit_scale():
     cert = gk.circle_witness(0.1, n_max=64)
     assert cert is not None
     assert cert.order == 4
-    assert cert.method == "circulant"
+    assert gk.spaces.equispaced_order(cert.points) == cert.order  # the circulant route
     assert cert.space == gk.Circle()
-    assert cert.unit_circle_lambda == pytest.approx(0.1, abs=0)
+    assert cert.lam == pytest.approx(0.1, abs=0)
     assert float(cert.quad_form) == pytest.approx(-0.18997962224145, abs=1e-12)
     assert gk.verify_certificate(cert).ok
 
@@ -113,7 +113,7 @@ def test_circle_witness_rescaled_circle():
     assert cert is not None
     assert cert.space == gk.Circle(scale=2.0)
     assert cert.order == 4
-    assert float(cert.unit_circle_lambda) == pytest.approx(0.1, rel=1e-15)
+    assert float(cert.lam * cert.space.scale ** 2) == pytest.approx(0.1, rel=1e-15)
     assert float(cert.quad_form) == pytest.approx(-0.18997962224145, abs=1e-12)
     assert gk.verify_certificate(cert).ok
 

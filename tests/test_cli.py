@@ -166,7 +166,8 @@ def test_witness_circle_certificate_flow(tmp_path, capsys):
     doc = json.loads(open(cert_path).read())
     # bare certificate, not an envelope
     assert "command" not in doc
-    assert doc["method"] == "circulant"
+    assert set(doc) == {"schema_version", "space", "lambda", "points", "coefficients",
+                        "quad_form", "precision_digits"}
     assert doc["schema_version"] == "1"
 
     code, out, _ = run(capsys, "verify-certificate", cert_path)
@@ -196,7 +197,10 @@ def test_witness_space_reports_unit_bandwidth(tmp_path, capsys):
     assert code == 0
     doc = json.loads(open(cert_path).read())
     assert doc["space"]["variant"] == "projective"
-    assert float(doc["unit_circle_lambda"]) == pytest.approx(0.1, rel=1e-15)
+    assert doc["lambda"] == 0.4
+    # the unit-circle bandwidth is not stored; it follows from the space
+    scale = gk.parse_space("projective:2").circle_scale
+    assert float(doc["lambda"]) * scale ** 2 == pytest.approx(0.1, rel=1e-15)
 
     code, out, _ = run(capsys, "verify-certificate", cert_path)
     assert code == 0
@@ -209,7 +213,6 @@ def test_witness_space_torus_certificate_verifies(tmp_path, capsys):
     assert code == 0
     doc = json.loads(open(cert_path).read())
     assert doc["lambda"] == "0.4"
-    assert doc["unit_circle_lambda"] == "0.4"
     assert float(doc["quad_form"]) == pytest.approx(-0.015050166445732458, rel=1e-12)
 
     code, out, _ = run(capsys, "verify-certificate", cert_path)
@@ -346,6 +349,40 @@ def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as info:
         main(["witness", "circle"])  # missing required --lambda
     assert info.value.code == 1
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    # parse_args keeps no state between calls: neither a target nor a
+    # usage error leaks into the next command, in either order
+    import geokernel.cli as cli
+
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    calls = (
+        ("witness", "circle", "--lambda", "0.1"),
+        ("witness", "space", "--target", "projective:2", "--lambda", "0.4"),
+        ("witness", "circle"),  # missing required --lambda
+        ("witness", "circle", "--lambda", "0.1"),
+        ("circle-spectrum", "--lambda", "1", "--n", "4"),
+    )
+
+    def outputs(argvs):
+        seen = []
+        for argv in argvs:
+            try:
+                seen.append(run(capsys, *argv))
+            except SystemExit as exc:
+                seen.append((exc.code, *capsys.readouterr()))
+        return seen
+
+    first = outputs(calls)
+    assert [code for code, _, _ in first] == [0, 0, 1, 0, 0]
+    assert first[0] == first[3]
+    assert outputs(calls) == first
+    assert outputs(calls[::-1]) == first[::-1]
+    assert built == [1]
 
 
 def test_runtime_errors_exit_one(capsys):

@@ -103,7 +103,7 @@ def test_transfer_preserves_quadratic_form():
         assert moved.coefficients == cert.coefficients
         assert abs(moved.quad_form - cert.quad_form) <= 1e-12 * abs(cert.quad_form)
         assert moved.space == gk.Sphere(3)
-        assert moved.unit_circle_lambda == pytest.approx(lam, rel=1e-15)
+        assert moved.lam * moved.space.circle_scale ** 2 == pytest.approx(lam, rel=1e-15)
         assert gk.verify_certificate(moved).ok
 
 
@@ -158,7 +158,7 @@ def test_witness_for_target_end_to_end():
     assert cert is not None
     assert cert.space == gk.Grassmannian(2, 4)
     assert cert.order == 4
-    assert float(cert.unit_circle_lambda) == pytest.approx(0.1, rel=1e-15)
+    assert float(cert.lam * cert.space.circle_scale ** 2) == pytest.approx(0.1, rel=1e-15)
     assert float(cert.quad_form) == pytest.approx(-0.18997962224145, abs=1e-12)
     assert gk.verify_certificate(cert).ok
 
