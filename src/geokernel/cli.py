@@ -20,6 +20,7 @@ import sys
 from . import __version__
 from . import spaces as sp
 from .certificates import (
+    SCHEMA_VERSION,
     cert_from_json,
     cert_to_json,
     circulant_row,
@@ -37,8 +38,6 @@ from .partial_theta import (
 from .precision import DOUBLE_DIGITS, check_digits, number_to_json, numeric, resolve_digits
 from .spectral import circulant_eigenvalues
 from .stein import lambda_plus_set, probe
-
-SCHEMA_VERSION = "1"
 
 EXIT_OK = 0
 EXIT_ERROR = 1

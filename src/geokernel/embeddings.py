@@ -1,7 +1,7 @@
 """Witness transfer along isometric circle embeddings.
 
 Each space descriptor that contains an isometric circle says so itself
-(``circle_scale`` and ``_circle_point`` in :mod:`geokernel.spaces`):
+(``circle_scale`` and ``_circle_points`` in :mod:`geokernel.spaces`):
 spheres contain great circles; projective spaces and Grassmannians
 contain a circle of half scale, since rotating a line by t moves the
 point by t/2.  Since an isometry preserves every pairwise distance, a
@@ -36,7 +36,8 @@ class EmbeddingError(ValueError):
 
 @dataclass(frozen=True)
 class EmbeddingMap:
-    """An isometry from a (possibly rescaled) circle into a target."""
+    """An isometry from a (possibly rescaled) circle into a target;
+    ``apply`` maps a sequence of source angles to their image points."""
 
     source: sp.Circle
     target: sp.Space
@@ -45,20 +46,20 @@ class EmbeddingMap:
 
 def embedding_for(target: sp.Space) -> EmbeddingMap:
     """The isometric circle that the target space carries: the circle of
-    its ``circle_scale``, mapped by its ``_circle_point``."""
+    its ``circle_scale``, mapped by its ``_circle_points``."""
     if target.circle_scale is None:
         raise EmbeddingError(f"{target!r} contains no isometric circle")
-    return EmbeddingMap(sp.Circle(scale=target.circle_scale), target, target._circle_point)
+    return EmbeddingMap(sp.Circle(scale=target.circle_scale), target, target._circle_points)
 
 
 def verify_isometry(emb: EmbeddingMap, pair_count: int = 1000, seed: int = 0) -> float:
     """Max |d_target(iota a, iota b) - d_source(a, b)| over seeded pairs."""
     rng = np.random.default_rng(seed)
     angles = rng.uniform(0.0, 2.0 * math.pi, (pair_count, 2)).ravel().tolist()
-    pairs = [(k, k + 1) for k in range(0, len(angles), 2)]
+    pairs = np.arange(len(angles)).reshape(-1, 2)
     d_src = sp.pair_distances(emb.source, angles, pairs)
-    d_tgt = sp.pair_distances(emb.target, [emb.apply(t) for t in angles], pairs)
-    return max((abs(t - s) for s, t in zip(d_src, d_tgt)), default=0.0)
+    d_tgt = sp.pair_distances(emb.target, emb.apply(angles), pairs)
+    return float(np.max(np.abs(np.subtract(d_tgt, d_src)), initial=0.0))
 
 
 def transfer_witness(cert: WitnessCertificate, emb: EmbeddingMap) -> WitnessCertificate:
@@ -80,7 +81,7 @@ def transfer_witness(cert: WitnessCertificate, emb: EmbeddingMap) -> WitnessCert
     digits = cert.precision_digits if wide_target else min(cert.precision_digits, DOUBLE_DIGITS)
     coerced = digits < cert.precision_digits
 
-    images = tuple(emb.apply(theta) for theta in cert.points)
+    images = tuple(emb.apply(cert.points))
     coeffs = tuple(float(c) for c in cert.coefficients) if coerced else cert.coefficients
     lam = float(cert.lam) if coerced else cert.lam
 

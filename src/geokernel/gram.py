@@ -31,11 +31,23 @@ class KernelParam:
             raise GramError("bandwidth lambda must be a positive real")
 
 
+# math.exp elementwise: numpy's SIMD exp may round differently
+_exp = np.frompyfunc(math.exp, 1, 1)
+
+
+def kernel_values(param: KernelParam, distances) -> np.ndarray:
+    """exp(-lambda d^2) of each of an array of distances, as ``math.exp``
+    gives it; rejects negative distances."""
+    d = np.asarray(distances, dtype=float)
+    negative = np.flatnonzero(d < 0)
+    if negative.size:
+        raise GramError(f"negative distance {float(d.flat[negative[0]])!r}")
+    return np.asarray(_exp(-param.lam * d * d), dtype=float)
+
+
 def gaussian_kernel(param: KernelParam, d: float) -> float:
-    """exp(-lambda d^2); rejects negative distances."""
-    if d < 0:
-        raise GramError(f"negative distance {d!r}")
-    return math.exp(-param.lam * d * d)
+    """exp(-lambda d^2) of one distance; rejects negative distances."""
+    return float(kernel_values(param, d))
 
 
 @dataclass(frozen=True)
@@ -69,10 +81,9 @@ def gram(space: sp.Space, points, param: KernelParam) -> GramMatrix:
     n = len(points)
     if n < 1:
         raise GramError("need at least one point")
-    rows, cols, pairs = sp.upper_pairs(n)
-    values = [gaussian_kernel(param, d) for d in sp.pair_distances(space, points, pairs)]
+    rows, cols, d = sp.upper_distances(space, points)
     k = np.ones((n, n))
-    k[rows, cols] = k[cols, rows] = values
+    k[rows, cols] = k[cols, rows] = kernel_values(param, d)
     return GramMatrix(entries=k, points=tuple(points))
 
 

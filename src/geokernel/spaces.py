@@ -4,7 +4,7 @@ Each space is a small frozen descriptor class, listed once in
 :data:`VARIANTS`, that holds its parameters (whose fields also give the
 text and JSON forms), payload check, distance formula, sampler and, when
 it contains one, its isometric circle (``circle_scale`` and
-``_circle_point``).
+``_circle_points``).
 Points are plain payloads (an angle, an angle pair, a unit vector, an
 orthonormal matrix, an SPD matrix).  Distances follow the closed-form
 geodesic or matrix-metric formulas, with inner products clamped to
@@ -12,13 +12,22 @@ geodesic or matrix-metric formulas, with inner products clamped to
 non-unit input.  ``pair_distances`` validates and factors each point
 once and derives every pair from that; ``distance_matrix`` (all pairs)
 and ``distance`` (one pair) are its cases.
+
+A point set of double-precision payloads goes through one stacked numpy
+pass: the points are checked as one array (a failed check falls back to
+the point-by-point one, which names the first invalid point), and each
+space evaluates all pairs at once.  Every stacked value is the one the
+scalar formula gives, bit for bit: inner products and norms are row-wise
+BLAS dots (``_dots``), which round like ``np.dot`` and
+``np.linalg.norm`` of one pair, and the transcendental functions are
+those of :mod:`math`, applied elementwise, since numpy's SIMD versions
+may round differently.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields
-from functools import cached_property
 from itertools import groupby
 
 import numpy as np
@@ -77,38 +86,59 @@ def _array(point, shape: tuple, noun: str) -> np.ndarray:
     return a
 
 
+def _point_stack(points, shape: tuple) -> np.ndarray | None:
+    """The payloads as one array of shape (P, *shape) if they are all
+    doubles (not wide numbers) with finite entries, else None."""
+    try:
+        a = np.asarray(points)
+    except (TypeError, ValueError, OverflowError):  # ragged, or past the double range
+        return None
+    return a if a.dtype == np.float64 and a.shape[1:] == shape and np.isfinite(a).all() else None
+
+
+def _angle_stack(points, shape: tuple) -> np.ndarray | None:
+    """``_point_stack`` of angle payloads, all of them in [0, 2*pi)."""
+    a = _point_stack(points, shape)
+    return a if a is not None and ((0.0 <= a) & (a < TWO_PI)).all() else None
+
+
 # ---------------------------------------------------------------------------
 # distance formulas
 
-def _unit_angle(p: np.ndarray, q: np.ndarray) -> float:
-    """Angle between unit vectors: arccos of the inner product, evaluated
-    as 2*atan2(|p-q|, |p+q|).
-
-    The direct arccos turns rounding in a near-collinear inner product
-    into ~1e-8 of angle; the half-angle form keeps equal inputs at
-    exactly 0 and opposite inputs at exactly pi.
-    """
-    dot = float(np.dot(p, q))
-    if abs(dot) > 1.0 + CLAMP_EXCESS:
-        raise InvalidPointError(
-            f"inner product {dot!r} exceeds 1 beyond rounding; non-unit input"
-        )
-    return 2.0 * math.atan2(
-        float(np.linalg.norm(p - q)), float(np.linalg.norm(p + q))
-    )
+# math functions elementwise: numpy's SIMD arctan2, hypot, cos and sin
+# round some inputs differently depending on where they sit in the
+# array, and a pair's distance must not depend on the batch it was
+# computed in
+_atan2 = np.frompyfunc(math.atan2, 2, 1)
+_hypot = np.frompyfunc(math.hypot, 2, 1)
+_cos = np.frompyfunc(math.cos, 1, 1)
+_sin = np.frompyfunc(math.sin, 1, 1)
 
 
-def _line_angle(p: np.ndarray, q: np.ndarray) -> float:
-    """Angle between lines: pick the representative on the same side first."""
-    if float(np.dot(p, q)) < 0.0:
-        q = -q
-    return _unit_angle(p, q)
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner product of each row of a with the same row of b, two (M, d)
+    stacks.  Each is one BLAS dot, so it equals ``np.dot`` of the pair bit
+    for bit; ``norm(axis=1)``, ``einsum`` and ``sum`` add in other orders."""
+    return np.matmul(a[:, None, :], b[:, :, None]).reshape(len(a))
 
 
-def circle_arc(theta_p: float, theta_q: float, scale: float = 1.0) -> float:
-    """Shorter arc between two angles, scaled."""
-    delta = abs(theta_p - theta_q)
-    return scale * min(delta, TWO_PI - delta)
+def _norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean (Frobenius) norm of each entry of a stack, each equal to
+    ``np.linalg.norm`` of that entry bit for bit."""
+    flat = a.reshape(len(a), -1)
+    return np.sqrt(_dots(flat, flat))
+
+
+def _pair_index(pairs) -> np.ndarray:
+    """The (i, j) index arrays of a sequence or (M, 2) array of pairs."""
+    return np.asarray(pairs, dtype=int).reshape(-1, 2).T
+
+
+def circle_arc(theta_p, theta_q, scale: float = 1.0):
+    """Shorter arc between two angles, or elementwise between two arrays
+    of them, scaled."""
+    delta = np.abs(np.subtract(theta_p, theta_q))
+    return scale * np.minimum(delta, TWO_PI - delta)
 
 
 def matrix_log(m: np.ndarray) -> np.ndarray:
@@ -117,12 +147,6 @@ def matrix_log(m: np.ndarray) -> np.ndarray:
     if values[0] <= 0.0:
         raise InvalidPointError("matrix log needs strictly positive eigenvalues")
     return (vectors * np.log(values)) @ vectors.T
-
-
-# math.atan2 elementwise: numpy's SIMD arctan2 rounds some inputs
-# differently depending on where they sit in the array, and a pair's
-# distance must not depend on the batch it was computed in
-_atan2 = np.frompyfunc(math.atan2, 2, 1)
 
 
 def principal_angles(a, b) -> np.ndarray:
@@ -165,14 +189,14 @@ def stein_divergences(matrices, lowers, pairs) -> list[float]:
     """
     stack = np.asarray(matrices, dtype=float)
     logdets = chol_logdets(np.asarray(lowers))
-    i, j = np.asarray(pairs, dtype=int).T
+    i, j = _pair_index(pairs)
     try:
         middles = chol_logdets(np.linalg.cholesky((stack[i] + stack[j]) / 2.0))
     except np.linalg.LinAlgError:
         raise InvalidPointError("stein midpoint is not positive definite") from None
     return [
         max(0.0, middle - 0.5 * (logdets[p] + logdets[q]))
-        for middle, (p, q) in zip(middles, pairs)
+        for middle, p, q in zip(middles, i.tolist(), j.tolist())
     ]
 
 
@@ -186,13 +210,14 @@ _FIELD_TYPES = {"int": (int, int), "float": ((int, float), float), "str": (str, 
 class Space:
     """Base of the descriptors: frozen dataclasses that set ``variant``
     and define ``_check(point)`` (the form the distance formulas read, or
-    InvalidPointError) and ``_sample(rng, count)``.  A metric other than
-    the norm of the difference overrides ``_pair``, or ``_distances`` to
-    run all pairs at once; ``_form`` reduces a checked payload first.
+    InvalidPointError) and ``_sample(rng, count)``.  ``_check_set`` runs
+    every point's ``_check`` as stacked calls; ``_forms`` reduces the
+    checked payloads to what the metric reads; ``_distances`` evaluates
+    all pairs at once, by default the norm of the difference.
 
     A space that contains an isometric copy of Circle{circle_scale}
-    sets ``circle_scale`` and maps an angle of that circle to its image
-    point with ``_circle_point(theta)``."""
+    sets ``circle_scale`` and maps angles of that circle to their image
+    points with ``_circle_points(thetas)``."""
 
     metrics: tuple = ()  # the values a str (metric) field may take
     angles = 0  # payload: this many exact angles, or a float array if 0
@@ -211,18 +236,16 @@ class Space:
             if f.type == "str" and value not in self.metrics:
                 raise InvalidSpaceError(f"unknown {self.variant} {f.name} {value!r}")
 
-    def _check_set(self, points):  # each point's _check by stacked calls; None: one by one
+    def _check_set(self, points):  # every point's _check by stacked calls; None: one by one
         return None
 
-    def _form(self, checked):
+    def _forms(self, checked):
         return checked
 
-    def _distances(self, forms: list, pairs) -> list[float]:
-        pair = self._pair
-        return [pair(forms[i], forms[j]) for i, j in pairs]
-
-    def _pair(self, p, q) -> float:
-        return float(np.linalg.norm(p - q))
+    def _distances(self, forms, pairs):
+        stack = np.asarray(forms, dtype=float)
+        i, j = _pair_index(pairs)
+        return _norms(stack[i] - stack[j])
 
 
 @dataclass(frozen=True)
@@ -234,28 +257,67 @@ class Circle(Space):
     angles = 1
     _check = staticmethod(_angle)
 
-    def _pair(self, p, q):
-        return circle_arc(p, q, self.scale)
+    def _check_set(self, points):
+        return _angle_stack(points, ())
+
+    def _distances(self, forms, pairs):
+        a = np.asarray(forms, dtype=float)
+        i, j = _pair_index(pairs)
+        return circle_arc(a[i], a[j], self.scale)
 
     def _sample(self, rng, count):
         return [float(t) for t in rng.uniform(0.0, TWO_PI, count)]
 
 
 class _UnitVectors(Space):
+    lines = False  # projective space: v and -v are one point
+
     def _check(self, point):
         v = _array(point, (self.n + 1,), "vector")
         _require(abs(float(np.linalg.norm(v)) - 1.0) <= UNIT_NORM_TOL, "norm != 1",
                  InvalidPointError)
         return v
 
-    def _circle_point(self, theta):
-        """(cos t, sin t, 0, ..., 0) with t = circle_scale * theta: a great
-        circle, or on projective space the lines through it, which turn
-        by |dt|/2 as t varies (antipodal t give the same line)."""
-        t = float(theta) * self.circle_scale
-        v = np.zeros(self.n + 1)
-        v[0] = math.cos(t)
-        v[1] = math.sin(t)
+    def _check_set(self, points):
+        v = _point_stack(points, (self.n + 1,))
+        if v is not None and (np.abs(_norms(v) - 1.0) <= UNIT_NORM_TOL).all():
+            return v
+        return None
+
+    def _distances(self, forms, pairs):
+        """Angle between unit vectors (between lines: q is first replaced
+        by -q where <p, q> < 0): arccos of the inner product, evaluated
+        as 2*atan2(|p-q|, |p+q|).
+
+        The direct arccos turns rounding in a near-collinear inner product
+        into ~1e-8 of angle; the half-angle form keeps equal inputs at
+        exactly 0 and opposite inputs at exactly pi.
+        """
+        stack = np.asarray(forms, dtype=float)
+        i, j = _pair_index(pairs)
+        p, q = stack[i], stack[j]
+        dots, minus, plus = _dots(p, q), _norms(p - q), _norms(p + q)
+        if self.lines:
+            # negating q negates <p, q> and swaps p - q with p + q, exactly
+            flip = dots < 0.0
+            dots = np.where(flip, -dots, dots)
+            minus, plus = np.where(flip, plus, minus), np.where(flip, minus, plus)
+        bad = np.flatnonzero(np.abs(dots) > 1.0 + CLAMP_EXCESS)
+        if bad.size:
+            raise InvalidPointError(
+                f"inner product {float(dots[bad[0]])!r} exceeds 1 beyond rounding; non-unit input"
+            )
+        return 2.0 * _atan2(minus, plus)
+
+    def _circle_points(self, thetas):
+        """(cos t, sin t, 0, ..., 0) with t = circle_scale * theta, one row
+        per angle: a great circle, or on projective space the lines
+        through it, which turn by |dt|/2 as t varies (antipodal t give
+        the same line)."""
+        t = np.asarray(thetas, dtype=float) * self.circle_scale
+        v = np.zeros((len(t), self.n + 1))
+        v[:, 0] = _cos(t)
+        v[:, 1] = _sin(t)
         return v
 
     def _sample(self, rng, count):
@@ -275,7 +337,6 @@ class Sphere(_UnitVectors):
     n: int
     variant = "sphere"
     circle_scale = 1.0
-    _pair = staticmethod(_unit_angle)
 
 
 @dataclass(frozen=True)
@@ -285,7 +346,7 @@ class ProjectiveSpace(_UnitVectors):
     n: int
     variant = "projective"
     circle_scale = 0.5
-    _pair = staticmethod(_line_angle)
+    lines = True
 
 
 @dataclass(frozen=True)
@@ -308,17 +369,16 @@ class Grassmannian(Space):
         # the projection metric bends arcs (chord of the angle): no circle
         return 0.5 if self.metric == "principal_angle" else None
 
-    @cached_property
-    def _frame(self):
-        return np.eye(self.n)
-
-    def _circle_point(self, theta):
-        """span{cos(t/2) e_1 + sin(t/2) e_(k+1), e_2, ..., e_k}: only the
-        first principal angle moves, by |dt|/2."""
-        basis = self._frame
-        t = float(theta) / 2.0
-        first = math.cos(t) * basis[:, 0] + math.sin(t) * basis[:, self.k]
-        return np.column_stack([first, basis[:, 1:self.k]])
+    def _circle_points(self, thetas):
+        """span{cos(t/2) e_1 + sin(t/2) e_(k+1), e_2, ..., e_k} for each
+        angle t: only the first principal angle moves, by |dt|/2."""
+        basis = np.eye(self.n)
+        t = np.asarray(thetas, dtype=float) / 2.0
+        frames = np.empty((len(t), self.n, self.k))
+        frames[:, :, 0] = np.multiply.outer(_cos(t).astype(float), basis[:, 0]) + \
+            np.multiply.outer(_sin(t).astype(float), basis[:, self.k])
+        frames[:, :, 1:] = basis[:, 1:self.k]
+        return frames
 
     def _check(self, point):
         a = _array(point, (self.n, self.k), "representative")
@@ -326,16 +386,23 @@ class Grassmannian(Space):
                  "columns not orthonormal", InvalidPointError)
         return a
 
-    def _form(self, a):  # the projector, for the projection metric
-        return a @ a.T if self.metric == "projection" else a
+    def _check_set(self, points):
+        a = _point_stack(points, (self.n, self.k))
+        if a is not None and (np.abs(a.swapaxes(1, 2) @ a - np.eye(self.k)).max(axis=(1, 2))
+                              <= ORTHONORMAL_TOL).all():
+            return a
+        return None
+
+    def _forms(self, checked):  # the projectors, for the projection metric
+        a = np.asarray(checked, dtype=float).reshape(-1, self.n, self.k)
+        return a @ a.swapaxes(1, 2) if self.metric == "projection" else a
 
     def _distances(self, forms, pairs):
         if self.metric == "projection":
             return super()._distances(forms, pairs)
         # the geodesic: one stacked LAPACK call over all pairs
-        stack = np.asarray(forms)
-        i, j = np.asarray(pairs, dtype=int).T
-        return [math.hypot(*row) for row in principal_angles(stack[i], stack[j]).tolist()]
+        i, j = _pair_index(pairs)
+        return [math.hypot(*row) for row in principal_angles(forms[i], forms[j]).tolist()]
 
     def _sample(self, rng, count):
         qrs = (np.linalg.qr(rng.standard_normal((self.n, self.k))) for _ in range(count))
@@ -364,21 +431,22 @@ class SpdMatrices(Space):
             raise InvalidPointError("not positive definite") from None
 
     def _check_set(self, points):
-        # the tests of _check on the P x n x n stack; None if one fails
+        m = _point_stack(points, (self.n, self.n))
+        if m is None:
+            return None
+        scale = np.maximum(1.0, np.abs(m).max(axis=(1, 2)))
+        if not (np.abs(m - m.swapaxes(1, 2)).max(axis=(1, 2)) <= SYMMETRY_TOL * scale).all():
+            return None
         try:
-            m = np.asarray(points, dtype=float)
-            if m.shape[1:] == (self.n, self.n) and np.isfinite(m).all():
-                scale = np.maximum(1.0, np.abs(m).max(axis=(1, 2)))
-                if (np.abs(m - m.swapaxes(1, 2)).max(axis=(1, 2)) <= SYMMETRY_TOL * scale).all():
-                    return list(zip(m, np.linalg.cholesky(m)))
-        except (TypeError, ValueError):  # ragged, or not PD (LinAlgError)
+            return list(zip(m, np.linalg.cholesky(m)))
+        except np.linalg.LinAlgError:
             return None
 
-    def _form(self, checked):  # the matrix log; stein reads the Cholesky factor too
-        m, _ = checked
-        if self.metric == "log_euclidean":
-            return matrix_log(m)
-        return checked if self.metric == "stein" else m
+    def _forms(self, checked):  # the matrix logs; stein reads the Cholesky factors too
+        if self.metric == "stein":
+            return checked
+        ms = [m for m, _ in checked]
+        return [matrix_log(m) for m in ms] if self.metric == "log_euclidean" else ms
 
     def _distances(self, forms, pairs):
         if self.metric != "stein":
@@ -399,6 +467,9 @@ class Euclidean(Space):
     def _check(self, point):
         return _array(point, (self.n,), "vector")
 
+    def _check_set(self, points):
+        return _point_stack(points, (self.n,))
+
     def _sample(self, rng, count):
         return [rng.standard_normal(self.n) for _ in range(count)]
 
@@ -413,8 +484,8 @@ class FlatTorus(Space):
     angles = 2
     circle_scale = 1.0
 
-    def _circle_point(self, theta):  # the second angle pinned at 0
-        return (theta, 0.0)
+    def _circle_points(self, thetas):  # the second angle pinned at 0
+        return [(theta, 0.0) for theta in thetas]
 
     def _check(self, point):
         try:
@@ -423,8 +494,13 @@ class FlatTorus(Space):
             raise InvalidPointError("torus point must be a pair of angles") from None
         return _angle(a), _angle(b)
 
-    def _pair(self, p, q):
-        return math.hypot(circle_arc(p[0], q[0]), circle_arc(p[1], q[1]))
+    def _check_set(self, points):
+        return _angle_stack(points, (2,))
+
+    def _distances(self, forms, pairs):
+        a = np.asarray(forms, dtype=float)
+        i, j = _pair_index(pairs)
+        return _hypot(circle_arc(a[i, 0], a[j, 0]), circle_arc(a[i, 1], a[j, 1]))
 
     def _sample(self, rng, count):
         return [(float(a), float(b)) for a, b in rng.uniform(0.0, TWO_PI, (count, 2))]
@@ -458,37 +534,49 @@ def _each_point(space: Space, points, read) -> list:
     return out
 
 
-def check_points(space: Space, points) -> list:
+def check_points(space: Space, points):
     """``require_valid`` of each point: by the space's stacked check when
-    it has one and every point passes, else point by point, so the first
-    invalid point raises InvalidPointError naming its index and the space."""
-    return space._check_set(points) or _each_point(space, points, lambda p: require_valid(space, p))
+    it has one and every point passes (then a stack of the checked
+    points), else point by point, so the first invalid point raises
+    InvalidPointError naming its index and the space."""
+    checked = space._check_set(points)
+    if checked is None:
+        checked = _each_point(space, points, lambda p: require_valid(space, p))
+    return checked
+
+
+def _pair_array(space: Space, points, pairs) -> np.ndarray:
+    """d(points[i], points[j]) for each (i, j) in pairs, as an array."""
+    forms = space._forms(check_points(space, points))
+    return np.asarray(space._distances(forms, pairs) if len(pairs) else [], dtype=float)
 
 
 def pair_distances(space: Space, points, pairs) -> list[float]:
-    """d(points[i], points[j]) for each (i, j) in pairs.
+    """d(points[i], points[j]) for each (i, j) in pairs, a sequence or an
+    (M, 2) array.
 
-    The points are validated once (see ``check_points``) and each is
-    reduced to what its metric reads (see ``_form``) once, however many
-    pairs it is in; a pair's value does not depend on the others.
+    The points are validated once (see ``check_points``) and reduced to
+    what their metric reads (see ``_forms``) once, however many pairs
+    each is in; all pairs are then evaluated together, and a pair's value
+    does not depend on the others.
     """
-    forms = [space._form(c) for c in check_points(space, points)]
-    return space._distances(forms, pairs) if pairs else []
+    return _pair_array(space, points, pairs).tolist()
 
 
-def upper_pairs(n: int) -> tuple:
-    """(rows, cols, pairs): the pairs i < j of n points, row by row."""
-    rows, cols = np.triu_indices(n, 1)
-    return rows, cols, list(zip(rows.tolist(), cols.tolist()))
+def upper_distances(space: Space, points) -> tuple:
+    """(rows, cols, d): the pairs i < j of ``points``, row by row, and the
+    array of their distances."""
+    rows, cols = np.triu_indices(len(points), 1)
+    return rows, cols, _pair_array(space, points, np.column_stack((rows, cols)))
 
 
 def distance_matrix(space: Space, points) -> np.ndarray:
     """Symmetric matrix of d(p_i, p_j) with a zero diagonal: every pair
     of ``pair_distances``."""
     points = list(points)
-    rows, cols, pairs = upper_pairs(len(points))
+    rows, cols, values = upper_distances(space, points)
     d = np.zeros((len(points), len(points)))
-    d[rows, cols] = d[cols, rows] = pair_distances(space, points, pairs)
+    d[rows, cols] = d[cols, rows] = values
     return d
 
 

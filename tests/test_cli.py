@@ -431,3 +431,17 @@ def test_fresh_process_verifies_in_process_certificate(tmp_path, capsys):
     res = run_proc("verify-certificate", cert_path)
     assert res.returncode == 0
     assert json.loads(res.stdout)["outputs"]["ok"] is True
+
+
+def test_envelope_and_certificate_carry_one_schema_version(tmp_path, capsys):
+    import geokernel.certificates as certificates
+    import geokernel.cli as cli
+
+    assert cli.SCHEMA_VERSION is certificates.SCHEMA_VERSION
+    code, out, _ = run(capsys, "witness", "circle", "--lambda", "0.1")
+    assert code == 0
+    cert = json.loads(out)
+    path = _pointset_file(tmp_path, gk.Circle(), circle_equispaced(4))
+    code, out, _ = run(capsys, "pd-check", "--points", path, "--lambda", "0.1")
+    assert code == 2
+    assert json.loads(out)["schema_version"] == cert["schema_version"]

@@ -68,15 +68,14 @@ def test_half_angle_parametrization():
     emb = gk.embedding_for(gk.ProjectiveSpace(2))
     for a, b in [(0.0, 0.3), (1.0, 4.0), (0.2, 6.0)]:
         d_src = gk.distance(emb.source, a, b)
-        d_tgt = gk.distance(emb.target, emb.apply(a), emb.apply(b))
+        d_tgt = gk.distance(emb.target, *emb.apply([a, b]))
         assert d_tgt == pytest.approx(d_src, abs=1e-13)
         assert d_tgt == pytest.approx(0.5 * gk.distance(gk.Circle(), a, b), abs=1e-13)
 
 
 def test_great_circle_images_are_unit_vectors():
     emb = gk.embedding_for(gk.Sphere(4))
-    for theta in (0.0, 1.0, 3.5):
-        img = emb.apply(theta)
+    for img in emb.apply([0.0, 1.0, 3.5]):
         assert len(img) == 5
         require_valid(gk.Sphere(4), img)
 
