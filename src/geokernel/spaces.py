@@ -2,8 +2,8 @@
 
 Each space is a small frozen descriptor class, listed once in
 :data:`VARIANTS`, that holds its parameters (whose fields also give the
-text and JSON forms), payload check, distance formula, sampler and, when
-it contains one, its isometric circle (``circle_scale`` and
+text and JSON forms), its one point check, distance formula, sampler
+and, when it contains one, its isometric circle (``circle_scale`` and
 ``_circle_points``).
 Points are plain payloads (an angle, an angle pair, a unit vector, an
 orthonormal matrix, an SPD matrix).  Distances follow the closed-form
@@ -13,12 +13,12 @@ non-unit input.  ``pair_distances`` validates and factors each point
 once and derives every pair from that; ``distance_matrix`` (all pairs)
 and ``distance`` (one pair) are its cases.
 
-A point set of double-precision payloads goes through one stacked numpy
-pass: the points are checked as one array (a failed check falls back to
-the point-by-point one, which names the first invalid point), and each
-space evaluates all pairs at once.  Every stacked value is the one the
-scalar formula gives, bit for bit: inner products and norms are row-wise
-BLAS dots (``_dots``), which round like ``np.dot`` and
+A point set goes through one stacked numpy pass: the space's check reads
+every point as one array (wide angles through ``float``), and when any
+point fails it is re-run on one-point sets, which names the first invalid
+point; then each space evaluates all pairs at once.  Every value is the
+one the scalar formula gives, bit for bit: inner products and norms are
+row-wise BLAS dots (``_dots``), which round like ``np.dot`` and
 ``np.linalg.norm`` of one pair, and the transcendental functions are
 those of :mod:`math`, applied elementwise, since numpy's SIMD versions
 may round differently.
@@ -60,46 +60,52 @@ def _require(cond: bool, message: str, error: type = InvalidSpaceError) -> None:
 
 
 # ---------------------------------------------------------------------------
-# payload checks
+# payload checks: each reads a whole point set and raises when any point
+# fails; ``check_points`` then names the first
 
-def _angle(value) -> float:
+def _angles(values) -> np.ndarray:
+    """Angle payloads, one number each, as one float array; else
+    InvalidPointError for the first fault in this order: a payload that is
+    not a real number, one that is not finite, one outside [0, 2*pi)."""
     try:
-        theta = float(value)
-        # float() rounds a tiny negative wide angle to -0.0
-        negative = theta == 0.0 and value < 0
-    except (TypeError, ValueError):
-        raise InvalidPointError("angle payload is not a real number") from None
-    _require(math.isfinite(theta), "angle is not finite", InvalidPointError)
-    _require(not negative and 0.0 <= theta < TWO_PI, "angle outside [0, 2*pi)", InvalidPointError)
-    return theta
-
-
-def _array(point, shape: tuple, noun: str) -> np.ndarray:
-    """The payload as a float array of ``shape`` with finite entries."""
-    a = np.asarray(point, dtype=float)
-    if a.shape != shape:
-        size = f"{noun} of length {shape[0]}" if len(shape) == 1 else \
-            f"{shape[0]}x{shape[1]} {noun}"
-        raise InvalidPointError(f"expected {size}, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise InvalidPointError(f"{noun} has non-finite entries")
+        a = np.asarray(values)
+    except ValueError:  # ragged
+        a = None
+    negative = False
+    if a is None or a.dtype.kind not in "biuf" or a.shape != (len(values),):
+        # one float() each: wide numbers, and whatever numpy does not read as numbers
+        try:
+            a = np.array([float(v) for v in values])
+            # float() rounds a tiny negative wide angle to -0.0
+            negative = any(values[k] < 0 for k in np.flatnonzero(a == 0.0).tolist())
+        except (TypeError, ValueError):
+            raise InvalidPointError("angle payload is not a real number") from None
+    a = np.asarray(a, dtype=float)
+    _require(np.isfinite(a).all(), "angle is not finite", InvalidPointError)
+    _require(not negative and ((0.0 <= a) & (a < TWO_PI)).all(), "angle outside [0, 2*pi)",
+             InvalidPointError)
     return a
 
 
-def _point_stack(points, shape: tuple) -> np.ndarray | None:
-    """The payloads as one array of shape (P, *shape) if they are all
-    doubles (not wide numbers) with finite entries, else None."""
+def _floats(points, shape: tuple, noun: str) -> np.ndarray:
+    """The payloads as one float array of shape (P, *shape) with finite
+    entries; else InvalidPointError, or numpy's own error, for the first
+    point at fault."""
+    if not len(points):
+        return np.empty((0, *shape))
     try:
-        a = np.asarray(points)
-    except (TypeError, ValueError, OverflowError):  # ragged, or past the double range
-        return None
-    return a if a.dtype == np.float64 and a.shape[1:] == shape and np.isfinite(a).all() else None
-
-
-def _angle_stack(points, shape: tuple) -> np.ndarray | None:
-    """``_point_stack`` of angle payloads, all of them in [0, 2*pi)."""
-    a = _point_stack(points, shape)
-    return a if a is not None and ((0.0 <= a) & (a < TWO_PI)).all() else None
+        a = np.asarray(points, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # a ragged set, or entries numpy cannot read
+        a = None
+    if a is None or a.shape != (len(points), *shape):
+        for point in points:  # read alone, the first point at fault raises
+            got = np.asarray(point, dtype=float).shape
+            if got != shape:
+                size = f"{noun} of length {shape[0]}" if len(shape) == 1 else \
+                    f"{shape[0]}x{shape[1]} {noun}"
+                raise InvalidPointError(f"expected {size}, got shape {got}")
+    _require(np.isfinite(a).all(), f"{noun} has non-finite entries", InvalidPointError)
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +131,7 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _norms(a: np.ndarray) -> np.ndarray:
     """Euclidean (Frobenius) norm of each entry of a stack, each equal to
     ``np.linalg.norm`` of that entry bit for bit."""
-    flat = a.reshape(len(a), -1)
+    flat = a.reshape(len(a), math.prod(a.shape[1:]))
     return np.sqrt(_dots(flat, flat))
 
 
@@ -209,9 +215,11 @@ _FIELD_TYPES = {"int": (int, int), "float": ((int, float), float), "str": (str, 
 
 class Space:
     """Base of the descriptors: frozen dataclasses that set ``variant``
-    and define ``_check(point)`` (the form the distance formulas read, or
-    InvalidPointError) and ``_sample(rng, count)``.  ``_check_set`` runs
-    every point's ``_check`` as stacked calls; ``_forms`` reduces the
+    and define ``_check(points)`` and ``_sample(rng, count)``.
+    ``_check`` is the one point check: it reads a whole point set as one
+    stack and returns it in the form the distance formulas read, one
+    entry per point, or raises InvalidPointError when any point fails; a
+    point's verdict depends on that point alone.  ``_forms`` reduces the
     checked payloads to what the metric reads; ``_distances`` evaluates
     all pairs at once, by default the norm of the difference.
 
@@ -236,9 +244,6 @@ class Space:
             if f.type == "str" and value not in self.metrics:
                 raise InvalidSpaceError(f"unknown {self.variant} {f.name} {value!r}")
 
-    def _check_set(self, points):  # every point's _check by stacked calls; None: one by one
-        return None
-
     def _forms(self, checked):
         return checked
 
@@ -255,15 +260,11 @@ class Circle(Space):
     scale: float = 1.0
     variant = "circle"
     angles = 1
-    _check = staticmethod(_angle)
-
-    def _check_set(self, points):
-        return _angle_stack(points, ())
+    _check = staticmethod(_angles)
 
     def _distances(self, forms, pairs):
-        a = np.asarray(forms, dtype=float)
         i, j = _pair_index(pairs)
-        return circle_arc(a[i], a[j], self.scale)
+        return circle_arc(forms[i], forms[j], self.scale)
 
     def _sample(self, rng, count):
         return [float(t) for t in rng.uniform(0.0, TWO_PI, count)]
@@ -272,17 +273,10 @@ class Circle(Space):
 class _UnitVectors(Space):
     lines = False  # projective space: v and -v are one point
 
-    def _check(self, point):
-        v = _array(point, (self.n + 1,), "vector")
-        _require(abs(float(np.linalg.norm(v)) - 1.0) <= UNIT_NORM_TOL, "norm != 1",
-                 InvalidPointError)
+    def _check(self, points):
+        v = _floats(points, (self.n + 1,), "vector")
+        _require((np.abs(_norms(v) - 1.0) <= UNIT_NORM_TOL).all(), "norm != 1", InvalidPointError)
         return v
-
-    def _check_set(self, points):
-        v = _point_stack(points, (self.n + 1,))
-        if v is not None and (np.abs(_norms(v) - 1.0) <= UNIT_NORM_TOL).all():
-            return v
-        return None
 
     def _distances(self, forms, pairs):
         """Angle between unit vectors (between lines: q is first replaced
@@ -293,9 +287,8 @@ class _UnitVectors(Space):
         into ~1e-8 of angle; the half-angle form keeps equal inputs at
         exactly 0 and opposite inputs at exactly pi.
         """
-        stack = np.asarray(forms, dtype=float)
         i, j = _pair_index(pairs)
-        p, q = stack[i], stack[j]
+        p, q = forms[i], forms[j]
         dots, minus, plus = _dots(p, q), _norms(p - q), _norms(p + q)
         if self.lines:
             # negating q negates <p, q> and swaps p - q with p + q, exactly
@@ -380,22 +373,14 @@ class Grassmannian(Space):
         frames[:, :, 1:] = basis[:, 1:self.k]
         return frames
 
-    def _check(self, point):
-        a = _array(point, (self.n, self.k), "representative")
-        _require(float(np.max(np.abs(a.T @ a - np.eye(self.k)))) <= ORTHONORMAL_TOL,
+    def _check(self, points):
+        a = _floats(points, (self.n, self.k), "representative")
+        _require((np.abs(a.swapaxes(1, 2) @ a - np.eye(self.k)) <= ORTHONORMAL_TOL).all(),
                  "columns not orthonormal", InvalidPointError)
         return a
 
-    def _check_set(self, points):
-        a = _point_stack(points, (self.n, self.k))
-        if a is not None and (np.abs(a.swapaxes(1, 2) @ a - np.eye(self.k)).max(axis=(1, 2))
-                              <= ORTHONORMAL_TOL).all():
-            return a
-        return None
-
     def _forms(self, checked):  # the projectors, for the projection metric
-        a = np.asarray(checked, dtype=float).reshape(-1, self.n, self.k)
-        return a @ a.swapaxes(1, 2) if self.metric == "projection" else a
+        return checked @ checked.swapaxes(1, 2) if self.metric == "projection" else checked
 
     def _distances(self, forms, pairs):
         if self.metric == "projection":
@@ -420,27 +405,15 @@ class SpdMatrices(Space):
     variant = "spd"
     metrics = ("frobenius", "log_euclidean", "stein")
 
-    def _check(self, point):
-        m = _array(point, (self.n, self.n), "matrix")
-        scale = max(1.0, float(np.max(np.abs(m))))
-        _require(float(np.max(np.abs(m - m.T))) <= SYMMETRY_TOL * scale, "not symmetric",
-                 InvalidPointError)
-        try:
-            return m, np.linalg.cholesky(m)
-        except np.linalg.LinAlgError:
-            raise InvalidPointError("not positive definite") from None
-
-    def _check_set(self, points):
-        m = _point_stack(points, (self.n, self.n))
-        if m is None:
-            return None
+    def _check(self, points):
+        m = _floats(points, (self.n, self.n), "matrix")
         scale = np.maximum(1.0, np.abs(m).max(axis=(1, 2)))
-        if not (np.abs(m - m.swapaxes(1, 2)).max(axis=(1, 2)) <= SYMMETRY_TOL * scale).all():
-            return None
+        _require((np.abs(m - m.swapaxes(1, 2)).max(axis=(1, 2)) <= SYMMETRY_TOL * scale).all(),
+                 "not symmetric", InvalidPointError)
         try:
             return list(zip(m, np.linalg.cholesky(m)))
         except np.linalg.LinAlgError:
-            return None
+            raise InvalidPointError("not positive definite") from None
 
     def _forms(self, checked):  # the matrix logs; stein reads the Cholesky factors too
         if self.metric == "stein":
@@ -464,11 +437,8 @@ class Euclidean(Space):
     n: int
     variant = "euclidean"
 
-    def _check(self, point):
-        return _array(point, (self.n,), "vector")
-
-    def _check_set(self, points):
-        return _point_stack(points, (self.n,))
+    def _check(self, points):
+        return _floats(points, (self.n,), "vector")
 
     def _sample(self, rng, count):
         return [rng.standard_normal(self.n) for _ in range(count)]
@@ -487,20 +457,17 @@ class FlatTorus(Space):
     def _circle_points(self, thetas):  # the second angle pinned at 0
         return [(theta, 0.0) for theta in thetas]
 
-    def _check(self, point):
+    def _check(self, points):
         try:
-            a, b = point
+            columns = [a for a, _ in points], [b for _, b in points]
         except (TypeError, ValueError):
             raise InvalidPointError("torus point must be a pair of angles") from None
-        return _angle(a), _angle(b)
-
-    def _check_set(self, points):
-        return _angle_stack(points, (2,))
+        # all first angles, then all second ones: a pair's first fault is named
+        return np.column_stack([_angles(column) for column in columns])
 
     def _distances(self, forms, pairs):
-        a = np.asarray(forms, dtype=float)
         i, j = _pair_index(pairs)
-        return _hypot(circle_arc(a[i, 0], a[j, 0]), circle_arc(a[i, 1], a[j, 1]))
+        return _hypot(circle_arc(forms[i, 0], forms[j, 0]), circle_arc(forms[i, 1], forms[j, 1]))
 
     def _sample(self, rng, count):
         return [(float(a), float(b)) for a, b in rng.uniform(0.0, TWO_PI, (count, 2))]
@@ -514,10 +481,11 @@ VARIANTS = {cls.variant: cls for cls in (
 
 def require_valid(space: Space, point):
     """The payload in the form the distance formulas read (a float angle,
-    an angle pair, an array, or an SPD matrix with its Cholesky factor);
-    InvalidPointError naming the violated invariant otherwise."""
+    an angle pair, an array, or an SPD matrix with its Cholesky factor):
+    the space's check of the one-point set; InvalidPointError naming the
+    violated invariant otherwise."""
     try:
-        return space._check(point)
+        return space._check([point])[0]
     except InvalidPointError as exc:
         raise InvalidPointError(f"{space.variant}: {exc}") from None
 
@@ -529,20 +497,21 @@ def _each_point(space: Space, points, read) -> list:
     for i, p in enumerate(points):
         try:
             out.append(read(p))
-        except (TypeError, ValueError) as exc:  # InvalidPointError is one
+        except (TypeError, ValueError, OverflowError) as exc:  # InvalidPointError is a ValueError
             raise InvalidPointError(f"point {i} of {space!r}: {exc}") from None
     return out
 
 
 def check_points(space: Space, points):
-    """``require_valid`` of each point: by the space's stacked check when
-    it has one and every point passes (then a stack of the checked
-    points), else point by point, so the first invalid point raises
-    InvalidPointError naming its index and the space."""
-    checked = space._check_set(points)
-    if checked is None:
-        checked = _each_point(space, points, lambda p: require_valid(space, p))
-    return checked
+    """The points in the form the distance formulas read, checked as one
+    stack by the space's ``_check``.  When any fails, the check is re-run
+    on one-point sets (``require_valid``), so InvalidPointError names the
+    first invalid point's index and the space."""
+    try:
+        return space._check(points)
+    except (TypeError, ValueError, OverflowError):
+        _each_point(space, points, lambda p: require_valid(space, p))
+        raise
 
 
 def _pair_array(space: Space, points, pairs) -> np.ndarray:

@@ -36,8 +36,8 @@ def stein_divergence(a, b) -> float:
         raise SteinError(f"need two square matrices of equal size, got {a.shape} and {b.shape}")
     space = sp.SpdMatrices(a.shape[0], metric="stein")
     try:
-        lowers = [sp.require_valid(space, m)[1] for m in (a, b)]
-        return sp.stein_divergences((a, b), lowers, ((0, 1),))[0]
+        matrices, lowers = zip(*sp.check_points(space, (a, b)))
+        return sp.stein_divergences(matrices, lowers, ((0, 1),))[0]
     except sp.InvalidPointError as exc:
         raise SteinError(str(exc)) from None
 

@@ -573,9 +573,7 @@ def test_verify_rejects_invalid_points():
 
 def test_verify_certificate_validates_each_point_once(monkeypatch):
     # through check_points, in the pairwise distances at double precision
-    # and before the exact arcs at wide precision (a circle's check_points
-    # runs require_valid point by point, which the wide case counts);
-    # never once per pair
+    # and before the exact arcs at wide precision; never once per pair
     import geokernel.spaces as sp
     from collections import Counter
 
@@ -584,21 +582,16 @@ def test_verify_certificate_validates_each_point_once(monkeypatch):
     circle = gk.build_certificate(gk.Circle(), 0.1, angles, 17)
     wide = _unit_witness(digits=30)
     counts = Counter()
+    original = sp.check_points
 
-    def counting(entry):
-        original = getattr(sp, entry)
+    def counting(space, points):
+        counts.update(map(id, points))
+        return original(space, points)
 
-        def count(space, points):
-            counts.update(map(id, points if entry == "check_points" else [points]))
-            return original(space, points)
-        return count
-
-    for cert, entry in ((stein, "check_points"), (circle, "check_points"),
-                        (wide, "require_valid")):
+    monkeypatch.setattr(sp, "check_points", counting)
+    for cert in (stein, circle, wide):
         counts.clear()
-        with monkeypatch.context() as patch:
-            patch.setattr(sp, entry, counting(entry))
-            assert gk.verify_certificate(cert).ok
+        assert gk.verify_certificate(cert).ok
         assert len(counts) == len({id(p) for p in cert.points})
         assert max(counts.values()) == 1
 

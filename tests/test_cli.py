@@ -105,6 +105,19 @@ def test_pd_check_names_a_malformed_point(tmp_path, capsys, space, points, index
                        "length 3, got shape (2,)\n")
 
 
+@pytest.mark.parametrize("space, huge", [
+    (gk.Sphere(2), [10**400, 0, 0]), (gk.Circle(), 10**400),
+], ids=["sphere", "circle"])
+def test_pd_check_names_a_point_past_the_double_range(tmp_path, capsys, space, huge):
+    # a 401-digit JSON integer overflows a double when it is read
+    doc = pointset_to_json(space, sample_points(space, 2, 4))
+    doc["points"][2] = huge
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "pd-check", "--points", str(path), "--lambda", "0.1") == (
+        1, "", f"error: point 2 of {space!r}: int too large to convert to float\n")
+
+
 def test_circulant_route_refuses_what_the_dense_route_refuses(tmp_path, capsys):
     # a bandwidth that is not finite and positive, and a circle file whose
     # first angle is nan or negative (wide "-1e-400" too, which float()

@@ -190,8 +190,9 @@ POINT_ERRORS = {
     },
 }
 
-# the errors check_points prefixes with the index of the point and the space
-NAMED = (TypeError, ValueError)
+# the errors check_points prefixes with the index of the point and the
+# space; an OverflowError (a number past the double range) is one of them
+NAMED = (TypeError, ValueError, OverflowError)
 
 
 def test_every_variant_is_covered():

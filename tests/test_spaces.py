@@ -11,9 +11,11 @@ import geokernel as gk
 from geokernel.precision import numeric
 from geokernel.spaces import (
     VARIANTS,
+    check_points,
     circle_arc,
     circle_equispaced,
     equispaced_order,
+    pair_distances,
     point_from_json,
     point_to_json,
     pointset_from_json,
@@ -231,6 +233,22 @@ def test_sampled_points_are_valid():
     for space in CATALOG:
         for p in sample_points(space, 3, 8):
             require_valid(space, p)
+
+
+def test_catalog_covers_every_variant():
+    assert {type(space) for space in CATALOG} == set(VARIANTS.values())
+
+
+@pytest.mark.parametrize("space", CATALOG, ids=repr)
+def test_empty_and_one_point_sets(space):
+    assert len(check_points(space, [])) == 0
+    assert pair_distances(space, [], []) == []
+    assert gk.distance_matrix(space, []).shape == (0, 0)
+    point = sample_points(space, 9, 1)[0]
+    assert len(check_points(space, [point])) == 1
+    assert pair_distances(space, [point], []) == []
+    assert pair_distances(space, [point], [(0, 0)]) == [pytest.approx(0.0, abs=1e-7)]
+    assert gk.distance_matrix(space, [point]).tolist() == [[0.0]]
 
 
 def test_require_valid_messages():

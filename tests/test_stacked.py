@@ -1,6 +1,6 @@
 """The stacked pass over a point set: every value bitwise the scalar
-formulas', the stacked checks accepting exactly what the point-by-point
-ones accept, and errors still naming the first bad point or pair."""
+formulas', a point's verdict the same alone and inside a set, and errors
+still naming the first bad point or pair."""
 
 import hashlib
 import json
@@ -93,6 +93,14 @@ def _accepts(space, point) -> bool:
     return True
 
 
+def _rejection(space, points) -> str | None:
+    try:
+        sp.check_points(space, points)
+    except gk.InvalidPointError as exc:
+        return str(exc)
+    return None
+
+
 def _ulps(x: float, count: int) -> list[float]:
     """x and the ``count`` doubles on either side of it."""
     below, above, out = x, x, [x]
@@ -105,10 +113,15 @@ def _ulps(x: float, count: int) -> list[float]:
 def _assert_same_verdicts(space, candidates):
     verdicts = [_accepts(space, p) for p in candidates]
     assert True in verdicts and False in verdicts  # the boundary is crossed
-    for point, verdict in zip(candidates, verdicts):
-        assert (space._check_set([point]) is not None) == verdict
-    # a set of the accepted ones is checked as one stack
     good = [p for p, v in zip(candidates, verdicts) if v]
+    # a point alone and first or last among valid points: the same verdict,
+    # and a rejected one is named
+    for point, verdict in zip(candidates, verdicts):
+        for index, points in ((0, [point, *good]), (len(good), [*good, point])):
+            rejection = _rejection(space, points)
+            assert (rejection is None) == verdict
+            assert verdict or rejection.startswith(f"point {index} of {space!r}: ")
+    # a set of the accepted ones is checked as one stack
     assert isinstance(sp.check_points(space, good), np.ndarray)
 
 
