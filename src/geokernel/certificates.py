@@ -222,24 +222,29 @@ def _certify_threshold(value, n: int, digits: int, what: str) -> None:
         )
 
 
-def build_certificate(space: sp.Space, lam, points, precision_digits: int | None = None) -> WitnessCertificate:
+def build_certificate(
+    space: sp.Space, lam, points, precision_digits: int | None = None, spectrum=None
+) -> WitnessCertificate:
     """Certify that the Gram of (space, lambda, points) is not PSD.
 
     The spectrum comes from :func:`psd_decision` (exact circulant for
     equispaced circle points at any precision, dense at double
-    otherwise); the witness is the minimum eigenvalue's unit
-    eigenvector.  Refuses unless both the minimum eigenvalue and the
-    recomputed quadratic form clear the certification threshold and
-    agree with each other.
+    otherwise), unless the caller passes the one it has already computed
+    for this Gram as ``spectrum``, whose precision then holds; the
+    witness is the minimum eigenvalue's unit eigenvector.  Refuses unless
+    both the minimum eigenvalue and the quadratic form, recomputed from
+    the raw points, clear the certification threshold and agree with
+    each other, so a passed spectrum cannot certify a Gram that is PSD.
     """
     points = list(points)
     if len(points) < 2:
         raise CertificateError("need at least two points")
-    _, report = psd_decision(space, points, lam, precision_digits)
-    n, digits = len(points), report.precision_digits
-    w_min = report.min_eigenvalue
+    if spectrum is None:
+        _, spectrum = psd_decision(space, points, lam, precision_digits)
+    n, digits = len(points), spectrum.precision_digits
+    w_min = spectrum.min_eigenvalue
     _certify_threshold(w_min, n, digits, "minimum eigenvalue")
-    coeffs = min_eigenvector(report)
+    coeffs = min_eigenvector(spectrum)
     quad = quadratic_form(space, lam, points, coeffs, digits)
     _certify_threshold(quad, n, digits, "quadratic form")
     if abs(quad - w_min) > 1e-8 * n * max(1.0, abs(float(w_min))):

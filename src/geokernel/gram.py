@@ -75,16 +75,29 @@ class GramMatrix:
         return self.entries[key]
 
 
-def gram(space: sp.Space, points, param: KernelParam) -> GramMatrix:
-    """Gram matrix entries[i][j] = exp(-lambda d(p_i, p_j)^2)."""
-    points = list(points)
-    n = len(points)
-    if n < 1:
+def gram_stack(space: sp.Space, points, param: KernelParam, sets: int = 1) -> np.ndarray:
+    """The entries of the Grams of ``sets`` point sets of one size P,
+    listed one after another in ``points``, as a (sets, P, P) stack.  The
+    points are checked as one set and paired only within their own set
+    (:func:`~geokernel.spaces.upper_distances`); a pair's value does not
+    depend on the others, so each Gram is its set's :func:`gram` bit for
+    bit."""
+    size, rest = divmod(len(points), sets)
+    if size < 1:
         raise GramError("need at least one point")
-    rows, cols, d = sp.upper_distances(space, points)
-    k = np.ones((n, n))
-    k[rows, cols] = k[cols, rows] = kernel_values(param, d)
-    return GramMatrix(entries=k, points=tuple(points))
+    if rest:
+        raise GramError(f"{len(points)} points do not split into {sets} sets of one size")
+    rows, cols, d = sp.upper_distances(space, points, sets)
+    k = np.ones((sets, size, size))
+    k[:, rows, cols] = k[:, cols, rows] = kernel_values(param, d)
+    return k
+
+
+def gram(space: sp.Space, points, param: KernelParam) -> GramMatrix:
+    """Gram matrix entries[i][j] = exp(-lambda d(p_i, p_j)^2): the one-set
+    case of :func:`gram_stack`."""
+    points = list(points)
+    return GramMatrix(entries=gram_stack(space, points, param)[0], points=tuple(points))
 
 
 def _entries_of(k) -> np.ndarray:

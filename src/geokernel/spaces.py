@@ -66,7 +66,8 @@ def _require(cond: bool, message: str, error: type = InvalidSpaceError) -> None:
 def _angles(values) -> np.ndarray:
     """Angle payloads, one number each, as one float array; else
     InvalidPointError for the first fault in this order: a payload that is
-    not a real number, one that is not finite, one outside [0, 2*pi)."""
+    not a real number, one that is not finite (or past the double range),
+    one outside [0, 2*pi)."""
     try:
         a = np.asarray(values)
     except ValueError:  # ragged
@@ -80,6 +81,8 @@ def _angles(values) -> np.ndarray:
             negative = any(values[k] < 0 for k in np.flatnonzero(a == 0.0).tolist())
         except (TypeError, ValueError):
             raise InvalidPointError("angle payload is not a real number") from None
+        except OverflowError:
+            raise InvalidPointError("angle is not finite") from None
     a = np.asarray(a, dtype=float)
     _require(np.isfinite(a).all(), "angle is not finite", InvalidPointError)
     _require(not negative and ((0.0 <= a) & (a < TWO_PI)).all(), "angle outside [0, 2*pi)",
@@ -89,8 +92,8 @@ def _angles(values) -> np.ndarray:
 
 def _floats(points, shape: tuple, noun: str) -> np.ndarray:
     """The payloads as one float array of shape (P, *shape) with finite
-    entries; else InvalidPointError, or numpy's own error, for the first
-    point at fault."""
+    entries; else InvalidPointError for the first point at fault, with
+    numpy's own text where numpy cannot read it as floats."""
     if not len(points):
         return np.empty((0, *shape))
     try:
@@ -99,7 +102,10 @@ def _floats(points, shape: tuple, noun: str) -> np.ndarray:
         a = None
     if a is None or a.shape != (len(points), *shape):
         for point in points:  # read alone, the first point at fault raises
-            got = np.asarray(point, dtype=float).shape
+            try:
+                got = np.asarray(point, dtype=float).shape
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise InvalidPointError(str(exc)) from None
             if got != shape:
                 size = f"{noun} of length {shape[0]}" if len(shape) == 1 else \
                     f"{shape[0]}x{shape[1]} {noun}"
@@ -119,6 +125,7 @@ _atan2 = np.frompyfunc(math.atan2, 2, 1)
 _hypot = np.frompyfunc(math.hypot, 2, 1)
 _cos = np.frompyfunc(math.cos, 1, 1)
 _sin = np.frompyfunc(math.sin, 1, 1)
+_log = np.frompyfunc(math.log, 1, 1)
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -179,13 +186,14 @@ def principal_angles(a, b) -> np.ndarray:
     return _atan2(sines[..., ::-1], cosines).astype(float)
 
 
-def chol_logdets(lowers) -> list[float]:
-    """log det(L L^T) for each Cholesky factor L of a stack."""
-    diagonals = np.diagonal(lowers, axis1=-2, axis2=-1).tolist()
-    return [2.0 * math.fsum(map(math.log, row)) for row in diagonals]
+def chol_logdets(lowers) -> np.ndarray:
+    """log det(L L^T) for each Cholesky factor L of a stack: twice the
+    compensated sum of the logs of L's diagonal."""
+    logs = _log(np.diagonal(lowers, axis1=-2, axis2=-1)).tolist()
+    return 2.0 * np.array([math.fsum(row) for row in logs], dtype=float)
 
 
-def stein_divergences(matrices, lowers, pairs) -> list[float]:
+def stein_divergences(matrices, lowers, pairs) -> np.ndarray:
     """S(A_i, A_j) = logdet((A_i + A_j)/2) - (logdet A_i + logdet A_j)/2
     for each (i, j) in pairs, given every matrix's Cholesky factor.
 
@@ -200,10 +208,8 @@ def stein_divergences(matrices, lowers, pairs) -> list[float]:
         middles = chol_logdets(np.linalg.cholesky((stack[i] + stack[j]) / 2.0))
     except np.linalg.LinAlgError:
         raise InvalidPointError("stein midpoint is not positive definite") from None
-    return [
-        max(0.0, middle - 0.5 * (logdets[p] + logdets[q]))
-        for middle, p, q in zip(middles, i.tolist(), j.tolist())
-    ]
+    s = middles - 0.5 * (logdets[i] + logdets[j])
+    return np.where(s > 0.0, s, 0.0)  # max(0.0, s), which maps nan to 0 too
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +404,7 @@ class Grassmannian(Space):
 @dataclass(frozen=True)
 class SpdMatrices(Space):
     """Symmetric positive definite n x n matrices under a chosen metric.
-    A checked point carries its Cholesky factor."""
+    A checked point is the matrix stacked on its Cholesky factor."""
 
     n: int
     metric: str = "frobenius"
@@ -411,25 +417,26 @@ class SpdMatrices(Space):
         _require((np.abs(m - m.swapaxes(1, 2)).max(axis=(1, 2)) <= SYMMETRY_TOL * scale).all(),
                  "not symmetric", InvalidPointError)
         try:
-            return list(zip(m, np.linalg.cholesky(m)))
+            return np.stack((m, np.linalg.cholesky(m)), axis=1)
         except np.linalg.LinAlgError:
             raise InvalidPointError("not positive definite") from None
 
     def _forms(self, checked):  # the matrix logs; stein reads the Cholesky factors too
         if self.metric == "stein":
             return checked
-        ms = [m for m, _ in checked]
+        ms = checked[:, 0]
         return [matrix_log(m) for m in ms] if self.metric == "log_euclidean" else ms
 
     def _distances(self, forms, pairs):
         if self.metric != "stein":
             return super()._distances(forms, pairs)
-        return [math.sqrt(s) for s in stein_divergences(*zip(*forms), pairs)]
+        return np.sqrt(stein_divergences(forms[:, 0], forms[:, 1], pairs))
 
     def _sample(self, rng, count):
-        gs = (rng.standard_normal((self.n, self.n)) for _ in range(count))
-        ms = (g @ g.T + SPD_SAMPLE_RIDGE * np.eye(self.n) for g in gs)
-        return [(m + m.T) / 2.0 for m in ms]
+        # one draw for the stack: the stream a draw per matrix would read
+        g = rng.standard_normal((count, self.n, self.n))
+        m = g @ g.swapaxes(1, 2) + SPD_SAMPLE_RIDGE * np.eye(self.n)
+        return list((m + m.swapaxes(1, 2)) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -481,9 +488,9 @@ VARIANTS = {cls.variant: cls for cls in (
 
 def require_valid(space: Space, point):
     """The payload in the form the distance formulas read (a float angle,
-    an angle pair, an array, or an SPD matrix with its Cholesky factor):
-    the space's check of the one-point set; InvalidPointError naming the
-    violated invariant otherwise."""
+    an angle pair, an array, or an SPD matrix stacked on its Cholesky
+    factor): the space's check of the one-point set; InvalidPointError
+    naming the violated invariant otherwise."""
     try:
         return space._check([point])[0]
     except InvalidPointError as exc:
@@ -532,11 +539,17 @@ def pair_distances(space: Space, points, pairs) -> list[float]:
     return _pair_array(space, points, pairs).tolist()
 
 
-def upper_distances(space: Space, points) -> tuple:
-    """(rows, cols, d): the pairs i < j of ``points``, row by row, and the
-    array of their distances."""
-    rows, cols = np.triu_indices(len(points), 1)
-    return rows, cols, _pair_array(space, points, np.column_stack((rows, cols)))
+def upper_distances(space: Space, points, sets: int = 1) -> tuple:
+    """(rows, cols, d): the pairs i < j of one set, row by row, and their
+    distances, one row of d per set.  ``points`` holds ``sets`` sets of
+    one size, one after another; they are checked as one set, and each
+    set pairs only its own points, the same (rows, cols) offset by the
+    set's start."""
+    size = len(points) // sets
+    rows, cols = np.triu_indices(size, 1)
+    start = size * np.arange(sets)[:, None]
+    pairs = np.stack((rows + start, cols + start), axis=-1).reshape(-1, 2)
+    return rows, cols, _pair_array(space, points, pairs).reshape(sets, len(rows))
 
 
 def distance_matrix(space: Space, points) -> np.ndarray:
@@ -545,7 +558,7 @@ def distance_matrix(space: Space, points) -> np.ndarray:
     points = list(points)
     rows, cols, values = upper_distances(space, points)
     d = np.zeros((len(points), len(points)))
-    d[rows, cols] = d[cols, rows] = values
+    d[rows, cols] = d[cols, rows] = values[0]
     return d
 
 

@@ -60,43 +60,62 @@ class PdVerdict:
     tolerance: float
 
 
+def _largest(m: np.ndarray) -> np.ndarray:
+    """The largest entry of each matrix of a stack (0 for an empty one)."""
+    return np.max(m, axis=(-2, -1), initial=0.0)
+
+
 def _check_symmetric(m: np.ndarray) -> None:
-    scale = np.max(np.abs(m)) if m.size else 0.0
-    if m.shape[0] != m.shape[1]:
-        raise AsymmetricInputError(f"matrix is {m.shape[0]}x{m.shape[1]}, not square")
-    if np.max(np.abs(m - m.T), initial=0.0) > 1e-12 * max(scale, 1e-300):
+    """Each matrix of a stack, or the one matrix, must be square and
+    symmetric to 1e-12 relative."""
+    if m.shape[-2] != m.shape[-1]:
+        raise AsymmetricInputError(f"matrix is {m.shape[-2]}x{m.shape[-1]}, not square")
+    scale = np.maximum(_largest(np.abs(m)), 1e-300)
+    if (_largest(np.abs(m - m.swapaxes(-2, -1))) > 1e-12 * scale).any():
         raise AsymmetricInputError("asymmetric input beyond 1e-12 relative")
 
 
 def jacobi_eigensystem(matrix) -> tuple[np.ndarray, np.ndarray]:
     """(eigenvalues ascending, eigenvector columns) of a symmetric matrix,
-    from LAPACK's symmetric eigensolver (``numpy.linalg.eigh``)."""
+    or of each of a stack, from LAPACK's symmetric eigensolver
+    (``numpy.linalg.eigh``)."""
     a = np.array(matrix, dtype=float)
     _check_symmetric(a)
     return np.linalg.eigh(a)
 
 
-def jacobi_eigenvalues(matrix) -> SpectrumReport:
-    """Dense double-precision spectrum of a symmetric matrix.
+def jacobi_spectra(matrices) -> list[SpectrumReport]:
+    """Dense double-precision spectra of a stack of symmetric matrices,
+    from one stacked eigensolve; each is the one :func:`jacobi_eigenvalues`
+    gives for its matrix alone, bit for bit.
 
     The method label stays "jacobi": it names the dense route in stored
-    certificates and CLI output.  The eigenvalues must sum to the trace,
-    which also rejects a spectrum with non-finite entries.
+    certificates and CLI output.  Each matrix's eigenvalues must sum to
+    its trace, which also rejects a spectrum with non-finite entries.
     """
-    a = np.array(matrix, dtype=float)
+    a = np.array(matrices, dtype=float)
     values, vectors = jacobi_eigensystem(a)
-    scale = max(1.0, float(np.max(np.abs(a), initial=0.0)))
-    n = a.shape[0]
-    drift = abs(float(np.trace(a)) - float(np.sum(values)))
-    if not drift <= 1e-10 * n * scale:
-        raise ConvergenceError("trace not conserved by the eigensolver", drift)
-    return SpectrumReport(
-        eigenvalues=tuple(float(x) for x in values),
-        min_eigenvalue=float(values[0]),
-        method="jacobi",
-        precision_digits=DOUBLE_DIGITS,
-        eigenvectors=vectors,
-    )
+    scale = np.maximum(1.0, _largest(np.abs(a)))
+    drift = np.abs(np.trace(a, axis1=-2, axis2=-1) - np.sum(values, axis=-1))
+    bad = np.flatnonzero(~(drift <= 1e-10 * a.shape[-1] * scale))
+    if bad.size:
+        raise ConvergenceError("trace not conserved by the eigensolver", float(drift[bad[0]]))
+    return [
+        SpectrumReport(
+            eigenvalues=tuple(w),
+            min_eigenvalue=w[0],
+            method="jacobi",
+            precision_digits=DOUBLE_DIGITS,
+            eigenvectors=v,
+        )
+        for w, v in zip(values.tolist(), vectors)
+    ]
+
+
+def jacobi_eigenvalues(matrix) -> SpectrumReport:
+    """Dense double-precision spectrum of a symmetric matrix: the
+    one-matrix case of :func:`jacobi_spectra`."""
+    return jacobi_spectra([matrix])[0]
 
 
 def circulant_eigenvalues(first_row, precision_digits: int | None = None) -> SpectrumReport:

@@ -11,15 +11,16 @@ families and certifies the first one it finds.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import spaces as sp
 from .certificates import WitnessCertificate, build_certificate, certification_threshold
-from .gram import KernelParam, gram
+from .gram import KernelParam, gram, gram_stack
 from .precision import DOUBLE_DIGITS
-from .spectral import jacobi_eigenvalues
+from .spectral import SpectrumReport, jacobi_eigenvalues, jacobi_spectra
 
 PROBE_STRATEGIES = ("wishart", "diagonal", "ill_conditioned")
 
@@ -36,8 +37,8 @@ def stein_divergence(a, b) -> float:
         raise SteinError(f"need two square matrices of equal size, got {a.shape} and {b.shape}")
     space = sp.SpdMatrices(a.shape[0], metric="stein")
     try:
-        matrices, lowers = zip(*sp.check_points(space, (a, b)))
-        return sp.stein_divergences(matrices, lowers, ((0, 1),))[0]
+        checked = sp.check_points(space, (a, b))
+        return float(sp.stein_divergences(checked[:, 0], checked[:, 1], ((0, 1),))[0])
     except sp.InvalidPointError as exc:
         raise SteinError(str(exc)) from None
 
@@ -73,20 +74,41 @@ class SteinProbeReport:
     witness_strategy: str | None = None
 
 
-def _strategy_points(strategy: str, rng: np.random.Generator, n: int, count: int) -> list:
+def _strategy_points(strategy: str, rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """One trial's points, a (count, n, n) stack, drawn as a draw per point
+    would draw them: one draw for the stack where each point reads one
+    kind of number, interleaved draws per point where it reads two."""
     if strategy == "wishart":
-        return sp.sample_points(sp.SpdMatrices(n), rng, count)
+        return np.asarray(sp.sample_points(sp.SpdMatrices(n), rng, count))
     if strategy == "diagonal":
-        return [np.diag(10.0 ** rng.uniform(-3.0, 3.0, n)) for _ in range(count)]
+        m = np.zeros((count, n, n))
+        m[:, range(n), range(n)] = 10.0 ** rng.uniform(-3.0, 3.0, (count, n))
+        return m
     if strategy == "ill_conditioned":
-        points = []
-        for _ in range(count):
-            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-            eigs = 10.0 ** rng.uniform(-3.5, 3.5, n)
-            m = (q * eigs) @ q.T
-            points.append((m + m.T) / 2.0)
-        return points
+        draws = [(rng.standard_normal((n, n)), rng.uniform(-3.5, 3.5, n)) for _ in range(count)]
+        q, _ = np.linalg.qr(np.array([g for g, _ in draws]))
+        eigs = 10.0 ** np.array([e for _, e in draws])
+        m = (q * eigs[:, None, :]) @ q.swapaxes(1, 2)
+        return (m + m.swapaxes(1, 2)) / 2.0
     raise SteinError(f"unknown strategy {strategy!r}")
+
+
+# chunks double from one strategy cycle, so a hit leaves about as many
+# trials solved past it as were run before it at most; this ceiling on a
+# chunk's trials bounds its memory
+CHUNK_CEILING = 96
+
+
+def _spectra(space: sp.Space, param: KernelParam, sets: list) -> Iterable[SpectrumReport]:
+    """The spectrum of each trial's Gram, in trial order: all trials as one
+    stack (one point check, Gram fill and eigensolve), or, when any step of
+    that fails, one trial at a time and only as far as the caller reads,
+    so a trial at fault raises with its own error only once it is
+    reached."""
+    try:
+        return jacobi_spectra(gram_stack(space, np.concatenate(sets), param, len(sets)))
+    except (ValueError, ArithmeticError, RuntimeError):
+        return (jacobi_eigenvalues(gram(space, points, param).entries) for points in sets)
 
 
 def probe(
@@ -100,8 +122,15 @@ def probe(
 
     Trials cycle through Wishart-style, diagonal, and ill-conditioned
     point families from one seeded stream, so the first hit is
-    deterministic by trial index.  No witness within the budget is
-    reported as exactly that, never as a PSD verdict.
+    deterministic by trial index.  Trials are drawn and solved in chunks
+    that double from one strategy cycle up to ``CHUNK_CEILING`` trials:
+    each chunk's Grams are built and solved as one stack (see
+    :func:`_spectra`) and scanned in trial order.  The first trial whose
+    minimum eigenvalue is below the certification threshold is certified
+    from the spectrum already computed for it; ``min_eig_seen`` covers
+    the trials up to and including it, never the rest of its chunk.
+    No witness within the budget is reported as exactly that, never as
+    a PSD verdict.
     """
     if trials < 1:
         raise SteinError("trials must be >= 1")
@@ -112,20 +141,23 @@ def probe(
     rng = np.random.default_rng(seed)
     threshold = certification_threshold(points_per_trial, DOUBLE_DIGITS)
     min_seen = math.inf
-    for trial in range(trials):
-        strategy = PROBE_STRATEGIES[trial % len(PROBE_STRATEGIES)]
-        points = _strategy_points(strategy, rng, n, points_per_trial)
-        k = gram(space, points, param)
-        report = jacobi_eigenvalues(k.entries)
-        min_seen = min(min_seen, report.min_eigenvalue)
-        if report.min_eigenvalue < threshold:
-            cert = build_certificate(space, float(lam), points, DOUBLE_DIGITS)
-            return SteinProbeReport(
-                trials_run=trial + 1,
-                min_eig_seen=float(min_seen),
-                witness=cert,
-                witness_strategy=strategy,
-            )
+    start, size = 0, len(PROBE_STRATEGIES)
+    while start < trials:
+        chunk = range(start, min(start + size, trials))
+        strategies = [PROBE_STRATEGIES[trial % len(PROBE_STRATEGIES)] for trial in chunk]
+        sets = [_strategy_points(s, rng, n, points_per_trial) for s in strategies]
+        spectra = _spectra(space, param, sets)
+        for trial, strategy, points, report in zip(chunk, strategies, sets, spectra):
+            min_seen = min(min_seen, report.min_eigenvalue)
+            if report.min_eigenvalue < threshold:
+                cert = build_certificate(space, float(lam), points, DOUBLE_DIGITS, spectrum=report)
+                return SteinProbeReport(
+                    trials_run=trial + 1,
+                    min_eig_seen=float(min_seen),
+                    witness=cert,
+                    witness_strategy=strategy,
+                )
+        start, size = chunk.stop, min(2 * size, CHUNK_CEILING)
     return SteinProbeReport(
         trials_run=trials,
         min_eig_seen=float(min_seen),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import geokernel as gk
-from geokernel.gram import GramError
+from geokernel.gram import GramError, gram_stack
 from geokernel.spaces import sample_points
 
 
@@ -167,3 +167,23 @@ def test_rayleigh_never_beats_min_eigenvalue(n, lam):
         c = rng.standard_normal(n + 2)
         quad = float(c @ np.asarray(k.entries) @ c) / float(c @ c)
         assert quad >= floor - 1e-10
+
+
+@pytest.mark.parametrize("text", ["spd:3:stein", "grassmann:2,4"])
+def test_multi_set_gram_is_each_sets_gram(text):
+    # sets checked as one, paired only within each set, give each set's
+    # own Gram bit for bit
+    space, param = gk.parse_space(text), gk.KernelParam(0.75)
+    sets = [sample_points(space, seed, 7) for seed in range(5)]
+    stack = gram_stack(space, [p for points in sets for p in points], param, len(sets))
+    assert stack.shape == (5, 7, 7)
+    for k, points in zip(stack, sets):
+        assert np.array_equal(k, gk.gram(space, points, param).entries)
+
+
+def test_multi_set_gram_needs_sets_of_one_size():
+    points = sample_points(gk.Sphere(2), 0, 7)
+    with pytest.raises(GramError, match="do not split"):
+        gram_stack(gk.Sphere(2), points, gk.KernelParam(1.0), 2)
+    with pytest.raises(GramError, match="at least one point"):
+        gram_stack(gk.Sphere(2), [], gk.KernelParam(1.0), 1)

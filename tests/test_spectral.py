@@ -15,6 +15,7 @@ from geokernel.spectral import (
     AsymmetricInputError,
     ConvergenceError,
     SpectrumReport,
+    jacobi_spectra,
 )
 
 
@@ -81,6 +82,24 @@ def test_diagonal_input_is_exact():
 def test_jacobi_rejects_asymmetric():
     with pytest.raises(AsymmetricInputError):
         gk.jacobi_eigenvalues(np.array([[1.0, 2.0], [0.5, 1.0]]))
+
+
+def test_stacked_spectra_are_each_matrix_alone():
+    rng = np.random.default_rng(20)
+    stack = [_random_symmetric(rng, 10, scale) for scale in (1e-3, 1.0, 1e3, 1.0)]
+    for alone, report in zip(map(gk.jacobi_eigenvalues, stack), jacobi_spectra(stack)):
+        assert report.eigenvalues == alone.eigenvalues
+        assert report.min_eigenvalue == alone.min_eigenvalue == alone.eigenvalues[0]
+        assert np.array_equal(report.eigenvectors, alone.eigenvectors)
+
+
+def test_stacked_spectra_check_every_matrix():
+    rng = np.random.default_rng(21)
+    good = _random_symmetric(rng, 4)
+    with pytest.raises(AsymmetricInputError):
+        jacobi_spectra([good, np.triu(good)])
+    with pytest.raises(ConvergenceError):
+        jacobi_spectra([good, np.diag([1.0, np.nan, 2.0, 3.0])])
 
 
 def test_convergence_error_carries_residual():

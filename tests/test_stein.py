@@ -121,13 +121,15 @@ def test_probe_hit_coefficients_are_an_eigenvector():
 
 
 def test_probe_hit_solves_each_gram_once(monkeypatch):
-    # one eigensolve per trial, plus one for the hit's certificate
-    calls = []
+    # every trial drawn is solved once, in its chunk's stacked eigensolve,
+    # and the hit is certified from its trial's spectrum, not solved again
+    solved = []
     eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: solved.extend(np.reshape(a, (-1, 10, 10))) or eigh(a))
     report = gk.probe(3, 0.01, 80, 10, seed=7)
     assert report.trials_run == 63
-    assert len(calls) == 64
+    assert len(solved) == 80  # chunks of 3, 6, 12 and 24 trials, then the 35 left
+    assert len({m.tobytes() for m in solved}) == len(solved)
 
 
 @pytest.mark.parametrize("lam", [0.01, 0.25, 0.5, 0.75, 1.0])
@@ -197,3 +199,70 @@ def test_stacked_stein_gram_equals_the_per_pair_loop(count):
         k = gk.gram(space, points, gk.KernelParam(0.75))
         assert np.array_equal(k.entries, _reference_stein_gram(points, 0.75)), strategy
     assert gk.probe(3, 0.01, 80, 10, seed=7).trials_run == 63
+
+
+def _per_point_draws(strategy, rng, n, count):
+    # the probe's draws as it once made them, one call per point
+    points = []
+    for _ in range(count):
+        if strategy == "wishart":
+            g = rng.standard_normal((n, n))
+            m = g @ g.T + 1e-6 * np.eye(n)
+        elif strategy == "diagonal":
+            points.append(np.diag(10.0 ** rng.uniform(-3.0, 3.0, n)))
+            continue
+        else:
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            m = (q * 10.0 ** rng.uniform(-3.5, 3.5, n)) @ q.T
+        points.append((m + m.T) / 2.0)
+    return points
+
+
+@pytest.mark.parametrize("strategy", PROBE_STRATEGIES)
+def test_stacked_draws_are_the_per_point_stream(strategy):
+    from geokernel.stein import _strategy_points
+
+    for n in (3, 4):
+        for count in (1, 10):
+            for seed in range(3):
+                stacked, per_point = np.random.default_rng(seed), np.random.default_rng(seed)
+                points = _strategy_points(strategy, stacked, n, count)
+                assert points.shape == (count, n, n)
+                assert np.array_equal(points, _per_point_draws(strategy, per_point, n, count))
+                # both leave the stream at the same place
+                assert stacked.standard_normal() == per_point.standard_normal()
+
+
+def _bad_point_at(monkeypatch, k):
+    # trial k's fifth point becomes -I, which is not positive definite
+    import geokernel.stein as stein
+
+    draw, drawn = stein._strategy_points, []
+
+    def patched(strategy, rng, n, count):
+        points = draw(strategy, rng, n, count)
+        if len(drawn) == k:
+            points[4] = -np.eye(n)
+        drawn.append(strategy)
+        return points
+
+    monkeypatch.setattr(stein, "_strategy_points", patched)
+
+
+@pytest.mark.parametrize("k", [0, 10, 50, 62])
+def test_probe_raises_at_a_bad_trial_it_reaches(monkeypatch, k):
+    # the seed-7 hit is trial 62 of the chunk holding trials 45-79; a bad
+    # point in any trial up to it raises as a one-trial Gram would
+    _bad_point_at(monkeypatch, k)
+    with pytest.raises(gk.InvalidPointError) as caught:
+        gk.probe(3, 0.01, 80, 10, seed=7)
+    assert str(caught.value) == "point 4 of SpdMatrices(n=3, metric='stein'): spd: not positive definite"
+
+
+@pytest.mark.parametrize("k", [63, 79])
+def test_probe_ignores_a_bad_trial_past_the_hit(monkeypatch, k):
+    clean = gk.probe(3, 0.01, 80, 10, seed=7)
+    _bad_point_at(monkeypatch, k)
+    report = gk.probe(3, 0.01, 80, 10, seed=7)
+    assert (report.trials_run, report.min_eig_seen) == (clean.trials_run, clean.min_eig_seen)
+    assert gk.cert_to_json(report.witness) == gk.cert_to_json(clean.witness)
