@@ -43,7 +43,6 @@ from .spectral import (
     psd_tolerance,
 )
 from .partial_theta import (
-    PartialThetaQuery,
     PartialThetaResult,
     bound_rhs,
     lambda_of_mu,
@@ -72,8 +71,7 @@ from .certificates import (
     verify_certificate,
 )
 from .embeddings import (
-    EmbeddingMap,
-    embedding_for,
+    source_circle,
     transfer_witness,
     verify_isometry,
     witness_for_target,
@@ -97,16 +95,14 @@ __all__ = [
     "PdVerdict", "SpectrumReport", "circulant_eigenvalues",
     "jacobi_eigenvalues", "jacobi_eigensystem", "min_eigenvector",
     "pd_verdict", "psd_tolerance",
-    "PartialThetaQuery", "PartialThetaResult", "bound_rhs", "lambda_of_mu",
-    "leading_term", "mu_of_lambda", "partial_theta", "s0",
-    "tail_decomposition_check",
+    "PartialThetaResult", "bound_rhs", "lambda_of_mu", "leading_term",
+    "mu_of_lambda", "partial_theta", "s0", "tail_decomposition_check",
     "circle_witness", "find_witness_size", "lambda_crit", "lambda_profile",
     "w_half",
     "CertificateError", "VerificationResult", "WitnessCertificate",
     "build_certificate", "cert_from_json", "cert_to_json", "psd_decision",
     "quadratic_form", "verify_certificate",
-    "EmbeddingMap", "embedding_for", "transfer_witness", "verify_isometry",
-    "witness_for_target",
+    "source_circle", "transfer_witness", "verify_isometry", "witness_for_target",
     "LambdaPlusSet", "SteinProbeReport", "lambda_plus_set", "probe",
     "stein_divergence",
 ]

@@ -28,13 +28,8 @@ from .certificates import (
     verify_certificate,
 )
 from .circle import circle_witness, lambda_profile, w_half
-from .embeddings import embedding_for, verify_isometry, witness_for_target
-from .partial_theta import (
-    PartialThetaQuery,
-    bound_rhs,
-    leading_term,
-    partial_theta,
-)
+from .embeddings import verify_isometry, witness_for_target
+from .partial_theta import bound_rhs, leading_term, partial_theta
 from .precision import DOUBLE_DIGITS, check_digits, number_to_json, numeric, resolve_digits
 from .spectral import circulant_eigenvalues
 from .stein import lambda_plus_set, probe
@@ -240,7 +235,7 @@ def _cmd_lambda_profile(args) -> int:
 def _cmd_theta(args) -> int:
     digits = resolve_digits(args.precision)
     results = [
-        (mu, r, n, partial_theta(PartialThetaQuery(mu=mu, r=r, n=n, precision_digits=digits)))
+        (mu, r, n, partial_theta(mu, r, n, digits))
         for mu in map(str.strip, args.mu.split(","))
         for r in map(str.strip, args.r.split(","))
         for n in _int_list(args.n)
@@ -290,8 +285,7 @@ def _cmd_stein_scan(args) -> int:
 
 def _cmd_embed_verify(args) -> int:
     target = sp.parse_space(args.target)
-    emb = embedding_for(target)
-    deviation = verify_isometry(emb, pair_count=args.pairs, seed=args.seed)
+    deviation = verify_isometry(target, pair_count=args.pairs, seed=args.seed)
     _emit_csv(
         ["target", "pairs", "seed", "max_deviation"],
         [[args.target, args.pairs, args.seed, repr(deviation)]],

@@ -6,15 +6,15 @@ spheres contain great circles; projective spaces and Grassmannians
 contain a circle of half scale, since rotating a line by t moves the
 point by t/2.  Since an isometry preserves every pairwise distance, a
 Gram matrix built on the image equals the source Gram entrywise, and a
-non-PSD witness transfers with the very same coefficients.
+non-PSD witness transfers with the very same coefficients.  Every
+function here takes the target space itself; ``source_circle`` is the
+circle it holds, and a target that holds none raises EmbeddingError.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Callable
 
 import mpmath as mp
 import numpy as np
@@ -34,36 +34,28 @@ class EmbeddingError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class EmbeddingMap:
-    """An isometry from a (possibly rescaled) circle into a target;
-    ``apply`` maps a sequence of source angles to their image points."""
-
-    source: sp.Circle
-    target: sp.Space
-    apply: Callable = field(repr=False)
-
-
-def embedding_for(target: sp.Space) -> EmbeddingMap:
-    """The isometric circle that the target space carries: the circle of
-    its ``circle_scale``, mapped by its ``_circle_points``."""
+def source_circle(target: sp.Space) -> sp.Circle:
+    """The circle of the target's ``circle_scale``, which its
+    ``_circle_points`` maps isometrically into it."""
     if target.circle_scale is None:
         raise EmbeddingError(f"{target!r} contains no isometric circle")
-    return EmbeddingMap(sp.Circle(scale=target.circle_scale), target, target._circle_points)
+    return sp.Circle(scale=target.circle_scale)
 
 
-def verify_isometry(emb: EmbeddingMap, pair_count: int = 1000, seed: int = 0) -> float:
-    """Max |d_target(iota a, iota b) - d_source(a, b)| over seeded pairs."""
+def verify_isometry(target: sp.Space, pair_count: int = 1000, seed: int = 0) -> float:
+    """Max |d_target(iota a, iota b) - d_source(a, b)| over seeded pairs
+    of source angles, iota the target's ``_circle_points``."""
+    source = source_circle(target)
     rng = np.random.default_rng(seed)
     angles = rng.uniform(0.0, 2.0 * math.pi, (pair_count, 2)).ravel().tolist()
     pairs = np.arange(len(angles)).reshape(-1, 2)
-    d_src = sp.pair_distances(emb.source, angles, pairs)
-    d_tgt = sp.pair_distances(emb.target, emb.apply(angles), pairs)
+    d_src = sp.pair_distances(source, angles, pairs)
+    d_tgt = sp.pair_distances(target, target._circle_points(angles), pairs)
     return float(np.max(np.abs(np.subtract(d_tgt, d_src)), initial=0.0))
 
 
-def transfer_witness(cert: WitnessCertificate, emb: EmbeddingMap) -> WitnessCertificate:
-    """Carry a witness on the map's source circle to the embedding target.
+def transfer_witness(cert: WitnessCertificate, target: sp.Space) -> WitnessCertificate:
+    """Carry a witness on the target's source circle to the target.
 
     The images keep the source distances, so the same lambda and the
     same coefficients give the same quadratic form; it is recomputed in
@@ -75,17 +67,18 @@ def transfer_witness(cert: WitnessCertificate, emb: EmbeddingMap) -> WitnessCert
     a wide source certificate is re-anchored at 17 digits; the transfer
     refuses if the violation would drown in double-precision noise.
     """
-    if cert.space != emb.source:
-        raise CertificateError(f"certificate on {cert.space!r}, map source {emb.source!r}")
-    wide_target = emb.target.angles > 0
+    source = source_circle(target)
+    if cert.space != source:
+        raise CertificateError(f"certificate on {cert.space!r}, map source {source!r}")
+    wide_target = target.angles > 0
     digits = cert.precision_digits if wide_target else min(cert.precision_digits, DOUBLE_DIGITS)
     coerced = digits < cert.precision_digits
 
-    images = tuple(emb.apply(cert.points))
+    images = tuple(target._circle_points(cert.points))
     coeffs = tuple(float(c) for c in cert.coefficients) if coerced else cert.coefficients
     lam = float(cert.lam) if coerced else cert.lam
 
-    quad = quadratic_form(emb.target, lam, images, coeffs, digits)
+    quad = quadratic_form(target, lam, images, coeffs, digits)
     bar = certification_threshold(len(images), digits)
     if not quad < bar:
         raise CertificateError(
@@ -93,14 +86,14 @@ def transfer_witness(cert: WitnessCertificate, emb: EmbeddingMap) -> WitnessCert
             f"certification threshold {bar:.3e} at {digits} digits"
         )
     stored = cert.quad_form
-    allowed = _rounding_bound(coeffs, lam, emb.source.scale, digits)
+    allowed = _rounding_bound(coeffs, lam, source.scale, digits)
     if not abs(quad - stored) <= allowed:
         raise CertificateError(
             f"target Gram re-verification failed: {float(quad)!r} vs "
             f"stored {float(stored)!r}, allowed {float(allowed):.1e}"
         )
     return WitnessCertificate(
-        space=emb.target,
+        space=target,
         lam=lam,
         points=images,
         coefficients=coeffs,
@@ -135,10 +128,8 @@ def witness_for_target(
     precision_digits: int | None = None,
 ) -> WitnessCertificate | None:
     """Find a circle witness at the right scale and push it to the target."""
-    emb = embedding_for(target)
-    source_cert = circle_witness(
-        lam, n_max=n_max, precision_digits=precision_digits, scale=emb.source.scale
-    )
+    scale = source_circle(target).scale
+    source_cert = circle_witness(lam, n_max=n_max, precision_digits=precision_digits, scale=scale)
     if source_cert is None:
         return None
-    return transfer_witness(source_cert, emb)
+    return transfer_witness(source_cert, target)

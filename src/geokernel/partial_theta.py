@@ -36,39 +36,28 @@ def _require_quarter(n: int, error=PartialThetaError) -> None:
 
 
 @dataclass(frozen=True)
-class PartialThetaQuery:
-    mu: object
-    r: object
-    n: int
-    precision_digits: int = DEFAULT_DIGITS
-
-    def __post_init__(self):
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise PartialThetaError("N must be an integer >= 1")
-        check_digits(self.precision_digits)
-
-
-@dataclass(frozen=True)
 class PartialThetaResult:
     value: object
     terms_used: int
     truncation_bound: object
 
 
-def partial_theta(query: PartialThetaQuery) -> PartialThetaResult:
+def partial_theta(mu, r, n: int, precision_digits: int = DEFAULT_DIGITS) -> PartialThetaResult:
     """Alternating sum S_r(N), paired so the truncation bound is exact.
 
     Terms are added in pairs (k = 2m, 2m+1); summation stops when the
     next unpaired term drops below 10^-(digits+5), and that term is the
-    reported truncation bound.
+    reported truncation bound.  The arguments are checked in the order
+    N, digits, mu, r.
     """
-    digits = query.precision_digits
+    if not (isinstance(n, int) and n >= 1):
+        raise PartialThetaError("N must be an integer >= 1")
+    digits = check_digits(precision_digits)
     with working_dps(digits):
-        mu = require_positive(mp.mpf(query.mu), "mu", PartialThetaError)
-        r = mp.mpf(query.r)
+        mu = require_positive(mp.mpf(mu), "mu", PartialThetaError)
+        r = mp.mpf(r)
         if not r >= 0:
             raise PartialThetaError("r must be nonnegative")
-        n = query.n
         nn = mp.mpf(n) * n
         cutoff = mp.mpf(10) ** (-(digits + 5))
 
@@ -95,9 +84,7 @@ def partial_theta(query: PartialThetaQuery) -> PartialThetaResult:
 
 def s0(mu, n: int, precision_digits: int = DEFAULT_DIGITS):
     """Convenience: S_0(N) value only."""
-    return partial_theta(
-        PartialThetaQuery(mu=mu, r=0, n=n, precision_digits=precision_digits)
-    ).value
+    return partial_theta(mu, 0, n, precision_digits).value
 
 
 def tail_decomposition_check(mu, n: int, precision_digits: int = DEFAULT_DIGITS):
@@ -121,9 +108,7 @@ def tail_decomposition_check(mu, n: int, precision_digits: int = DEFAULT_DIGITS)
         )
         e4 = mp.exp(-mu / 4)
         tail_r = mu * (1 + mp.mpf(4) / n)
-        tail = partial_theta(
-            PartialThetaQuery(mu=mu, r=tail_r, n=n, precision_digits=digits)
-        ).value
+        tail = partial_theta(mu, tail_r, n, digits).value
         rhs = (
             star
             + e4

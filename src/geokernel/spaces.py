@@ -10,18 +10,20 @@ orthonormal matrix, an SPD matrix).  Distances follow the closed-form
 geodesic or matrix-metric formulas, with inner products clamped to
 [-1, 1] and an error raised only when the excess betrays genuinely
 non-unit input.  ``pair_distances`` validates and factors each point
-once and derives every pair from that; ``distance_matrix`` (all pairs)
-and ``distance`` (one pair) are its cases.
+once and derives every pair from that; ``distance`` (one pair) is its
+case, and ``upper_distances`` (every pair i < j, behind
+``distance_matrix`` and the Gram) takes the same path.
 
 A point set goes through one stacked numpy pass: the space's check reads
 every point as one array (wide angles through ``float``), and when any
 point fails it is re-run on one-point sets, which names the first invalid
-point; then each space evaluates all pairs at once.  Every value is the
-one the scalar formula gives, bit for bit: inner products and norms are
-row-wise BLAS dots (``_dots``), which round like ``np.dot`` and
-``np.linalg.norm`` of one pair, and the transcendental functions are
-those of :mod:`math`, applied elementwise, since numpy's SIMD versions
-may round differently.
+point; then each space's ``_distances(forms, i, j)`` evaluates all pairs
+at once from two index arrays, pair m joining points i[m] and j[m].
+Every value is the one the scalar formula gives, bit for bit: inner
+products and norms are row-wise BLAS dots (``_dots``), which round like
+``np.dot`` and ``np.linalg.norm`` of one pair, and the transcendental
+functions are those of :mod:`math`, applied elementwise, since numpy's
+SIMD versions may round differently.
 """
 
 from __future__ import annotations
@@ -66,8 +68,8 @@ def _require(cond: bool, message: str, error: type = InvalidSpaceError) -> None:
 def _angles(values) -> np.ndarray:
     """Angle payloads, one number each, as one float array; else
     InvalidPointError for the first fault in this order: a payload that is
-    not a real number, one that is not finite (or past the double range),
-    one outside [0, 2*pi)."""
+    not a real number (text included, though ``float`` reads it), one that
+    is not finite (or past the double range), one outside [0, 2*pi)."""
     try:
         a = np.asarray(values)
     except ValueError:  # ragged
@@ -76,6 +78,8 @@ def _angles(values) -> np.ndarray:
     if a is None or a.dtype.kind not in "biuf" or a.shape != (len(values),):
         # one float() each: wide numbers, and whatever numpy does not read as numbers
         try:
+            if any(isinstance(v, (str, bytes)) for v in values):
+                raise TypeError
             a = np.array([float(v) for v in values])
             # float() rounds a tiny negative wide angle to -0.0
             negative = any(values[k] < 0 for k in np.flatnonzero(a == 0.0).tolist())
@@ -142,11 +146,6 @@ def _norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(_dots(flat, flat))
 
 
-def _pair_index(pairs) -> np.ndarray:
-    """The (i, j) index arrays of a sequence or (M, 2) array of pairs."""
-    return np.asarray(pairs, dtype=int).reshape(-1, 2).T
-
-
 def circle_arc(theta_p, theta_q, scale: float = 1.0):
     """Shorter arc between two angles, or elementwise between two arrays
     of them, scaled."""
@@ -193,9 +192,10 @@ def chol_logdets(lowers) -> np.ndarray:
     return 2.0 * np.array([math.fsum(row) for row in logs], dtype=float)
 
 
-def stein_divergences(matrices, lowers, pairs) -> np.ndarray:
+def stein_divergences(matrices, lowers, i, j) -> np.ndarray:
     """S(A_i, A_j) = logdet((A_i + A_j)/2) - (logdet A_i + logdet A_j)/2
-    for each (i, j) in pairs, given every matrix's Cholesky factor.
+    for each pair of the index arrays i and j, given every matrix's
+    Cholesky factor.
 
     All midpoints are factored by one stacked Cholesky.  S is zero iff
     A_i = A_j and mathematically nonnegative (concavity of logdet), so
@@ -203,7 +203,6 @@ def stein_divergences(matrices, lowers, pairs) -> np.ndarray:
     """
     stack = np.asarray(matrices, dtype=float)
     logdets = chol_logdets(np.asarray(lowers))
-    i, j = _pair_index(pairs)
     try:
         middles = chol_logdets(np.linalg.cholesky((stack[i] + stack[j]) / 2.0))
     except np.linalg.LinAlgError:
@@ -226,8 +225,9 @@ class Space:
     stack and returns it in the form the distance formulas read, one
     entry per point, or raises InvalidPointError when any point fails; a
     point's verdict depends on that point alone.  ``_forms`` reduces the
-    checked payloads to what the metric reads; ``_distances`` evaluates
-    all pairs at once, by default the norm of the difference.
+    checked payloads to what the metric reads; ``_distances(forms, i, j)``
+    evaluates all pairs (i[m], j[m]) of two index arrays at once, by
+    default the norm of the difference.
 
     A space that contains an isometric copy of Circle{circle_scale}
     sets ``circle_scale`` and maps angles of that circle to their image
@@ -253,9 +253,8 @@ class Space:
     def _forms(self, checked):
         return checked
 
-    def _distances(self, forms, pairs):
+    def _distances(self, forms, i, j):
         stack = np.asarray(forms, dtype=float)
-        i, j = _pair_index(pairs)
         return _norms(stack[i] - stack[j])
 
 
@@ -268,8 +267,7 @@ class Circle(Space):
     angles = 1
     _check = staticmethod(_angles)
 
-    def _distances(self, forms, pairs):
-        i, j = _pair_index(pairs)
+    def _distances(self, forms, i, j):
         return circle_arc(forms[i], forms[j], self.scale)
 
     def _sample(self, rng, count):
@@ -284,7 +282,7 @@ class _UnitVectors(Space):
         _require((np.abs(_norms(v) - 1.0) <= UNIT_NORM_TOL).all(), "norm != 1", InvalidPointError)
         return v
 
-    def _distances(self, forms, pairs):
+    def _distances(self, forms, i, j):
         """Angle between unit vectors (between lines: q is first replaced
         by -q where <p, q> < 0): arccos of the inner product, evaluated
         as 2*atan2(|p-q|, |p+q|).
@@ -293,7 +291,6 @@ class _UnitVectors(Space):
         into ~1e-8 of angle; the half-angle form keeps equal inputs at
         exactly 0 and opposite inputs at exactly pi.
         """
-        i, j = _pair_index(pairs)
         p, q = forms[i], forms[j]
         dots, minus, plus = _dots(p, q), _norms(p - q), _norms(p + q)
         if self.lines:
@@ -388,11 +385,10 @@ class Grassmannian(Space):
     def _forms(self, checked):  # the projectors, for the projection metric
         return checked @ checked.swapaxes(1, 2) if self.metric == "projection" else checked
 
-    def _distances(self, forms, pairs):
+    def _distances(self, forms, i, j):
         if self.metric == "projection":
-            return super()._distances(forms, pairs)
+            return super()._distances(forms, i, j)
         # the geodesic: one stacked LAPACK call over all pairs
-        i, j = _pair_index(pairs)
         return [math.hypot(*row) for row in principal_angles(forms[i], forms[j]).tolist()]
 
     def _sample(self, rng, count):
@@ -427,10 +423,10 @@ class SpdMatrices(Space):
         ms = checked[:, 0]
         return [matrix_log(m) for m in ms] if self.metric == "log_euclidean" else ms
 
-    def _distances(self, forms, pairs):
+    def _distances(self, forms, i, j):
         if self.metric != "stein":
-            return super()._distances(forms, pairs)
-        return np.sqrt(stein_divergences(forms[:, 0], forms[:, 1], pairs))
+            return super()._distances(forms, i, j)
+        return np.sqrt(stein_divergences(forms[:, 0], forms[:, 1], i, j))
 
     def _sample(self, rng, count):
         # one draw for the stack: the stream a draw per matrix would read
@@ -472,8 +468,7 @@ class FlatTorus(Space):
         # all first angles, then all second ones: a pair's first fault is named
         return np.column_stack([_angles(column) for column in columns])
 
-    def _distances(self, forms, pairs):
-        i, j = _pair_index(pairs)
+    def _distances(self, forms, i, j):
         return _hypot(circle_arc(forms[i, 0], forms[j, 0]), circle_arc(forms[i, 1], forms[j, 1]))
 
     def _sample(self, rng, count):
@@ -521,12 +516,6 @@ def check_points(space: Space, points):
         raise
 
 
-def _pair_array(space: Space, points, pairs) -> np.ndarray:
-    """d(points[i], points[j]) for each (i, j) in pairs, as an array."""
-    forms = space._forms(check_points(space, points))
-    return np.asarray(space._distances(forms, pairs) if len(pairs) else [], dtype=float)
-
-
 def pair_distances(space: Space, points, pairs) -> list[float]:
     """d(points[i], points[j]) for each (i, j) in pairs, a sequence or an
     (M, 2) array.
@@ -536,7 +525,9 @@ def pair_distances(space: Space, points, pairs) -> list[float]:
     each is in; all pairs are then evaluated together, and a pair's value
     does not depend on the others.
     """
-    return _pair_array(space, points, pairs).tolist()
+    forms = space._forms(check_points(space, points))
+    i, j = np.asarray(pairs, dtype=int).reshape(-1, 2).T
+    return np.asarray(space._distances(forms, i, j) if len(i) else [], dtype=float).tolist()
 
 
 def upper_distances(space: Space, points, sets: int = 1) -> tuple:
@@ -548,8 +539,9 @@ def upper_distances(space: Space, points, sets: int = 1) -> tuple:
     size = len(points) // sets
     rows, cols = np.triu_indices(size, 1)
     start = size * np.arange(sets)[:, None]
-    pairs = np.stack((rows + start, cols + start), axis=-1).reshape(-1, 2)
-    return rows, cols, _pair_array(space, points, pairs).reshape(sets, len(rows))
+    forms = space._forms(check_points(space, points))
+    d = space._distances(forms, (rows + start).ravel(), (cols + start).ravel()) if len(rows) else []
+    return rows, cols, np.asarray(d, dtype=float).reshape(sets, len(rows))
 
 
 def distance_matrix(space: Space, points) -> np.ndarray:

@@ -38,7 +38,7 @@ def stein_divergence(a, b) -> float:
     space = sp.SpdMatrices(a.shape[0], metric="stein")
     try:
         checked = sp.check_points(space, (a, b))
-        return float(sp.stein_divergences(checked[:, 0], checked[:, 1], ((0, 1),))[0])
+        return float(sp.stein_divergences(checked[:, 0], checked[:, 1], [0], [1])[0])
     except sp.InvalidPointError as exc:
         raise SteinError(str(exc)) from None
 

@@ -2,13 +2,14 @@
 
 import dataclasses
 import math
+import re
 
 import pytest
 from mpmath import mp, mpf
 
 import geokernel as gk
 from geokernel.certificates import CertificateError
-from geokernel.embeddings import EmbeddingError, EmbeddingMap, _rounding_bound
+from geokernel.embeddings import EmbeddingError, _rounding_bound
 from geokernel.spaces import VARIANTS, require_valid
 
 TARGETS = [
@@ -22,9 +23,7 @@ TARGETS = [
 
 def test_isometry_across_catalog():
     for target in TARGETS:
-        emb = gk.embedding_for(target)
-        assert emb.target == target
-        assert gk.verify_isometry(emb, pair_count=400, seed=1) <= 1e-10
+        assert gk.verify_isometry(target, pair_count=400, seed=1) <= 1e-10
 
 
 # one or two instances of every descriptor in the variant table, with the
@@ -48,56 +47,65 @@ def test_every_space_carries_its_circle_or_refuses(variant):
         assert space.circle_scale == scale
         if scale is None:
             with pytest.raises(EmbeddingError):
-                gk.embedding_for(space)
+                gk.source_circle(space)
             continue
-        emb = gk.embedding_for(space)
-        assert emb.source == gk.Circle(scale=scale)
-        assert gk.verify_isometry(emb, pair_count=200, seed=2) <= 1e-10
+        assert gk.source_circle(space) == gk.Circle(scale=scale)
+        assert gk.verify_isometry(space, pair_count=200, seed=2) <= 1e-10
 
 
 def test_source_scales():
-    assert gk.embedding_for(gk.Sphere(3)).source == gk.Circle()
-    assert gk.embedding_for(gk.FlatTorus()).source == gk.Circle()
+    assert gk.source_circle(gk.Sphere(3)) == gk.Circle()
+    assert gk.source_circle(gk.FlatTorus()) == gk.Circle()
     # subspace-angle targets halve every arc, so the source is the
     # half-radius circle
-    assert gk.embedding_for(gk.ProjectiveSpace(4)).source == gk.Circle(scale=0.5)
-    assert gk.embedding_for(gk.Grassmannian(2, 5)).source == gk.Circle(scale=0.5)
+    assert gk.source_circle(gk.ProjectiveSpace(4)) == gk.Circle(scale=0.5)
+    assert gk.source_circle(gk.Grassmannian(2, 5)) == gk.Circle(scale=0.5)
 
 
 def test_half_angle_parametrization():
-    emb = gk.embedding_for(gk.ProjectiveSpace(2))
+    target = gk.ProjectiveSpace(2)
     for a, b in [(0.0, 0.3), (1.0, 4.0), (0.2, 6.0)]:
-        d_src = gk.distance(emb.source, a, b)
-        d_tgt = gk.distance(emb.target, *emb.apply([a, b]))
+        d_src = gk.distance(gk.source_circle(target), a, b)
+        d_tgt = gk.distance(target, *target._circle_points([a, b]))
         assert d_tgt == pytest.approx(d_src, abs=1e-13)
         assert d_tgt == pytest.approx(0.5 * gk.distance(gk.Circle(), a, b), abs=1e-13)
 
 
 def test_great_circle_images_are_unit_vectors():
-    emb = gk.embedding_for(gk.Sphere(4))
-    for img in emb.apply([0.0, 1.0, 3.5]):
+    for img in gk.Sphere(4)._circle_points([0.0, 1.0, 3.5]):
         assert len(img) == 5
         require_valid(gk.Sphere(4), img)
 
 
 def test_wrongly_scaled_map_fails_isometry_check():
-    # negative control: claim the full-radius source for a half-angle map
-    honest = gk.embedding_for(gk.ProjectiveSpace(2))
-    liar = EmbeddingMap(source=gk.Circle(), target=honest.target, apply=honest.apply)
-    assert gk.verify_isometry(liar, pair_count=50, seed=0) > 1e-2
+    # negative control: a projective space that claims the full-radius
+    # circle, on which angles pi apart map to one line
+    class Liar(gk.ProjectiveSpace):
+        circle_scale = 1.0
+
+    assert gk.verify_isometry(Liar(2), pair_count=50, seed=0) > 1e-2
 
 
 def test_embedding_for_rejects_projection_metric():
-    with pytest.raises(EmbeddingError):
-        gk.embedding_for(gk.Grassmannian(2, 4, metric="projection"))
-    with pytest.raises(EmbeddingError):
-        gk.embedding_for(gk.Euclidean(3))
+    # every entry point refuses a target that holds no isometric circle
+    cert = gk.circle_witness(0.1, n_max=16)
+    for text in ("grassmann:2,4:projection", "euclidean:3"):
+        target = gk.parse_space(text)
+        message = f"^{re.escape(repr(target))} contains no isometric circle$"
+        for call in (
+            lambda: gk.source_circle(target),
+            lambda: gk.verify_isometry(target),
+            lambda: gk.transfer_witness(cert, target),
+            lambda: gk.witness_for_target(target, 0.1),
+        ):
+            with pytest.raises(EmbeddingError, match=message):
+                call()
 
 
 def test_transfer_preserves_quadratic_form():
     for lam in (0.05, 0.1, 0.3):
         cert = gk.circle_witness(lam, n_max=64, precision_digits=17)
-        moved = gk.transfer_witness(cert, gk.embedding_for(gk.Sphere(3)))
+        moved = gk.transfer_witness(cert, gk.Sphere(3))
         assert moved.lam == cert.lam
         assert moved.coefficients == cert.coefficients
         assert abs(moved.quad_form - cert.quad_form) <= 1e-12 * abs(cert.quad_form)
@@ -109,18 +117,18 @@ def test_transfer_preserves_quadratic_form():
 def test_transfer_rejects_non_circle_certificates():
     moved = gk.witness_for_target(gk.Sphere(2), 0.1)
     with pytest.raises(CertificateError):
-        gk.transfer_witness(moved, gk.embedding_for(gk.Sphere(2)))
+        gk.transfer_witness(moved, gk.Sphere(2))
 
 
 def test_transfer_rejects_scale_mismatch():
     cert = gk.circle_witness(0.1, n_max=16)  # unit-circle certificate
     with pytest.raises(CertificateError):
-        gk.transfer_witness(cert, gk.embedding_for(gk.ProjectiveSpace(2)))
+        gk.transfer_witness(cert, gk.ProjectiveSpace(2))
 
 
 def test_transfer_coerces_wide_to_double_for_vector_targets():
     cert = gk.circle_witness(mpf("0.1"), n_max=16, precision_digits=30)
-    moved = gk.transfer_witness(cert, gk.embedding_for(gk.Sphere(2)))
+    moved = gk.transfer_witness(cert, gk.Sphere(2))
     assert moved.precision_digits == 17
     assert isinstance(moved.quad_form, float)
     assert gk.verify_certificate(moved).ok
@@ -128,23 +136,23 @@ def test_transfer_coerces_wide_to_double_for_vector_targets():
 
 def test_transfer_refuses_a_stored_value_past_the_rounding_bound():
     cert = gk.circle_witness(1, n_max=64, precision_digits=17)
-    emb = gk.embedding_for(gk.Sphere(2))
-    bound = _rounding_bound(cert.coefficients, cert.lam, emb.source.scale, 17)
+    target = gk.Sphere(2)
+    bound = _rounding_bound(cert.coefficients, cert.lam, gk.source_circle(target).scale, 17)
     # the two evaluations agree far inside the bound, which stays far
     # below the violation itself
-    moved = gk.transfer_witness(cert, emb)
+    moved = gk.transfer_witness(cert, target)
     assert abs(moved.quad_form - cert.quad_form) < bound < 1e-6 * abs(cert.quad_form)
     nudged = dataclasses.replace(cert, quad_form=cert.quad_form + bound / 2)
-    assert gk.transfer_witness(nudged, emb).quad_form == moved.quad_form
+    assert gk.transfer_witness(nudged, target).quad_form == moved.quad_form
     for shift in (10 * bound, -10 * bound):
         forged = dataclasses.replace(cert, quad_form=cert.quad_form + shift)
         with pytest.raises(CertificateError, match="re-verification failed"):
-            gk.transfer_witness(forged, emb)
+            gk.transfer_witness(forged, target)
 
 
 def test_flat_torus_transfer_keeps_wide_precision():
     cert = gk.circle_witness(mpf("0.1"), n_max=16, precision_digits=30)
-    moved = gk.transfer_witness(cert, gk.embedding_for(gk.FlatTorus()))
+    moved = gk.transfer_witness(cert, gk.FlatTorus())
     assert moved.precision_digits == 30
     assert all(p[1] == 0 for p in moved.points)
     with mp.workdps(40):

@@ -8,6 +8,7 @@ from mpmath import mp, mpf
 
 import geokernel as gk
 from geokernel.partial_theta import PartialThetaError
+from geokernel.precision import PrecisionError
 
 
 def _direct_sum(mu, r, n, dps, terms):
@@ -22,31 +23,40 @@ def _direct_sum(mu, r, n, dps, terms):
 
 
 def test_query_validation():
-    with pytest.raises(PartialThetaError):
-        gk.PartialThetaQuery(mu=1.0, r=0.0, n=0)
-    with pytest.raises(PartialThetaError):
-        gk.PartialThetaQuery(mu=1.0, r=0.0, n=2.5)
-    with pytest.raises(Exception):
-        gk.PartialThetaQuery(mu=1.0, r=0.0, n=4, precision_digits=1000)
+    with pytest.raises(PartialThetaError, match="^N must be an integer >= 1$"):
+        gk.partial_theta(1.0, 0.0, 0)
+    with pytest.raises(PartialThetaError, match="^N must be an integer >= 1$"):
+        gk.partial_theta(1.0, 0.0, 2.5)
+    with pytest.raises(PrecisionError, match="^precision_digits must be <= "):
+        gk.partial_theta(1.0, 0.0, 4, precision_digits=1000)
+    # N is checked first, then the digits, then mu, then r
+    with pytest.raises(PartialThetaError, match="^N must be an integer >= 1$"):
+        gk.partial_theta("inf", 0.0, 0)
+    with pytest.raises(PrecisionError, match="^precision_digits must be <= "):
+        gk.partial_theta("inf", 0.0, 4, precision_digits=1000)
+    with pytest.raises(PartialThetaError, match="^mu must be positive$"):
+        gk.partial_theta("inf", -1, 4)
+    with pytest.raises(PartialThetaError, match="^r must be nonnegative$"):
+        gk.partial_theta(1.0, -1, 4)
 
 
 def test_value_matches_direct_summation():
     for mu, r, n in [(1.0, 0.0, 4), (10.0, 1.0, 8), (40.0, 0.1, 128), (2.5, 100.0, 12)]:
-        res = gk.partial_theta(gk.PartialThetaQuery(mu=mu, r=r, n=n, precision_digits=30))
+        res = gk.partial_theta(mu, r, n, 30)
         ref = _direct_sum(mu, r, n, 60, 20 * res.terms_used + 50)
         assert abs(res.value - ref) <= mpf("1e-30")
 
 
 def test_truncation_bound_is_honest():
-    res = gk.partial_theta(gk.PartialThetaQuery(mu=3.0, r=0.0, n=16, precision_digits=30))
+    res = gk.partial_theta(3.0, 0.0, 16, 30)
     ref = _direct_sum(3.0, 0.0, 16, 60, 20 * res.terms_used + 50)
     assert abs(res.value - ref) <= res.truncation_bound
     assert res.truncation_bound < mpf("1e-35")  # cutoff is digits + 5
 
 
 def test_value_stable_across_precision():
-    lo = gk.partial_theta(gk.PartialThetaQuery(mu=3.0, r=0.5, n=12, precision_digits=30))
-    hi = gk.partial_theta(gk.PartialThetaQuery(mu=3.0, r=0.5, n=12, precision_digits=50))
+    lo = gk.partial_theta(3.0, 0.5, 12, 30)
+    hi = gk.partial_theta(3.0, 0.5, 12, 50)
     assert abs(lo.value - hi.value) <= mpf("1e-28")
 
 
@@ -56,14 +66,12 @@ def test_damped_sums_dominate_undamped():
         for n in (4, 64):
             base = gk.s0(mu, n, 30)
             for r in (0.1, 1.0, 10.0, 100.0):
-                res = gk.partial_theta(
-                    gk.PartialThetaQuery(mu=mu, r=r, n=n, precision_digits=30)
-                )
+                res = gk.partial_theta(mu, r, n, 30)
                 assert res.value >= base - mpf("1e-28")
 
 
 def test_s0_convenience_matches_query():
-    direct = gk.partial_theta(gk.PartialThetaQuery(mu=7.0, r=0.0, n=8, precision_digits=30))
+    direct = gk.partial_theta(7.0, 0.0, 8, 30)
     assert gk.s0(7.0, 8, 30) == direct.value
 
 
@@ -128,6 +136,6 @@ def test_non_finite_parameters_rejected_at_every_precision():
             with pytest.raises(PartialThetaError):
                 gk.leading_term(bad, 8, digits)
     with pytest.raises(PartialThetaError):
-        gk.partial_theta(gk.PartialThetaQuery(mu="inf", r=0, n=4))
+        gk.partial_theta("inf", 0, 4)
     with pytest.raises(PartialThetaError):
         gk.bound_rhs("inf", 8, 30)

@@ -24,9 +24,9 @@ def _sample_calls():
         "gram": ((gk.Sphere(2), gk.sample_points(gk.Sphere(2), 0, 5), gk.KernelParam(0.5)), {}),
         "jacobi_eigenvalues": ((np.eye(4),), {}),
         "circulant_eigenvalues": ((circulant_row(0.1, 8),), {}),
-        "partial_theta": ((gk.PartialThetaQuery(mu=10, r=0, n=8),), {}),
+        "partial_theta": ((10, 0, 8), {}),
         "quadratic_form": ((gk.Circle(), 0.1, gk.circle_equispaced(4), [0.5, -0.5, 0.5, -0.5], 17), {}),
-        "verify_isometry": ((gk.embedding_for(gk.Sphere(2)),), {"pair_count": 20, "seed": 0}),
+        "verify_isometry": ((gk.Sphere(2),), {"pair_count": 20, "seed": 0}),
         # the frozen seed-7 hit, so the counter reads a witness too
         "probe": ((3, 0.01, 80, 10, 7), {}),
     }

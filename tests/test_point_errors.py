@@ -21,6 +21,7 @@ MALFORMED = {
     "abc": "abc",
     "text_vector": ["a", "0", "0"],
     "zero_text": "0",
+    "one_text": "1",
     "two_chars": "ab",
     "nan": math.nan,
     "inf": math.inf,
@@ -51,6 +52,7 @@ POINT_ERRORS = {
         "abc": (IPE, "circle: angle payload is not a real number"),
         "text_vector": (IPE, "circle: angle payload is not a real number"),
         "zero_text": (IPE, "circle: angle payload is not a real number"),
+        "one_text": (IPE, "circle: angle payload is not a real number"),
         "two_chars": (IPE, "circle: angle payload is not a real number"),
         "nan": (IPE, "circle: angle is not finite"),
         "inf": (IPE, "circle: angle is not finite"),
@@ -73,6 +75,7 @@ POINT_ERRORS = {
         "abc": NUMPY,
         "text_vector": NUMPY,
         "zero_text": (IPE, "sphere: expected vector of length 3, got shape ()"),
+        "one_text": (IPE, "sphere: expected vector of length 3, got shape ()"),
         "two_chars": NUMPY,
         "nan": (IPE, "sphere: expected vector of length 3, got shape ()"),
         "inf": (IPE, "sphere: expected vector of length 3, got shape ()"),
@@ -95,6 +98,7 @@ POINT_ERRORS = {
         "abc": NUMPY,
         "text_vector": NUMPY,
         "zero_text": (IPE, "projective: expected vector of length 3, got shape ()"),
+        "one_text": (IPE, "projective: expected vector of length 3, got shape ()"),
         "two_chars": NUMPY,
         "nan": (IPE, "projective: expected vector of length 3, got shape ()"),
         "inf": (IPE, "projective: expected vector of length 3, got shape ()"),
@@ -117,6 +121,7 @@ POINT_ERRORS = {
         "abc": NUMPY,
         "text_vector": NUMPY,
         "zero_text": (IPE, "grassmannian: expected 4x2 representative, got shape ()"),
+        "one_text": (IPE, "grassmannian: expected 4x2 representative, got shape ()"),
         "two_chars": NUMPY,
         "nan": (IPE, "grassmannian: expected 4x2 representative, got shape ()"),
         "inf": (IPE, "grassmannian: expected 4x2 representative, got shape ()"),
@@ -139,6 +144,7 @@ POINT_ERRORS = {
         "abc": NUMPY,
         "text_vector": NUMPY,
         "zero_text": (IPE, "spd: expected 2x2 matrix, got shape ()"),
+        "one_text": (IPE, "spd: expected 2x2 matrix, got shape ()"),
         "two_chars": NUMPY,
         "nan": (IPE, "spd: expected 2x2 matrix, got shape ()"),
         "inf": (IPE, "spd: expected 2x2 matrix, got shape ()"),
@@ -161,6 +167,7 @@ POINT_ERRORS = {
         "abc": NUMPY,
         "text_vector": NUMPY,
         "zero_text": (IPE, "euclidean: expected vector of length 3, got shape ()"),
+        "one_text": (IPE, "euclidean: expected vector of length 3, got shape ()"),
         "two_chars": NUMPY,
         "nan": (IPE, "euclidean: expected vector of length 3, got shape ()"),
         "inf": (IPE, "euclidean: expected vector of length 3, got shape ()"),
@@ -183,6 +190,7 @@ POINT_ERRORS = {
         "abc": (IPE, "torus: torus point must be a pair of angles"),
         "text_vector": (IPE, "torus: torus point must be a pair of angles"),
         "zero_text": (IPE, "torus: torus point must be a pair of angles"),
+        "one_text": (IPE, "torus: torus point must be a pair of angles"),
         "two_chars": (IPE, "torus: angle payload is not a real number"),
         "nan": (IPE, "torus: torus point must be a pair of angles"),
         "inf": (IPE, "torus: torus point must be a pair of angles"),

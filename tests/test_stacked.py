@@ -33,7 +33,7 @@ FROZEN_SETS = {
 }
 
 # circle images of ``_thetas``: SHA-256 prefix of their bytes, count of set
-# sign bits, and verify_isometry(embedding, 1000, seed=3), frozen from the
+# sign bits, and verify_isometry(space, 1000, seed=3), frozen from the
 # angle-by-angle map
 FROZEN_IMAGES = {
     "sphere:2": ("56feccad5eaf51fc14729317599410d5", 111, 6.661338147750939e-16),
@@ -77,12 +77,11 @@ def test_distances_and_grams_are_bitwise_frozen(text):
 @pytest.mark.parametrize("text", sorted(FROZEN_IMAGES))
 def test_circle_images_are_bitwise_frozen(text):
     space = gk.parse_space(text)
-    emb = gk.embedding_for(space)
-    images = np.asarray(emb.apply(_thetas()), dtype=float)
+    images = np.asarray(space._circle_points(_thetas()), dtype=float)
     digest, signs, deviation = FROZEN_IMAGES[text]
     assert _digest(images) == digest
     assert int(np.signbit(images).sum()) == signs
-    assert gk.verify_isometry(emb, 1000, seed=3) == deviation
+    assert gk.verify_isometry(space, 1000, seed=3) == deviation
 
 
 def _accepts(space, point) -> bool:
@@ -175,6 +174,6 @@ def test_non_unit_input_names_the_first_failing_pair(space, shown):
     forms = np.array([e1, e2, 2.0 * e1, -3.0 * e1])
     pattern = f"^inner product {shown} exceeds 1 beyond rounding; non-unit input$"
     with pytest.raises(gk.InvalidPointError, match=pattern):
-        space._distances(forms, [(0, 1), (1, 3), (0, 3), (0, 2)])
+        space._distances(forms, np.array([0, 1, 0, 0]), np.array([1, 3, 3, 2]))
     with pytest.raises(gk.InvalidPointError, match="^inner product 2.0 exceeds"):
-        space._distances(forms, [(0, 1), (2, 0), (0, 3)])
+        space._distances(forms, np.array([0, 2, 0]), np.array([1, 0, 3]))
