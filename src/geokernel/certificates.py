@@ -5,17 +5,18 @@ vector c with c^T K c < 0.  Everything needed to re-derive the violation
 travels with it, so an independent verifier can recompute all distances,
 kernel values, and the quadratic form from raw data alone.
 
-Building one is a search: :func:`psd_decision` picks the route (exact
-circulant spectrum for equispaced circle points, dense eigensolver
-otherwise) and returns the spectrum, and one tail turns any spectrum
-into a witness (minimum-mode coefficients, recomputed quadratic form,
-both checked against :func:`certification_threshold`).
+Building one is a search for a negative mode: the circle scan's
+alternating mode, a Stein trial's minimum, or the minimum of the
+spectrum :func:`psd_decision` returns (exact circulant or dense); one
+tail turns any mode into a witness (recomputed quadratic form, both
+checked against :func:`certification_threshold`).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from operator import mul
 
@@ -223,28 +224,29 @@ def _certify_threshold(value, n: int, digits: int, what: str) -> None:
 
 
 def build_certificate(
-    space: sp.Space, lam, points, precision_digits: int | None = None, spectrum=None
+    space: sp.Space, lam, points, precision_digits: int | None = None, mode=None
 ) -> WitnessCertificate:
     """Certify that the Gram of (space, lambda, points) is not PSD.
 
-    The spectrum comes from :func:`psd_decision` (exact circulant for
-    equispaced circle points at any precision, dense at double
-    otherwise), unless the caller passes the one it has already computed
-    for this Gram as ``spectrum``, whose precision then holds; the
-    witness is the minimum eigenvalue's unit eigenvector.  Refuses unless
-    both the minimum eigenvalue and the quadratic form, recomputed from
-    the raw points, clear the certification threshold and agree with
-    each other, so a passed spectrum cannot certify a Gram that is PSD.
+    The witness is ``mode``, an (eigenvalue, unit eigenvector) pair of
+    this Gram at ``precision_digits`` that the caller already holds, or
+    else the minimum mode of the spectrum from :func:`psd_decision`
+    (exact circulant for equispaced circle points, dense at double
+    otherwise).  Refuses unless both the eigenvalue and the quadratic
+    form, recomputed from the raw points, clear the certification
+    threshold and agree with each other, so a passed mode cannot certify
+    a Gram that is PSD.
     """
     points = list(points)
     if len(points) < 2:
         raise CertificateError("need at least two points")
-    if spectrum is None:
+    if mode is None:
         _, spectrum = psd_decision(space, points, lam, precision_digits)
-    n, digits = len(points), spectrum.precision_digits
-    w_min = spectrum.min_eigenvalue
+        mode = spectrum.min_eigenvalue, min_eigenvector(spectrum)
+        precision_digits = spectrum.precision_digits
+    w_min, coeffs = mode
+    n, digits = len(points), resolve_digits(precision_digits)
     _certify_threshold(w_min, n, digits, "minimum eigenvalue")
-    coeffs = min_eigenvector(spectrum)
     quad = quadratic_form(space, lam, points, coeffs, digits)
     _certify_threshold(quad, n, digits, "quadratic form")
     if abs(quad - w_min) > 1e-8 * n * max(1.0, abs(float(w_min))):
@@ -329,13 +331,15 @@ def psd_decision(space: sp.Space, points, lam, precision_digits: int | None = No
 def cert_to_json(cert: WitnessCertificate) -> dict:
     digits = cert.precision_digits
     num = lambda x: number_to_json(x, digits)
+    # each distinct value once (a built witness has two): by value where it fixes the text
+    coefficient = cache(num) if digits > DOUBLE_DIGITS else num
     with numeric(digits):  # once for every number below
         return {
             "schema_version": SCHEMA_VERSION,
             "space": sp.space_to_json(cert.space),
             "lambda": num(cert.lam),
             "points": [sp.point_to_json(p, digits) for p in cert.points],
-            "coefficients": [num(c) for c in cert.coefficients],
+            "coefficients": [coefficient(c) for c in cert.coefficients],
             "quad_form": num(cert.quad_form),
             "precision_digits": digits,
         }
@@ -357,12 +361,14 @@ def cert_from_json(obj: dict) -> WitnessCertificate:
         with numeric(digits):  # once for every number below
             space = sp.space_from_json(obj["space"])
             num = lambda x: number_from_json(x, digits)
+            parse = cache(num)  # each distinct text once
+            coefficient = lambda c: parse(c) if type(c) is str else num(c)
             points = tuple(sp.point_from_json(space, p, digits) for p in obj["points"])
             return WitnessCertificate(
                 space=space,
                 lam=num(obj["lambda"]),
                 points=points,
-                coefficients=tuple(num(c) for c in obj["coefficients"]),
+                coefficients=tuple(map(coefficient, obj["coefficients"])),
                 quad_form=num(obj["quad_form"]),
                 precision_digits=digits,
             )

@@ -2,9 +2,10 @@
 
 For N equispaced points the Gram is circulant and the j = N/2 eigenvalue
 collapses to a short alternating sum.  That sum goes negative for some
-finite N at every bandwidth, which is what the witness search exploits
-(deciding most N with a double-precision screen of the same sum);
-lambda_crit profiles, per N, where the whole spectrum turns PSD.
+finite N at every bandwidth, which the witness search finds (deciding
+most N with a double-precision screen of the same sum) and certifies as
+it is, mode and value; lambda_crit profiles, per N, where the whole
+spectrum turns PSD.
 """
 
 from __future__ import annotations
@@ -233,7 +234,9 @@ def circle_witness(
 
     The scan runs on the unit-circle equivalent lambda*scale^2 (scaling
     the circle by s multiplies every distance by s), then the
-    certificate is built on the scaled circle itself.
+    certificate is built on the scaled circle itself from the scan's hit:
+    the alternating mode j = N/2, eigenvalue ``w_half`` and coefficients
+    (-1)^k/sqrt(N), with no circulant spectrum.
     """
     digits = resolve_digits(precision_digits)
     with numeric(digits) as x:
@@ -241,8 +244,14 @@ def circle_witness(
     hit = find_witness_size(lam_unit, n_max, digits)
     if hit is None:
         return None
-    n, _ = hit
+    n, w = hit
     with numeric(digits) as x:
+        if digits <= DOUBLE_DIGITS:
+            # a double w is near its terms' rounding, and the scan rounds them
+            # unlike the circulant row: take w_{N/2} from the row, bit for bit
+            w = x.fsum(r * (-1) ** k for k, r in enumerate(circulant_row(lam, n, digits, scale)))
         points = [2 * x.pi * k / n for k in range(n)]
-    space = sp.Circle(scale=float(scale))
-    return build_certificate(space, lam, points, digits)
+        signs = [x.num((-1) ** k) for k in range(n)]  # cos(pi k), exactly
+        norm = x.sqrt(x.fsum(c * c for c in signs))
+        mode = w, tuple(c / norm for c in signs)
+    return build_certificate(sp.Circle(scale=float(scale)), lam, points, digits, mode=mode)

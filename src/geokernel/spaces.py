@@ -96,8 +96,8 @@ def _angles(values) -> np.ndarray:
 
 def _floats(points, shape: tuple, noun: str) -> np.ndarray:
     """The payloads as one float array of shape (P, *shape) with finite
-    entries; else InvalidPointError for the first point at fault, with
-    numpy's own text where numpy cannot read it as floats."""
+    number (not text) entries; else InvalidPointError for the first point
+    at fault, with numpy's own text where numpy cannot read it as floats."""
     if not len(points):
         return np.empty((0, *shape))
     try:
@@ -114,6 +114,9 @@ def _floats(points, shape: tuple, noun: str) -> np.ndarray:
                 size = f"{noun} of length {shape[0]}" if len(shape) == 1 else \
                     f"{shape[0]}x{shape[1]} {noun}"
                 raise InvalidPointError(f"expected {size}, got shape {got}")
+    raw = np.asarray(points)  # numpy reads "1" as 1.0: text leaves a stack of text or objects
+    _require(raw.dtype.kind not in "OSU" or not any(isinstance(v, (str, bytes)) for v in raw.flat),
+             f"{noun} has text entries", InvalidPointError)
     _require(np.isfinite(a).all(), f"{noun} has non-finite entries", InvalidPointError)
     return a
 

@@ -20,7 +20,7 @@ from . import spaces as sp
 from .certificates import WitnessCertificate, build_certificate, certification_threshold
 from .gram import KernelParam, gram, gram_stack
 from .precision import DOUBLE_DIGITS
-from .spectral import SpectrumReport, jacobi_eigenvalues, jacobi_spectra
+from .spectral import SpectrumReport, jacobi_eigenvalues, jacobi_spectra, min_eigenvector
 
 PROBE_STRATEGIES = ("wishart", "diagonal", "ill_conditioned")
 
@@ -150,7 +150,8 @@ def probe(
         for trial, strategy, points, report in zip(chunk, strategies, sets, spectra):
             min_seen = min(min_seen, report.min_eigenvalue)
             if report.min_eigenvalue < threshold:
-                cert = build_certificate(space, float(lam), points, DOUBLE_DIGITS, spectrum=report)
+                mode = report.min_eigenvalue, min_eigenvector(report)
+                cert = build_certificate(space, float(lam), points, DOUBLE_DIGITS, mode=mode)
                 return SteinProbeReport(
                     trials_run=trial + 1,
                     min_eig_seen=float(min_seen),

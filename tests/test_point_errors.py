@@ -36,6 +36,8 @@ MALFORMED = {
     "wide": mpf("-1e-400"),  # float() rounds it to -0.0
     "wide_pair": [0.5, mpf("-1e-400")],
     "empty": [],
+    "numeric_text": ["1", "0", "0"],  # numpy reads each entry as a float
+    "text_matrix": [["1", "0"], ["0", "1"]],
 }
 
 # an InvalidPointError with numpy's own text converting the payload to a
@@ -67,6 +69,8 @@ POINT_ERRORS = {
         "wide": (IPE, "circle: angle outside [0, 2*pi)"),
         "wide_pair": (IPE, "circle: angle payload is not a real number"),
         "empty": (IPE, "circle: angle payload is not a real number"),
+        "numeric_text": (IPE, "circle: angle payload is not a real number"),
+        "text_matrix": (IPE, "circle: angle payload is not a real number"),
     },
     "sphere:2": {
         "shape": (IPE, "sphere: expected vector of length 3, got shape (2, 3)"),
@@ -90,6 +94,8 @@ POINT_ERRORS = {
         "wide": (IPE, "sphere: expected vector of length 3, got shape ()"),
         "wide_pair": (IPE, "sphere: expected vector of length 3, got shape (2,)"),
         "empty": (IPE, "sphere: expected vector of length 3, got shape (0,)"),
+        "numeric_text": (IPE, "sphere: vector has text entries"),
+        "text_matrix": (IPE, "sphere: expected vector of length 3, got shape (2, 2)"),
     },
     "projective:2": {
         "shape": (IPE, "projective: expected vector of length 3, got shape (2, 3)"),
@@ -113,6 +119,8 @@ POINT_ERRORS = {
         "wide": (IPE, "projective: expected vector of length 3, got shape ()"),
         "wide_pair": (IPE, "projective: expected vector of length 3, got shape (2,)"),
         "empty": (IPE, "projective: expected vector of length 3, got shape (0,)"),
+        "numeric_text": (IPE, "projective: vector has text entries"),
+        "text_matrix": (IPE, "projective: expected vector of length 3, got shape (2, 2)"),
     },
     "grassmann:2,4": {
         "shape": (IPE, "grassmannian: expected 4x2 representative, got shape (2, 3)"),
@@ -136,6 +144,8 @@ POINT_ERRORS = {
         "wide": (IPE, "grassmannian: expected 4x2 representative, got shape ()"),
         "wide_pair": (IPE, "grassmannian: expected 4x2 representative, got shape (2,)"),
         "empty": (IPE, "grassmannian: expected 4x2 representative, got shape (0,)"),
+        "numeric_text": (IPE, "grassmannian: expected 4x2 representative, got shape (3,)"),
+        "text_matrix": (IPE, "grassmannian: expected 4x2 representative, got shape (2, 2)"),
     },
     "spd:2": {
         "shape": (IPE, "spd: expected 2x2 matrix, got shape (2, 3)"),
@@ -159,6 +169,8 @@ POINT_ERRORS = {
         "wide": (IPE, "spd: expected 2x2 matrix, got shape ()"),
         "wide_pair": (IPE, "spd: expected 2x2 matrix, got shape (2,)"),
         "empty": (IPE, "spd: expected 2x2 matrix, got shape (0,)"),
+        "numeric_text": (IPE, "spd: expected 2x2 matrix, got shape (3,)"),
+        "text_matrix": (IPE, "spd: matrix has text entries"),
     },
     "euclidean:3": {
         "shape": (IPE, "euclidean: expected vector of length 3, got shape (2, 3)"),
@@ -182,6 +194,8 @@ POINT_ERRORS = {
         "wide": (IPE, "euclidean: expected vector of length 3, got shape ()"),
         "wide_pair": (IPE, "euclidean: expected vector of length 3, got shape (2,)"),
         "empty": (IPE, "euclidean: expected vector of length 3, got shape (0,)"),
+        "numeric_text": (IPE, "euclidean: vector has text entries"),
+        "text_matrix": (IPE, "euclidean: expected vector of length 3, got shape (2, 2)"),
     },
     "torus": {
         "shape": (IPE, "torus: angle payload is not a real number"),
@@ -205,6 +219,8 @@ POINT_ERRORS = {
         "wide": (IPE, "torus: torus point must be a pair of angles"),
         "wide_pair": (IPE, "torus: angle outside [0, 2*pi)"),
         "empty": (IPE, "torus: torus point must be a pair of angles"),
+        "numeric_text": (IPE, "torus: torus point must be a pair of angles"),
+        "text_matrix": (IPE, "torus: angle payload is not a real number"),
     },
 }
 
