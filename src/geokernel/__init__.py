@@ -77,9 +77,8 @@ from .embeddings import (
     witness_for_target,
 )
 from .stein import (
-    LambdaPlusSet,
     SteinProbeReport,
-    lambda_plus_set,
+    in_lambda_plus_set,
     probe,
     stein_divergence,
 )
@@ -103,6 +102,6 @@ __all__ = [
     "build_certificate", "cert_from_json", "cert_to_json", "psd_decision",
     "quadratic_form", "verify_certificate",
     "source_circle", "transfer_witness", "verify_isometry", "witness_for_target",
-    "LambdaPlusSet", "SteinProbeReport", "lambda_plus_set", "probe",
+    "SteinProbeReport", "in_lambda_plus_set", "probe",
     "stein_divergence",
 ]

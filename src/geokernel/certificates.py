@@ -32,6 +32,7 @@ from .precision import (
     check_digits,
     lift,
     number_from_json,
+    number_text,
     number_to_json,
     numeric,
     require_positive,
@@ -218,7 +219,7 @@ def _certify_threshold(value, n: int, digits: int, what: str) -> None:
     bar = certification_threshold(n, digits)
     if not value < bar:
         raise CertificateError(
-            f"{what} {float(value):.6e} is not below the certification "
+            f"{what} {number_text(value, '.6e')} is not below the certification "
             f"threshold {bar:.6e}; refusing to certify"
         )
 
@@ -290,8 +291,8 @@ def verify_certificate(cert: WitnessCertificate) -> VerificationResult:
             False,
             recomputed,
             stored,
-            f"recomputed {float(recomputed)!r} differs from stored "
-            f"{float(stored)!r} beyond {VERIFY_REL_TOL} relative",
+            f"recomputed {number_text(recomputed)} differs from stored "
+            f"{number_text(stored)} beyond {VERIFY_REL_TOL} relative",
         )
     return VerificationResult(True, recomputed, stored, None)
 

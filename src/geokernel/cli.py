@@ -32,7 +32,7 @@ from .embeddings import verify_isometry, witness_for_target
 from .partial_theta import bound_rhs, leading_term, partial_theta
 from .precision import DOUBLE_DIGITS, check_digits, number_to_json, numeric, resolve_digits
 from .spectral import circulant_eigenvalues
-from .stein import lambda_plus_set, probe
+from .stein import in_lambda_plus_set, probe
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -207,7 +207,7 @@ def _cmd_circle_spectrum(args) -> int:
 def _cmd_witness(args) -> int:
     """``witness circle``, or ``witness space`` when a target is given."""
     missing = {"found": False, "lambda": args.lam, "max_n": args.max_n,
-               "schema_version": SCHEMA_VERSION}
+               "n_reached": args.max_n - args.max_n % 4, "schema_version": SCHEMA_VERSION}
     if args.target is None:
         cert = circle_witness(args.lam, n_max=args.max_n, precision_digits=args.precision)
     else:
@@ -217,6 +217,8 @@ def _cmd_witness(args) -> int:
             target, args.lam, n_max=args.max_n, precision_digits=args.precision
         )
     if cert is None:
+        # an exhausted scan names its digits, its limit and the last N it reached
+        missing["precision_digits"] = resolve_digits(args.precision)
         _emit_json(missing)
         return EXIT_EXHAUSTED
     _emit_json(cert_to_json(cert), args.out)
@@ -266,7 +268,7 @@ def _cmd_stein_scan(args) -> int:
     report = probe(args.dim, args.lam, args.trials, args.points, args.seed)
     outputs = {
         "lambda": args.lam,
-        "in_set": lambda_plus_set(args.dim).contains(args.lam),
+        "in_set": in_lambda_plus_set(args.dim, args.lam),
         "witness": cert_to_json(report.witness) if report.witness else None,
         "witness_strategy": report.witness_strategy,
         "min_eig_seen": report.min_eig_seen,

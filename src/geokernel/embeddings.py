@@ -27,7 +27,7 @@ from .certificates import (
     quadratic_form,
 )
 from .circle import circle_witness
-from .precision import DOUBLE_DIGITS, numeric
+from .precision import DOUBLE_DIGITS, number_text, numeric
 
 
 class EmbeddingError(ValueError):
@@ -48,10 +48,10 @@ def verify_isometry(target: sp.Space, pair_count: int = 1000, seed: int = 0) -> 
     source = source_circle(target)
     rng = np.random.default_rng(seed)
     angles = rng.uniform(0.0, 2.0 * math.pi, (pair_count, 2)).ravel().tolist()
-    pairs = np.arange(len(angles)).reshape(-1, 2)
-    d_src = sp.pair_distances(source, angles, pairs)
-    d_tgt = sp.pair_distances(target, target._circle_points(angles), pairs)
-    return float(np.max(np.abs(np.subtract(d_tgt, d_src)), initial=0.0))
+    i, j = np.arange(len(angles)).reshape(-1, 2).T
+    d_src = sp.pair_distances(source, angles, i, j)
+    d_tgt = sp.pair_distances(target, target._circle_points(angles), i, j)
+    return float(np.max(np.abs(d_tgt - d_src), initial=0.0))
 
 
 def transfer_witness(cert: WitnessCertificate, target: sp.Space) -> WitnessCertificate:
@@ -82,15 +82,15 @@ def transfer_witness(cert: WitnessCertificate, target: sp.Space) -> WitnessCerti
     bar = certification_threshold(len(images), digits)
     if not quad < bar:
         raise CertificateError(
-            f"transferred violation {float(quad):.3e} does not clear the "
+            f"transferred violation {number_text(quad, '.3e')} does not clear the "
             f"certification threshold {bar:.3e} at {digits} digits"
         )
     stored = cert.quad_form
     allowed = _rounding_bound(coeffs, lam, source.scale, digits)
     if not abs(quad - stored) <= allowed:
         raise CertificateError(
-            f"target Gram re-verification failed: {float(quad)!r} vs "
-            f"stored {float(stored)!r}, allowed {float(allowed):.1e}"
+            f"target Gram re-verification failed: {number_text(quad)} vs "
+            f"stored {number_text(stored)}, allowed {number_text(allowed, '.1e')}"
         )
     return WitnessCertificate(
         space=target,

@@ -136,6 +136,17 @@ def require_positive(value, what: str, error: type[Exception]):
     return value
 
 
+def number_text(value, spec: str = "r") -> str:
+    """``float(value)`` formatted with ``spec`` (``"r"``: its repr), or, for
+    a nonzero finite value whose float is 0 or infinite, ``mpmath.nstr`` in
+    the same shape: -1e-400 shows as -1.000000e-400, not -0.000000e+00."""
+    f = float(value)
+    if (f == 0 or math.isinf(f)) and value != 0 and mp.isfinite(value):
+        digits = DOUBLE_DIGITS if spec == "r" else int(spec[1:-1]) + 1
+        return mp.nstr(value, digits, strip_zeros=spec == "r")
+    return repr(f) if spec == "r" else format(f, spec)
+
+
 def number_to_json(value, digits: int):
     """JSON payload for a number: raw float at double precision, decimal
     string above it (floats survive JSON round-trips exactly; wide values

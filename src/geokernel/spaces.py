@@ -9,10 +9,10 @@ Points are plain payloads (an angle, an angle pair, a unit vector, an
 orthonormal matrix, an SPD matrix).  Distances follow the closed-form
 geodesic or matrix-metric formulas, with inner products clamped to
 [-1, 1] and an error raised only when the excess betrays genuinely
-non-unit input.  ``pair_distances`` validates and factors each point
-once and derives every pair from that; ``distance`` (one pair) is its
-case, and ``upper_distances`` (every pair i < j, behind
-``distance_matrix`` and the Gram) takes the same path.
+non-unit input.  ``pair_distances(space, points, i, j)`` validates and
+factors each point once and derives every pair (i[m], j[m]) of two index
+arrays from that; ``distance`` (one pair) and ``upper_distances`` (every
+pair i < j, behind ``distance_matrix`` and the Gram) are its cases.
 
 A point set goes through one stacked numpy pass: the space's check reads
 every point as one array (wide angles through ``float``), and when any
@@ -320,13 +320,8 @@ class _UnitVectors(Space):
         return v
 
     def _sample(self, rng, count):
-        points = []
-        while len(points) < count:
-            v = rng.standard_normal(self.n + 1)
-            norm = float(np.linalg.norm(v))
-            if norm >= 1e-8:
-                points.append(v / norm)
-        return points
+        v = rng.standard_normal((count, self.n + 1))
+        return list(v / _norms(v)[:, None])
 
 
 @dataclass(frozen=True)
@@ -447,7 +442,7 @@ class Euclidean(Space):
         return _floats(points, (self.n,), "vector")
 
     def _sample(self, rng, count):
-        return [rng.standard_normal(self.n) for _ in range(count)]
+        return list(rng.standard_normal((count, self.n)))
 
 
 @dataclass(frozen=True)
@@ -519,9 +514,8 @@ def check_points(space: Space, points):
         raise
 
 
-def pair_distances(space: Space, points, pairs) -> list[float]:
-    """d(points[i], points[j]) for each (i, j) in pairs, a sequence or an
-    (M, 2) array.
+def pair_distances(space: Space, points, i, j) -> np.ndarray:
+    """d(points[i[m]], points[j[m]]) for each m, two index arrays.
 
     The points are validated once (see ``check_points``) and reduced to
     what their metric reads (see ``_forms``) once, however many pairs
@@ -529,8 +523,8 @@ def pair_distances(space: Space, points, pairs) -> list[float]:
     does not depend on the others.
     """
     forms = space._forms(check_points(space, points))
-    i, j = np.asarray(pairs, dtype=int).reshape(-1, 2).T
-    return np.asarray(space._distances(forms, i, j) if len(i) else [], dtype=float).tolist()
+    i, j = np.asarray(i, dtype=int), np.asarray(j, dtype=int)
+    return np.asarray(space._distances(forms, i, j) if len(i) else [], dtype=float)
 
 
 def upper_distances(space: Space, points, sets: int = 1) -> tuple:
@@ -542,9 +536,8 @@ def upper_distances(space: Space, points, sets: int = 1) -> tuple:
     size = len(points) // sets
     rows, cols = np.triu_indices(size, 1)
     start = size * np.arange(sets)[:, None]
-    forms = space._forms(check_points(space, points))
-    d = space._distances(forms, (rows + start).ravel(), (cols + start).ravel()) if len(rows) else []
-    return rows, cols, np.asarray(d, dtype=float).reshape(sets, len(rows))
+    d = pair_distances(space, points, (rows + start).ravel(), (cols + start).ravel())
+    return rows, cols, d.reshape(sets, len(rows))
 
 
 def distance_matrix(space: Space, points) -> np.ndarray:
@@ -560,7 +553,7 @@ def distance_matrix(space: Space, points) -> np.ndarray:
 def distance(space: Space, p, q) -> float:
     """Metric distance between two valid points of the space: the
     one-pair case of ``pair_distances``."""
-    return pair_distances(space, (p, q), ((0, 1),))[0]
+    return float(pair_distances(space, (p, q), [0], [1])[0])
 
 
 # ---------------------------------------------------------------------------

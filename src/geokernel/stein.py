@@ -3,9 +3,9 @@
 S(A,B) = logdet((A+B)/2) - (logdet A + logdet B)/2, through Cholesky
 log-determinants (the formula lives in ``spaces``, next to the root-Stein
 distance built on it).  The Gaussian kernel of d = sqrt(S) is known to be PD
-exactly on {1/2, ..., (n-2)/2} united with [(n-1)/2, inf); the probe
-hunts for violations at a given bandwidth with structured point
-families and certifies the first one it finds.
+exactly on {1/2, ..., (n-2)/2} united with [(n-1)/2, inf), the set
+:func:`in_lambda_plus_set` tests; the probe hunts for violations at a
+bandwidth with structured point families and certifies the first one.
 """
 
 from __future__ import annotations
@@ -43,27 +43,14 @@ def stein_divergence(a, b) -> float:
         raise SteinError(str(exc)) from None
 
 
-@dataclass(frozen=True)
-class LambdaPlusSet:
-    """Bandwidths where the Gaussian-of-Stein kernel is PD for n x n SPD
-    matrices: the half-integers below (n-1)/2 plus the ray above it."""
-
-    n: int
-    discrete: tuple[float, ...]
-    continuous_from: float
-
-    def contains(self, lam: float) -> bool:
-        """Membership up to 1e-12, so a computed half-integer counts."""
-        if lam >= self.continuous_from - 1e-12:
-            return True
-        return any(abs(lam - d) <= 1e-12 for d in self.discrete)
-
-
-def lambda_plus_set(n: int) -> LambdaPlusSet:
+def in_lambda_plus_set(n: int, lam: float) -> bool:
+    """Whether the Gaussian-of-Stein kernel is PD at bandwidth lambda for
+    n x n SPD matrices: lambda is one of the half-integers below (n-1)/2
+    or on the ray from it, up to 1e-12, so a computed half-integer
+    counts."""
     if not (isinstance(n, int) and n >= 1):
         raise SteinError("dimension must be an integer >= 1")
-    discrete = tuple(i / 2.0 for i in range(1, n - 1))
-    return LambdaPlusSet(n=n, discrete=discrete, continuous_from=(n - 1) / 2.0)
+    return lam >= (n - 1) / 2.0 - 1e-12 or any(abs(lam - i / 2.0) <= 1e-12 for i in range(1, n - 1))
 
 
 @dataclass(frozen=True)
@@ -93,9 +80,7 @@ def _strategy_points(strategy: str, rng: np.random.Generator, n: int, count: int
     raise SteinError(f"unknown strategy {strategy!r}")
 
 
-# chunks double from one strategy cycle, so a hit leaves about as many
-# trials solved past it as were run before it at most; this ceiling on a
-# chunk's trials bounds its memory
+# trials drawn and solved as one stack; this ceiling bounds a chunk's memory
 CHUNK_CEILING = 96
 
 
@@ -123,12 +108,12 @@ def probe(
     Trials cycle through Wishart-style, diagonal, and ill-conditioned
     point families from one seeded stream, so the first hit is
     deterministic by trial index.  Trials are drawn and solved in chunks
-    that double from one strategy cycle up to ``CHUNK_CEILING`` trials:
-    each chunk's Grams are built and solved as one stack (see
-    :func:`_spectra`) and scanned in trial order.  The first trial whose
-    minimum eigenvalue is below the certification threshold is certified
-    from the spectrum already computed for it; ``min_eig_seen`` covers
-    the trials up to and including it, never the rest of its chunk.
+    of up to ``CHUNK_CEILING`` trials from the first: each chunk's Grams
+    are built and solved as one stack (see :func:`_spectra`) and scanned
+    in trial order.  The first trial whose minimum eigenvalue is below
+    the certification threshold is certified from the spectrum already
+    computed for it; ``min_eig_seen`` covers the trials up to and
+    including it, never the rest of its chunk.
     No witness within the budget is reported as exactly that, never as
     a PSD verdict.
     """
@@ -141,9 +126,8 @@ def probe(
     rng = np.random.default_rng(seed)
     threshold = certification_threshold(points_per_trial, DOUBLE_DIGITS)
     min_seen = math.inf
-    start, size = 0, len(PROBE_STRATEGIES)
-    while start < trials:
-        chunk = range(start, min(start + size, trials))
+    for start in range(0, trials, CHUNK_CEILING):
+        chunk = range(start, min(start + CHUNK_CEILING, trials))
         strategies = [PROBE_STRATEGIES[trial % len(PROBE_STRATEGIES)] for trial in chunk]
         sets = [_strategy_points(s, rng, n, points_per_trial) for s in strategies]
         spectra = _spectra(space, param, sets)
@@ -158,7 +142,6 @@ def probe(
                     witness=cert,
                     witness_strategy=strategy,
                 )
-        start, size = chunk.stop, min(2 * size, CHUNK_CEILING)
     return SteinProbeReport(
         trials_run=trials,
         min_eig_seen=float(min_seen),

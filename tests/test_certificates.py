@@ -517,6 +517,26 @@ def test_build_certificate_refuses_marginal_violation():
         gk.build_certificate(gk.Circle(), lam, circle_equispaced(4), 17)
 
 
+def test_refusal_shows_a_value_below_the_double_range():
+    # float(-1e-400) is -0.0: the message must show the value itself
+    with numeric(100) as x:
+        points = [2 * x.pi * k / 4 for k in range(4)]
+        mode = mpf("-1e-400"), tuple(x.num((-1) ** k) / 2 for k in range(4))
+    with pytest.raises(CertificateError) as caught:
+        gk.build_certificate(gk.Circle(), 1, points, 100, mode=mode)
+    assert "e-400" in str(caught.value)
+    assert "-0.000000e+00" not in str(caught.value)
+    assert str(caught.value).startswith("minimum eigenvalue -1.000000e-400 is not below")
+
+
+def test_verify_detail_shows_a_stored_value_below_the_double_range(cert_lambda20):
+    obj = json.loads(json.dumps(cert_lambda20))
+    obj["quad_form"] = "-1e-400"
+    result = gk.verify_certificate(gk.cert_from_json(obj))
+    assert not result.ok
+    assert "differs from stored -1.0e-400 beyond" in result.detail
+
+
 def test_verify_certificate_ok():
     cert = _unit_witness()
     res = gk.verify_certificate(cert)

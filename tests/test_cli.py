@@ -201,6 +201,18 @@ def test_witness_circle_exhausted(capsys):
     doc = json.loads(out)
     assert doc["found"] is False
     assert doc["max_n"] == 12
+    # the scan's digits and the last N it reached, a multiple of 4
+    assert doc["precision_digits"] == 30
+    assert doc["n_reached"] == 12
+    assert set(doc) == {"found", "lambda", "max_n", "n_reached", "precision_digits",
+                        "schema_version"}
+    code, out, _ = run(capsys, "witness", "space", "--target", "sphere:2", "--lambda", "1",
+                       "--max-n", "15", "--precision", "40")
+    assert code == 3
+    doc = json.loads(out)
+    assert '"found": false' in out
+    assert (doc["max_n"], doc["n_reached"], doc["precision_digits"]) == (15, 12, 40)
+    assert doc["target"] == {"n": 2, "variant": "sphere"}
 
 
 def test_witness_space_reports_unit_bandwidth(tmp_path, capsys):

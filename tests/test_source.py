@@ -1,6 +1,8 @@
 """Source hygiene: every name a module imports is used in that module,
-every private top-level helper is used somewhere in the package, and the
-package's ``__all__`` lists exactly the public names it imports.
+every private top-level helper is used somewhere in the package, every
+public top-level function or class is used by the program or the
+benchmark (or is on a named list of test-only names), and the package's
+``__all__`` lists exactly the public names it imports.
 
 No linter ships with the toolchain, so this reads each module's syntax
 tree instead.  ``__init__.py`` is left out of the import check: it
@@ -15,6 +17,7 @@ import pytest
 import geokernel
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "geokernel"
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
 
 
@@ -74,3 +77,35 @@ def test_all_lists_exactly_what_the_package_imports():
     public = {n for n in _imported_names(tree) if not n.startswith("_")}
     assert len(geokernel.__all__) == len(set(geokernel.__all__))
     assert set(geokernel.__all__) - {"__version__"} == public
+
+
+# public names only the tests reach: the reference behind the stacked
+# digests, and the helpers of acceptance criteria 03, 07 and 12
+TEST_ONLY = {
+    "distance_matrix", "gaussian_kernel", "hadamard", "principal_submatrix",
+    "lambda_of_mu", "tail_decomposition_check",
+}
+
+
+def _public_definitions(tree: ast.Module) -> list:
+    return [node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # a use inside the name's own definition does not count, nor does the
+    # re-export in ``__init__.py``; the benchmark's shims look names up by
+    # their text, so its string constants count as uses
+    defined, used = set(), set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        public = _public_definitions(tree)
+        defined.update(node.name for node in public)
+        for node in tree.body:
+            used |= _referenced_names(node) - ({node.name} if node in public else set())
+    for path in PERFBENCH.glob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used |= _referenced_names(tree)
+        used |= {node.value for node in ast.walk(tree)
+                 if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert sorted(defined - used) == sorted(TEST_ONLY)

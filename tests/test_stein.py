@@ -53,17 +53,18 @@ def test_divergence_input_checks():
 
 
 def test_lambda_plus_set_structure():
-    s3 = gk.lambda_plus_set(3)
-    assert s3.discrete == (0.5,)
-    assert s3.continuous_from == 1.0
-    assert s3.contains(0.5)
-    assert s3.contains(1.0)
-    assert s3.contains(7.25)
-    assert not s3.contains(0.75)
-    assert not s3.contains(0.49)
-    s5 = gk.lambda_plus_set(5)
-    assert s5.discrete == (0.5, 1.0, 1.5)
-    assert s5.continuous_from == 2.0
+    # n = 3: the half-integer 1/2, then the ray from 1
+    for lam in (0.5, 1.0, 7.25):
+        assert gk.in_lambda_plus_set(3, lam)
+    for lam in (0.75, 0.49):
+        assert not gk.in_lambda_plus_set(3, lam)
+    # n = 5: the half-integers 1/2, 1 and 3/2, then the ray from 2
+    for lam in (0.5, 1.0, 1.5, 2.0):
+        assert gk.in_lambda_plus_set(5, lam)
+    for lam in (0.75, 1.25, 2.0 - 1e-9):
+        assert not gk.in_lambda_plus_set(5, lam)
+    with pytest.raises(SteinError, match="dimension must be an integer >= 1"):
+        gk.in_lambda_plus_set(0, 1.0)
 
 
 def test_probe_clean_at_half_integer():
@@ -123,13 +124,17 @@ def test_probe_hit_coefficients_are_an_eigenvector():
 def test_probe_hit_solves_each_gram_once(monkeypatch):
     # every trial drawn is solved once, in its chunk's stacked eigensolve,
     # and the hit is certified from its trial's spectrum, not solved again
-    solved = []
+    calls = []
     eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: solved.extend(np.reshape(a, (-1, 10, 10))) or eigh(a))
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(np.reshape(a, (-1, 10, 10))) or eigh(a))
     report = gk.probe(3, 0.01, 80, 10, seed=7)
     assert report.trials_run == 63
-    assert len(solved) == 80  # chunks of 3, 6, 12 and 24 trials, then the 35 left
-    assert len({m.tobytes() for m in solved}) == len(solved)
+    assert [len(stack) for stack in calls] == [80]
+    assert len({m.tobytes() for m in calls[0]}) == 80
+    calls.clear()
+    report = gk.probe(3, 0.75, 24, 10, seed=11)
+    assert report.witness is None and report.trials_run == 24
+    assert [len(stack) for stack in calls] == [24]
 
 
 @pytest.mark.parametrize("lam", [0.01, 0.25, 0.5, 0.75, 1.0])
@@ -251,8 +256,8 @@ def _bad_point_at(monkeypatch, k):
 
 @pytest.mark.parametrize("k", [0, 10, 50, 62])
 def test_probe_raises_at_a_bad_trial_it_reaches(monkeypatch, k):
-    # the seed-7 hit is trial 62 of the chunk holding trials 45-79; a bad
-    # point in any trial up to it raises as a one-trial Gram would
+    # the seed-7 hit is trial 62 of the one chunk, holding trials 0-79; a
+    # bad point in any trial up to it raises as a one-trial Gram would
     _bad_point_at(monkeypatch, k)
     with pytest.raises(gk.InvalidPointError) as caught:
         gk.probe(3, 0.01, 80, 10, seed=7)
