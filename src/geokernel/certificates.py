@@ -14,6 +14,7 @@ checked against :func:`certification_threshold`).
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache
@@ -21,7 +22,7 @@ from itertools import combinations
 from operator import mul
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, mpf_abs, mpf_lt, mpf_mul, mpf_sub
+from mpmath.libmp import mpf_abs, mpf_le, mpf_lt, mpf_mul, mpf_sub, normalize
 
 from . import spaces as sp
 from .gram import KernelParam, gram
@@ -104,12 +105,14 @@ def quadratic_form(space: sp.Space, lam, points, coefficients, precision_digits:
     and the terms ``(2 c_i) c_j K_ij`` stream into a compensated sum in the
     order of the plain double loop.  Wide precision needs circle or torus
     points, whose payloads are exact angles, and sums in integer fixed
-    point: ``c_i c_j`` accumulates exactly per distinct pair distance
+    point: the lifted coefficients' gcd g is factored out, the cofactor
+    products accumulate exactly per distinct pair distance
     (:func:`_pair_sums`), each distance's kernel value, evaluated once,
-    multiplies its total, and the sum is rounded once, so the only rounding
-    is in the coefficients and kernel values.  A non-finite coefficient, or
-    double terms past the double range, give nan, which no verification
-    accepts.  Each point is validated once."""
+    multiplies its total, and the sum, times g^2, is rounded once, so the
+    only rounding is in the coefficients and kernel values (a builder
+    witness's cofactors are +-1, so its pairs add small integers).  A
+    non-finite coefficient, or double terms past the double range, give
+    nan, which no verification accepts.  Each point is validated once."""
     points = list(points)
     n = len(points)
     if len(coefficients) != n:
@@ -132,10 +135,12 @@ def quadratic_form(space: sp.Space, lam, points, coefficients, precision_digits:
             return x.num("nan")  # an infinite coefficient leaves the form undefined
         if precision_digits > DOUBLE_DIGITS:
             cs, exp_c = lift(c)
+            g = math.gcd(*cs) or 1
+            cs = [ci // g for ci in cs]
             sums = _pair_sums(space, points, cs, x)
             ks, exp_k = lift([mp.mpf(1), *(x.exp(-lam * d * d) for d in map(mp.make_mpf, sums))])
             total = ks[0] * sum(ci * ci for ci in cs) + 2 * sum(map(mul, ks[1:], sums.values()))
-            return unlift(total, exp_k + 2 * exp_c)
+            return unlift(g * g * total, exp_k + 2 * exp_c)
 
         def terms():
             yield from (ci * ci for ci in c)  # diagonal: kernel value is 1
@@ -151,7 +156,7 @@ def quadratic_form(space: sp.Space, lam, points, coefficients, precision_digits:
 
 
 def _pair_sums(space: sp.Space, points: list, cs: list, x) -> dict:
-    """{distance: sum} for wide circle or torus ``points`` and lifted
+    """{distance: sum} for wide circle or torus ``points`` and integer
     coefficients ``cs``: each distance a pair i < j can take, as a raw
     mpf, mapped to the exact integer sum of ``cs[i] * cs[j]`` over the
     pairs at that distance, so the caller evaluates one kernel value per
@@ -166,16 +171,19 @@ def _pair_sums(space: sp.Space, points: list, cs: list, x) -> dict:
 
     Circle angles that all lift whole (:func:`~geokernel.precision.lift`)
     take the fast path: a pair's exact offset is ``labels[i] - labels[j]``,
-    one Python-int subtraction, and the exact offsets merge by their
-    rounded value.  Everything else (torus points, or a circle angle more
-    than ``LIFT_SPAN`` working precisions below the largest, which lifts
-    truncated) forms each key with ``mpf_sub`` from the raw angles."""
+    one Python-int subtraction, and the exact offsets merge by their value
+    rounded through mpmath's ``normalize``.  Everything else (torus points,
+    or a circle angle more than ``LIFT_SPAN`` working precisions below the
+    largest, which lifts truncated) forms each key with ``mpf_sub`` from
+    the raw angles."""
     prec, rnd = mp.mp._prec_rounding
-    two_pi = (2 * x.pi)._mpf_
+    pi, two_pi = x.pi._mpf_, (2 * x.pi)._mpf_
     keys = defaultdict(int)
 
     def arc(diff):  # min(|diff|, 2*pi - |diff|) on raw mpfs
         d = mpf_abs(diff)
+        if mpf_le(d, pi):  # then 2*pi - d rounds to d or above
+            return d
         e = mpf_sub(two_pi, d, prec, rnd)
         return e if mpf_lt(e, d) else d
 
@@ -198,7 +206,8 @@ def _pair_sums(space: sp.Space, points: list, cs: list, x) -> dict:
             for cj, lj in zip(cs[i + 1:], labels[i + 1:]):
                 exact[li - lj] += ci * cj
         for k, s in exact.items():
-            keys[(from_man_exp(k, exp, prec, rnd),)] += s
+            sign, m = (1, -k) if k < 0 else (0, k)
+            keys[(normalize(sign, m, exp, m.bit_length(), prec, rnd),)] += s
     else:
         raws = [[a._mpf_ for a in f] for f in factors]
         for i, j in combinations(range(len(cs)), 2):

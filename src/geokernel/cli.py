@@ -195,11 +195,10 @@ def _cmd_circle_spectrum(args) -> int:
     digits = resolve_digits(args.precision)
     row = circulant_row(args.lam, args.n, digits)
     report = circulant_eigenvalues(row, digits)
-    by_index = {}
-    for pos, j in enumerate(report.fourier_indices):
-        by_index[j] = report.eigenvalues[pos]
-    with numeric(digits):  # once for the whole table
-        rows = [[j, _fmt(by_index[j], digits)] for j in range(args.n)]
+    by_index = dict(zip(report.fourier_indices, report.eigenvalues))
+    with numeric(digits):  # once for the whole table; w_{N-j} is w_j, formatted once
+        texts = [_fmt(by_index[j], digits) for j in range(args.n // 2 + 1)]
+    rows = [[j, texts[min(j, args.n - j)]] for j in range(args.n)]
     _emit_csv(["j", "eigenvalue"], rows, args.out)
     return EXIT_OK
 

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from mpmath import mp, mpf
 from mpmath.libmp import mpf_mul, mpf_pos, mpf_sum, round_nearest
 
@@ -176,6 +177,41 @@ def _bit_identity_cases():
         space = gk.parse_space(text)
         pts = sample_points(space, 11, 24)
         yield text, space, 0.4, pts, rng.standard_normal(24).tolist(), 17
+    yield from _cofactor_cases()
+
+
+def _wide_factor(mantissa, shift=0):
+    """A wide value whose mantissa leaves 8 bits spare at the working
+    precision, so k times it is exact for |k| < 256."""
+    return mp.ldexp(mpf(mantissa % 2 ** (mp.prec - 8) | 1), shift - mp.prec)
+
+
+def _cofactor_cases():
+    """Wide cases whose lifted coefficients share a wide factor, beside
+    the offsets the pair loops single out; drawn from their own generator
+    so the cases above keep their inputs."""
+    rng = np.random.default_rng(6)
+    with numeric(40) as x:
+        w = _wide_factor(int.from_bytes(rng.bytes(32), "big"))
+        ks = rng.integers(-9, 10, 24)
+        angles = [2 * x.pi * mpf(u) for u in rng.random(24)]
+        coeffs = [int(k) * w for k in ks]
+        pi = +x.pi
+        _, _, exp, bc = pi._mpf_
+        above = pi + mp.ldexp(1, exp + bc - mp.prec)  # one ulp above the working pi
+        pairs = [(2 * x.pi * mpf(u), 2 * x.pi * mpf(v)) for u, v in rng.random((24, 2))]
+    assert above > pi and len({abs(k) for k in ks}) > 2
+    yield "circle, cofactors up to 9, 40 digits", gk.Circle(), mpf("0.3"), angles, coeffs, 40
+    yield "circle, a zero coefficient, 40 digits", gk.Circle(), mpf("0.3"), angles, \
+        [mpf(0), *coeffs[1:]], 40
+    yield "circle, a repeated angle, 40 digits", gk.Circle(), mpf("0.3"), \
+        [*angles[:-1], angles[0]], coeffs, 40
+    yield "circle, offsets pi and an ulp above, 40 digits", gk.Circle(), mpf("0.3"), \
+        [*angles[:-3], mpf(0), pi, above], coeffs, 40
+    witness = gk.circle_witness(15, n_max=1024, precision_digits=90)
+    yield "circle lambda 15, 90 digits", witness.space, witness.lam, witness.points, \
+        witness.coefficients, 90
+    yield "torus, cofactors up to 9, 40 digits", gk.FlatTorus(), mpf("0.3"), pairs, coeffs, 40
 
 
 def test_quadratic_form_memo_is_bit_identical():
@@ -200,6 +236,43 @@ def test_wide_quadratic_form_is_permutation_invariant():
                 space, lam, [pts[i] for i in perm], [coeffs[i] for i in perm], digits
             )
             assert _bits(shuffled) == _bits(value), what
+
+
+@st.composite
+def _wide_sets(draw):
+    """(space, lam, points, coefficients, digits): 4-24 circle angles or
+    torus pairs at 18-100 digits, with repeated points and pairs exactly pi
+    apart, and coefficients small integers times one wide factor."""
+    digits = draw(st.integers(18, 100))
+    torus = draw(st.booleans())
+    n = draw(st.integers(4, 24))
+    unit = st.integers(0, 2 ** 20 - 1).map(lambda u: mpf(u) / 2 ** 20)
+    with numeric(digits) as x:
+        pi = +x.pi
+        angle = lambda: 2 * pi * draw(unit)
+        points = []
+        while len(points) < n:
+            kind = draw(st.sampled_from(["fresh", "repeat", "opposite"]))
+            if kind == "repeat" and points:
+                points.append(points[draw(st.integers(0, len(points) - 1))])
+            elif kind == "opposite":
+                b = pi + pi * draw(unit)  # in [pi, 2 pi), so b - pi is exact
+                point = (b, angle()) if torus else b
+                mirror = (b - pi, draw(st.sampled_from([point[1], angle()]))) if torus else b - pi
+                points += [point, mirror]
+            else:
+                points.append((angle(), angle()) if torus else angle())
+        points = points[:n]
+        w = _wide_factor(draw(st.integers(0, 2 ** 400)), draw(st.integers(-40, 40)))
+        ks = draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+        coeffs = [k * w for k in ks]
+    lam = mpf(draw(st.sampled_from(["0.3", "1", "4"])))
+    return gk.FlatTorus() if torus else gk.Circle(), lam, points, coeffs, digits
+
+
+@given(_wide_sets())
+def test_wide_form_with_a_shared_factor_is_the_plain_form(case):
+    assert _bits(gk.quadratic_form(*case)) == _bits(_plain_quadratic_form(*case))
 
 
 def test_quadratic_form_evaluates_each_distinct_pair_once(monkeypatch):
@@ -237,6 +310,20 @@ def test_quadratic_form_forms_each_torus_distance_once_per_key(monkeypatch):
     monkeypatch.setattr(precision._WIDE, "sqrt", lambda v: calls.append(v) or sqrt(v))
     gk.quadratic_form(gk.FlatTorus(), cert.lam, points, cert.coefficients, 70)
     assert 0 < len(calls) <= len(keys)
+
+
+@pytest.mark.parametrize("lam, digits", [(5, 50), (10, 70), (15, 90), (20, 100)])
+def test_builder_witness_pairs_add_unit_cofactors(monkeypatch, lam, digits):
+    # a builder witness's coefficients are +-1/sqrt(N): once their gcd is
+    # out, every pair adds +-1, at build and at verify
+    handed = []
+    pair_sums = certificates._pair_sums
+    monkeypatch.setattr(certificates, "_pair_sums",
+                        lambda space, pts, cs, x: handed.append(cs) or pair_sums(space, pts, cs, x))
+    cert = gk.circle_witness(lam, n_max=1024, precision_digits=digits)
+    assert gk.verify_certificate(cert).ok
+    assert len(handed) == 2
+    assert all({abs(c) for c in cs} == {1} and len(cs) == cert.order for cs in handed)
 
 
 def test_json_enters_the_working_precision_once(monkeypatch):
