@@ -6,6 +6,8 @@ isometric witness transfer, and a Stein-divergence bandwidth probe.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .spaces import (
     Circle,
     Euclidean,
@@ -27,7 +29,6 @@ from .spaces import (
 from .gram import (
     GramMatrix,
     KernelParam,
-    gaussian_kernel,
     gram,
     hadamard,
     principal_submatrix,
@@ -83,25 +84,8 @@ from .stein import (
     stein_divergence,
 )
 
-__all__ = [
-    "__version__",
-    "Circle", "Euclidean", "FlatTorus", "Grassmannian", "ProjectiveSpace",
-    "SpdMatrices", "Sphere", "InvalidPointError", "InvalidSpaceError",
-    "circle_equispaced", "distance", "distance_matrix", "pair_distances",
-    "parse_space", "principal_angles", "sample_points",
-    "GramMatrix", "KernelParam", "gaussian_kernel", "gram", "hadamard",
-    "principal_submatrix",
-    "PdVerdict", "SpectrumReport", "circulant_eigenvalues",
-    "jacobi_eigenvalues", "jacobi_eigensystem", "min_eigenvector",
-    "pd_verdict", "psd_tolerance",
-    "PartialThetaResult", "bound_rhs", "lambda_of_mu", "leading_term",
-    "mu_of_lambda", "partial_theta", "s0", "tail_decomposition_check",
-    "circle_witness", "find_witness_size", "lambda_crit", "lambda_profile",
-    "w_half",
-    "CertificateError", "VerificationResult", "WitnessCertificate",
-    "build_certificate", "cert_from_json", "cert_to_json", "psd_decision",
-    "quadratic_form", "verify_certificate",
-    "source_circle", "transfer_witness", "verify_isometry", "witness_for_target",
-    "SteinProbeReport", "in_lambda_plus_set", "probe",
-    "stein_divergence",
+# every imported public name; ``from .x import`` also binds the submodules
+__all__ = ["__version__"] + [
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

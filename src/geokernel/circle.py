@@ -26,6 +26,8 @@ from .precision import (
 )
 from .spectral import circulant_eigenvalues
 
+# the largest N a witness scan tries unless told otherwise
+DEFAULT_MAX_N = 512
 LAMBDA_CRIT_TOL = 1e-8
 BRACKET_DOUBLINGS = 60
 
@@ -226,7 +228,7 @@ def lambda_profile(n_list) -> list[ProfileRow]:
 
 def circle_witness(
     lam,
-    n_max: int = 512,
+    n_max: int = DEFAULT_MAX_N,
     precision_digits: int | None = None,
     scale: float = 1.0,
 ) -> WitnessCertificate | None:
@@ -240,18 +242,15 @@ def circle_witness(
     """
     digits = resolve_digits(precision_digits)
     with numeric(digits) as x:
-        lam_unit = x.num(lam) * x.num(scale) ** 2
-    hit = find_witness_size(lam_unit, n_max, digits)
-    if hit is None:
-        return None
-    n, w = hit
-    with numeric(digits) as x:
+        hit = find_witness_size(x.num(lam) * x.num(scale) ** 2, n_max, digits)
+        if hit is None:
+            return None
+        n, w = hit
         if digits <= DOUBLE_DIGITS:
             # a double w is near its terms' rounding, and the scan rounds them
             # unlike the circulant row: take w_{N/2} from the row, bit for bit
             w = x.fsum(r * (-1) ** k for k, r in enumerate(circulant_row(lam, n, digits, scale)))
         points = [2 * x.pi * k / n for k in range(n)]
-        signs = [x.num((-1) ** k) for k in range(n)]  # cos(pi k), exactly
-        norm = x.sqrt(x.fsum(c * c for c in signs))
-        mode = w, tuple(c / norm for c in signs)
+        norm = x.sqrt(n)  # the coefficients are cos(pi k) = (-1)^k, exactly
+        mode = w, tuple(x.num((-1) ** k) / norm for k in range(n))
     return build_certificate(sp.Circle(scale=float(scale)), lam, points, digits, mode=mode)

@@ -27,7 +27,7 @@ from .certificates import (
     psd_decision,
     verify_certificate,
 )
-from .circle import circle_witness, lambda_profile, w_half
+from .circle import DEFAULT_MAX_N, circle_witness, lambda_profile, w_half
 from .embeddings import verify_isometry, witness_for_target
 from .partial_theta import bound_rhs, leading_term, partial_theta
 from .precision import DOUBLE_DIGITS, check_digits, number_to_json, numeric, resolve_digits
@@ -116,7 +116,7 @@ def build_parser() -> _Parser:
         if kind == "space":
             w.add_argument("--target", required=True)
         w.add_argument("--lambda", dest="lam", type=str, required=True)
-        w.add_argument("--max-n", type=int, default=512)
+        w.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
         w.add_argument("--precision", type=int)
         w.add_argument("--out")
         w.set_defaults(func=_cmd_witness, target=None)

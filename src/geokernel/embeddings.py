@@ -26,7 +26,7 @@ from .certificates import (
     certification_threshold,
     quadratic_form,
 )
-from .circle import circle_witness
+from .circle import DEFAULT_MAX_N, circle_witness
 from .precision import DOUBLE_DIGITS, number_text, numeric
 
 
@@ -124,7 +124,7 @@ def _rounding_bound(coefficients, lam, scale: float, digits: int):
 def witness_for_target(
     target: sp.Space,
     lam,
-    n_max: int = 512,
+    n_max: int = DEFAULT_MAX_N,
     precision_digits: int | None = None,
 ) -> WitnessCertificate | None:
     """Find a circle witness at the right scale and push it to the target."""

@@ -45,11 +45,6 @@ def kernel_values(param: KernelParam, distances) -> np.ndarray:
     return np.asarray(_exp(-param.lam * d * d), dtype=float)
 
 
-def gaussian_kernel(param: KernelParam, d: float) -> float:
-    """exp(-lambda d^2) of one distance; rejects negative distances."""
-    return float(kernel_values(param, d))
-
-
 @dataclass(frozen=True)
 class GramMatrix:
     """Symmetric kernel matrix plus the points it was built on.

@@ -7,12 +7,13 @@ and, when it contains one, its isometric circle (``circle_scale`` and
 ``_circle_points``).
 Points are plain payloads (an angle, an angle pair, a unit vector, an
 orthonormal matrix, an SPD matrix).  Distances follow the closed-form
-geodesic or matrix-metric formulas, with inner products clamped to
-[-1, 1] and an error raised only when the excess betrays genuinely
-non-unit input.  ``pair_distances(space, points, i, j)`` validates and
-factors each point once and derives every pair (i[m], j[m]) of two index
-arrays from that; ``distance`` (one pair) and ``upper_distances`` (every
-pair i < j, behind ``distance_matrix`` and the Gram) are its cases.
+geodesic or matrix-metric formulas: unit vectors through the half-angle
+form, which needs no clamp, and only principal angles check that no
+cosine exceeds 1 beyond rounding.  ``pair_distances(space, points, i,
+j)`` validates and factors each point once and derives every pair
+(i[m], j[m]) of two index arrays from that; ``distance`` (one pair) and
+``upper_distances`` (every pair i < j, behind ``distance_matrix`` and
+the Gram) are its cases.
 
 A point set goes through one stacked numpy pass: the space's check reads
 every point as one array (wide angles through ``float``), and when any
@@ -295,17 +296,11 @@ class _UnitVectors(Space):
         exactly 0 and opposite inputs at exactly pi.
         """
         p, q = forms[i], forms[j]
-        dots, minus, plus = _dots(p, q), _norms(p - q), _norms(p + q)
+        minus, plus = _norms(p - q), _norms(p + q)
         if self.lines:
-            # negating q negates <p, q> and swaps p - q with p + q, exactly
-            flip = dots < 0.0
-            dots = np.where(flip, -dots, dots)
+            # negating q swaps p - q with p + q, exactly
+            flip = _dots(p, q) < 0.0
             minus, plus = np.where(flip, plus, minus), np.where(flip, minus, plus)
-        bad = np.flatnonzero(np.abs(dots) > 1.0 + CLAMP_EXCESS)
-        if bad.size:
-            raise InvalidPointError(
-                f"inner product {float(dots[bad[0]])!r} exceeds 1 beyond rounding; non-unit input"
-            )
         return 2.0 * _atan2(minus, plus)
 
     def _circle_points(self, thetas):

@@ -6,8 +6,8 @@ Run from anywhere, at the commit whose behaviour is to be frozen:
 
 Each case is run in-process through ``geokernel.cli.main`` with this
 directory as the working directory (``pd-check`` reports its points path
-verbatim); stdout and the exit code are stored as they come, so no expected output is ever edited by hand.
-The SPD point files are regenerated from their seeds first, and the
+verbatim); stdout, the exit code and any stderr are stored as they come, so no expected output is ever edited by hand.
+The point files are regenerated from their seeds first, and the
 certificate files from the command that builds them.
 """
 
@@ -29,6 +29,8 @@ POINT_FILES = {
     "spd3_stein.json": ("spd:3:stein", 31, 12),
     "spd3_log_euclidean.json": ("spd:3:log_euclidean", 32, 12),
     "sphere2.json": ("sphere:2", 33, 40),
+    "torus24.json": ("torus", 34, 24),
+    "grassmann24_projection.json": ("grassmann:2,4:projection", 35, 24),
 }
 
 # file name -> the command whose stdout is the certificate
@@ -81,11 +83,20 @@ CASES = (
     ("witness", "space", "--target", "torus", "--lambda", "0.4", "--precision", "30"),
     # a large torus form (N = 128): every pair keyed on both angles
     ("verify-certificate", "torus_cert70.json"),
+    # the double-precision torus and projection-metric distances: not PSD, PD
+    ("pd-check", "--points", "torus24.json", "--lambda", "0.3"),
+    ("pd-check", "--points", "grassmann24_projection.json", "--lambda", "1"),
+    # a wide torus form past N = 8 (N = 28)
+    ("witness", "space", "--target", "torus", "--lambda", "2", "--precision", "40"),
+    # the default 30 digits: a refusal to certify at lambda 5, and at
+    # lambda 10 a scan that reaches --max-n without a witness
+    ("witness", "circle", "--lambda", "5"),
+    ("witness", "circle", "--lambda", "10"),
 )
 
 
 def point_file_text(name: str) -> str:
-    """The seeded regeneration of one SPD point file."""
+    """The seeded regeneration of one point file."""
     text, seed, count = POINT_FILES[name]
     space = sp.parse_space(text)
     obj = sp.pointset_to_json(space, sp.sample_points(space, seed, count))
@@ -105,10 +116,13 @@ def write_data_files() -> None:
 
 
 def run_case(argv) -> dict:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
-    return {"argv": list(argv), "exit": code, "stdout": out.getvalue()}
+    case = {"argv": list(argv), "exit": code, "stdout": out.getvalue()}
+    if err.getvalue():
+        case["stderr"] = err.getvalue()
+    return case
 
 
 def main_capture() -> None:

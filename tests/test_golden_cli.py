@@ -5,7 +5,10 @@ reach every double/wide formula (w_half, the witness search, circulant
 rows and spectra, the leading term, mu/lambda maps) at 17 digits and at
 wide precision, and the Stein probe and SPD Grams that go through the
 pairwise-distance routine (the frozen seed-7 hit, a gap scan, an in-set
-scan, ``pd-check`` on Stein and log-Euclidean points).  ``capture.py``
+scan, ``pd-check`` on Stein and log-Euclidean points), the
+double-precision torus and Grassmann projection distances, and the two
+documented default-precision outcomes of ``witness circle`` (a refusal
+at lambda 5, whose stderr is stored too, and an exhausted scan at 10).  ``capture.py``
 rebuilds the file from its argv list at the commit being frozen; any
 change to the expected text is a change in behaviour, not a refactor,
 and is made by running the script, never by editing the file.
@@ -28,11 +31,12 @@ CASES = json.loads((GOLDEN / "cli_outputs.json").read_text())
 @pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"]) for c in CASES])
 def test_cli_output_is_byte_identical(case, monkeypatch):
     monkeypatch.chdir(GOLDEN)  # pd-check reports its points path verbatim
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(case["argv"])
     assert code == case["exit"]
     assert out.getvalue() == case["stdout"]
+    assert err.getvalue() == case.get("stderr", "")
 
 
 def test_golden_file_is_the_capture_scripts_output():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import geokernel as gk
-from geokernel.gram import GramError, gram_stack
+from geokernel.gram import GramError, gram_stack, kernel_values
 from geokernel.spaces import sample_points
 
 
@@ -20,11 +20,12 @@ def test_kernel_param_rejects_nonpositive_lambda():
 
 def test_gaussian_kernel_basics():
     p = gk.KernelParam(0.3)
-    assert gk.gaussian_kernel(p, 0.0) == 1.0
-    assert gk.gaussian_kernel(p, 1.0) == math.exp(-0.3)
-    assert gk.gaussian_kernel(p, 2.0) < gk.gaussian_kernel(p, 1.0)
-    with pytest.raises(GramError):
-        gk.gaussian_kernel(p, -0.1)
+    k0, k1, k2 = kernel_values(p, [0.0, 1.0, 2.0])
+    assert k0 == 1.0
+    assert k1 == math.exp(-0.3)
+    assert k2 < k1
+    with pytest.raises(GramError, match=r"^negative distance -0\.1$"):
+        kernel_values(p, [1.0, -0.1])
 
 
 def test_gram_matches_manual_loop():

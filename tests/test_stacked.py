@@ -8,11 +8,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 import geokernel as gk
 from geokernel import spaces as sp
 from geokernel.cli import main
-from geokernel.spaces import ORTHONORMAL_TOL, UNIT_NORM_TOL
+from geokernel.spaces import CLAMP_EXCESS, ORTHONORMAL_TOL, UNIT_NORM_TOL
 
 # SHA-256 prefixes of distance_matrix(...).tobytes() and of
 # gram(..., KernelParam(0.7)).entries.tobytes(), frozen from the
@@ -167,13 +168,35 @@ def test_pd_check_names_point_57(tmp_path, capsys, text, bad, message):
     assert err == f"error: point 57 of {space!r}: {message}\n"
 
 
-@pytest.mark.parametrize("space, shown", [(gk.Sphere(2), "-3.0"), (gk.ProjectiveSpace(2), "3.0")])
-def test_non_unit_input_names_the_first_failing_pair(space, shown):
-    # past the point checks only a direct call can pass non-unit vectors
-    e1, e2 = np.eye(3)[:2]
-    forms = np.array([e1, e2, 2.0 * e1, -3.0 * e1])
-    pattern = f"^inner product {shown} exceeds 1 beyond rounding; non-unit input$"
-    with pytest.raises(gk.InvalidPointError, match=pattern):
-        space._distances(forms, np.array([0, 1, 0, 0]), np.array([1, 3, 3, 2]))
-    with pytest.raises(gk.InvalidPointError, match="^inner product 2.0 exceeds"):
-        space._distances(forms, np.array([0, 2, 0]), np.array([1, 0, 3]))
+@st.composite
+def _unit_vector_sets(draw):
+    """A sphere or projective space of dimension at most 6 and a point set
+    on it whose norms reach to the edge of UNIT_NORM_TOL; some points
+    repeat or negate an earlier one at another norm, so that inner
+    products come as close to +-1 as valid points allow."""
+    space = draw(st.sampled_from([gk.Sphere, gk.ProjectiveSpace]))(draw(st.integers(1, 6)))
+    coords = st.lists(st.floats(-1.0, 1.0), min_size=space.n + 1, max_size=space.n + 1)
+    units = []
+    for _ in range(draw(st.integers(2, 6))):
+        if units and draw(st.booleans()):
+            u = draw(st.sampled_from([-1.0, 1.0])) * draw(st.sampled_from(units))
+        else:
+            v = np.array(draw(coords))
+            assume(np.linalg.norm(v) > 0.1)
+            u = v / np.linalg.norm(v)
+        units.append(u)
+    pushes = st.floats(-0.99 * UNIT_NORM_TOL, 0.99 * UNIT_NORM_TOL)
+    return space, [u * (1.0 + draw(pushes)) for u in units]
+
+
+@given(_unit_vector_sets())
+def test_checked_unit_vectors_need_no_clamp(case):
+    # the point check alone keeps every inner product within rounding of
+    # [-1, 1], so the half-angle distance formula checks nothing more
+    space, points = case
+    forms = sp.check_points(space, points)
+    i, j = np.triu_indices(len(points))
+    assert np.abs(sp._dots(forms[i], forms[j])).max() <= 1.0 + CLAMP_EXCESS
+    d = sp.pair_distances(space, points, i, j)
+    top = math.pi / 2 if isinstance(space, gk.ProjectiveSpace) else math.pi
+    assert ((0.0 <= d) & (d <= top)).all()
