@@ -50,14 +50,12 @@ from .partial_theta import (
     leading_term,
     mu_of_lambda,
     partial_theta,
-    s0,
     tail_decomposition_check,
 )
 from .circle import (
     circle_witness,
     find_witness_size,
     lambda_crit,
-    lambda_profile,
     w_half,
 )
 from .certificates import (

@@ -244,8 +244,9 @@ def build_certificate(
     (exact circulant for equispaced circle points, dense at double
     otherwise).  Refuses unless both the eigenvalue and the quadratic
     form, recomputed from the raw points, clear the certification
-    threshold and agree with each other, so a passed mode cannot certify
-    a Gram that is PSD.
+    threshold, so a passed mode cannot certify a Gram that is PSD, and
+    unless they differ by at most 1e-8 * N * max(1, |eigenvalue|), a
+    bound that does not tighten with the precision.
     """
     points = list(points)
     if len(points) < 2:

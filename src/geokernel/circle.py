@@ -11,7 +11,6 @@ spectrum turns PSD.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import spaces as sp
 from .certificates import WitnessCertificate, build_certificate, circulant_row
@@ -207,23 +206,6 @@ def lambda_crit(n: int) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-@dataclass(frozen=True)
-class ProfileRow:
-    n: int
-    lambda_crit: float
-    min_eig_at_probe: float
-
-
-def lambda_profile(n_list) -> list[ProfileRow]:
-    """Per-N critical bandwidths with the spectrum floor at each probe."""
-    rows = []
-    for n in n_list:
-        crit = lambda_crit(n)
-        floor = min_circulant_eigenvalue(crit, n)
-        rows.append(ProfileRow(n=n, lambda_crit=crit, min_eig_at_probe=floor))
-    return rows
 
 
 def circle_witness(

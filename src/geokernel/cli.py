@@ -27,7 +27,7 @@ from .certificates import (
     psd_decision,
     verify_certificate,
 )
-from .circle import DEFAULT_MAX_N, circle_witness, lambda_profile, w_half
+from .circle import DEFAULT_MAX_N, circle_witness, lambda_crit, min_circulant_eigenvalue, w_half
 from .embeddings import verify_isometry, witness_for_target
 from .partial_theta import bound_rhs, leading_term, partial_theta
 from .precision import DOUBLE_DIGITS, check_digits, number_to_json, numeric, resolve_digits
@@ -225,10 +225,10 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_lambda_profile(args) -> int:
-    rows = lambda_profile(_int_list(args.n_list))
-    table = [
-        [row.n, repr(row.lambda_crit), repr(row.min_eig_at_probe)] for row in rows
-    ]
+    table = []
+    for n in _int_list(args.n_list):
+        crit = lambda_crit(n)
+        table.append([n, repr(crit), repr(min_circulant_eigenvalue(crit, n))])
     _emit_csv(["N", "lambda_crit", "min_eig_at_probe"], table, args.out)
     return EXIT_OK
 

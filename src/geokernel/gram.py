@@ -73,8 +73,9 @@ class GramMatrix:
 def gram_stack(space: sp.Space, points, param: KernelParam, sets: int = 1) -> np.ndarray:
     """The entries of the Grams of ``sets`` point sets of one size P,
     listed one after another in ``points``, as a (sets, P, P) stack.  The
-    points are checked as one set and paired only within their own set
-    (:func:`~geokernel.spaces.upper_distances`); a pair's value does not
+    points are checked as one set, and each set pairs only its own points
+    i < j, row by row, offset by the set's start, in one
+    :func:`~geokernel.spaces.pair_distances` call; a pair's value does not
     depend on the others, so each Gram is its set's :func:`gram` bit for
     bit."""
     size, rest = divmod(len(points), sets)
@@ -82,9 +83,11 @@ def gram_stack(space: sp.Space, points, param: KernelParam, sets: int = 1) -> np
         raise GramError("need at least one point")
     if rest:
         raise GramError(f"{len(points)} points do not split into {sets} sets of one size")
-    rows, cols, d = sp.upper_distances(space, points, sets)
+    rows, cols = np.triu_indices(size, 1)
+    start = size * np.arange(sets)[:, None]
+    d = sp.pair_distances(space, points, (rows + start).ravel(), (cols + start).ravel())
     k = np.ones((sets, size, size))
-    k[:, rows, cols] = k[:, cols, rows] = kernel_values(param, d)
+    k[:, rows, cols] = k[:, cols, rows] = kernel_values(param, d.reshape(sets, len(rows)))
     return k
 
 

@@ -82,11 +82,6 @@ def partial_theta(mu, r, n: int, precision_digits: int = DEFAULT_DIGITS) -> Part
                 )
 
 
-def s0(mu, n: int, precision_digits: int = DEFAULT_DIGITS):
-    """Convenience: S_0(N) value only."""
-    return partial_theta(mu, 0, n, precision_digits).value
-
-
 def tail_decomposition_check(mu, n: int, precision_digits: int = DEFAULT_DIGITS):
     """Residual of the exact tail-split identity for S_0(N).
 
@@ -102,7 +97,7 @@ def tail_decomposition_check(mu, n: int, precision_digits: int = DEFAULT_DIGITS)
     with working_dps(digits):
         mu = require_positive(mp.mpf(mu), "mu", PartialThetaError)
         nn = mp.mpf(n) * n
-        lhs = s0(mu, n, digits)
+        lhs = partial_theta(mu, 0, n, digits).value
         star = mp.fsum(
             (-1) ** k * mp.exp(-mu * k * k / nn) for k in range(n // 2)
         )
@@ -129,7 +124,7 @@ def bound_rhs(mu, n: int, precision_digits: int = DEFAULT_DIGITS):
     with working_dps(digits):
         mu = require_positive(mp.mpf(mu), "mu", PartialThetaError)
         nn = mp.mpf(n) * n
-        s = s0(mu, n, digits)
+        s = partial_theta(mu, 0, n, digits).value
         e4 = mp.exp(-mu / 4)
         return (
             -1

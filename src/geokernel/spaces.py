@@ -11,9 +11,8 @@ geodesic or matrix-metric formulas: unit vectors through the half-angle
 form, which needs no clamp, and only principal angles check that no
 cosine exceeds 1 beyond rounding.  ``pair_distances(space, points, i,
 j)`` validates and factors each point once and derives every pair
-(i[m], j[m]) of two index arrays from that; ``distance`` (one pair) and
-``upper_distances`` (every pair i < j, behind ``distance_matrix`` and
-the Gram) are its cases.
+(i[m], j[m]) of two index arrays from that; ``distance`` (one pair),
+``distance_matrix`` and the Gram (every pair i < j) are its callers.
 
 A point set goes through one stacked numpy pass: the space's check reads
 every point as one array (wide angles through ``float``), and when any
@@ -522,26 +521,13 @@ def pair_distances(space: Space, points, i, j) -> np.ndarray:
     return np.asarray(space._distances(forms, i, j) if len(i) else [], dtype=float)
 
 
-def upper_distances(space: Space, points, sets: int = 1) -> tuple:
-    """(rows, cols, d): the pairs i < j of one set, row by row, and their
-    distances, one row of d per set.  ``points`` holds ``sets`` sets of
-    one size, one after another; they are checked as one set, and each
-    set pairs only its own points, the same (rows, cols) offset by the
-    set's start."""
-    size = len(points) // sets
-    rows, cols = np.triu_indices(size, 1)
-    start = size * np.arange(sets)[:, None]
-    d = pair_distances(space, points, (rows + start).ravel(), (cols + start).ravel())
-    return rows, cols, d.reshape(sets, len(rows))
-
-
 def distance_matrix(space: Space, points) -> np.ndarray:
     """Symmetric matrix of d(p_i, p_j) with a zero diagonal: every pair
     of ``pair_distances``."""
     points = list(points)
-    rows, cols, values = upper_distances(space, points)
+    rows, cols = np.triu_indices(len(points), 1)
     d = np.zeros((len(points), len(points)))
-    d[rows, cols] = d[cols, rows] = values[0]
+    d[rows, cols] = d[cols, rows] = pair_distances(space, points, rows, cols)
     return d
 
 

@@ -106,8 +106,8 @@ def test_c05_half_limit_collapse_under_doubling():
     # |S_0(N) - 1/2| drops far faster than N^-6 over one doubling
     with criterion(5, "half-limit deviation collapse under doubling", 1.0):
         with mp.workdps(40):
-            s4 = gk.s0(20, 4, 30)
-            s8 = gk.s0(20, 8, 30)
+            s4 = gk.partial_theta(20, 0, 4, 30).value
+            s8 = gk.partial_theta(20, 0, 8, 30).value
             assert abs(s4 - mp.mpf("0.72022014490236811158")) < mp.mpf("1e-18")
             assert abs(s8 - mp.mpf("0.50118058739375478410")) < mp.mpf("1e-18")
             d4 = abs(s4 - mp.mpf(1) / 2)

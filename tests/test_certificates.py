@@ -580,6 +580,18 @@ def test_certificate_takes_its_spectrum_from_psd_decision():
         assert abs(cert.quad_form - report.min_eigenvalue) <= 1e-8 * len(points)
 
 
+def test_build_certificate_refuses_a_mode_its_form_disagrees_with():
+    # a 1 % error in the eigenvalue passes both threshold checks but not
+    # the agreement check against the form recomputed from the points
+    with numeric(30) as x:
+        points = [2 * x.pi * k / 4 for k in range(4)]
+    _, report = gk.psd_decision(gk.Circle(), points, "0.1", 30)
+    w, coeffs = report.min_eigenvalue, gk.min_eigenvector(report)
+    assert gk.build_certificate(gk.Circle(), "0.1", points, 30, mode=(w, coeffs)).quad_form < 0
+    with pytest.raises(CertificateError, match="quadratic form disagrees with the spectral value"):
+        gk.build_certificate(gk.Circle(), "0.1", points, 30, mode=(w * 1.01, coeffs))
+
+
 def test_build_certificate_refuses_psd_input():
     with pytest.raises(CertificateError):
         gk.build_certificate(gk.Circle(), 1.0, circle_equispaced(4), 17)

@@ -64,15 +64,10 @@ def test_damped_sums_dominate_undamped():
     # the r-damped sum never drops below the r = 0 sum
     for mu in (1.0, 40.0):
         for n in (4, 64):
-            base = gk.s0(mu, n, 30)
+            base = gk.partial_theta(mu, 0, n, 30).value
             for r in (0.1, 1.0, 10.0, 100.0):
                 res = gk.partial_theta(mu, r, n, 30)
                 assert res.value >= base - mpf("1e-28")
-
-
-def test_s0_convenience_matches_query():
-    direct = gk.partial_theta(7.0, 0.0, 8, 30)
-    assert gk.s0(7.0, 8, 30) == direct.value
 
 
 def test_tail_decomposition_identity():

@@ -1,8 +1,10 @@
 """Source hygiene: every name a module imports is used in that module,
 every private top-level helper is used somewhere in the package, every
 public top-level function or class is used by the program or the
-benchmark (or is on a named list of test-only names), and the package's
-``__all__`` lists exactly the public names it imports and no submodule.
+benchmark (or is on a named list of test-only names), the package's
+``__all__`` lists exactly the public names it imports and no submodule,
+and every Sphinx cross-reference role in a docstring names an object
+that exists.
 
 No linter ships with the toolchain, so this reads each module's syntax
 tree instead.  ``__init__.py`` is left out of the import check: it
@@ -10,6 +12,9 @@ imports names to re-export them.
 """
 
 import ast
+import functools
+import importlib
+import re
 from pathlib import Path
 from types import ModuleType
 
@@ -113,3 +118,34 @@ def test_every_public_name_is_used_outside_the_tests():
         used |= {node.value for node in ast.walk(tree)
                  if isinstance(node, ast.Constant) and isinstance(node.value, str)}
     assert sorted(defined - used) == sorted(TEST_ONLY)
+
+
+ROLE = re.compile(r":(?:func|data|class|meth|attr|mod):`~?([^`]+)`")
+
+
+def _resolve(name: str, namespace: dict):
+    """The object a role names: a bare (or ``Class.attr``) name from the
+    module's own namespace, a ``geokernel.x.y`` name by import."""
+    parts = name.split(".")
+    if parts[0] == "geokernel":
+        # import the longest module prefix: the package attribute
+        # ``geokernel.gram`` is the function, not the module
+        for k in range(len(parts), 0, -1):
+            try:
+                obj = importlib.import_module(".".join(parts[:k]))
+            except ModuleNotFoundError:
+                continue
+            return functools.reduce(getattr, parts[k:], obj)
+    return functools.reduce(getattr, parts[1:], namespace[parts[0]])
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_docstring_cross_references_resolve(path):
+    namespace = vars(importlib.import_module(f"geokernel.{path.stem}"))
+    missing = []
+    for name in ROLE.findall(path.read_text()):
+        try:
+            _resolve(name, namespace)
+        except (KeyError, AttributeError):
+            missing.append(name)
+    assert missing == []
