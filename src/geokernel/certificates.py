@@ -91,10 +91,15 @@ def circulant_row(lam, n: int, precision_digits: int = DOUBLE_DIGITS, scale=1.0)
     if n < 2:
         raise CertificateError("need at least two points")
     with numeric(precision_digits) as x:
-        mu = mu_of_lambda(lam, precision_digits) * x.num(scale) ** 2
-        nn = x.num(n) * n
-        half = [x.exp(-mu * k ** 2 / nn) for k in range(n // 2 + 1)]
+        half = _half_row(mu_of_lambda(lam, precision_digits) * x.num(scale) ** 2, n, x)
         return half + half[(n + 1) // 2 - 1:0:-1]
+
+
+def _half_row(mu, n: int, x) -> list:
+    """exp(-mu k^2/N^2) for k <= N/2 in the :func:`~geokernel.precision.numeric`
+    arithmetic ``x``: the one formula of the spectrum's and ``w_half``'s row."""
+    nn = x.num(n) * n
+    return [x.exp(-mu * k ** 2 / nn) for k in range(n // 2 + 1)]
 
 
 def quadratic_form(space: sp.Space, lam, points, coefficients, precision_digits: int):

@@ -13,16 +13,9 @@ from __future__ import annotations
 import math
 
 from . import spaces as sp
-from .certificates import WitnessCertificate, build_certificate, circulant_row
+from .certificates import WitnessCertificate, _half_row, build_certificate, circulant_row
 from .partial_theta import _require_quarter, mu_of_lambda
-from .precision import (
-    DEFAULT_DIGITS,
-    DOUBLE_DIGITS,
-    GUARD_DIGITS,
-    numeric,
-    require_positive,
-    resolve_digits,
-)
+from .precision import DEFAULT_DIGITS, DOUBLE_DIGITS, numeric, require_positive, resolve_digits
 from .spectral import circulant_eigenvalues
 
 # the largest N a witness scan tries unless told otherwise
@@ -48,15 +41,14 @@ def w_half(mu, n: int, precision_digits: int = DEFAULT_DIGITS):
 
     w_{N/2} = -1 + 2 sum_{k<N/2} (-1)^k exp(-mu k^2/N^2) + exp(-mu/4)
 
-    Compensated summation at double precision, mpmath above it.
+    It is the signed sum of the circulant row, row[0] + row[N/2] +
+    2 sum_{0<k<N/2} (-1)^k row[k], rounded once, so it is the circulant
+    spectrum's w_{N/2} bit for bit.
     """
     _require_quarter(n, CircleError)
     with numeric(precision_digits) as x:
-        m = require_positive(x.num(mu), "mu", CircleError)
-        nn = x.num(n) * n
-        terms = [x.num(-1), x.exp(-m / 4)]
-        terms += [2 * (-1) ** k * x.exp(-m * k * k / nn) for k in range(n // 2)]
-        return x.fsum(terms)
+        row = _half_row(require_positive(x.num(mu), "mu", CircleError), n, x)
+        return x.fsum([row[0], row[-1]] + [2 * (-1) ** k * row[k] for k in range(1, n // 2)])
 
 
 def find_witness_size(lam, n_max: int, precision_digits: int = DEFAULT_DIGITS):
@@ -67,13 +59,16 @@ def find_witness_size(lam, n_max: int, precision_digits: int = DEFAULT_DIGITS):
     w < -10^(-digits+5) so rounding noise can never be mistaken for a
     witness.
 
-    Above double precision a double screen (:func:`_screen_clears`)
-    skips each N at which it proves the wide ``w_half`` cannot fall below
-    the bar; every other N, the hit included, is decided by ``w_half``
-    itself, so the result is bitwise that of the plain scan.  The wide
-    value's own rounding is bounded by E_w = 16 (N/2 + 2)
-    10^-(digits + GUARD_DIGITS): N/2 + 2 terms of magnitude <= 2 at the
-    working precision, with room to spare.
+    At every precision a double screen (:func:`_screen_clears`) skips
+    each N at which it proves that ``w_half`` cannot fall below the bar;
+    every other N, the hit included, is decided by ``w_half`` itself, so
+    the result is bitwise that of the plain scan.  ``w_half``'s rounding
+    is bounded by E_w = 16 (N/2 + 2) u, u the unit roundoff (2^-53 for
+    doubles, 2^-prec above): each row value rounds twice in its exponent
+    a = mu k^2/N^2 (moving it by 2u a e^{-a} < u) and once in ``exp``, so
+    each of the N/2 + 1 terms is off by less than 4u, and the sum rounds
+    once more.  Where E_w reaches the bar (at 17 digits, N >= 1,124) the
+    screen defers.
     """
     if n_max < 4:
         raise CircleError("n_max must be at least 4")
@@ -81,12 +76,13 @@ def find_witness_size(lam, n_max: int, precision_digits: int = DEFAULT_DIGITS):
     mu = mu_of_lambda(lam, digits)
     with numeric(digits) as x:
         threshold = -(x.num(10) ** (-digits + 5))
-    # at double precision E_w comes close to the bar: no screen there
+        u = x.eps / 2  # the unit roundoff
+        rel_term = float(16 * u / -threshold)  # E_w / |bar| per term
     mu_f = float(mu)
-    screen = digits > DOUBLE_DIGITS and 0 < mu_f < math.inf
+    screen = 0 < mu_f < math.inf
     for n in range(4, n_max + 1, 4):
-        rel = 16 * (n // 2 + 2) * 10.0 ** -(GUARD_DIGITS + 5)  # E_w / |bar|
-        if screen and _screen_clears(
+        rel = (n // 2 + 2) * rel_term  # E_w / |bar|
+        if screen and rel < 1 and _screen_clears(
                 mu_f, n, -(digits - 5) * math.log(10) + math.log1p(-rel)):
             continue
         w = w_half(mu, n, digits)
@@ -228,10 +224,6 @@ def circle_witness(
         if hit is None:
             return None
         n, w = hit
-        if digits <= DOUBLE_DIGITS:
-            # a double w is near its terms' rounding, and the scan rounds them
-            # unlike the circulant row: take w_{N/2} from the row, bit for bit
-            w = x.fsum(r * (-1) ** k for k, r in enumerate(circulant_row(lam, n, digits, scale)))
         points = [2 * x.pi * k / n for k in range(n)]
         norm = x.sqrt(n)  # the coefficients are cos(pi k) = (-1)^k, exactly
         mode = w, tuple(x.num((-1) ** k) / norm for k in range(n))

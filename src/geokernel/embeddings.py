@@ -14,9 +14,7 @@ circle it holds, and a target that holds none raises EmbeddingError.
 from __future__ import annotations
 
 import math
-import sys
 
-import mpmath as mp
 import numpy as np
 
 from . import spaces as sp
@@ -116,9 +114,8 @@ def _rounding_bound(coefficients, lam, scale: float, digits: int):
     evaluation is within eps S (10 lambda D^2 + 6), S = (sum |c_i|)^2,
     and the bound is twice that, one for each side."""
     with numeric(digits) as x:
-        eps = mp.eps if digits > DOUBLE_DIGITS else sys.float_info.epsilon
         s = x.fsum(abs(x.num(c)) for c in coefficients) ** 2
-        return 2 * eps * s * (10 * x.num(lam) * (x.pi * scale) ** 2 + 6)
+        return 2 * x.eps * s * (10 * x.num(lam) * (x.pi * scale) ** 2 + 6)
 
 
 def witness_for_target(

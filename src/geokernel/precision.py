@@ -17,6 +17,7 @@ sum is in its inputs.
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import contextmanager, nullcontext
 from types import SimpleNamespace
 
@@ -73,11 +74,11 @@ def working_dps(digits: int):
 # math.fsum, not mpmath's fp.fsum: only the former is compensated
 _DOUBLE = SimpleNamespace(
     num=float, exp=math.exp, cos=math.cos, sqrt=math.sqrt, pi=math.pi,
-    fsum=math.fsum, isfinite=math.isfinite,
+    fsum=math.fsum, isfinite=math.isfinite, eps=sys.float_info.epsilon,
 )
 _WIDE = SimpleNamespace(
     num=mp.mpf, exp=mp.exp, cos=mp.cos, sqrt=mp.sqrt, pi=mp.pi,
-    fsum=mp.fsum, isfinite=mp.isfinite,
+    fsum=mp.fsum, isfinite=mp.isfinite, eps=mp.eps,
 )
 
 
@@ -87,7 +88,7 @@ def numeric(digits: int):
     :data:`DOUBLE_DIGITS`, mpmath inside :func:`working_dps` above it.
 
     Yields a namespace with ``num`` (parse a number), ``exp``, ``cos``,
-    ``sqrt``, ``pi``, ``fsum`` and ``isfinite``.
+    ``sqrt``, ``pi``, ``fsum``, ``isfinite`` and ``eps`` = 2^(1 - prec).
     """
     if digits <= DOUBLE_DIGITS:
         yield _DOUBLE

@@ -92,6 +92,11 @@ CASES = (
     # lambda 10 a scan that reaches --max-n without a witness
     ("witness", "circle", "--lambda", "5"),
     ("witness", "circle", "--lambda", "10"),
+    # w_half and the circulant spectrum's w_{N/2} at a (mu, N) where a mu k k
+    # exponent and the row's mu k^2 round apart: one value, printed twice
+    # (the mu is mu_of_lambda(2.5) as a double)
+    ("bound-check", "--mu", "98.69604401089359", "--n-list", "36", "--precision", "17"),
+    ("circle-spectrum", "--lambda", "2.5", "--n", "36", "--precision", "17"),
 )
 
 

@@ -2,6 +2,7 @@
 the critical bandwidth profile."""
 
 import math
+import random
 
 import pytest
 from mpmath import mp, mpf
@@ -28,13 +29,16 @@ def test_w_half_closed_form_n4():
 
 
 def test_w_half_is_the_alternating_fourier_mode():
-    for lam, n in [(0.2, 4), (0.2, 8), (0.7, 12)]:
-        row = circulant_row(lam, n)
-        report = gk.circulant_eigenvalues(row)
-        pos = report.fourier_indices.index(n // 2)
-        assert gk.w_half(gk.mu_of_lambda(lam), n, 17) == pytest.approx(
-            report.eigenvalues[pos], abs=1e-14
-        )
+    # w_half sums the circulant row itself, so it is circle-spectrum's
+    # w_{N/2} to the last bit at every precision
+    rng = random.Random(1)
+    draws = [(10 ** rng.uniform(-2, 1.3), 4 * rng.randint(1, 64),
+              rng.choice([17, 20, 30, 40, 60, 100])) for _ in range(300)]
+    for lam, n, digits in [(0.2, 4, 17), (0.2, 8, 17), (0.7, 12, 17)] + draws:
+        report = gk.circulant_eigenvalues(circulant_row(lam, n, digits), digits)
+        spectrum = dict(zip(report.fourier_indices, report.eigenvalues))[n // 2]
+        w = gk.w_half(gk.mu_of_lambda(lam, digits), n, digits)
+        assert _bitwise((n, w)) == _bitwise((n, spectrum)), (lam, n, digits)
 
 
 def test_w_half_requires_quarter_order():
@@ -154,7 +158,7 @@ def _count_w_half(monkeypatch):
 
 @pytest.mark.parametrize("digits", [17, 30, 40, 70, 100])
 def test_screened_scan_is_the_plain_scan(digits):
-    # N = 320 covers every hit of the grid; 17 digits is never screened
+    # N = 320 covers every hit of the grid
     n_max = 1024 if digits == 17 else 320
     for lam in ("0.01", "0.1", "0.3", "1", "2", "5", "10", "15", "20", "50"):
         with mp.workdps(digits + 10):
@@ -198,6 +202,12 @@ def test_screened_scan_calls_w_half_only_where_undecided(monkeypatch):
     hit = gk.find_witness_size(20, 1024, 100)
     assert hit[0] == 256
     assert 1 <= len(calls) <= 2
+    # 17 digits is screened too: an exhausting scan below N = 1,124
+    for lam in (5, 10, 20):
+        calls.clear()
+        hit = gk.find_witness_size(lam, 1024, 17)
+        assert calls == []
+        assert hit is None and _plain_scan(lam, 1024, 17) is None
 
 
 @pytest.mark.parametrize("lam, n", [

@@ -2,9 +2,11 @@
 JSON text of wide numbers."""
 
 import random
+import sys
 
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import dps_to_prec
 
 from geokernel.precision import (
     GUARD_DIGITS,
@@ -15,6 +17,14 @@ from geokernel.precision import (
     numeric,
     unlift,
 )
+
+
+def test_numeric_hands_out_the_machine_epsilon():
+    with numeric(17) as x:
+        assert x.eps is sys.float_info.epsilon
+    with numeric(30) as x:
+        assert mp.prec == dps_to_prec(30 + GUARD_DIGITS)
+        assert +x.eps == mp.eps == mpf(2) ** (1 - mp.prec)
 
 
 def test_lift_is_exact_and_unlift_inverts_it():

@@ -17,8 +17,8 @@ from geokernel.embeddings import source_circle, transfer_witness, witness_for_ta
 from geokernel.precision import MAX_DIGITS, numeric
 from geokernel.spectral import circulant_eigenvalues
 
-# plus 2.5: refused at 17 digits with w_{N/2} = -1.7e-11, so rounded to
-# 6 digits the value shows how its double terms were rounded
+# plus 2.5: refused at 17 digits with w_{N/2} = -1.694531959827355e-11,
+# the circulant spectrum's value, of which about 6 digits are good
 LAMBDAS = [float(v) for v in np.geomspace(0.005, 22, 30)] + [2.5]
 TARGETS = ["sphere:2", "projective:2", "torus", "grassmann:2,4"]
 N_MAX = 1024
