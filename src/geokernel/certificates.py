@@ -7,7 +7,8 @@ kernel values, and the quadratic form from raw data alone.
 
 Building one is a search for a negative mode: the circle scan's
 alternating mode, a Stein trial's minimum, or the minimum of the
-spectrum :func:`psd_decision` returns (exact circulant or dense); one
+spectrum :func:`psd_decision` returns (the exact circulant spectrum of
+lambda and N for equispaced circle points, dense otherwise); one
 tail turns any mode into a witness (recomputed quadratic form, both
 checked against :func:`certification_threshold`).
 """
@@ -26,7 +27,6 @@ from mpmath.libmp import mpf_abs, mpf_le, mpf_lt, mpf_mul, mpf_sub, normalize
 
 from . import spaces as sp
 from .gram import KernelParam, gram
-from .partial_theta import mu_of_lambda
 from .precision import (
     DOUBLE_DIGITS,
     PrecisionError,
@@ -80,26 +80,6 @@ class VerificationResult:
     recomputed: object
     stored: object
     detail: str | None = None
-
-
-def circulant_row(lam, n: int, precision_digits: int = DOUBLE_DIGITS, scale=1.0) -> list:
-    """First row of the equispaced-circle Gram: exp(-mu m^2/N^2) with
-    m = min(k, N-k) and mu = :func:`~geokernel.partial_theta.mu_of_lambda`
-    times scale^2, so row[k] == row[N-k] exactly and a bandwidth that is
-    not finite and positive is refused.  Only k <= N/2 are evaluated;
-    the rest mirror them."""
-    if n < 2:
-        raise CertificateError("need at least two points")
-    with numeric(precision_digits) as x:
-        half = _half_row(mu_of_lambda(lam, precision_digits) * x.num(scale) ** 2, n, x)
-        return half + half[(n + 1) // 2 - 1:0:-1]
-
-
-def _half_row(mu, n: int, x) -> list:
-    """exp(-mu k^2/N^2) for k <= N/2 in the :func:`~geokernel.precision.numeric`
-    arithmetic ``x``: the one formula of the spectrum's and ``w_half``'s row."""
-    nn = x.num(n) * n
-    return [x.exp(-mu * k ** 2 / nn) for k in range(n // 2 + 1)]
 
 
 def quadratic_form(space: sp.Space, lam, points, coefficients, precision_digits: int):
@@ -326,9 +306,7 @@ def psd_decision(space: sp.Space, points, lam, precision_digits: int | None = No
     if len(points) < 1:
         raise CertificateError("need at least one point")
     if isinstance(space, sp.Circle) and sp.equispaced_order(points) == len(points):
-        digits = resolve_digits(precision_digits)
-        row = circulant_row(lam, len(points), digits, scale=space.scale)
-        report = circulant_eigenvalues(row, digits)
+        report = circulant_eigenvalues(lam, len(points), precision_digits, space.scale)
     elif precision_digits is not None and check_digits(precision_digits) > DOUBLE_DIGITS:
         sp.check_points(space, points)  # an invalid point is named before the refusal
         raise PrecisionError(

@@ -1,11 +1,13 @@
 """Alternating-eigenvalue machinery for equispaced points on the circle.
 
 For N equispaced points the Gram is circulant and the j = N/2 eigenvalue
-collapses to a short alternating sum.  That sum goes negative for some
-finite N at every bandwidth, which the witness search finds (deciding
-most N with a double-precision screen of the same sum) and certifies as
-it is, mode and value; lambda_crit profiles, per N, where the whole
-spectrum turns PSD.
+collapses to a short alternating sum of the kernel row
+(:func:`~geokernel.spectral.equispaced_half_row`).  That sum goes
+negative for some finite N at every bandwidth, which the witness search
+finds (deciding most N with a double-precision screen of the same sum)
+and certifies as it is, mode and value; lambda_crit profiles, per N,
+where the whole spectrum (:func:`~geokernel.spectral.circulant_eigenvalues`
+of lambda and N) turns PSD.
 """
 
 from __future__ import annotations
@@ -13,10 +15,10 @@ from __future__ import annotations
 import math
 
 from . import spaces as sp
-from .certificates import WitnessCertificate, _half_row, build_certificate, circulant_row
-from .partial_theta import _require_quarter, mu_of_lambda
+from .certificates import WitnessCertificate, build_certificate
+from .partial_theta import mu_of_lambda, require_quarter
 from .precision import DEFAULT_DIGITS, DOUBLE_DIGITS, numeric, require_positive, resolve_digits
-from .spectral import circulant_eigenvalues
+from .spectral import circulant_eigenvalues, equispaced_half_row
 
 # the largest N a witness scan tries unless told otherwise
 DEFAULT_MAX_N = 512
@@ -25,7 +27,7 @@ BRACKET_DOUBLINGS = 60
 
 # unit roundoff of an IEEE double
 ULP = 2.0 ** -53
-# terms of either theta form; the first omitted one is below e^{-30 pi}
+# terms of the Jacobi theta form; the first omitted one is below e^{-30 pi}
 THETA_TERMS = 6
 # the screen's band around the search threshold, in natural-log units,
 # on top of its rounding budget
@@ -45,9 +47,9 @@ def w_half(mu, n: int, precision_digits: int = DEFAULT_DIGITS):
     2 sum_{0<k<N/2} (-1)^k row[k], rounded once, so it is the circulant
     spectrum's w_{N/2} bit for bit.
     """
-    _require_quarter(n, CircleError)
+    require_quarter(n, CircleError)
     with numeric(precision_digits) as x:
-        row = _half_row(require_positive(x.num(mu), "mu", CircleError), n, x)
+        row = equispaced_half_row(require_positive(x.num(mu), "mu", CircleError), n, x)
         return x.fsum([row[0], row[-1]] + [2 * (-1) ** k * row[k] for k in range(1, n // 2)])
 
 
@@ -102,6 +104,13 @@ def _screen_clears(mu: float, n: int, log_bar: float) -> bool:
     SCREEN_MARGIN of the bar, or a tail longer than N/2 terms, is left
     undecided (False).
     """
+    # mu >= pi N^2 decides at once: there theta >= 1 - 2e^{-pi} > 0.91
+    # and e^{mu/4} >= e^{4 pi} (N >= 4), so s > 0.91 e^{4 pi} - 1 > 0 with
+    # room for any rounding of float(mu); so w_{N/2} > 0, and since the
+    # screen runs only where E_w < |bar|, the computed w_half cannot fall
+    # below the bar.  Below it, a = mu/N^2 < pi and theta takes the Jacobi form.
+    if mu >= math.pi * n * n:
+        return True
     slack = SCREEN_MARGIN + 8 * ULP * (mu / 4 + abs(log_bar))
 
     def above_bar(s_lo: float) -> bool:
@@ -121,25 +130,19 @@ def _screen_clears(mu: float, n: int, log_bar: float) -> bool:
 
 def _log_scaled_theta(mu: float, n: int) -> tuple[float, float]:
     """(ln(theta e^{mu/4}), error bound) in double, for
-    theta = sum_{k in Z} (-1)^k e^{-a k^2} with a = mu/N^2.
+    theta = sum_{k in Z} (-1)^k e^{-a k^2} with a = mu/N^2 < pi.
 
-    Summed directly when a >= pi; otherwise through the Jacobi
-    transformation theta = 2N sqrt(pi/mu) e^{-c/4} sum_{m>=0}
-    e^{-c m(m+1)} with c = pi^2 N^2/mu > pi.  Either way THETA_TERMS
+    Through the Jacobi transformation theta = 2N sqrt(pi/mu) e^{-c/4}
+    sum_{m>=0} e^{-c m(m+1)} with c = pi^2 N^2/mu > pi, whose THETA_TERMS
     terms leave a truncation far below a double's rounding.  The bound
     covers the rounding of each piece and the error of ``float(mu)``,
     which moves the log by about (mu/4 + c/4) ULP.
     """
-    a = mu / (n * n)
-    if a >= math.pi:
-        series = math.fsum((-1) ** k * math.exp(-a * k * k) for k in range(1, THETA_TERMS))
-        log_theta, size = math.log(1 + 2 * series), 0.0
-    else:
-        c = (math.pi * n) ** 2 / mu
-        head = math.log(2 * n) + 0.5 * math.log(math.pi / mu)
-        series = math.fsum(math.exp(-c * m * (m + 1)) for m in range(1, THETA_TERMS))
-        log_theta, size = head - c / 4 + math.log1p(series), abs(head) + c / 4
-    return mu / 4 + log_theta, 32 * ULP * (mu / 4 + size + 4)
+    c = (math.pi * n) ** 2 / mu
+    head = math.log(2 * n) + 0.5 * math.log(math.pi / mu)
+    series = math.fsum(math.exp(-c * m * (m + 1)) for m in range(1, THETA_TERMS))
+    log_theta = head - c / 4 + math.log1p(series)
+    return mu / 4 + log_theta, 32 * ULP * (mu / 4 + (abs(head) + c / 4) + 4)
 
 
 def _scaled_tail(mu: float, n: int) -> tuple[float, float] | None:
@@ -160,13 +163,6 @@ def _scaled_tail(mu: float, n: int) -> tuple[float, float] | None:
     return None
 
 
-def min_circulant_eigenvalue(lam, n: int):
-    """Most negative eigenvalue over all N Fourier indices, at double
-    precision."""
-    row = circulant_row(lam, n, DOUBLE_DIGITS)
-    return circulant_eigenvalues(row, DOUBLE_DIGITS).min_eigenvalue
-
-
 def lambda_crit(n: int) -> float:
     """Supremum of the non-PSD bandwidth region for N equispaced points.
 
@@ -174,10 +170,10 @@ def lambda_crit(n: int) -> float:
     small lambda the most negative mode need not be j = N/2), bracket
     grown by doubling from 1e-6, absolute tolerance 1e-8.
     """
-    _require_quarter(n, CircleError)
+    require_quarter(n, CircleError)
 
     def not_psd(lam: float) -> bool:
-        return min_circulant_eigenvalue(lam, n) < 0
+        return circulant_eigenvalues(lam, n, DOUBLE_DIGITS).min_eigenvalue < 0
 
     lo = 1e-6
     if not not_psd(lo):

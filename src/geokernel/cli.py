@@ -23,11 +23,10 @@ from .certificates import (
     SCHEMA_VERSION,
     cert_from_json,
     cert_to_json,
-    circulant_row,
     psd_decision,
     verify_certificate,
 )
-from .circle import DEFAULT_MAX_N, circle_witness, lambda_crit, min_circulant_eigenvalue, w_half
+from .circle import DEFAULT_MAX_N, circle_witness, lambda_crit, w_half
 from .embeddings import verify_isometry, witness_for_target
 from .partial_theta import bound_rhs, leading_term, partial_theta
 from .precision import DOUBLE_DIGITS, check_digits, number_to_json, numeric, resolve_digits
@@ -193,8 +192,7 @@ def _cmd_pd_check(args) -> int:
 
 def _cmd_circle_spectrum(args) -> int:
     digits = resolve_digits(args.precision)
-    row = circulant_row(args.lam, args.n, digits)
-    report = circulant_eigenvalues(row, digits)
+    report = circulant_eigenvalues(args.lam, args.n, digits)
     by_index = dict(zip(report.fourier_indices, report.eigenvalues))
     with numeric(digits):  # once for the whole table; w_{N-j} is w_j, formatted once
         texts = [_fmt(by_index[j], digits) for j in range(args.n // 2 + 1)]
@@ -228,7 +226,8 @@ def _cmd_lambda_profile(args) -> int:
     table = []
     for n in _int_list(args.n_list):
         crit = lambda_crit(n)
-        table.append([n, repr(crit), repr(min_circulant_eigenvalue(crit, n))])
+        floor = circulant_eigenvalues(crit, n, DOUBLE_DIGITS).min_eigenvalue
+        table.append([n, repr(crit), repr(floor)])
     _emit_csv(["N", "lambda_crit", "min_eig_at_probe"], table, args.out)
     return EXIT_OK
 

@@ -30,7 +30,8 @@ class PartialThetaError(ValueError):
     pass
 
 
-def _require_quarter(n: int, error=PartialThetaError) -> None:
+def require_quarter(n: int, error=PartialThetaError) -> None:
+    """Refuse N, with ``error``, unless it is an integer >= 4 divisible by 4."""
     if not (isinstance(n, int) and n >= 4 and n % 4 == 0):
         raise error(f"N must be divisible by 4, got {n}")
 
@@ -92,7 +93,7 @@ def tail_decomposition_check(mu, n: int, precision_digits: int = DEFAULT_DIGITS)
     The identity is pure index reshuffling, so the residual measures
     arithmetic error only.
     """
-    _require_quarter(n)
+    require_quarter(n)
     digits = precision_digits
     with working_dps(digits):
         mu = require_positive(mp.mpf(mu), "mu", PartialThetaError)
@@ -119,7 +120,7 @@ def bound_rhs(mu, n: int, precision_digits: int = DEFAULT_DIGITS):
     -1 + 2 S_0(N) + e^{-mu/4} (-1 + 2 e^{-mu/N^2 - mu/N}
                                   - 2 e^{-4mu/N^2 - 2mu/N} S_0(N))
     """
-    _require_quarter(n)
+    require_quarter(n)
     digits = precision_digits
     with working_dps(digits):
         mu = require_positive(mp.mpf(mu), "mu", PartialThetaError)

@@ -182,7 +182,7 @@ def principal_angles(a, b) -> np.ndarray:
     cosines, sines = np.linalg.svd(np.stack((along, b - along)), compute_uv=False)
     if cosines.max() > 1.0 + CLAMP_EXCESS:
         raise InvalidPointError(
-            f"cosine {cosines.max()!r} of a principal angle exceeds 1 beyond rounding"
+            f"cosine {float(cosines.max())!r} of a principal angle exceeds 1 beyond rounding"
         )
     # cosines descend and sines ascend along the same angle order
     return _atan2(sines[..., ::-1], cosines).astype(float)

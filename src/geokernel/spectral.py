@@ -2,9 +2,9 @@
 
 Two routes to a spectrum: LAPACK's dense symmetric eigensolver (double
 precision, any symmetric matrix) and an exact discrete-Fourier path for
-circulant first rows that are exactly symmetric, row[k] == row[N-k] (double
-or wide precision).  Keeping both lets every circulant result be
-cross-checked against dense linear algebra.
+the Gram of N equispaced circle points, a circulant formed from
+(lambda, N) alone (double or wide precision).  Keeping both lets every
+circulant result be cross-checked against dense linear algebra.
 
 The dense route only searches: a witness's violation is re-derived from
 raw points, bandwidth and coefficients by the certificate verifier,
@@ -18,10 +18,11 @@ from operator import mul
 
 import numpy as np
 
+from .partial_theta import mu_of_lambda
 from .precision import DOUBLE_DIGITS, lift, numeric, resolve_digits, unlift
 
 class AsymmetricInputError(ValueError):
-    """Input matrix or circulant row is not symmetric."""
+    """Dense input matrix is not square and symmetric."""
 
 
 class ConvergenceError(RuntimeError):
@@ -118,44 +119,48 @@ def jacobi_eigenvalues(matrix) -> SpectrumReport:
     return jacobi_spectra([matrix])[0]
 
 
-def circulant_eigenvalues(first_row, precision_digits: int | None = None) -> SpectrumReport:
-    """Spectrum of the circulant with the given first row, which must be
-    exactly symmetric (row[k] == row[N-k], as every
-    :func:`~geokernel.certificates.circulant_row` is); AsymmetricInputError
-    otherwise.
+def equispaced_half_row(mu, n: int, x) -> list:
+    """exp(-mu k^2/N^2) for k <= N/2 in the :func:`~geokernel.precision.numeric`
+    arithmetic ``x``: the equispaced kernel row's distinct values, which
+    :func:`circulant_eigenvalues` and :func:`~geokernel.circle.w_half` sum."""
+    nn = x.num(n) * n
+    return [x.exp(-mu * k ** 2 / nn) for k in range(n // 2 + 1)]
+
+
+def circulant_eigenvalues(lam, n: int, precision_digits: int | None = None,
+                          scale=1.0) -> SpectrumReport:
+    """Spectrum of the Gram of N equispaced points on the circle of the
+    given scale at bandwidth lambda: the circulant with first row
+    row[k] = half[min(k, N-k)] for the :func:`equispaced_half_row` of
+    mu = :func:`~geokernel.partial_theta.mu_of_lambda` times scale^2.
 
     w_j = sum_k row[k] cos(2 pi j k / N).  At double precision the
     products are summed with exact compensated summation (math.fsum).
-    Above it, row and cosines are lifted once to integer fixed point
-    (:func:`~geokernel.precision.lift`), so each w_j is an exact integer
-    sum of exact products, rounded once; since row[k] == row[N-k], the
-    terms k and N-k fold into one product of row[k] with the exact sum
-    of their two lifted cosines, so only k <= N/2 are multiplied.
+    Above it, the half row and cosines are lifted once to integer fixed
+    point (:func:`~geokernel.precision.lift`), so each w_j is an exact
+    integer sum of exact products, rounded once; since row[k] == row[N-k],
+    the terms k and N-k fold into one product of row[k] with the exact
+    sum of their two lifted cosines, so only k <= N/2 are multiplied.
     Either way w_j is the exactly rounded sum of its products, and the
     reindexing k -> N-k makes w_{N-j} the same sum as w_j: only j <= N/2
     are formed and the rest are copied.  Eigenvalues come back ascending
     with their frequency indices.
     """
     digits = resolve_digits(precision_digits)
-    row = list(first_row)
-    n = len(row)
-    if n < 1:
-        raise ValueError("empty first row")
+    if n < 2:
+        raise ValueError("need at least two points")
     with numeric(digits) as x:
-        row = [x.num(v) for v in row]
-        for k in range(1, n // 2 + 1):
-            if row[k] != row[n - k]:
-                raise AsymmetricInputError(f"first row not symmetric under k -> N-k at k={k}")
+        half = equispaced_half_row(mu_of_lambda(lam, digits) * x.num(scale) ** 2, n, x)
         base = [x.cos(2 * x.pi * m / n) for m in range(n)]
         if digits <= DOUBLE_DIGITS:
             values = [
-                x.fsum(row[k] * base[(j * k) % n] for k in range(n))
+                x.fsum(half[min(k, n - k)] * base[(j * k) % n] for k in range(n))
                 for j in range(n // 2 + 1)
             ]
         else:
-            (ints, exp_r), (cosines, exp_b) = lift(row), lift(base)
-            # fold k <-> N-k: row[k] == row[N-k] and cos(2 pi j (N-k)/N)
-            # is base[-jk mod N], so each k < N/2 pairs with its mirror
+            (ints, exp_r), (cosines, exp_b) = lift(half), lift(base)
+            # fold k <-> N-k: cos(2 pi j (N-k)/N) is base[-jk mod N], so
+            # each 0 < k < N/2 pairs with its mirror
             folded = [c + cosines[-m] for m, c in enumerate(cosines)]
             inner = range(1, (n + 1) // 2)
             mid = ints[n // 2] if n % 2 == 0 else 0  # the unpaired k = N/2

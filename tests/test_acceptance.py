@@ -15,7 +15,6 @@ import pytest
 from mpmath import mp
 
 import geokernel as gk
-from geokernel.certificates import circulant_row
 
 from conftest import record_criterion
 
@@ -53,7 +52,7 @@ def test_c01_four_point_circle_witness():
         closed = 1.0 - 2.0 * a + a**4
         assert closed == pytest.approx(-0.18997962224145058, abs=1e-15)
         assert abs(dense.min_eigenvalue - closed) <= 1e-6
-        circ = gk.circulant_eigenvalues(circulant_row(lam, 4), precision_digits=17)
+        circ = gk.circulant_eigenvalues(lam, 4, precision_digits=17)
         for u, v in zip(sorted(dense.eigenvalues), sorted(circ.eigenvalues)):
             assert abs(u - v) <= 1e-9
 

@@ -15,11 +15,12 @@ from mpmath.libmp import mpf_mul, mpf_pos, mpf_sum, round_nearest
 
 import geokernel as gk
 from geokernel import certificates, precision
-from geokernel.certificates import CertificateError, circulant_row
+from geokernel.certificates import CertificateError
 from geokernel.cli import main
 from geokernel.partial_theta import PartialThetaError
 from geokernel.precision import DOUBLE_DIGITS, PrecisionError, number_to_json, numeric
 from geokernel.spaces import circle_equispaced, require_valid, sample_points
+from geokernel.spectral import equispaced_half_row
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -38,34 +39,33 @@ def _unit_witness(lam=0.1, digits=None):
 
 @pytest.mark.parametrize("digits", [17, 30])
 def test_circulant_row_evaluates_half_the_row(monkeypatch, digits):
-    # row[k] == row[N-k]: only k <= N/2 call exp, the rest are mirrored
+    # row[k] == row[N-k]: the spectrum calls exp only for k <= N/2
     arith = precision._DOUBLE if digits <= DOUBLE_DIGITS else precision._WIDE
     exp = arith.exp
     for n in (2, 3, 4, 5, 16, 27, 256):
         calls = []
         monkeypatch.setattr(arith, "exp", lambda v: calls.append(v) or exp(v))
-        row = circulant_row(0.7, n, digits)
+        gk.circulant_eigenvalues(0.7, n, digits)
         monkeypatch.setattr(arith, "exp", exp)
         assert len(calls) == n // 2 + 1, n
-        with numeric(digits) as x:  # every k evaluated, as the formula reads
+        with numeric(digits) as x:
             mu, nn = gk.mu_of_lambda(0.7, digits), x.num(n) * n
-            assert row == [exp(-mu * min(k, n - k) ** 2 / nn) for k in range(n)], n
+            assert calls == [-mu * k ** 2 / nn for k in range(n // 2 + 1)], n
 
 
 def test_circulant_row_values():
     lam = 0.3
     n = 8
     mu = gk.mu_of_lambda(lam)
-    row = circulant_row(lam, n)
-    assert row[0] == 1.0
-    for k in range(n):
-        hop = min(k, n - k)
-        assert row[k] == pytest.approx(math.exp(-mu * hop * hop / n ** 2), rel=1e-15)
-    assert row[3] == row[5]
+    with numeric(DOUBLE_DIGITS) as x:
+        half = equispaced_half_row(mu, n, x)
+    assert half[0] == 1.0
+    for k in range(n // 2 + 1):
+        assert half[k] == pytest.approx(math.exp(-mu * k * k / n ** 2), rel=1e-15)
     for digits in (17, 30):
         for bad in (0, -1, math.nan, math.inf):
             with pytest.raises(PartialThetaError, match="lambda must be positive"):
-                circulant_row(bad, n, digits)
+                gk.circulant_eigenvalues(bad, n, digits)
 
 
 def test_quadratic_form_matches_manual():
@@ -600,17 +600,16 @@ def test_build_certificate_refuses_psd_input():
 def test_build_certificate_refuses_marginal_violation():
     # locate the sign change tightly, then step just below it: the tiny
     # violation sits inside the certification margin and must be refused
-    from geokernel.circle import min_circulant_eigenvalue
-
+    lowest = lambda lam: gk.circulant_eigenvalues(lam, 4, DOUBLE_DIGITS).min_eigenvalue
     lo, hi = 0.2469, 0.2471
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        if min_circulant_eigenvalue(mid, 4) < 0:
+        if lowest(mid) < 0:
             lo = mid
         else:
             hi = mid
     lam = lo - 1e-11
-    floor = min_circulant_eigenvalue(lam, 4)
+    floor = lowest(lam)
     assert -10.0 * gk.psd_tolerance(4) < floor < 0  # marginal by construction
     with pytest.raises(CertificateError):
         gk.build_certificate(gk.Circle(), lam, circle_equispaced(4), 17)

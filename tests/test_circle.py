@@ -9,9 +9,8 @@ from mpmath import mp, mpf
 
 import geokernel as gk
 from geokernel import circle
-from geokernel.certificates import circulant_row
-from geokernel.circle import CircleError, min_circulant_eigenvalue
-from geokernel.precision import numeric
+from geokernel.circle import CircleError
+from geokernel.precision import DOUBLE_DIGITS, numeric
 
 # root of a^3 + a^2 + a = 1 pushed through lambda = -4 ln(a) / pi^2
 LAMBDA_CRIT_4 = 0.2469715456351
@@ -35,7 +34,7 @@ def test_w_half_is_the_alternating_fourier_mode():
     draws = [(10 ** rng.uniform(-2, 1.3), 4 * rng.randint(1, 64),
               rng.choice([17, 20, 30, 40, 60, 100])) for _ in range(300)]
     for lam, n, digits in [(0.2, 4, 17), (0.2, 8, 17), (0.7, 12, 17)] + draws:
-        report = gk.circulant_eigenvalues(circulant_row(lam, n, digits), digits)
+        report = gk.circulant_eigenvalues(lam, n, digits)
         spectrum = dict(zip(report.fourier_indices, report.eigenvalues))[n // 2]
         w = gk.w_half(gk.mu_of_lambda(lam, digits), n, digits)
         assert _bitwise((n, w)) == _bitwise((n, spectrum)), (lam, n, digits)
@@ -72,17 +71,23 @@ def test_find_witness_size_lambda_one():
     assert gk.find_witness_size(mpf(1), 12, 40) is None
 
 
-def test_min_circulant_eigenvalue_matches_full_spectrum():
-    row = circulant_row(0.15, 8)
-    assert min_circulant_eigenvalue(0.15, 8) == gk.circulant_eigenvalues(row, 17).min_eigenvalue
+def _floor(lam, n):
+    """The double spectrum's minimum, the predicate lambda_crit bisects."""
+    return gk.circulant_eigenvalues(lam, n, DOUBLE_DIGITS).min_eigenvalue
+
+
+def test_double_spectrum_floor_matches_the_dense_floor():
+    points = gk.circle_equispaced(8)
+    dense = gk.jacobi_eigenvalues(gk.gram(gk.Circle(), points, gk.KernelParam(0.15)).entries)
+    assert _floor(0.15, 8) == pytest.approx(dense.min_eigenvalue, abs=1e-12)
 
 
 def test_lambda_crit_4_closed_form():
     crit = gk.lambda_crit(4)
     assert abs(crit - LAMBDA_CRIT_4) <= 1e-7  # bisection stops at 1e-8
     # bracketing: just below is non-PSD, just above is PSD
-    assert min_circulant_eigenvalue(crit - 1e-6, 4) < 0
-    assert min_circulant_eigenvalue(crit + 1e-6, 4) > 0
+    assert _floor(crit - 1e-6, 4) < 0
+    assert _floor(crit + 1e-6, 4) > 0
 
 
 def test_lambda_crit_nondecreasing():
@@ -94,7 +99,7 @@ def test_lambda_crit_nondecreasing():
 def test_lambda_profile_rows():
     for n in (4, 8):
         # at the reported critical value the floor sits at the boundary
-        assert -1e-6 < min_circulant_eigenvalue(gk.lambda_crit(n), n) <= 1e-12
+        assert -1e-6 < _floor(gk.lambda_crit(n), n) <= 1e-12
 
 
 def test_circle_witness_unit_scale():

@@ -140,6 +140,14 @@ def test_circulant_route_refuses_what_the_dense_route_refuses(tmp_path, capsys):
         assert err.startswith("error: "), argv
 
 
+def test_circle_spectrum_refuses_fewer_than_two_points(capsys):
+    # the order is checked before the bandwidth
+    for n in ("1", "0", "-4"):
+        for lam in ("1", "-1"):
+            code, out, err = run(capsys, "circle-spectrum", "--lambda", lam, "--n", n)
+            assert (code, out, err) == (1, "", "error: need at least two points\n"), (n, lam)
+
+
 def test_point_error_wins_over_the_precision_refusal(tmp_path, capsys):
     # above 17 digits a non-equispaced set is refused by the dense route,
     # but an invalid point is named first, as it is at 17 digits

@@ -12,7 +12,6 @@ from pathlib import Path
 import numpy as np
 
 import geokernel as gk
-from geokernel.certificates import circulant_row
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -23,7 +22,7 @@ def _sample_calls():
         "jacobi_eigensystem": ((np.diag([2.0, 1.0, 3.0]),), {}),
         "gram": ((gk.Sphere(2), gk.sample_points(gk.Sphere(2), 0, 5), gk.KernelParam(0.5)), {}),
         "jacobi_eigenvalues": ((np.eye(4),), {}),
-        "circulant_eigenvalues": ((circulant_row(0.1, 8),), {}),
+        "circulant_eigenvalues": ((0.1, 8), {}),
         "partial_theta": ((10, 0, 8), {}),
         "quadratic_form": ((gk.Circle(), 0.1, gk.circle_equispaced(4), [0.5, -0.5, 0.5, -0.5], 17), {}),
         "verify_isometry": ((gk.Sphere(2),), {"pair_count": 20, "seed": 0}),

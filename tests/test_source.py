@@ -1,10 +1,10 @@
 """Source hygiene: every name a module imports is used in that module,
-every private top-level helper is used somewhere in the package, every
-public top-level function or class is used by the program or the
-benchmark (or is on a named list of test-only names), the package's
-``__all__`` lists exactly the public names it imports and no submodule,
-and every Sphinx cross-reference role in a docstring names an object
-that exists.
+no module imports another module's private name, every private
+top-level helper is used somewhere in the package, every public
+top-level function or class is used by the program or the benchmark
+(or is on a named list of test-only names), the package's ``__all__``
+lists exactly the public names it imports and no submodule, and every
+Sphinx cross-reference role in a docstring names an object that exists.
 
 No linter ships with the toolchain, so this reads each module's syntax
 tree instead.  ``__init__.py`` is left out of the import check: it
@@ -48,6 +48,15 @@ def test_every_imported_name_is_used(path):
     # an attribute chain such as ``np.linalg.eigh`` starts from a Name
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(_imported_names(tree) - used) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_another_modules_private_name(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    private = [f"{node.module}.{a.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level
+               for a in node.names if a.name.startswith("_") and not a.name.startswith("__")]
+    assert private == []
 
 
 def _referenced_names(tree: ast.Module) -> set[str]:

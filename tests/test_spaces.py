@@ -159,6 +159,15 @@ def test_grassmann_small_angles_keep_relative_accuracy(t):
     assert gk.distance(space, b, a) == pytest.approx(d, rel=1e-10)
 
 
+def test_principal_angles_refusal_prints_the_plain_cosine():
+    # frames of norm 2 give a cosine of 8; the text shows the float, not
+    # numpy's np.float64(...) repr
+    f = 2 * np.eye(4)[:, :2]
+    with pytest.raises(gk.InvalidPointError) as caught:
+        gk.principal_angles(f, f)
+    assert str(caught.value) == "cosine 8.0 of a principal angle exceeds 1 beyond rounding"
+
+
 def test_distance_is_one_pair_of_the_pairwise_routine():
     # bitwise: a pair's value does not depend on the batch it is in
     pairs = [(4, 0), (1, 1), (2, 3), (2, 3)]

@@ -9,7 +9,6 @@ from mpmath import mp, mpf
 from mpmath.libmp import mpf_mul, mpf_pos, mpf_sum, round_nearest
 
 import geokernel as gk
-from geokernel.certificates import circulant_row
 from geokernel.precision import lift, numeric, unlift
 from geokernel.spectral import (
     AsymmetricInputError,
@@ -107,22 +106,31 @@ def test_convergence_error_carries_residual():
     assert err.residual == 1e-3
 
 
+def _kernel_row(lam, n, digits, scale=1.0):
+    """The equispaced kernel's whole first row, every k evaluated:
+    exp(-mu m^2/N^2) with m = min(k, N-k) and mu = mu_of_lambda * scale^2."""
+    with numeric(digits) as x:
+        mu = gk.mu_of_lambda(lam, digits) * x.num(scale) ** 2
+        nn = x.num(n) * n
+        return [x.exp(-mu * min(k, n - k) ** 2 / nn) for k in range(n)]
+
+
 def test_circulant_matches_jacobi_on_kernel_rows():
     # the dense solver and the exact cosine-sum spectrum must agree on
     # the same circulant matrix
     for n in (4, 8, 16, 64):
         for lam in (0.01, 0.1, 1.0):
-            row = circulant_row(lam, n)
+            row = _kernel_row(lam, n, 17)
             dense = [[row[(i - j) % n] for j in range(n)] for i in range(n)]
             a = np.asarray(gk.jacobi_eigenvalues(dense).eigenvalues)
-            b = np.asarray([float(x) for x in gk.circulant_eigenvalues(row).eigenvalues])
+            b = np.asarray([float(x) for x in gk.circulant_eigenvalues(lam, n).eigenvalues])
             assert np.max(np.abs(a - b)) <= 1e-9
 
 
 def test_circulant_eigenvalue_formula():
     n = 8
-    row = circulant_row(0.3, n)
-    report = gk.circulant_eigenvalues(row)
+    row = _kernel_row(0.3, n, 17)
+    report = gk.circulant_eigenvalues(0.3, n)
     assert sorted(report.fourier_indices) == list(range(n))
     assert report.method == "circulant"
     for pos, j in enumerate(report.fourier_indices):
@@ -133,43 +141,30 @@ def test_circulant_eigenvalue_formula():
     assert list(report.eigenvalues) == sorted(report.eigenvalues)
 
 
-def test_circulant_rejects_asymmetric_row():
-    with pytest.raises(AsymmetricInputError, match="at k=1$"):
-        gk.circulant_eigenvalues([1.0, 0.5, 0.3, 0.4])
-    for digits in (17, 30):
-        near = circulant_row(0.7, 28, digits)
-        near[3] = near[3] * (1 + 2.0 ** -52)  # one ulp off its mirror
-        assert near[3] != near[25]
-        with pytest.raises(AsymmetricInputError, match="at k=3$"):
-            gk.circulant_eigenvalues(near, digits)
-
-
 def test_circulant_wide_agrees_with_double():
     n = 12
     lam = 0.2
-    fine = gk.circulant_eigenvalues(circulant_row(lam, n, 30), 30)
-    coarse = gk.circulant_eigenvalues(circulant_row(lam, n))
+    fine = gk.circulant_eigenvalues(lam, n, 30)
+    coarse = gk.circulant_eigenvalues(lam, n, 17)
     assert fine.precision_digits == 30
     assert isinstance(fine.eigenvalues[0], mpf)
     for a, b in zip(fine.eigenvalues, coarse.eigenvalues):
         assert abs(float(a) - b) <= 1e-14
 
 
-def _wide_rows():
-    yield "lambda 1, N 16, 40 digits", circulant_row(1, 16, 40), 40
-    yield "lambda 5, N 68, 50 digits", circulant_row(5, 68, 50), 50
-    yield "lambda 20, N 256, 100 digits", circulant_row(20, 256, 100), 100
-    rng = np.random.default_rng(2)
-    half = rng.standard_normal(12).tolist()
-    yield "random symmetric row, 30 digits", half + half[-2:0:-1], 30
+# (lambda, N, digits, scale): odd N and the half circle included
+WIDE_CASES = [
+    (1, 16, 40, 1.0), (5, 68, 50, 1.0), (20, 256, 100, 1.0),
+    (0.3, 27, 30, 1.0), (2, 45, 60, 0.5), (0.05, 24, 30, 0.5),
+]
 
 
 def test_circulant_wide_is_the_exact_sum_rounded_once():
-    for what, row, digits in _wide_rows():
-        report = gk.circulant_eigenvalues(row, digits)
-        n = len(row)
+    for lam, n, digits, scale in WIDE_CASES:
+        report = gk.circulant_eigenvalues(lam, n, digits, scale)
+        row = _kernel_row(lam, n, digits, scale)
         with numeric(digits):
-            row = [mpf(v)._mpf_ for v in row]
+            row = [v._mpf_ for v in row]
             base = [mp.cos(2 * mp.pi * m / n)._mpf_ for m in range(n)]
             exact = [
                 mpf_pos(mpf_sum([mpf_mul(row[k], base[j * k % n], 0) for k in range(n)], 0),
@@ -177,37 +172,34 @@ def test_circulant_wide_is_the_exact_sum_rounded_once():
                 for j in range(n)
             ]
         mine = dict(zip(report.fourier_indices, report.eigenvalues))
-        assert [mine[j]._mpf_ for j in range(n)] == exact, what
+        assert [mine[j]._mpf_ for j in range(n)] == exact, (lam, n, digits, scale)
 
 
 @pytest.mark.parametrize("digits", [30, 100])
 def test_circulant_wide_fold_is_the_unfolded_sum(digits):
     # the k <-> N-k fold regroups exact integer products, so every w_j is
     # bit for bit the plain sum over all k of R_k * C[jk mod N]
-    rng = np.random.default_rng(4)
     for n in [*range(2, 41), 256]:
-        half = rng.standard_normal(n // 2 + 1).tolist()
-        rows = [circulant_row(0.7, n, digits), half + half[(n + 1) // 2 - 1:0:-1]]
-        for row in rows:
-            report = gk.circulant_eigenvalues(row, digits)
+        for lam, scale in ((0.7, 1.0), (3, 0.5)):
+            report = gk.circulant_eigenvalues(lam, n, digits, scale)
+            row = _kernel_row(lam, n, digits, scale)
             with numeric(digits) as x:
-                ints, exp_r = lift([x.num(v) for v in row])
+                ints, exp_r = lift(row)
                 cosines, exp_b = lift([x.cos(2 * x.pi * m / n) for m in range(n)])
                 ref = [
                     unlift(sum(ints[k] * cosines[j * k % n] for k in range(n)), exp_r + exp_b)._mpf_
                     for j in range(n)
                 ]
             mine = dict(zip(report.fourier_indices, report.eigenvalues))
-            assert [mine[j]._mpf_ for j in range(n)] == ref, n
+            assert [mine[j]._mpf_ for j in range(n)] == ref, (n, lam)
 
 
 def test_circulant_wide_mirror_frequencies_are_bitwise_equal():
-    for what, row, digits in _wide_rows():
-        report = gk.circulant_eigenvalues(row, digits)
-        n = len(row)
+    for lam, n, digits, scale in WIDE_CASES:
+        report = gk.circulant_eigenvalues(lam, n, digits, scale)
         mine = dict(zip(report.fourier_indices, report.eigenvalues))
         for j in range(1, n):
-            assert mine[j]._mpf_ == mine[n - j]._mpf_, (what, j)
+            assert mine[j]._mpf_ == mine[n - j]._mpf_, (lam, n, digits, j)
 
 
 def _full_circulant_reference(row, digits):
@@ -230,22 +222,15 @@ def _full_circulant_reference(row, digits):
     return tuple(values[j] for j in order), tuple(order)
 
 
-def _symmetric_rows(digits):
-    for n in (5, 27, 192, 256):
-        yield f"N {n}", circulant_row(0.7, n, digits)
-    rng = np.random.default_rng(3)
-    half = rng.standard_normal(13).tolist()
-    yield "random symmetric row, N 24", half + half[-2:0:-1]
-
-
 @pytest.mark.parametrize("digits", [17, 30])
 def test_circulant_half_spectrum_is_the_full_spectrum(digits):
-    for what, row in _symmetric_rows(digits):
-        report = gk.circulant_eigenvalues(row, digits)
-        values, indices = _full_circulant_reference(row, digits)
-        assert report.fourier_indices == indices, what
-        bits = (lambda v: v._mpf_) if digits > 17 else float.hex
-        assert list(map(bits, report.eigenvalues)) == list(map(bits, values)), what
+    for n in (2, 5, 24, 27, 192, 256):
+        for lam, scale in ((0.7, 1.0), (0.02, 1.0), (4, 0.5)):
+            report = gk.circulant_eigenvalues(lam, n, digits, scale)
+            values, indices = _full_circulant_reference(_kernel_row(lam, n, digits, scale), digits)
+            assert report.fourier_indices == indices, (n, lam, scale)
+            bits = (lambda v: v._mpf_) if digits > 17 else float.hex
+            assert list(map(bits, report.eigenvalues)) == list(map(bits, values)), (n, lam, scale)
 
 
 def test_min_eigenvector_residual_and_sign():

@@ -11,7 +11,7 @@ import pytest
 
 import geokernel as gk
 from geokernel import certificates, circle, cli, spectral
-from geokernel.certificates import build_certificate, cert_from_json, cert_to_json, circulant_row
+from geokernel.certificates import build_certificate, cert_from_json, cert_to_json
 from geokernel.circle import circle_witness, find_witness_size
 from geokernel.embeddings import source_circle, transfer_witness, witness_for_target
 from geokernel.precision import MAX_DIGITS, numeric
@@ -62,7 +62,7 @@ def test_circle_witness_matches_the_spectrum_route(lam):
         hit = find_witness_size(lam, N_MAX, digits)
         if hit is not None:
             n = hit[0]
-            spectrum = circulant_eigenvalues(circulant_row(lam, n, digits), digits)
+            spectrum = circulant_eigenvalues(lam, n, digits)
             assert spectrum.fourier_indices[0] == n // 2, (lam, digits, n)
 
 
