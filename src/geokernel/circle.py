@@ -5,7 +5,10 @@ collapses to a short alternating sum of the kernel row
 (:func:`~geokernel.spectral.equispaced_half_row`).  That sum goes
 negative for some finite N at every bandwidth, which the witness search
 finds (deciding most N with a double-precision screen of the same sum)
-and certifies as it is, mode and value; lambda_crit profiles, per N,
+and certifies as it is, mode and value, on the points k*h of an exact
+progression (h is 2*pi/N cut to p - bitlen(N - 1) bits), so the
+certificate's quadratic form sees one offset, g*h, per index gap g
+and evaluates the kernel N - 1 times; lambda_crit profiles, per N,
 where the whole spectrum (:func:`~geokernel.spectral.circulant_eigenvalues`
 of lambda and N) turns PSD.
 """
@@ -200,6 +203,17 @@ def lambda_crit(n: int) -> float:
     return 0.5 * (lo + hi)
 
 
+def _progression(n: int, x) -> list:
+    """N angles k*h, k < N, at the working precision of ``x``: h is 2*pi/N
+    truncated to keep p - bitlen(N - 1) of its p bits, so every k*h is
+    exact and every pair at index gap g has the same exact offset g*h.
+    Each angle lies within 4N units of 2^-p * 2*pi of 2*pi*k/N."""
+    h = 2 * x.pi / n
+    unit = x.eps * 2 ** (math.frexp(float(h))[1] + (n - 1).bit_length() - 1)
+    h -= h % unit
+    return [k * h for k in range(n)]
+
+
 def circle_witness(
     lam,
     n_max: int = DEFAULT_MAX_N,
@@ -212,7 +226,10 @@ def circle_witness(
     the circle by s multiplies every distance by s), then the
     certificate is built on the scaled circle itself from the scan's hit:
     the alternating mode j = N/2, eigenvalue ``w_half`` and coefficients
-    (-1)^k/sqrt(N), with no circulant spectrum.
+    (-1)^k/sqrt(N), with no circulant spectrum.  The points are the exact
+    progression k*h of :func:`_progression`, within 4N units of 2^-p * 2*pi
+    of 2*pi*k/N, so ``equispaced_order`` still reads them as the
+    equispaced family (at double precision up to N = 1024).
     """
     digits = resolve_digits(precision_digits)
     with numeric(digits) as x:
@@ -220,7 +237,7 @@ def circle_witness(
         if hit is None:
             return None
         n, w = hit
-        points = [2 * x.pi * k / n for k in range(n)]
+        points = _progression(n, x)
         norm = x.sqrt(n)  # the coefficients are cos(pi k) = (-1)^k, exactly
         mode = w, tuple(x.num((-1) ** k) / norm for k in range(n))
     return build_certificate(sp.Circle(scale=float(scale)), lam, points, digits, mode=mode)

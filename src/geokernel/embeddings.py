@@ -42,8 +42,10 @@ def source_circle(target: sp.Space) -> sp.Circle:
 
 def verify_isometry(target: sp.Space, pair_count: int = 1000, seed: int = 0) -> float:
     """Max |d_target(iota a, iota b) - d_source(a, b)| over seeded pairs
-    of source angles, iota the target's ``_circle_points``."""
+    of source angles, iota the target's ``_circle_points``; no pairs give 0."""
     source = source_circle(target)
+    if pair_count < 0:
+        raise EmbeddingError(f"pair_count must be >= 0, got {pair_count}")
     rng = np.random.default_rng(seed)
     angles = rng.uniform(0.0, 2.0 * math.pi, (pair_count, 2)).ravel().tolist()
     i, j = np.arange(len(angles)).reshape(-1, 2).T

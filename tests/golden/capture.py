@@ -97,6 +97,11 @@ CASES = (
     # (the mu is mu_of_lambda(2.5) as a double)
     ("bound-check", "--mu", "98.69604401089359", "--n-list", "36", "--precision", "17"),
     ("circle-spectrum", "--lambda", "2.5", "--n", "36", "--precision", "17"),
+    # static 70-digit certificates on the rounded angles 2*pi*k/N, as built
+    # before witnesses moved to exact progressions k*h: their forms see many
+    # exact offsets per index gap, and are never regenerated
+    ("verify-certificate", "circle_cert70_rounded.json"),
+    ("verify-certificate", "torus_cert70_rounded.json"),
 )
 
 

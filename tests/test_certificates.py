@@ -26,9 +26,11 @@ from geokernel.spectral import equispaced_half_row
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def _golden_cert70():
-    """The committed 70-digit circle certificate: lambda 10, N = 128."""
-    return gk.cert_from_json(json.loads((GOLDEN / "circle_cert70.json").read_text()))
+def _golden_cert70(name="circle_cert70.json"):
+    """A committed 70-digit circle certificate: lambda 10, N = 128.  The
+    ``_rounded`` file keeps the angles 2*pi*k/N rounded one by one, as
+    witnesses were built before they moved to exact progressions k*h."""
+    return gk.cert_from_json(json.loads((GOLDEN / name).read_text()))
 
 
 def _unit_witness(lam=0.1, digits=None):
@@ -150,9 +152,10 @@ def _bits(value):
 
 
 def _bit_identity_cases():
-    cert70 = _golden_cert70()
-    yield "circle lambda 10, 70 digits", cert70.space, cert70.lam, cert70.points, \
-        cert70.coefficients, 70
+    for name in ("circle_cert70.json", "circle_cert70_rounded.json"):
+        cert70 = _golden_cert70(name)
+        yield f"{name}, 70 digits", cert70.space, cert70.lam, cert70.points, \
+            cert70.coefficients, 70
     scaled = gk.circle_witness(5, precision_digits=50, scale=0.7)
     yield "circle scale 0.7, 50 digits", scaled.space, scaled.lam, scaled.points, \
         scaled.coefficients, 50
@@ -278,7 +281,7 @@ def test_wide_form_with_a_shared_factor_is_the_plain_form(case):
 def test_quadratic_form_evaluates_each_distinct_pair_once(monkeypatch):
     # one kernel exp per distinct distance: offsets d and 2*pi - d, and
     # rounded offsets whose arcs round alike, share one
-    cert = _golden_cert70()
+    cert = _golden_cert70("circle_cert70_rounded.json")
     n = cert.order
     with numeric(70) as x:
         angles = [x.num(p) for p in cert.points]

@@ -3,14 +3,16 @@ the critical bandwidth profile."""
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 
 import geokernel as gk
-from geokernel import circle
+from geokernel import circle, precision
 from geokernel.circle import CircleError
 from geokernel.precision import DOUBLE_DIGITS, numeric
+from geokernel.spectral import psd_tolerance
 
 # root of a^3 + a^2 + a = 1 pushed through lambda = -4 ln(a) / pi^2
 LAMBDA_CRIT_4 = 0.2469715456351
@@ -231,3 +233,47 @@ def test_screen_matches_the_scaled_alternating_eigenvalue(lam, n):
     assert abs(s / scaled - 1) < 1e-9
     # and the screen's error budget covers the true value
     assert abs(s - scaled) <= math.exp(log_p) * 2 * err_p + err_t
+
+
+@pytest.mark.parametrize("digits", [17, 30, 100])
+@pytest.mark.parametrize("n", [4, 16, 28, 68, 256, 1024])
+def test_witness_points_are_an_exact_progression(n, digits):
+    # every angle is k * h exactly, h = points[1], and within 4N units of
+    # 2^-p * 2 pi of 2 pi k / N (h is off by under (1 + 2^-b) 2^{e+b-p},
+    # with 2^b <= 2(N - 1) and 2^e <= 2h); the set is still the equispaced
+    # family
+    with numeric(digits) as x:
+        points = circle._progression(n, x)
+        if digits <= DOUBLE_DIGITS:
+            h, prec = Fraction(points[1]), 53
+            assert all(Fraction(p) == k * h for k, p in enumerate(points))
+        else:
+            prec = mp.prec
+            with mp.workprec(prec + 200):  # k * h is exact up here
+                assert all(p == k * points[1] for k, p in enumerate(points))
+        with mp.workprec(prec + 200):
+            bound = 4 * n * 2 * mp.pi * mpf(2) ** -prec
+            assert all(abs(mpf(p) - 2 * mp.pi * k / n) <= bound for k, p in enumerate(points))
+    assert 0 == points[0] < points[1] and points[-1] < 2 * math.pi
+    assert gk.spaces.equispaced_order(points) == n
+
+
+@pytest.mark.parametrize("lam, digits", [(5, 50), (10, 70), (20, 100)])
+def test_wide_witness_form_has_one_distance_per_index_gap(monkeypatch, lam, digits):
+    # the circle_wide rows: N - 1 exact offsets g * h and N - 1 distinct
+    # distances, so the verify evaluates the kernel N - 1 times
+    cert = gk.circle_witness(lam, n_max=1024, precision_digits=digits)
+    n = cert.order
+    with numeric(digits) as x:
+        angles = [x.num(p) for p in cert.points]
+        assert all(a == k * angles[1] for k, a in enumerate(angles))
+        offsets = {a - b for i, a in enumerate(angles) for b in angles[i + 1:]}
+        distances = {min(abs(d), 2 * x.pi - abs(d)) for d in offsets}
+        w = gk.w_half(gk.mu_of_lambda(lam, digits), n, digits)
+    assert len(offsets) == len(distances) == n - 1
+    assert abs(cert.quad_form - w) <= psd_tolerance(n, digits)
+    calls = []
+    exp = precision._WIDE.exp
+    monkeypatch.setattr(precision._WIDE, "exp", lambda v: calls.append(v) or exp(v))
+    assert gk.verify_certificate(cert).ok
+    assert len(calls) == n - 1

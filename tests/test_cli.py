@@ -344,6 +344,11 @@ def test_embed_verify_csv(capsys):
     assert float(row[-1]) <= 1e-10
 
 
+def test_embed_verify_refuses_a_negative_pair_count(capsys):
+    code, out, err = run(capsys, "embed-verify", "--target", "sphere:2", "--pairs", "-3")
+    assert (code, out, err) == (1, "", "error: pair_count must be >= 0, got -3\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("circle-spectrum", "--lambda", "1", "--n", "8"),
     ("circle-spectrum", "--lambda", "1", "--n", "8", "--precision", "40"),

@@ -86,6 +86,13 @@ def test_wrongly_scaled_map_fails_isometry_check():
     assert gk.verify_isometry(Liar(2), pair_count=50, seed=0) > 1e-2
 
 
+def test_verify_isometry_refuses_a_negative_pair_count():
+    for count in (-1, -3):
+        with pytest.raises(EmbeddingError, match=rf"^pair_count must be >= 0, got {count}$"):
+            gk.verify_isometry(gk.Sphere(2), pair_count=count)
+    assert gk.verify_isometry(gk.Sphere(2), pair_count=0) == 0.0
+
+
 def test_embedding_for_rejects_projection_metric():
     # every entry point refuses a target that holds no isometric circle
     cert = gk.circle_witness(0.1, n_max=16)

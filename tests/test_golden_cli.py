@@ -8,7 +8,10 @@ pairwise-distance routine (the frozen seed-7 hit, a gap scan, an in-set
 scan, ``pd-check`` on Stein and log-Euclidean points), the
 double-precision torus and Grassmann projection distances, and the two
 documented default-precision outcomes of ``witness circle`` (a refusal
-at lambda 5, whose stderr is stored too, and an exhausted scan at 10).  ``capture.py``
+at lambda 5, whose stderr is stored too, and an exhausted scan at 10),
+and the verify of two static 70-digit certificates on the rounded
+angles 2*pi*k/N, which keeps the verifier's many-offset path frozen
+(``capture.py`` never rewrites those two files).  ``capture.py``
 rebuilds the file from its argv list at the commit being frozen; any
 change to the expected text is a change in behaviour, not a refactor,
 and is made by running the script, never by editing the file.

@@ -43,14 +43,15 @@ def _outcome(build):
 
 
 def _spectrum_route(lam, digits, scale=1.0):
-    """The certificate as built before: the scan's N, then the minimum
-    mode of the circulant spectrum ``psd_decision`` computes."""
+    """The certificate as built before: the scan's N and the witness's
+    points, then the minimum mode of the circulant spectrum
+    ``psd_decision`` computes."""
     hit = find_witness_size(lam * scale ** 2, N_MAX, digits)
     if hit is None:
         return None
     n = hit[0]
     with numeric(digits) as x:
-        points = [2 * x.pi * k / n for k in range(n)]
+        points = circle._progression(n, x)
     return build_certificate(gk.Circle(scale=scale), lam, points, digits)
 
 
