@@ -23,7 +23,6 @@ from itertools import combinations
 from operator import mul
 
 import mpmath as mp
-from mpmath.libmp import mpf_abs, mpf_le, mpf_lt, mpf_mul, mpf_sub, normalize
 
 from . import spaces as sp
 from .gram import KernelParam, gram
@@ -92,12 +91,14 @@ def quadratic_form(space: sp.Space, lam, points, coefficients, precision_digits:
     points, whose payloads are exact angles, and sums in integer fixed
     point: the lifted coefficients' gcd g is factored out, the cofactor
     products accumulate exactly per distinct pair distance
-    (:func:`_pair_sums`), each distance's kernel value, evaluated once,
-    multiplies its total, and the sum, times g^2, is rounded once, so the
-    only rounding is in the coefficients and kernel values (a builder
-    witness's cofactors are +-1, so its pairs add small integers).  A
-    non-finite coefficient, or double terms past the double range, give
-    nan, which no verification accepts.  Each point is validated once."""
+    (:func:`_pair_sums`: by index gap on an exact progression, such as a
+    builder witness, by pair otherwise), each distance's kernel value,
+    evaluated once, multiplies its total, and the sum, times g^2, is
+    rounded once, so the only rounding is in the coefficients and kernel
+    values (a builder witness's cofactors are +-1, so its pairs add small
+    integers).  A non-finite coefficient, or double terms past the double
+    range, give nan, which no verification accepts.  Each point is
+    validated once."""
     points = list(points)
     n = len(points)
     if len(coefficients) != n:
@@ -147,59 +148,52 @@ def _pair_sums(space: sp.Space, points: list, cs: list, x) -> dict:
     pairs at that distance, so the caller evaluates one kernel value per
     distinct distance.
 
-    A pair's key is the tuple of its angle differences rounded at the
-    working precision, one raw mpf per factor: exactly what ``mpf_sub`` of
-    the two angles returns, which fixes the distance bit for bit (parsed
-    angles need not fix the index gap to the last bit).  Sums merge per
-    key first; then each distinct key's distance is formed once and keys
-    at equal distances (offsets d and 2*pi - d) merge.
+    A pair's offset is the tuple of its angle differences rounded at the
+    working precision, one per factor, which fixes its distance bit for
+    bit; offsets at equal distances (d and 2*pi - d among them) merge.
+    Circle and torus share two routes to the offsets.  When every factor
+    lifts whole (:func:`~geokernel.precision.lift`) to an exact
+    progression a_0 + k*h, as a builder witness k*h and its torus image
+    do, the pairs at index gap g share the exact offset -g*h: it is
+    rounded once (:func:`~geokernel.precision.unlift`) and its sum is
+    that of ``cs[i] * cs[i + g]``.  Any other set (an angle more than
+    ``LIFT_SPAN`` working precisions below the largest, which lifts
+    truncated, or angles off a progression, such as 2*pi*k/N rounded one
+    by one) keys each pair by its rounded differences, merges equal keys
+    and forms each distinct key's distance once."""
+    pi = +x.pi
+    two_pi = 2 * pi
 
-    Circle angles that all lift whole (:func:`~geokernel.precision.lift`)
-    take the fast path: a pair's exact offset is ``labels[i] - labels[j]``,
-    one Python-int subtraction, and the exact offsets merge by their value
-    rounded through mpmath's ``normalize``.  Everything else (torus points,
-    or a circle angle more than ``LIFT_SPAN`` working precisions below the
-    largest, which lifts truncated) forms each key with ``mpf_sub`` from
-    the raw angles."""
-    prec, rnd = mp.mp._prec_rounding
-    pi, two_pi = x.pi._mpf_, (2 * x.pi)._mpf_
-    keys = defaultdict(int)
-
-    def arc(diff):  # min(|diff|, 2*pi - |diff|) on raw mpfs
-        d = mpf_abs(diff)
-        if mpf_le(d, pi):  # then 2*pi - d rounds to d or above
-            return d
-        e = mpf_sub(two_pi, d, prec, rnd)
-        return e if mpf_lt(e, d) else d
+    def arc(diff):  # min(|diff|, 2*pi - |diff|)
+        d = abs(diff)
+        # at d <= pi, 2*pi - d rounds to d or above
+        return d if d <= pi else min(d, two_pi - d)
 
     if isinstance(space, sp.Circle):
-        angles = [x.num(p) for p in points]
-        factors = [angles]
-        scale = x.num(space.scale)._mpf_
-        dist = lambda k: mpf_mul(scale, arc(k[0]), prec, rnd)
-        labels, exp = lift(angles)
-        # a nonzero mpf mantissa is odd, so an angle below the lift's
-        # exponent has lost bits
-        whole = all(not a._mpf_[1] or a._mpf_[2] >= exp for a in angles)
+        factors = [[x.num(p) for p in points]]
+        scale = x.num(space.scale)
+        dist = lambda d: scale * arc(d[0])
     else:
         factors = [[x.num(p[f]) for p in points] for f in (0, 1)]
-        dist = lambda k: x.sqrt(mp.make_mpf(arc(k[0])) ** 2 + mp.make_mpf(arc(k[1])) ** 2)._mpf_
-        whole = False
-    if whole:
-        exact = defaultdict(int)
-        for i, (ci, li) in enumerate(zip(cs, labels)):
-            for cj, lj in zip(cs[i + 1:], labels[i + 1:]):
-                exact[li - lj] += ci * cj
-        for k, s in exact.items():
-            sign, m = (1, -k) if k < 0 else (0, k)
-            keys[(normalize(sign, m, exp, m.bit_length(), prec, rnd),)] += s
-    else:
-        raws = [[a._mpf_ for a in f] for f in factors]
-        for i, j in combinations(range(len(cs)), 2):
-            keys[tuple(mpf_sub(r[i], r[j], prec, rnd) for r in raws)] += cs[i] * cs[j]
+        dist = lambda d: x.sqrt(arc(d[0]) ** 2 + arc(d[1]) ** 2)
+    steps = []  # (h, exponent) of each factor that lifts whole to a progression
+    for angles in factors:
+        labels, exp = lift(angles)
+        hs = {b - a for a, b in zip(labels, labels[1:])}
+        # a nonzero mpf mantissa is odd, so an angle below the lift's
+        # exponent has lost bits
+        if len(hs) < 2 and all(not a._mpf_[1] or a._mpf_[2] >= exp for a in angles):
+            steps.append((hs.pop() if hs else 0, exp))
     sums = defaultdict(int)
-    for k, s in keys.items():
-        sums[dist(k)] += s
+    if len(steps) == len(factors):
+        for g in range(1, len(cs)):
+            sums[dist([unlift(-g * h, exp) for h, exp in steps])._mpf_] += sum(map(mul, cs, cs[g:]))
+    else:
+        keys = defaultdict(int)
+        for i, j in combinations(range(len(cs)), 2):
+            keys[tuple((f[i] - f[j])._mpf_ for f in factors)] += cs[i] * cs[j]
+        for k, s in keys.items():
+            sums[dist(list(map(mp.make_mpf, k)))._mpf_] += s
     return sums
 
 

@@ -229,7 +229,7 @@ def circle_witness(
     (-1)^k/sqrt(N), with no circulant spectrum.  The points are the exact
     progression k*h of :func:`_progression`, within 4N units of 2^-p * 2*pi
     of 2*pi*k/N, so ``equispaced_order`` still reads them as the
-    equispaced family (at double precision up to N = 1024).
+    equispaced family.
     """
     digits = resolve_digits(precision_digits)
     with numeric(digits) as x:

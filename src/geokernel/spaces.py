@@ -549,13 +549,16 @@ def circle_equispaced(count: int) -> list[float]:
 
 def equispaced_order(angles) -> int | None:
     """count if the angles are exactly the family ``circle_equispaced(count)``
-    in construction order (each nonnegative and within 1e-12), else None."""
+    in construction order, else None: each nonnegative and within
+    max(1e-12, 8 N 2^-53 2*pi) of 2*pi*k/N, twice the bound of a witness's
+    exact progression k*h at 17 digits (``circle._progression``)."""
     n = len(angles)
     if n < 2:
         return None
+    tol = max(1e-12, 8 * n * TWO_PI * 2.0 ** -53)
     for theta, target in zip(angles, circle_equispaced(n)):
         # a negated test, since a nan angle fails every comparison
-        if not (theta >= 0 and abs(float(theta) - target) <= 1e-12):
+        if not (theta >= 0 and abs(float(theta) - target) <= tol):
             return None
     return n
 

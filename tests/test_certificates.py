@@ -2,6 +2,7 @@
 independent verifier with tamper detection."""
 
 import dataclasses
+import itertools
 import json
 import math
 import time
@@ -164,7 +165,7 @@ def _bit_identity_cases():
         angles = [2 * mp.pi * mpf(u) for u in rng.random(30)]
     yield "random circle angles, 40 digits", gk.Circle(), mpf("0.3"), angles, \
         rng.standard_normal(30).tolist(), 40
-    # the mpf_sub keys: an angle below the lift cut, and torus points
+    # the pair route: an angle below the lift cut, and points off a progression
     more = np.random.default_rng(4)
     with mp.workdps(40):
         below = [*angles, mpf("1e-130")]
@@ -176,6 +177,10 @@ def _bit_identity_cases():
     torus = gk.witness_for_target(gk.FlatTorus(), "0.4", precision_digits=30)
     yield "torus, 30 digits", torus.space, torus.lam, torus.points, \
         torus.coefficients, 30
+    for lam, digits in ((5, 50), (10, 70), (20, 100)):
+        torus = gk.witness_for_target(gk.FlatTorus(), lam, n_max=1024, precision_digits=digits)
+        yield f"torus lambda {lam}, {digits} digits", torus.space, torus.lam, torus.points, \
+            torus.coefficients, digits
     for text in ("sphere:2", "grassmann:2,4"):
         space = gk.parse_space(text)
         pts = sample_points(space, 11, 24)
@@ -278,6 +283,87 @@ def test_wide_form_with_a_shared_factor_is_the_plain_form(case):
     assert _bits(gk.quadratic_form(*case)) == _bits(_plain_quadratic_form(*case))
 
 
+def _on_grid(value):
+    """``value`` rounded to a multiple of 2^(12 - p): below 8, sums and
+    small multiples of such values are exact at the working precision."""
+    unit = mp.ldexp(1, 12 - mp.prec)
+    return mp.nint(value / unit) * unit
+
+
+def _progression_cases():
+    """(what, route, space, lam, points, coefficients, digits): exact
+    progressions a_0 + k*h that no builder makes, which take the gap
+    route, and one angle moved by one ulp, which takes the pair route."""
+    rng = np.random.default_rng(8)
+    coeffs = [mpf(float(v)) for v in rng.standard_normal(24)]
+    with numeric(40) as x:
+        h = _on_grid(2 * x.pi / 26)  # the gaps past 13 cross pi
+        up = [_on_grid(mpf("0.3")) + k * h for k in range(24)]
+        down = [_on_grid(6) - k * h for k in range(24)]
+        moved = list(up)
+        moved[5] += mp.ldexp(1, mp.mag(up[5]) - mp.prec)
+        assert moved[5] > up[5]
+    yield "nonzero first angle", "gaps", gk.Circle(), mpf("0.3"), up, coeffs, 40
+    yield "descending step", "gaps", gk.Circle(scale=0.7), mpf("0.3"), down, coeffs, 40
+    yield "zero step", "gaps", gk.Circle(), mpf("0.3"), [up[7]] * 24, coeffs, 40
+    yield "torus, both factors step", "gaps", gk.FlatTorus(), mpf("0.3"), \
+        list(zip(up, down)), coeffs, 40
+    yield "one angle an ulp off", "pairs", gk.Circle(), mpf("0.3"), moved, coeffs, 40
+    yield "torus, one angle an ulp off", "pairs", gk.FlatTorus(), mpf("0.3"), \
+        list(zip(down, moved)), coeffs, 40
+
+
+def _count_pair_loops(monkeypatch):
+    loops = []
+    monkeypatch.setattr(certificates, "combinations",
+                        lambda *args: loops.append(args) or itertools.combinations(*args))
+    return loops
+
+
+def test_gap_route_is_the_plain_form_on_other_progressions(monkeypatch):
+    loops = _count_pair_loops(monkeypatch)
+    for what, route, space, lam, pts, coeffs, digits in _progression_cases():
+        del loops[:]
+        value = gk.quadratic_form(space, lam, pts, coeffs, digits)
+        assert _bits(value) == _bits(_plain_quadratic_form(space, lam, pts, coeffs, digits)), what
+        assert ("pairs" if loops else "gaps") == route, what
+
+
+def test_gaps_g_and_n_minus_g_merge_when_n_h_is_the_working_two_pi(monkeypatch):
+    # at 48 digits the working pi has 6 trailing zero bits, so k*pi/32 is
+    # exact for k < 64; the arc of gap g > 32 is then (64 - g)*pi/32
+    # exactly, and gaps g and 64 - g share one distance and one exp
+    loops = _count_pair_loops(monkeypatch)
+    with numeric(48) as x:
+        pi = +x.pi
+        assert mp.prec - pi._mpf_[3] >= 6
+        points = [(63 - k) * pi / 32 for k in range(64)]
+    coeffs = [mpf((-1) ** k * (k % 5 + 1)) for k in range(64)]
+    args = gk.Circle(), mpf(2), points, coeffs, 48
+    plain = _plain_quadratic_form(*args)
+    calls = []
+    exp = precision._WIDE.exp
+    monkeypatch.setattr(precision._WIDE, "exp", lambda v: calls.append(v) or exp(v))
+    assert _bits(gk.quadratic_form(*args)) == _bits(plain)
+    assert not loops
+    assert len(calls) == 32
+
+
+def _refuse_pairs(*_args):
+    raise AssertionError("a builder witness entered the per-pair loop")
+
+
+@pytest.mark.parametrize("target", ["circle", "torus"])
+@pytest.mark.parametrize("lam, digits", [(5, 50), (20, 100)])
+def test_builder_witnesses_sum_by_index_gap(monkeypatch, target, lam, digits):
+    monkeypatch.setattr(certificates, "combinations", _refuse_pairs)
+    if target == "circle":
+        cert = gk.circle_witness(lam, n_max=1024, precision_digits=digits)
+    else:
+        cert = gk.witness_for_target(gk.FlatTorus(), lam, n_max=1024, precision_digits=digits)
+    assert gk.verify_certificate(cert).ok
+
+
 def test_quadratic_form_evaluates_each_distinct_pair_once(monkeypatch):
     # one kernel exp per distinct distance: offsets d and 2*pi - d, and
     # rounded offsets whose arcs round alike, share one
@@ -299,8 +385,9 @@ def test_quadratic_form_evaluates_each_distinct_pair_once(monkeypatch):
 
 
 def test_quadratic_form_forms_each_torus_distance_once_per_key(monkeypatch):
-    # torus keys come from mpf_sub per pair, but the distance (one sqrt)
-    # is formed once per distinct key, never once per pair
+    # off a progression torus keys come from one subtraction per pair and
+    # factor, but the distance (one sqrt) is formed once per distinct key,
+    # never once per pair
     cert = _golden_cert70()
     n = cert.order
     points = [(a, cert.points[3 * i % n]) for i, a in enumerate(cert.points)]
@@ -478,8 +565,7 @@ def test_fresh_certificate_holds_only_what_the_verifier_reads():
 ])
 def test_angles_below_the_lift_cut_keep_the_rounded_form(space, lam, tiny):
     # tiny and 3 * tiny lie more than LIFT_SPAN precisions below 3 and lift
-    # truncated; their pairs must still read the rounded (mpf_sub) angle
-    # differences
+    # truncated; their pairs must still read the rounded angle differences
     with numeric(30):
         angles = [mpf(0), mpf(tiny), 3 * mpf(tiny), mpf(3)]
         points = angles if isinstance(space, gk.Circle) else [

@@ -235,8 +235,10 @@ def test_screen_matches_the_scaled_alternating_eigenvalue(lam, n):
     assert abs(s - scaled) <= math.exp(log_p) * 2 * err_p + err_t
 
 
-@pytest.mark.parametrize("digits", [17, 30, 100])
-@pytest.mark.parametrize("n", [4, 16, 28, 68, 256, 1024])
+# N = 2048 and 4096 deviate by 1.2e-12 and 3.0e-12 at 17 digits, past a
+# flat 1e-12 and within the tolerance of equispaced_order
+@pytest.mark.parametrize("n, digits", [(n, digits) for n in (4, 16, 28, 68, 256, 1024)
+                                       for digits in (17, 30, 100)] + [(2048, 17), (4096, 17)])
 def test_witness_points_are_an_exact_progression(n, digits):
     # every angle is k * h exactly, h = points[1], and within 4N units of
     # 2^-p * 2 pi of 2 pi k / N (h is off by under (1 + 2^-b) 2^{e+b-p},

@@ -3,8 +3,10 @@ no module imports another module's private name, every private
 top-level helper is used somewhere in the package, every public
 top-level function or class is used by the program or the benchmark
 (or is on a named list of test-only names), the package's ``__all__``
-lists exactly the public names it imports and no submodule, and every
-Sphinx cross-reference role in a docstring names an object that exists.
+lists exactly the public names it imports and no submodule, every
+Sphinx cross-reference role in a docstring names an object that exists,
+and only ``precision.py`` reaches into ``mpmath.libmp``, so raw-mpf
+arithmetic stays behind one module.
 
 No linter ships with the toolchain, so this reads each module's syntax
 tree instead.  ``__init__.py`` is left out of the import check: it
@@ -127,6 +129,19 @@ def test_every_public_name_is_used_outside_the_tests():
         used |= {node.value for node in ast.walk(tree)
                  if isinstance(node, ast.Constant) and isinstance(node.value, str)}
     assert sorted(defined - used) == sorted(TEST_ONLY)
+
+
+def test_only_precision_imports_mpmath_libmp():
+    importers = []
+    for path in PACKAGE.rglob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        modules = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   for a in node.names]
+        modules += [node.module for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module]
+        if any(m == "mpmath.libmp" or m.startswith("mpmath.libmp.") for m in modules):
+            importers.append(path.name)
+    assert importers == ["precision.py"]
 
 
 ROLE = re.compile(r":(?:func|data|class|meth|attr|mod):`~?([^`]+)`")
