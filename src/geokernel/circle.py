@@ -69,11 +69,12 @@ def find_witness_size(lam, n_max: int, precision_digits: int = DEFAULT_DIGITS):
     every other N, the hit included, is decided by ``w_half`` itself, so
     the result is bitwise that of the plain scan.  ``w_half``'s rounding
     is bounded by E_w = 16 (N/2 + 2) u, u the unit roundoff (2^-53 for
-    doubles, 2^-prec above): each row value rounds twice in its exponent
-    a = mu k^2/N^2 (moving it by 2u a e^{-a} < u) and once in ``exp``, so
-    each of the N/2 + 1 terms is off by less than 4u, and the sum rounds
-    once more.  Where E_w reaches the bar (at 17 digits, N >= 1,124) the
-    screen defers.
+    doubles, 2^-prec above): a double row value rounds twice in its
+    exponent a = mu k^2/N^2 (moving it by 2u a e^{-a} < u) and once in
+    ``exp``, and a wide one is within (1 + 2^-45) u
+    (:func:`~geokernel.precision.gaussian_row`), so each of the N/2 + 1
+    terms is off by less than 4u, and the sum rounds once more.  Where E_w
+    reaches the bar (at 17 digits, N >= 1,124) the screen defers.
     """
     if n_max < 4:
         raise CircleError("n_max must be at least 4")

@@ -1,8 +1,9 @@
 """Partial theta sums and the analytic bound on the alternating eigenvalue.
 
 S_r(N) = sum_{k>=0} (-1)^k exp(-mu k^2/N^2 - r k/N) is evaluated by
-paired-term summation, which keeps the partial sums monotone and makes
-the first omitted term a rigorous truncation bound.  On top of it sit
+paired-term summation of :func:`~geokernel.precision.gaussian_row`'s
+terms, which keeps the partial sums monotone and makes the first
+omitted term a rigorous truncation bound.  On top of it sit
 the tail-decomposition identity, the closed-form upper bound for the
 alternating Fourier eigenvalue, and its leading 1/N^2 term.
 """
@@ -17,6 +18,7 @@ from .precision import (
     DEFAULT_DIGITS,
     DOUBLE_DIGITS,
     check_digits,
+    gaussian_row,
     numeric,
     require_positive,
     working_dps,
@@ -46,10 +48,10 @@ class PartialThetaResult:
 def partial_theta(mu, r, n: int, precision_digits: int = DEFAULT_DIGITS) -> PartialThetaResult:
     """Alternating sum S_r(N), paired so the truncation bound is exact.
 
-    Terms are added in pairs (k = 2m, 2m+1); summation stops when the
-    next unpaired term drops below 10^-(digits+5), and that term is the
-    reported truncation bound.  The arguments are checked in the order
-    N, digits, mu, r.
+    Terms, each the exact one rounded once, are added in pairs
+    (k = 2m, 2m+1); summation stops when the next unpaired term drops
+    below 10^-(digits+5), and that term is the reported truncation bound.
+    The arguments are checked in the order N, digits, mu, r.
     """
     if not (isinstance(n, int) and n >= 1):
         raise PartialThetaError("N must be an integer >= 1")
@@ -57,30 +59,17 @@ def partial_theta(mu, r, n: int, precision_digits: int = DEFAULT_DIGITS) -> Part
     with working_dps(digits):
         mu = require_positive(mp.mpf(mu), "mu", PartialThetaError)
         r = mp.mpf(r)
-        if not r >= 0:
-            raise PartialThetaError("r must be nonnegative")
-        nn = mp.mpf(n) * n
+        if not 0 <= r < mp.inf:
+            raise PartialThetaError(f"r must be {'finite' if r >= 0 else 'nonnegative'}")
         cutoff = mp.mpf(10) ** (-(digits + 5))
-
-        def term(k: int):
-            return mp.exp(-mu * k * k / nn - r * k / n)
-
+        terms = gaussian_row(mu, r, n)
         total = mp.mpf(0)
-        k = 0
-        while True:
-            head = term(k)
+        for k in range(0, MAX_TERMS + 1, 2):
+            head = next(terms)
             if head < cutoff:
-                return PartialThetaResult(
-                    value=+total,
-                    terms_used=k,
-                    truncation_bound=+head,
-                )
-            total += head - term(k + 1)
-            k += 2
-            if k > MAX_TERMS:
-                raise PartialThetaError(
-                    f"series did not reach cutoff within {MAX_TERMS} terms"
-                )
+                return PartialThetaResult(value=+total, terms_used=k, truncation_bound=+head)
+            total += head - next(terms)
+        raise PartialThetaError(f"series did not reach cutoff within {MAX_TERMS} terms")
 
 
 def tail_decomposition_check(mu, n: int, precision_digits: int = DEFAULT_DIGITS):
@@ -91,7 +80,7 @@ def tail_decomposition_check(mu, n: int, precision_digits: int = DEFAULT_DIGITS)
              + e^{-mu/4} e^{-4mu/N^2 - 2mu/N} S_{mu(1+4/N)}(N)
 
     The identity is pure index reshuffling, so the residual measures
-    arithmetic error only.
+    arithmetic error only; the head sum reads S_0(N)'s own terms.
     """
     require_quarter(n)
     digits = precision_digits
@@ -99,9 +88,7 @@ def tail_decomposition_check(mu, n: int, precision_digits: int = DEFAULT_DIGITS)
         mu = require_positive(mp.mpf(mu), "mu", PartialThetaError)
         nn = mp.mpf(n) * n
         lhs = partial_theta(mu, 0, n, digits).value
-        star = mp.fsum(
-            (-1) ** k * mp.exp(-mu * k * k / nn) for k in range(n // 2)
-        )
+        star = mp.fsum((-1) ** k * v for k, v in zip(range(n // 2), gaussian_row(mu, 0, n)))
         e4 = mp.exp(-mu / 4)
         tail_r = mu * (1 + mp.mpf(4) / n)
         tail = partial_theta(mu, tail_r, n, digits).value

@@ -11,7 +11,8 @@ Wide sums of products (quadratic forms, circulant spectra) run in
 integer fixed point: :func:`lift` puts a list of mpf values on one
 binary exponent, the products and the sum are exact Python integers,
 and :func:`unlift` rounds the total once.  The only rounding in such a
-sum is in its inputs.
+sum is in its inputs.  Wide Gaussian rows come from one integer
+recurrence, :func:`gaussian_row`, with two ``exp`` calls per block.
 """
 
 from __future__ import annotations
@@ -19,10 +20,12 @@ from __future__ import annotations
 import math
 import sys
 from contextlib import contextmanager, nullcontext
+from itertools import count
 from types import SimpleNamespace
 
 import mpmath as mp
-from mpmath.libmp import dps_to_prec, from_man_exp, repr_dps
+from mpmath.libmp import (dps_to_prec, from_int, from_man_exp, fzero, mpf_add, mpf_div,
+                          mpf_exp, mpf_mul, mpf_neg, repr_dps, round_nearest)
 
 # Significant decimal digits representable by an IEEE double.  Requests at
 # or below this run entirely in hardware floats.
@@ -38,6 +41,9 @@ GUARD_DIGITS = 10
 # lift() keeps bits down to this many working precisions below its
 # largest value; mpf_sum likewise drops terms past a gap of two
 LIFT_SPAN = 3
+
+ROW_GUARD_BITS = 64  # gaussian_row's bits past the working precision
+ROW_BLOCK = 256  # and its terms per pair of seeding exps
 
 
 class PrecisionError(ValueError):
@@ -73,11 +79,11 @@ def working_dps(digits: int):
 
 # math.fsum, not mpmath's fp.fsum: only the former is compensated
 _DOUBLE = SimpleNamespace(
-    num=float, exp=math.exp, cos=math.cos, sqrt=math.sqrt, pi=math.pi,
+    wide=False, num=float, exp=math.exp, cos=math.cos, sqrt=math.sqrt, pi=math.pi,
     fsum=math.fsum, isfinite=math.isfinite, eps=sys.float_info.epsilon,
 )
 _WIDE = SimpleNamespace(
-    num=mp.mpf, exp=mp.exp, cos=mp.cos, sqrt=mp.sqrt, pi=mp.pi,
+    wide=True, num=mp.mpf, exp=mp.exp, cos=mp.cos, sqrt=mp.sqrt, pi=mp.pi,
     fsum=mp.fsum, isfinite=mp.isfinite, eps=mp.eps,
 )
 
@@ -87,8 +93,9 @@ def numeric(digits: int):
     """Arithmetic at ``digits``: floats and :mod:`math` up to
     :data:`DOUBLE_DIGITS`, mpmath inside :func:`working_dps` above it.
 
-    Yields a namespace with ``num`` (parse a number), ``exp``, ``cos``,
-    ``sqrt``, ``pi``, ``fsum``, ``isfinite`` and ``eps`` = 2^(1 - prec).
+    Yields a namespace with ``wide`` (False on doubles), ``num`` (parse a
+    number), ``exp``, ``cos``, ``sqrt``, ``pi``, ``fsum``, ``isfinite``
+    and ``eps`` = 2^(1 - prec).
     """
     if digits <= DOUBLE_DIGITS:
         yield _DOUBLE
@@ -127,6 +134,46 @@ def unlift(mantissa: int, exponent: int) -> mp.mpf:
     and rounding mode: the inverse of :func:`lift`."""
     prec, rnd = mp.mp._prec_rounding
     return mp.make_mpf(from_man_exp(mantissa, exponent, prec, rnd))
+
+
+def gaussian_row(mu, r, n: int):
+    """exp(-(mu k^2/N^2 + r k/N)) for k = 0, 1, 2, ... without end, for finite mpf
+    mu > 0 and r >= 0, each the exact value rounded once at the working
+    precision p.
+
+    t_{k+1} = t_k q_k and q_{k+1} = q_k d, for q_k = exp(-(mu (2k + 1)/N^2
+    + r/N)) and d = exp(-2 mu/N^2), on W = p + ROW_GUARD_BITS bit integer
+    mantissas with their own exponents, each product cut to W bits.  t_0 = 1;
+    q_0, d (q_0^2 when r = 0), and t_k, q_k at each k in ROW_BLOCK Z+ are
+    seeded by ``mpf_exp`` at W bits of an exact numerator divided once by N^2
+    to within 2^(-W-4).  A seed or cut errs by under 2^(1-W) and d by 3 times
+    that, so m < ROW_BLOCK terms past a seed q errs by (1 + 4m) 2^(1-W) and
+    t by (1 + 2m^2) 2^(1-W) < 2^-46 u, u = 2^-p: each term is within
+    (1 + 2^-45) u of the exact value.
+    """
+    prec, rnd = mp.mp._prec_rounding
+    wide = prec + ROW_GUARD_BITS
+    mu, r, nn = mp.mpf(mu)._mpf_, mp.mpf(r)._mpf_, from_int(n * n)
+
+    def seed(a: int, b: int):  # exp(-(mu a + r b)/N^2) as (W-bit mantissa, exponent)
+        num = mpf_add(mpf_mul(mu, from_int(a)), mpf_mul(r, from_int(b)))
+        mag = max(0, num[2] + num[3] - nn[2] - nn[3] + 1)  # 2^mag > num/N^2
+        arg = mpf_div(num, nn, wide + 4 + mag, round_nearest)
+        _, man, exp, bc = mpf_exp(mpf_neg(arg), wide, round_nearest)
+        return man << wide - bc, exp - wide + bc
+
+    def cut(man: int, exp: int):
+        shift = man.bit_length() - wide
+        return man >> shift, exp + shift
+
+    (t, t_exp), (q, q_exp) = (1, 0), seed(1, n)
+    d, d_exp = cut(q * q, 2 * q_exp) if r == fzero else seed(2, 0)
+    for k in count(1):
+        yield mp.make_mpf(from_man_exp(t, t_exp, prec, rnd))
+        if k % ROW_BLOCK:
+            (t, t_exp), (q, q_exp) = cut(t * q, t_exp + q_exp), cut(q * d, q_exp + d_exp)
+        else:
+            (t, t_exp), (q, q_exp) = seed(k * k, k * n), seed(2 * k + 1, n)
 
 
 def require_positive(value, what: str, error: type[Exception]):

@@ -14,12 +14,13 @@ which uses no eigensolver.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import mul
 
 import numpy as np
 
 from .partial_theta import mu_of_lambda
-from .precision import DOUBLE_DIGITS, lift, numeric, resolve_digits, unlift
+from .precision import DOUBLE_DIGITS, gaussian_row, lift, numeric, resolve_digits, unlift
 
 class AsymmetricInputError(ValueError):
     """Dense input matrix is not square and symmetric."""
@@ -121,8 +122,11 @@ def jacobi_eigenvalues(matrix) -> SpectrumReport:
 
 def equispaced_half_row(mu, n: int, x) -> list:
     """exp(-mu k^2/N^2) for k <= N/2 in the :func:`~geokernel.precision.numeric`
-    arithmetic ``x``: the equispaced kernel row's distinct values, which
-    :func:`circulant_eigenvalues` and :func:`~geokernel.circle.w_half` sum."""
+    arithmetic ``x`` (wide, :func:`~geokernel.precision.gaussian_row`'s): the
+    equispaced kernel row's distinct values, which :func:`circulant_eigenvalues`
+    and :func:`~geokernel.circle.w_half` sum."""
+    if x.wide:
+        return list(islice(gaussian_row(mu, 0, n), n // 2 + 1))
     nn = x.num(n) * n
     return [x.exp(-mu * k ** 2 / nn) for k in range(n // 2 + 1)]
 
@@ -132,7 +136,8 @@ def circulant_eigenvalues(lam, n: int, precision_digits: int | None = None,
     """Spectrum of the Gram of N equispaced points on the circle of the
     given scale at bandwidth lambda: the circulant with first row
     row[k] = half[min(k, N-k)] for the :func:`equispaced_half_row` of
-    mu = :func:`~geokernel.partial_theta.mu_of_lambda` times scale^2.
+    mu = :func:`~geokernel.partial_theta.mu_of_lambda` times scale^2 (wide,
+    each the exact value for that mu rounded once).
 
     w_j = sum_k row[k] cos(2 pi j k / N).  At double precision the
     products are summed with exact compensated summation (math.fsum).

@@ -42,15 +42,22 @@ def _unit_witness(lam=0.1, digits=None):
 
 @pytest.mark.parametrize("digits", [17, 30])
 def test_circulant_row_evaluates_half_the_row(monkeypatch, digits):
-    # row[k] == row[N-k]: the spectrum calls exp only for k <= N/2
-    arith = precision._DOUBLE if digits <= DOUBLE_DIGITS else precision._WIDE
-    exp = arith.exp
+    # row[k] == row[N-k]: the spectrum evaluates only k <= N/2; in doubles
+    # one math.exp per k, wide two exps per block of gaussian_row's
+    # recurrence and none per term
+    wide_exp = precision.mpf_exp
     for n in (2, 3, 4, 5, 16, 27, 256):
-        calls = []
-        monkeypatch.setattr(arith, "exp", lambda v: calls.append(v) or exp(v))
+        calls, wide_calls = [], []
+        for arith in (precision._DOUBLE, precision._WIDE):
+            monkeypatch.setattr(arith, "exp", lambda v, exp=arith.exp: calls.append(v) or exp(v))
+        monkeypatch.setattr(precision, "mpf_exp", lambda *a: wide_calls.append(a) or wide_exp(*a))
         gk.circulant_eigenvalues(0.7, n, digits)
-        monkeypatch.setattr(arith, "exp", exp)
-        assert len(calls) == n // 2 + 1, n
+        monkeypatch.undo()
+        if digits > DOUBLE_DIGITS:
+            blocks = -(-(n // 2 + 1) // precision.ROW_BLOCK)
+            assert calls == [] and 0 < len(wide_calls) <= 2 * blocks + 1, n
+            continue
+        assert len(calls) == n // 2 + 1 and wide_calls == [], n
         with numeric(digits) as x:
             mu, nn = gk.mu_of_lambda(0.7, digits), x.num(n) * n
             assert calls == [-mu * k ** 2 / nn for k in range(n // 2 + 1)], n

@@ -7,6 +7,7 @@ import pytest
 from mpmath import mp, mpf
 
 import geokernel as gk
+from geokernel.cli import main
 from geokernel.partial_theta import PartialThetaError
 from geokernel.precision import PrecisionError
 
@@ -38,6 +39,14 @@ def test_query_validation():
         gk.partial_theta("inf", -1, 4)
     with pytest.raises(PartialThetaError, match="^r must be nonnegative$"):
         gk.partial_theta(1.0, -1, 4)
+
+
+def test_infinite_r_is_refused():
+    # exp(-r k/N) is 0 past k = 0 and exp(nan) at it
+    for digits in (17, 30):
+        with pytest.raises(PartialThetaError, match="^r must be finite$"):
+            gk.partial_theta(1.0, "inf", 4, digits)
+    assert main(["theta", "--mu", "1", "--r", "inf", "--n", "4"]) == 1
 
 
 def test_value_matches_direct_summation():

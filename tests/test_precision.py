@@ -1,22 +1,29 @@
-"""Integer fixed point for wide sums (lift and its inverse) and the
-JSON text of wide numbers."""
+"""Integer fixed point for wide sums (lift and its inverse), wide
+Gaussian rows from one integer recurrence, and the JSON text of wide
+numbers."""
 
 import random
 import sys
+from itertools import islice
 
 import pytest
 from mpmath import mp, mpf
 from mpmath.libmp import dps_to_prec
 
+import geokernel as gk
 from geokernel.precision import (
     GUARD_DIGITS,
     LIFT_SPAN,
+    ROW_BLOCK,
+    gaussian_row,
     lift,
     number_from_json,
     number_to_json,
     numeric,
     unlift,
+    working_dps,
 )
+from geokernel.spectral import equispaced_half_row
 
 
 def test_numeric_hands_out_the_machine_epsilon():
@@ -62,6 +69,40 @@ def test_lift_rejects_non_finite_values(bad):
     with numeric(30):
         with pytest.raises(ValueError):
             lift([mpf(1), mpf(bad)])
+
+
+@pytest.mark.parametrize("digits", [30, 40, 70, 100])
+def test_wide_half_row_is_the_exact_exp_rounded_once(digits):
+    # every value is exp(-mu k^2/N^2) for the working-precision mu,
+    # formed 200 bits wider and rounded once: 4,730 values per precision
+    for lam in (0.01, 0.1, 1, 5, 20):
+        for n in (4, 16, 68, 256, 512, 1024):
+            with numeric(digits) as x:
+                mu = gk.mu_of_lambda(lam, digits)
+                row = [v._mpf_ for v in equispaced_half_row(mu, n, x)]
+                with mp.workprec(mp.prec + 200):
+                    ref = [mp.exp(-mu * k * k / (n * n)) for k in range(n // 2 + 1)]
+                assert row == [(+v)._mpf_ for v in ref], (lam, n)
+
+
+@pytest.mark.parametrize("mu, r, n, digits", [
+    ("1e-4", 0, 4, 30),  # 3,592 terms
+    ("0.01", 0, 64, 50),  # 7,204 terms
+    ("1e-4", "1e-3", 4, 30),  # damped, r > 0
+    ("1e-3", 0, 4, 17),  # summed at 17 + GUARD_DIGITS = 27 digits
+])
+def test_partial_theta_across_row_blocks_is_the_direct_sum(mu, r, n, digits):
+    res = gk.partial_theta(mu, r, n, digits)
+    assert res.terms_used > 2 * ROW_BLOCK
+    with working_dps(digits):
+        mu, r = mpf(mu), mpf(r)
+        row = [v._mpf_ for v in islice(gaussian_row(mu, r, n), res.terms_used + 1)]
+        with mp.workprec(mp.prec + 200):
+            ref = [mp.exp(-mu * k * k / (n * n) - r * k / n) for k in range(res.terms_used + 1)]
+            total = mp.fsum(v if k % 2 == 0 else -v for k, v in enumerate(ref[:-1]))
+        assert row == [(+v)._mpf_ for v in ref]
+        assert abs(res.value - total) <= mpf(10) ** -(digits + 5) * total
+        assert res.truncation_bound._mpf_ == row[-1]
 
 
 def _wide_values(digits):

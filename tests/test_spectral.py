@@ -14,6 +14,7 @@ from geokernel.spectral import (
     AsymmetricInputError,
     ConvergenceError,
     SpectrumReport,
+    equispaced_half_row,
     jacobi_spectra,
 )
 
@@ -107,12 +108,13 @@ def test_convergence_error_carries_residual():
 
 
 def _kernel_row(lam, n, digits, scale=1.0):
-    """The equispaced kernel's whole first row, every k evaluated:
-    exp(-mu m^2/N^2) with m = min(k, N-k) and mu = mu_of_lambda * scale^2."""
+    """The equispaced kernel's whole first row: exp(-mu m^2/N^2) with
+    m = min(k, N-k) and mu = mu_of_lambda * scale^2, read from the half
+    row the spectrum sums."""
     with numeric(digits) as x:
         mu = gk.mu_of_lambda(lam, digits) * x.num(scale) ** 2
-        nn = x.num(n) * n
-        return [x.exp(-mu * min(k, n - k) ** 2 / nn) for k in range(n)]
+        half = equispaced_half_row(mu, n, x)
+        return [half[min(k, n - k)] for k in range(n)]
 
 
 def test_circulant_matches_jacobi_on_kernel_rows():
