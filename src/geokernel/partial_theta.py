@@ -11,6 +11,7 @@ alternating Fourier eigenvalue, and its leading 1/N^2 term.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import mpmath as mp
 
@@ -72,6 +73,12 @@ def partial_theta(mu, r, n: int, precision_digits: int = DEFAULT_DIGITS) -> Part
         raise PartialThetaError(f"series did not reach cutoff within {MAX_TERMS} terms")
 
 
+def _tail_factors(mu, n: int) -> tuple:
+    """(e^{-mu/N^2 - mu/N}, e^{-4mu/N^2 - 2mu/N}), each rounded once: terms
+    1 and 2 of :func:`~geokernel.precision.gaussian_row` with r = mu."""
+    return tuple(islice(gaussian_row(mu, mu, n), 1, 3))
+
+
 def tail_decomposition_check(mu, n: int, precision_digits: int = DEFAULT_DIGITS):
     """Residual of the exact tail-split identity for S_0(N).
 
@@ -86,18 +93,13 @@ def tail_decomposition_check(mu, n: int, precision_digits: int = DEFAULT_DIGITS)
     digits = precision_digits
     with working_dps(digits):
         mu = require_positive(mp.mpf(mu), "mu", PartialThetaError)
-        nn = mp.mpf(n) * n
         lhs = partial_theta(mu, 0, n, digits).value
         star = mp.fsum((-1) ** k * v for k, v in zip(range(n // 2), gaussian_row(mu, 0, n)))
         e4 = mp.exp(-mu / 4)
+        e1, e2 = _tail_factors(mu, n)
         tail_r = mu * (1 + mp.mpf(4) / n)
         tail = partial_theta(mu, tail_r, n, digits).value
-        rhs = (
-            star
-            + e4
-            - e4 * mp.exp(-mu / nn - mu / n)
-            + e4 * mp.exp(-4 * mu / nn - 2 * mu / n) * tail
-        )
+        rhs = star + e4 - e4 * e1 + e4 * e2 * tail
         return abs(lhs - rhs)
 
 
@@ -111,14 +113,10 @@ def bound_rhs(mu, n: int, precision_digits: int = DEFAULT_DIGITS):
     digits = precision_digits
     with working_dps(digits):
         mu = require_positive(mp.mpf(mu), "mu", PartialThetaError)
-        nn = mp.mpf(n) * n
         s = partial_theta(mu, 0, n, digits).value
         e4 = mp.exp(-mu / 4)
-        return (
-            -1
-            + 2 * s
-            + e4 * (-1 + 2 * mp.exp(-mu / nn - mu / n) - 2 * mp.exp(-4 * mu / nn - 2 * mu / n) * s)
-        )
+        e1, e2 = _tail_factors(mu, n)
+        return -1 + 2 * s + e4 * (-1 + 2 * e1 - 2 * e2 * s)
 
 
 def leading_term(mu, n: int, precision_digits: int = DOUBLE_DIGITS):

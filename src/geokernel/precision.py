@@ -11,8 +11,11 @@ Wide sums of products (quadratic forms, circulant spectra) run in
 integer fixed point: :func:`lift` puts a list of mpf values on one
 binary exponent, the products and the sum are exact Python integers,
 and :func:`unlift` rounds the total once.  The only rounding in such a
-sum is in its inputs.  Wide Gaussian rows come from one integer
-recurrence, :func:`gaussian_row`, with two ``exp`` calls per block.
+sum is in its inputs.  Those inputs are correctly rounded: wide Gaussian
+rows come from one integer recurrence, :func:`gaussian_row`, with two
+``exp`` calls per block, and the equispaced cosines from another,
+:func:`cosine_table`, a rotation with one ``cos``/``sin`` seed per block
+and the rest of the circle filled by exact symmetry.
 """
 
 from __future__ import annotations
@@ -24,8 +27,9 @@ from itertools import count
 from types import SimpleNamespace
 
 import mpmath as mp
-from mpmath.libmp import (dps_to_prec, from_int, from_man_exp, fzero, mpf_add, mpf_div,
-                          mpf_exp, mpf_mul, mpf_neg, repr_dps, round_nearest)
+from mpmath.libmp import (dps_to_prec, from_int, from_man_exp, from_rational, fzero, mpf_add,
+                          mpf_cos_sin, mpf_div, mpf_exp, mpf_mul, mpf_neg, repr_dps,
+                          round_nearest, to_fixed)
 
 # Significant decimal digits representable by an IEEE double.  Requests at
 # or below this run entirely in hardware floats.
@@ -42,8 +46,10 @@ GUARD_DIGITS = 10
 # largest value; mpf_sum likewise drops terms past a gap of two
 LIFT_SPAN = 3
 
-ROW_GUARD_BITS = 64  # gaussian_row's bits past the working precision
-ROW_BLOCK = 256  # and its terms per pair of seeding exps
+# bits past the working precision of gaussian_row's and cosine_table's
+# recurrences, and their steps between seeds
+ROW_GUARD_BITS = 64
+ROW_BLOCK = 256
 
 
 class PrecisionError(ValueError):
@@ -174,6 +180,51 @@ def gaussian_row(mu, r, n: int):
             (t, t_exp), (q, q_exp) = cut(t * q, t_exp + q_exp), cut(q * d, q_exp + d_exp)
         else:
             (t, t_exp), (q, q_exp) = seed(k * k, k * n), seed(2 * k + 1, n)
+
+
+def cosine_table(n: int) -> list:
+    """cos(2 pi m/N) for m = 0, ..., N-1, each the exact value rounded once
+    at the working precision p, and exactly 0 where 4m/N is an odd integer.
+
+    (c_m, s_m) = (cos, sin)(2 pi m/N) come from the rotation c_{m+1} =
+    c_m c_1 - s_m s_1, s_{m+1} = s_m c_1 + c_m s_1 on W = p + ROW_GUARD_BITS
+    bit fixed-point integers, floored; (c_1, s_1) and (c_k, s_k) at each k
+    in ROW_BLOCK Z+ are seeded by ``mpf_cos_sin`` (``pi=True``, of 2k/N
+    rounded to W + 8 bits), (c_0, s_0) = (1, 0).  A seed errs by under
+    1.3 * 2^-W in each coordinate and each step adds under 2^(2-W) to the
+    error vector, so m < ROW_BLOCK steps past a seed are within 2^(10-W) of
+    the exact pair: an entry of size 2^-e or more is within 2^(e-54) u of
+    its exact value, u = 2^-p relative, and every entry is at least
+    sin(pi/2N) in size unless it is 0.
+    The recurrence runs over m <= N/8 when 4 | N, m <= N/4 when only 2 | N
+    and m <= N/2 for odd N; the rest of the table is exact symmetry,
+    C[N-m] = C[m], C[N/2 -+ m] = -C[m] and, when 4 | N, C[N/4 - m] = s_m, so
+    C[N/4] = s_0 = 0.
+    """
+    prec, rnd = mp.mp._prec_rounding
+    wide = prec + ROW_GUARD_BITS
+
+    def seed(k: int):  # (cos, sin)(2 pi k/N) as W-bit fixed-point integers
+        arg = from_rational(2 * k, n, wide + 8, round_nearest)
+        return tuple(to_fixed(v, wide) for v in mpf_cos_sin(arg, wide + 2, round_nearest, 0, True))
+
+    last = n // 8 if n % 4 == 0 else n // 4 if n % 2 == 0 else n // 2
+    c1, s1 = seed(1)
+    c, s = 1 << wide, 0
+    cos, sin = [], []
+    for m in range(last + 1):
+        if m and m % ROW_BLOCK == 0:
+            c, s = seed(m)
+        cos.append(c)
+        sin.append(s)
+        c, s = (c * c1 - s * s1) >> wide, (s * c1 + c * s1) >> wide
+    table = [from_man_exp(v, -wide, prec, rnd) for v in cos]
+    if n % 4 == 0:
+        table += [from_man_exp(v, -wide, prec, rnd) for v in reversed(sin[:n // 4 - last])]
+    if n % 2 == 0:  # the quadrant m <= N/4 is whole; reflect it about N/4
+        table += [mpf_neg(v) for v in reversed(table[:n // 2 + 1 - len(table)])]
+    table += reversed(table[1:n - len(table) + 1])
+    return [mp.make_mpf(v) for v in table]
 
 
 def require_positive(value, what: str, error: type[Exception]):

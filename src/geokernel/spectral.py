@@ -20,7 +20,8 @@ from operator import mul
 import numpy as np
 
 from .partial_theta import mu_of_lambda
-from .precision import DOUBLE_DIGITS, gaussian_row, lift, numeric, resolve_digits, unlift
+from .precision import (DOUBLE_DIGITS, cosine_table, gaussian_row, lift, numeric, resolve_digits,
+                        unlift)
 
 class AsymmetricInputError(ValueError):
     """Dense input matrix is not square and symmetric."""
@@ -139,42 +140,49 @@ def circulant_eigenvalues(lam, n: int, precision_digits: int | None = None,
     mu = :func:`~geokernel.partial_theta.mu_of_lambda` times scale^2 (wide,
     each the exact value for that mu rounded once).
 
-    w_j = sum_k row[k] cos(2 pi j k / N).  At double precision the
-    products are summed with exact compensated summation (math.fsum).
-    Above it, the half row and cosines are lifted once to integer fixed
-    point (:func:`~geokernel.precision.lift`), so each w_j is an exact
-    integer sum of exact products, rounded once; since row[k] == row[N-k],
-    the terms k and N-k fold into one product of row[k] with the exact
-    sum of their two lifted cosines, so only k <= N/2 are multiplied.
-    Either way w_j is the exactly rounded sum of its products, and the
-    reindexing k -> N-k makes w_{N-j} the same sum as w_j: only j <= N/2
-    are formed and the rest are copied.  Eigenvalues come back ascending
-    with their frequency indices.
+    w_j = sum_k row[k] C[jk mod N], C[m] = cos(2 pi m/N), and w_{N-j} is
+    the same sum as w_j, so only j <= N/2 are formed and the rest copied.
+    At double precision the products are summed with exact compensated
+    summation (math.fsum).  Above it, the half row and the
+    :func:`~geokernel.precision.cosine_table` (each entry the exact cosine
+    rounded once, and exactly symmetric) are lifted once to integer fixed
+    point (:func:`~geokernel.precision.lift`), and the exact integer
+    products are regrouped: k and N-k fold into 2 row[k] C[jk], so only
+    k <= N/2 are multiplied, and for even N the sums E_j and O_j over even
+    and odd k give w_j = E_j + O_j and w_{N/2-j} = E_j - O_j, so only
+    j <= N/4 are formed.  Either way w_j is the exactly rounded sum of
+    its products.  Eigenvalues come back ascending with their frequency
+    indices.
     """
     digits = resolve_digits(precision_digits)
     if n < 2:
         raise ValueError("need at least two points")
     with numeric(digits) as x:
         half = equispaced_half_row(mu_of_lambda(lam, digits) * x.num(scale) ** 2, n, x)
-        base = [x.cos(2 * x.pi * m / n) for m in range(n)]
         if digits <= DOUBLE_DIGITS:
+            base = [x.cos(2 * x.pi * m / n) for m in range(n)]
             values = [
                 x.fsum(half[min(k, n - k)] * base[(j * k) % n] for k in range(n))
                 for j in range(n // 2 + 1)
             ]
         else:
-            (ints, exp_r), (cosines, exp_b) = lift(half), lift(base)
-            # fold k <-> N-k: cos(2 pi j (N-k)/N) is base[-jk mod N], so
-            # each 0 < k < N/2 pairs with its mirror
-            folded = [c + cosines[-m] for m, c in enumerate(cosines)]
-            inner = range(1, (n + 1) // 2)
-            mid = ints[n // 2] if n % 2 == 0 else 0  # the unpaired k = N/2
-            values = [
-                unlift(ints[0] * cosines[0] + mid * cosines[j * (n // 2) % n]
-                       + sum(map(mul, ints[1:], [folded[j * k % n] for k in inner])),
-                       exp_r + exp_b)
-                for j in range(n // 2 + 1)
-            ]
+            (ints, exp_r), (cosines, exp_b) = lift(half), lift(cosine_table(n))
+            exp = exp_r + exp_b
+            # row[N-k] = row[k] and C[-jk] = C[jk]: each 0 < k < N/2 carries
+            # 2 row[k]; the k = N/2 of even N is unpaired
+            twice = [ints[0], *(2 * v for v in ints[1:(n + 1) // 2]), *ints[(n + 1) // 2:]]
+            if n % 2:
+                ks = range(len(twice))
+                values = [unlift(sum(map(mul, twice, [cosines[j * k % n] for k in ks])), exp)
+                          for j in range(n // 2 + 1)]
+            else:
+                # C[(N/2 - j) k] is C[jk] for even k and -C[jk] for odd k
+                even, odd = twice[0::2], twice[1::2]
+                values = [None] * (n // 2 + 1)
+                for j in range(n // 4 + 1):
+                    e = sum(map(mul, even, [cosines[2 * j * k % n] for k in range(len(even))]))
+                    o = sum(map(mul, odd, [cosines[j * (2 * k + 1) % n] for k in range(len(odd))]))
+                    values[j], values[n // 2 - j] = unlift(e + o, exp), unlift(e - o, exp)
         values += [values[n - j] for j in range(n // 2 + 1, n)]
     order = sorted(range(n), key=lambda j: values[j])
     eigs = tuple(values[j] for j in order)

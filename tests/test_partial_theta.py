@@ -8,8 +8,8 @@ from mpmath import mp, mpf
 
 import geokernel as gk
 from geokernel.cli import main
-from geokernel.partial_theta import PartialThetaError
-from geokernel.precision import PrecisionError
+from geokernel.partial_theta import PartialThetaError, _tail_factors
+from geokernel.precision import PrecisionError, working_dps
 
 
 def _direct_sum(mu, r, n, dps, terms):
@@ -143,3 +143,17 @@ def test_non_finite_parameters_rejected_at_every_precision():
         gk.partial_theta("inf", 0, 4)
     with pytest.raises(PartialThetaError):
         gk.bound_rhs("inf", 8, 30)
+
+
+def test_tail_factors_are_the_exact_exps_rounded_once():
+    # e^{-mu/N^2 - mu/N} and e^{-4mu/N^2 - 2mu/N} in bound_rhs and the tail
+    # identity; mp.exp of the rounded arguments missed 92 of these 300
+    for digits in (30, 60, 100):
+        for mu in ("0.5", "2", "20", "78.95683520871486", "789.5683520871486"):
+            for n in (4, 8, 12, 16, 20, 32, 36, 64, 128, 256):
+                with working_dps(digits):
+                    mu_ = mpf(mu)
+                    factors = _tail_factors(mu_, n)
+                    with mp.workprec(mp.prec + 200):
+                        ref = [mp.exp(-k * k * mu_ / (n * n) - k * mu_ / n) for k in (1, 2)]
+                    assert [v._mpf_ for v in factors] == [(+v)._mpf_ for v in ref], (digits, mu, n)

@@ -11,10 +11,12 @@ from mpmath import mp, mpf
 from mpmath.libmp import dps_to_prec
 
 import geokernel as gk
+from geokernel import precision
 from geokernel.precision import (
     GUARD_DIGITS,
     LIFT_SPAN,
     ROW_BLOCK,
+    cosine_table,
     gaussian_row,
     lift,
     number_from_json,
@@ -103,6 +105,52 @@ def test_partial_theta_across_row_blocks_is_the_direct_sum(mu, r, n, digits):
         assert row == [(+v)._mpf_ for v in ref]
         assert abs(res.value - total) <= mpf(10) ** -(digits + 5) * total
         assert res.truncation_bound._mpf_ == row[-1]
+
+
+# N = 601, 1030 and 2100 run the rotation past a reseed at m = ROW_BLOCK
+COSINE_NS = [*range(2, 65), 68, 192, 256, 601, 1024, 1030, 2100]
+
+
+@pytest.mark.parametrize("digits", [18, 30, 40, 100])
+def test_cosine_table_is_the_exact_cos_rounded_once(digits):
+    for n in COSINE_NS:
+        with numeric(digits):
+            table = [v._mpf_ for v in cosine_table(n)]
+            with mp.workprec(mp.prec + 200):
+                ref = [mp.cos(2 * mp.pi * m / n) for m in range(n)]
+            for m, v in enumerate(ref):
+                quarter = 4 * m % n == 0 and 4 * m // n % 2  # 4m/N odd
+                assert table[m] == (mpf(0) if quarter else +v)._mpf_, (n, m)
+            assert all(table[n - m] == table[m] for m in range(1, n)), n
+            if n % 2 == 0:
+                half = n // 2
+                assert all(table[half + m] == (-mpf(table[m]))._mpf_ for m in range(half)), n
+
+
+def _count_seeds(monkeypatch):
+    """Count the table's seeding cos/sin calls; fail on any other cos or sin."""
+    calls = []
+    seed = precision.mpf_cos_sin
+    monkeypatch.setattr(precision, "mpf_cos_sin", lambda *a: calls.append(a) or seed(*a))
+
+    def refuse(*a):
+        raise AssertionError("a per-entry cos or sin call")
+
+    monkeypatch.setattr(precision._WIDE, "cos", refuse)
+    monkeypatch.setattr(mp, "cos", refuse)
+    monkeypatch.setattr(mp, "sin", refuse)
+    return calls
+
+
+def test_wide_spectrum_calls_cos_only_to_seed_the_rotation(monkeypatch):
+    calls = _count_seeds(monkeypatch)
+    gk.circulant_eigenvalues(20, 256, 100)
+    assert len(calls) == 1  # (c_1, s_1); the octant m <= 32 needs no reseed
+    for n, seeds in ((2100, 2), (4104, 3), (1030, 2), (601, 2)):
+        calls.clear()
+        with numeric(30):
+            cosine_table(n)
+        assert len(calls) == seeds, n
 
 
 def _wide_values(digits):

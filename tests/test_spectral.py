@@ -117,6 +117,14 @@ def _kernel_row(lam, n, digits, scale=1.0):
         return [half[min(k, n - k)] for k in range(n)]
 
 
+def _rounded_cosines(n):
+    """cos(2 pi m/N) for m < N at the working precision, each formed 200
+    bits wider and rounded once, and exactly 0 where 4m/N is an odd integer."""
+    with mp.workprec(mp.prec + 200):
+        wide = [mp.cos(2 * mp.pi * m / n) for m in range(n)]
+    return [mpf(0) if 4 * m % n == 0 and 4 * m // n % 2 else +v for m, v in enumerate(wide)]
+
+
 def test_circulant_matches_jacobi_on_kernel_rows():
     # the dense solver and the exact cosine-sum spectrum must agree on
     # the same circulant matrix
@@ -167,7 +175,7 @@ def test_circulant_wide_is_the_exact_sum_rounded_once():
         row = _kernel_row(lam, n, digits, scale)
         with numeric(digits):
             row = [v._mpf_ for v in row]
-            base = [mp.cos(2 * mp.pi * m / n)._mpf_ for m in range(n)]
+            base = [v._mpf_ for v in _rounded_cosines(n)]
             exact = [
                 mpf_pos(mpf_sum([mpf_mul(row[k], base[j * k % n], 0) for k in range(n)], 0),
                         mp.prec, round_nearest)
@@ -179,15 +187,15 @@ def test_circulant_wide_is_the_exact_sum_rounded_once():
 
 @pytest.mark.parametrize("digits", [30, 100])
 def test_circulant_wide_fold_is_the_unfolded_sum(digits):
-    # the k <-> N-k fold regroups exact integer products, so every w_j is
-    # bit for bit the plain sum over all k of R_k * C[jk mod N]
+    # the k <-> N-k and parity folds regroup exact integer products, so
+    # every w_j is bit for bit the plain sum over all k of R_k * C[jk mod N]
     for n in [*range(2, 41), 256]:
         for lam, scale in ((0.7, 1.0), (3, 0.5)):
             report = gk.circulant_eigenvalues(lam, n, digits, scale)
             row = _kernel_row(lam, n, digits, scale)
-            with numeric(digits) as x:
+            with numeric(digits):
                 ints, exp_r = lift(row)
-                cosines, exp_b = lift([x.cos(2 * x.pi * m / n) for m in range(n)])
+                cosines, exp_b = lift(_rounded_cosines(n))
                 ref = [
                     unlift(sum(ints[k] * cosines[j * k % n] for k in range(n)), exp_r + exp_b)._mpf_
                     for j in range(n)
@@ -210,11 +218,11 @@ def _full_circulant_reference(row, digits):
     n = len(row)
     with numeric(digits) as x:
         row = [x.num(v) for v in row]
-        base = [x.cos(2 * x.pi * m / n) for m in range(n)]
         if digits <= 17:
+            base = [x.cos(2 * x.pi * m / n) for m in range(n)]
             values = [math.fsum(row[k] * base[j * k % n] for k in range(n)) for j in range(n)]
         else:
-            row, base = [v._mpf_ for v in row], [v._mpf_ for v in base]
+            row, base = [v._mpf_ for v in row], [v._mpf_ for v in _rounded_cosines(n)]
             values = [
                 mpf(mpf_pos(mpf_sum([mpf_mul(row[k], base[j * k % n], 0) for k in range(n)], 0),
                             mp.prec, round_nearest))
