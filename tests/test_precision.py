@@ -127,8 +127,7 @@ def test_cosine_table_is_the_exact_cos_rounded_once(digits):
                 assert all(table[half + m] == (-mpf(table[m]))._mpf_ for m in range(half)), n
 
 
-def _count_seeds(monkeypatch):
-    """Count the table's seeding cos/sin calls; fail on any other cos or sin."""
+def test_wide_spectrum_calls_cos_only_to_seed_the_rotation(monkeypatch):
     calls = []
     seed = precision.mpf_cos_sin
     monkeypatch.setattr(precision, "mpf_cos_sin", lambda *a: calls.append(a) or seed(*a))
@@ -139,11 +138,6 @@ def _count_seeds(monkeypatch):
     monkeypatch.setattr(precision._WIDE, "cos", refuse)
     monkeypatch.setattr(mp, "cos", refuse)
     monkeypatch.setattr(mp, "sin", refuse)
-    return calls
-
-
-def test_wide_spectrum_calls_cos_only_to_seed_the_rotation(monkeypatch):
-    calls = _count_seeds(monkeypatch)
     gk.circulant_eigenvalues(20, 256, 100)
     assert len(calls) == 1  # (c_1, s_1); the octant m <= 32 needs no reseed
     for n, seeds in ((2100, 2), (4104, 3), (1030, 2), (601, 2)):
