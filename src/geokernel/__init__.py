@@ -30,8 +30,6 @@ from .gram import (
     GramMatrix,
     KernelParam,
     gram,
-    hadamard,
-    principal_submatrix,
 )
 from .spectral import (
     PdVerdict,

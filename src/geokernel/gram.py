@@ -1,13 +1,11 @@
 """Gaussian kernel evaluation and Gram matrix assembly.
 
-The kernel is exp(-lambda d^2) for a metric distance d.  Gram matrices
-carry the points they were built on, so that algebraic operations can
-verify they are combining like with like.
+The kernel is exp(-lambda d^2) for a metric distance d.  A Gram matrix
+holds only its entries.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -47,14 +45,13 @@ def kernel_values(param: KernelParam, distances) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Symmetric kernel matrix plus the points it was built on.
+    """Symmetric kernel matrix.
 
     Diagonal entries are exactly 1 by construction and off-diagonal
     entries are computed once per unordered pair, then mirrored.
     """
 
     entries: np.ndarray
-    points: tuple | None = None
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=float)
@@ -65,9 +62,6 @@ class GramMatrix:
     @property
     def order(self) -> int:
         return self.entries.shape[0]
-
-    def __getitem__(self, key):
-        return self.entries[key]
 
 
 def gram_stack(space: sp.Space, points, param: KernelParam, sets: int = 1) -> np.ndarray:
@@ -94,43 +88,4 @@ def gram_stack(space: sp.Space, points, param: KernelParam, sets: int = 1) -> np
 def gram(space: sp.Space, points, param: KernelParam) -> GramMatrix:
     """Gram matrix entries[i][j] = exp(-lambda d(p_i, p_j)^2): the one-set
     case of :func:`gram_stack`."""
-    points = list(points)
-    return GramMatrix(entries=gram_stack(space, points, param)[0], points=tuple(points))
-
-
-def _entries_of(k) -> np.ndarray:
-    return k.entries if isinstance(k, GramMatrix) else np.asarray(k, dtype=float)
-
-
-def _point_ids(k: GramMatrix) -> list[str] | None:
-    if k.points is None:
-        return None
-    return [json.dumps(sp.point_to_json(p), sort_keys=True) for p in k.points]
-
-
-def hadamard(k1, k2) -> np.ndarray:
-    """Entrywise product.  For two Gaussian Grams on the same points this
-    is the Gram at the summed bandwidth."""
-    a = _entries_of(k1)
-    b = _entries_of(k2)
-    if a.shape != b.shape:
-        raise GramError(f"order mismatch: {a.shape} vs {b.shape}")
-    if isinstance(k1, GramMatrix) and isinstance(k2, GramMatrix):
-        ids1, ids2 = _point_ids(k1), _point_ids(k2)
-        if ids1 is not None and ids2 is not None and ids1 != ids2:
-            raise GramError("Gram matrices were built on different point sets")
-    return a * b
-
-
-def principal_submatrix(k: GramMatrix, indices) -> GramMatrix:
-    """Restriction of the kernel matrix to a subset of its points."""
-    idx = list(indices)
-    n = k.order
-    if len(set(idx)) != len(idx):
-        raise GramError("indices must be distinct")
-    for i in idx:
-        if not (0 <= i < n):
-            raise GramError(f"index {i} out of range for order {n}")
-    sub = k.entries[np.ix_(idx, idx)].copy()
-    points = tuple(k.points[i] for i in idx) if k.points is not None else None
-    return GramMatrix(entries=sub, points=points)
+    return GramMatrix(entries=gram_stack(space, list(points), param)[0])

@@ -101,9 +101,10 @@ def numeric(digits: int):
 
     Yields a namespace with ``wide`` (False on doubles), ``num`` (parse a
     number), ``exp``, ``cos``, ``sqrt``, ``pi``, ``fsum``, ``isfinite``
-    and ``eps`` = 2^(1 - prec).
+    and ``eps`` = 2^(1 - prec).  ``digits`` is range-checked first
+    (:func:`check_digits`).
     """
-    if digits <= DOUBLE_DIGITS:
+    if check_digits(digits) <= DOUBLE_DIGITS:
         yield _DOUBLE
     else:
         with working_dps(digits):

@@ -104,6 +104,25 @@ def test_lambda_profile_rows():
         assert -1e-6 < _floor(gk.lambda_crit(n), n) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [
+    4, 8, 16, 32,
+    # the double spectrum's floor is rounding noise at these N, so the
+    # bisection lands far above the crossings near 4.9493 and 10.0243
+    pytest.param(64, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 2")),
+    pytest.param(128, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 2")),
+])
+def test_lambda_crit_separates_the_wide_verdicts(n):
+    # the definition, read from the exact spectrum: not PSD just below
+    # lambda_crit(N), positive definite just above
+    crit, digits = gk.lambda_crit(n), 30 + n // 4
+
+    def verdict(lam):
+        return gk.pd_verdict(gk.circulant_eigenvalues(lam, n, digits)).verdict
+
+    assert verdict(0.9999 * crit) == "not_psd"
+    assert verdict(1.0001 * crit) == "positive_definite"
+
+
 def test_circle_witness_unit_scale():
     cert = gk.circle_witness(0.1, n_max=64)
     assert cert is not None

@@ -16,6 +16,7 @@ from geokernel.precision import (
     GUARD_DIGITS,
     LIFT_SPAN,
     ROW_BLOCK,
+    PrecisionError,
     cosine_table,
     gaussian_row,
     lift,
@@ -192,3 +193,26 @@ def test_number_json_keeps_short_text(digits):
         value = number_from_json(text, digits)
         assert number_to_json(value, digits) == text
         assert number_to_json(text, digits) == text
+
+
+# one call per public function that reaches ``numeric`` without a range
+# check of its own
+GATEWAY_CALLS = {
+    "find_witness_size": lambda d: gk.find_witness_size(0.1, 8, d),
+    "w_half": lambda d: gk.w_half(20, 8, d),
+    "quadratic_form": lambda d: gk.quadratic_form(
+        gk.Circle(), 0.1, gk.circle_equispaced(4), [0.5, -0.5, 0.5, -0.5], d),
+    "leading_term": lambda d: gk.leading_term(20, 8, d),
+    "mu_of_lambda": lambda d: gk.mu_of_lambda(1, d),
+}
+
+
+@pytest.mark.parametrize("digits, message", [
+    (16, ">= 17, got 16"),
+    (101, "<= 100, got 101"),
+    (True, "an integer, got True"),
+], ids=["16", "101", "True"])
+@pytest.mark.parametrize("name", sorted(GATEWAY_CALLS))
+def test_numeric_refuses_digits_out_of_range(name, digits, message):
+    with pytest.raises(PrecisionError, match=f"^precision_digits must be {message}$"):
+        GATEWAY_CALLS[name](digits)

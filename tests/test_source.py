@@ -102,8 +102,6 @@ TEST_ONLY = {
     "distance_matrix",  # the all-pairs reference behind the stacked digests
     "tail_decomposition_check",  # criterion 03, the tail identity
     "lambda_of_mu",  # criterion 07, the leading term's sign threshold
-    "hadamard",  # criterion 12, Schur products of PSD Grams
-    "principal_submatrix",  # criterion 12, submatrices of a PSD Gram
 }
 
 

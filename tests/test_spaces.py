@@ -332,6 +332,7 @@ def test_circle_equispaced_and_order_detection():
     bumped[3] += 1e-6
     assert equispaced_order(bumped) is None
     assert equispaced_order([0.0, 1.0, 2.0]) is None
+    assert equispaced_order([0.0]) is None  # one angle is no family
     # a nan or negative first angle is no member of the family, even one
     # that float() rounds to -0.0
     for first in (math.nan, -1e-13, mpmath.mpf("-1e-400")):
