@@ -30,11 +30,14 @@ from .precision import (
     DOUBLE_DIGITS,
     PrecisionError,
     check_digits,
+    gap_gaussians,
     lift,
+    lift_whole,
     number_from_json,
     number_text,
     number_to_json,
     numeric,
+    pair_differences,
     require_positive,
     resolve_digits,
     unlift,
@@ -90,15 +93,16 @@ def quadratic_form(space: sp.Space, lam, points, coefficients, precision_digits:
     order of the plain double loop.  Wide precision needs circle or torus
     points, whose payloads are exact angles, and sums in integer fixed
     point: the lifted coefficients' gcd g is factored out, the cofactor
-    products accumulate exactly per distinct pair distance
+    products accumulate exactly per distinct kernel value
     (:func:`_pair_sums`: by index gap on an exact progression, such as a
-    builder witness, by pair otherwise), each distance's kernel value,
-    evaluated once, multiplies its total, and the sum, times g^2, is
-    rounded once, so the only rounding is in the coefficients and kernel
-    values (a builder witness's cofactors are +-1, so its pairs add small
-    integers).  A non-finite coefficient, or double terms past the double
-    range, give nan, which no verification accepts.  Each point is
-    validated once."""
+    builder witness, whose values are the exact kernel of each gap's exact
+    arc rounded once, from Gaussian rows with no ``exp`` per gap; by pair
+    otherwise, one ``exp`` per distinct distance), each value multiplies
+    its total, and the sum, times g^2, is rounded once, so the only
+    rounding is in the coefficients and kernel values (a builder
+    witness's cofactors are +-1, so its pairs add small integers).  A
+    non-finite coefficient, or double terms past the double range, give
+    nan, which no verification accepts.  Each point is validated once."""
     points = list(points)
     n = len(points)
     if len(coefficients) != n:
@@ -123,8 +127,8 @@ def quadratic_form(space: sp.Space, lam, points, coefficients, precision_digits:
             cs, exp_c = lift(c)
             g = math.gcd(*cs) or 1
             cs = [ci // g for ci in cs]
-            sums = _pair_sums(space, points, cs, x)
-            ks, exp_k = lift([mp.mpf(1), *(x.exp(-lam * d * d) for d in map(mp.make_mpf, sums))])
+            sums = _pair_sums(space, lam, points, cs, x)
+            ks, exp_k = lift([mp.mpf(1), *map(mp.make_mpf, sums)])
             total = ks[0] * sum(ci * ci for ci in cs) + 2 * sum(map(mul, ks[1:], sums.values()))
             return unlift(g * g * total, exp_k + 2 * exp_c)
 
@@ -141,26 +145,27 @@ def quadratic_form(space: sp.Space, lam, points, coefficients, precision_digits:
             return x.num("nan")
 
 
-def _pair_sums(space: sp.Space, points: list, cs: list, x) -> dict:
-    """{distance: sum} for wide circle or torus ``points`` and integer
-    coefficients ``cs``: each distance a pair i < j can take, as a raw
+def _pair_sums(space: sp.Space, lam, points: list, cs: list, x) -> dict:
+    """{kernel value: sum} for wide circle or torus ``points`` and integer
+    coefficients ``cs``: each kernel value a pair i < j can take, as a raw
     mpf, mapped to the exact integer sum of ``cs[i] * cs[j]`` over the
-    pairs at that distance, so the caller evaluates one kernel value per
-    distinct distance.
+    pairs that take it.
 
-    A pair's offset is the tuple of its angle differences rounded at the
-    working precision, one per factor, which fixes its distance bit for
-    bit; offsets at equal distances (d and 2*pi - d among them) merge.
-    Circle and torus share two routes to the offsets.  When every factor
-    lifts whole (:func:`~geokernel.precision.lift`) to an exact
-    progression a_0 + k*h, as a builder witness k*h and its torus image
-    do, the pairs at index gap g share the exact offset -g*h: it is
-    rounded once (:func:`~geokernel.precision.unlift`) and its sum is
-    that of ``cs[i] * cs[i + g]``.  Any other set (an angle more than
-    ``LIFT_SPAN`` working precisions below the largest, which lifts
-    truncated, or angles off a progression, such as 2*pi*k/N rounded one
-    by one) keys each pair by its rounded differences, merges equal keys
-    and forms each distinct key's distance once."""
+    Circle and torus share two routes.  When every factor lifts whole
+    (:func:`~geokernel.precision.lift_whole`) to an exact progression
+    a_0 + k*h in one order of the points (sorted by label), as a builder
+    witness k*h and its torus image do, the pairs at index gap g share one
+    exact arc per factor, and the gap's kernel value, the exact
+    exp(-lam (s arc)^2) rounded once, comes from Gaussian rows over the
+    gaps (:func:`~geokernel.precision.gap_gaussians`, no ``exp`` per gap);
+    its sum is that of ``cs[i] * cs[i + g]`` in that order.  Any other set (an
+    angle more than ``LIFT_SPAN`` working precisions below the largest,
+    which lifts truncated, or angles off a progression, such as 2*pi*k/N
+    rounded one by one) keys each pair by its angle differences rounded
+    at the working precision (:func:`~geokernel.precision.pair_differences`),
+    merges equal keys, forms each distinct key's distance once (offsets
+    at equal distances, d and 2*pi - d among them, merge) and evaluates
+    the kernel once per distinct distance."""
     pi = +x.pi
     two_pi = 2 * pi
 
@@ -175,25 +180,30 @@ def _pair_sums(space: sp.Space, points: list, cs: list, x) -> dict:
         dist = lambda d: scale * arc(d[0])
     else:
         factors = [[x.num(p[f]) for p in points] for f in (0, 1)]
+        scale = x.num(1)
         dist = lambda d: x.sqrt(arc(d[0]) ** 2 + arc(d[1]) ** 2)
-    steps = []  # (h, exponent) of each factor that lifts whole to a progression
-    for angles in factors:
-        labels, exp = lift(angles)
-        hs = {b - a for a, b in zip(labels, labels[1:])}
-        # a nonzero mpf mantissa is odd, so an angle below the lift's
-        # exponent has lost bits
-        if len(hs) < 2 and all(not a._mpf_[1] or a._mpf_[2] >= exp for a in angles):
-            steps.append((hs.pop() if hs else 0, exp))
     sums = defaultdict(int)
-    if len(steps) == len(factors):
-        for g in range(1, len(cs)):
-            sums[dist([unlift(-g * h, exp) for h, exp in steps])._mpf_] += sum(map(mul, cs, cs[g:]))
-    else:
-        keys = defaultdict(int)
-        for i, j in combinations(range(len(cs)), 2):
-            keys[tuple((f[i] - f[j])._mpf_ for f in factors)] += cs[i] * cs[j]
-        for k, s in keys.items():
-            sums[dist(list(map(mp.make_mpf, k)))._mpf_] += s
+    lifted = [lift_whole(angles) for angles in factors]
+    if None not in lifted:
+        # points in progression in any order are in progression sorted by label
+        order = sorted(range(len(cs)), key=lambda i: [labels[i] for labels, _ in lifted])
+        steps = []  # (h, exponent) of each factor
+        for labels, exp in lifted:
+            hs = {labels[b] - labels[a] for a, b in zip(order, order[1:])}
+            if len(hs) < 2:
+                steps.append((hs.pop() if hs else 0, exp))
+        if len(steps) == len(factors):
+            cs = [cs[i] for i in order]
+            for g, k in enumerate(gap_gaussians(lam, scale, steps, len(cs)), 1):
+                sums[k._mpf_] += sum(map(mul, cs, cs[g:]))
+            return sums
+    keys = defaultdict(int)
+    for key, (i, j) in zip(zip(*map(pair_differences, factors)),
+                           combinations(range(len(cs)), 2)):
+        keys[key] += cs[i] * cs[j]
+    kernel = cache(lambda d: x.exp(-lam * d * d)._mpf_)  # once per distinct distance
+    for k, s in keys.items():
+        sums[kernel(dist(list(map(mp.make_mpf, k))))] += s
     return sums
 
 

@@ -7,8 +7,9 @@ negative for some finite N at every bandwidth, which the witness search
 finds (deciding most N with a double-precision screen of the same sum)
 and certifies as it is, mode and value, on the points k*h of an exact
 progression (h is 2*pi/N cut to p - bitlen(N - 1) bits), so the
-certificate's quadratic form sees one offset, g*h, per index gap g
-and evaluates the kernel N - 1 times; lambda_crit profiles, per N,
+certificate's quadratic form sees one exact arc per index gap g and
+forms its N - 1 kernel values from Gaussian rows, with no ``exp`` per
+gap; lambda_crit profiles, per N,
 where the whole spectrum (:func:`~geokernel.spectral.circulant_eigenvalues`
 of lambda and N) turns PSD.
 """

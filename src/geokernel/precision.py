@@ -13,9 +13,11 @@ binary exponent, the products and the sum are exact Python integers,
 and :func:`unlift` rounds the total once.  The only rounding in such a
 sum is in its inputs.  Those inputs are correctly rounded: wide Gaussian
 rows come from one integer recurrence, :func:`gaussian_row`, with two
-``exp`` calls per block, and the equispaced cosines from another,
-:func:`cosine_table`, a rotation with one ``cos``/``sin`` seed per block
-and the rest of the circle filled by exact symmetry.
+``exp`` calls per block, and so do the kernel values of an exact
+progression's index gaps (:func:`gap_gaussians`); the equispaced cosines
+come from another, :func:`cosine_table`, a rotation with one
+``cos``/``sin`` seed per block and the rest of the circle filled by exact
+symmetry.
 """
 
 from __future__ import annotations
@@ -23,13 +25,13 @@ from __future__ import annotations
 import math
 import sys
 from contextlib import contextmanager, nullcontext
-from itertools import count
+from itertools import combinations, count, islice
 from types import SimpleNamespace
 
 import mpmath as mp
 from mpmath.libmp import (dps_to_prec, from_int, from_man_exp, from_rational, fzero, mpf_add,
-                          mpf_cos_sin, mpf_div, mpf_exp, mpf_mul, mpf_neg, repr_dps,
-                          round_nearest, to_fixed)
+                          mpf_cos_sin, mpf_div, mpf_exp, mpf_mul, mpf_neg, mpf_shift, mpf_sub,
+                          repr_dps, round_nearest, to_fixed)
 
 # Significant decimal digits representable by an IEEE double.  Requests at
 # or below this run entirely in hardware floats.
@@ -150,20 +152,31 @@ def gaussian_row(mu, r, n: int):
 
     t_{k+1} = t_k q_k and q_{k+1} = q_k d, for q_k = exp(-(mu (2k + 1)/N^2
     + r/N)) and d = exp(-2 mu/N^2), on W = p + ROW_GUARD_BITS bit integer
-    mantissas with their own exponents, each product cut to W bits.  t_0 = 1;
-    q_0, d (q_0^2 when r = 0), and t_k, q_k at each k in ROW_BLOCK Z+ are
-    seeded by ``mpf_exp`` at W bits of an exact numerator divided once by N^2
-    to within 2^(-W-4).  A seed or cut errs by under 2^(1-W) and d by 3 times
-    that, so m < ROW_BLOCK terms past a seed q errs by (1 + 4m) 2^(1-W) and
-    t by (1 + 2m^2) 2^(1-W) < 2^-46 u, u = 2^-p: each term is within
-    (1 + 2^-45) u of the exact value.
+    mantissas with their own exponents, each product cut to W bits
+    (:func:`_row_terms`).  t_0 = 1; q_0, d (q_0^2 when r = 0), and t_k, q_k
+    at each k in ROW_BLOCK Z+ are seeded by ``mpf_exp`` at W bits of an
+    exact numerator divided once by N^2 to within 2^(-W-4).  A seed or cut
+    errs by under 2^(1-W) and d by 3 times that, so m < ROW_BLOCK terms past
+    a seed q errs by (1 + 4m) 2^(1-W) and t by (1 + 2m^2) 2^(1-W) < 2^-46 u,
+    u = 2^-p: each term is within (1 + 2^-45) u of the exact value.
     """
     prec, rnd = mp.mp._prec_rounding
-    wide = prec + ROW_GUARD_BITS
-    mu, r, nn = mp.mpf(mu)._mpf_, mp.mpf(r)._mpf_, from_int(n * n)
+    mu, r = mp.mpf(mu)._mpf_, mp.mpf(r)._mpf_
+    for man, exp in _row_terms(mu, r, fzero, n, prec + ROW_GUARD_BITS):
+        yield mp.make_mpf(from_man_exp(man, exp, prec, rnd))
 
-    def seed(a: int, b: int):  # exp(-(mu a + r b)/N^2) as (W-bit mantissa, exponent)
-        num = mpf_add(mpf_mul(mu, from_int(a)), mpf_mul(r, from_int(b)))
+
+def _row_terms(mu, r, c, n: int, wide: int):
+    """:func:`gaussian_row`'s recurrence for raw mpf coefficients, which
+    enter exactly, with a constant c >= 0 in the exponent: exp(-(c + mu
+    k^2/N^2 + r k/N)) as unrounded (mantissa, exponent) pairs with
+    ``wide``-bit mantissas.  t_0 = exp(-c) is seeded like t_k (it is (1, 0)
+    when c = 0), so every term keeps gaussian_row's error bound."""
+    nn = from_int(n * n)
+    cnn = mpf_mul(c, nn)
+
+    def seed(a: int, b: int, base=fzero):  # exp(-(base + mu a + r b)/N^2)
+        num = mpf_add(base, mpf_add(mpf_mul(mu, from_int(a)), mpf_mul(r, from_int(b))))
         mag = max(0, num[2] + num[3] - nn[2] - nn[3] + 1)  # 2^mag > num/N^2
         arg = mpf_div(num, nn, wide + 4 + mag, round_nearest)
         _, man, exp, bc = mpf_exp(mpf_neg(arg), wide, round_nearest)
@@ -173,14 +186,79 @@ def gaussian_row(mu, r, n: int):
         shift = man.bit_length() - wide
         return man >> shift, exp + shift
 
-    (t, t_exp), (q, q_exp) = (1, 0), seed(1, n)
+    (t, t_exp), (q, q_exp) = (1, 0) if c == fzero else seed(0, 0, cnn), seed(1, n)
     d, d_exp = cut(q * q, 2 * q_exp) if r == fzero else seed(2, 0)
     for k in count(1):
-        yield mp.make_mpf(from_man_exp(t, t_exp, prec, rnd))
+        yield t, t_exp
         if k % ROW_BLOCK:
             (t, t_exp), (q, q_exp) = cut(t * q, t_exp + q_exp), cut(q * d, q_exp + d_exp)
         else:
-            (t, t_exp), (q, q_exp) = seed(k * k, k * n), seed(2 * k + 1, n)
+            (t, t_exp), (q, q_exp) = seed(k * k, k * n, cnn), seed(2 * k + 1, n)
+
+
+def gap_gaussians(lam, scale, steps, n: int) -> list:
+    """exp(-lam s^2 sum_f a_f(g)^2) for the index gaps g = 1, ..., N-1 of N
+    points in exact progression, each the exact value rounded once at the
+    working precision p, for mpf lam > 0 and scale s > 0.
+
+    ``steps`` holds one (h, e) per angle factor, its step h 2^e (integers,
+    as :func:`lift` gives labels), so the factor's angles differ by g H at
+    gap g, H = |h| 2^e, and (N-1) H < 2 pi_p for the working pi_p, as for
+    valid angles.  The arc a(g) = min(g H, 2 pi_p - g H) is exact.  With
+    w = lam s^2, the gaps g H <= pi_p read the Gaussian row exp(-w H^2 g^2);
+    the rest, counted down from g = N-1 as j = N-1-g, have the arc alpha +
+    j H, alpha = 2 pi_p - (N-1) H > 0, and read exp(-(w alpha^2 + w H^2 j^2
+    + 2 w alpha H j)).  Both are :func:`gaussian_row` recurrences (N = 1)
+    on exact coefficients.  A factor with h = 0 contributes exactly 1, and
+    a gap's factors multiply at the rows' W = p + ROW_GUARD_BITS bits
+    before the one rounding, so each value is within (1 + 2^-44) u of the
+    exact one, u = 2^-p.
+    """
+    prec, rnd = mp.mp._prec_rounding
+    wide = prec + ROW_GUARD_BITS
+    pi = (+mp.pi)._mpf_
+    _, pi_man, pi_exp, _ = pi
+    w = mpf_mul(lam._mpf_, mpf_mul(scale._mpf_, scale._mpf_))
+    terms = [(1, 0)] * (n - 1)
+    for h, e in steps:
+        h = abs(h)
+        if not h:
+            continue
+        step = from_man_exp(h, e)
+        alpha = mpf_sub(mpf_shift(pi, 1), from_man_exp((n - 1) * h, e))
+        mu = mpf_mul(w, mpf_mul(step, step))
+        r, c = mpf_shift(mpf_mul(mpf_mul(w, alpha), step), 1), mpf_mul(w, mpf_mul(alpha, alpha))
+        # the last gap g with g H <= pi_p, in integers
+        shift = pi_exp - e
+        near = min(n - 1, (pi_man << shift) // h if shift >= 0 else pi_man // (h << -shift))
+        far = list(islice(_row_terms(mu, r, c, 1, wide), n - 1 - near))
+        row = [*islice(_row_terms(mu, fzero, fzero, 1, wide), 1, near + 1), *reversed(far)]
+        terms = [(a * b, x + y) for (a, x), (b, y) in zip(terms, row)]
+    return [mp.make_mpf(from_man_exp(man, exp, prec, rnd)) for man, exp in terms]
+
+
+def lift_whole(values):
+    """:func:`lift`'s (mantissas, exponent) when no value loses a bit to the
+    lift, else None."""
+    mantissas, exp = lift(values)
+    # a nonzero mpf mantissa is odd, so a value below the exponent has lost bits
+    return (mantissas, exp) if all(not v._mpf_[1] or v._mpf_[2] >= exp for v in values) else None
+
+
+def pair_differences(values) -> list:
+    """values[i] - values[j] for the pairs i < j in ``combinations`` order,
+    each rounded at the working precision and rounding mode as mpf
+    subtraction rounds it, as raw mpf tuples.  Values that lift whole
+    (:func:`lift_whole`) subtract as integers, and each distinct exact
+    difference is rounded once."""
+    prec, rnd = mp.mp._prec_rounding
+    lifted = lift_whole(values)
+    if lifted is None:
+        return [mpf_sub(a, b, prec, rnd) for a, b in combinations([v._mpf_ for v in values], 2)]
+    mantissas, exp = lifted
+    diffs = [a - b for a, b in combinations(mantissas, 2)]
+    rounded = {d: from_man_exp(d, exp, prec, rnd) for d in set(diffs)}
+    return list(map(rounded.__getitem__, diffs))
 
 
 def cosine_table(n: int) -> list:

@@ -2,6 +2,7 @@
 independent verifier with tamper detection."""
 
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -117,42 +118,69 @@ def _rounded_once(raws):
     return mp.make_mpf(mpf_pos(mpf_sum(raws, 0), mp.prec, round_nearest))
 
 
-def _plain_quadratic_form(space, lam, points, coefficients, digits):
+def _exact_kernel(lam, scale, arcs):
+    """exp(-lam sum (scale arc)^2) over the exact ``arcs``, formed 200 bits
+    past the working precision and rounded once at it."""
+    prec = mp.prec
+    with mp.workprec(prec + 200):
+        value = mp.exp(-lam * mp.fsum((scale * a) ** 2 for a in arcs))
+    return mp.make_mpf(mpf_pos(value._mpf_, prec, round_nearest))
+
+
+def _exact_arc(a, b, pi):
+    """min(d, 2 pi - d) for the exact difference d = |a - b|, exactly."""
+    d = abs(mp.fsub(a, b, exact=True))
+    return d if d <= pi else mp.fsub(2 * pi, d, exact=True)
+
+
+def _plain_quadratic_form(space, lam, points, coefficients, digits, exact=False):
     """c^T K c as the plain loop: one kernel evaluation per pair, arcs from
     raw angles at wide precision.  Double precision streams the terms into
     the compensated sum; wide precision forms every product and the sum
-    without rounding and rounds once."""
+    without rounding and rounds once.  With ``exact``, each arc is the
+    exact one, min(d, 2 pi_p - d) of the exact angle difference d and the
+    working pi_p, and each kernel value the exact one rounded once
+    (:func:`_exact_kernel`, once per distinct arc)."""
     n = len(points)
     with numeric(digits) as x:
         lam = x.num(lam)
         if digits <= DOUBLE_DIGITS:
             matrix = gk.distance_matrix(space, list(points)).tolist()
-            dist = lambda i, j: matrix[i][j]
+            kernel = lambda i, j: x.exp(-lam * matrix[i][j] * matrix[i][j])
         else:
-            two_pi = 2 * x.pi
+            pi = +x.pi
+            two_pi = 2 * pi
+            circle = isinstance(space, gk.Circle)
+            scale = x.num(space.scale if circle else 1)
+            angles = [(x.num(p),) if circle else tuple(map(x.num, p)) for p in points]
 
-            def arc(a, b):
-                d = abs(a - b)
-                return min(d, two_pi - d)
+            def arcs(i, j):
+                for a, b in zip(angles[i], angles[j]):
+                    if exact:
+                        yield _exact_arc(a, b, pi)
+                    else:
+                        d = abs(a - b)
+                        yield min(d, two_pi - d)
 
-            if isinstance(space, gk.Circle):
-                scale = x.num(space.scale)
-                angles = [x.num(p) for p in points]
-                dist = lambda i, j: scale * arc(angles[i], angles[j])
-            else:
-                pts = [(x.num(p[0]), x.num(p[1])) for p in points]
-                dist = lambda i, j: x.sqrt(
-                    arc(pts[i][0], pts[j][0]) ** 2 + arc(pts[i][1], pts[j][1]) ** 2
-                )
+            exact_kernel = functools.cache(lambda key: _exact_kernel(lam, scale, key))
+
+            def kernel(i, j):
+                if exact:
+                    return exact_kernel(tuple(arcs(i, j)))
+                d = scale * next(arcs(i, j)) if circle else x.sqrt(sum(a ** 2 for a in arcs(i, j)))
+                return x.exp(-lam * d * d)
+
         c = [x.num(v) for v in coefficients]
-        pairs = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = dist(i, j)
-                pairs.append((2 * c[i], c[j], x.exp(-lam * d * d)))
+        pairs = [(2 * c[i], c[j], kernel(i, j)) for i in range(n) for j in range(i + 1, n)]
         if digits <= DOUBLE_DIGITS:
             return x.fsum([ci * ci for ci in c] + [a * b * k for a, b, k in pairs])
         return _rounded_once([_exact(ci, ci) for ci in c] + [_exact(*t) for t in pairs])
+
+
+def _exact_quadratic_form(space, lam, points, coefficients, digits):
+    """The gap route's reference: :func:`_plain_quadratic_form` on exact
+    arcs and exact kernel values rounded once."""
+    return _plain_quadratic_form(space, lam, points, coefficients, digits, exact=True)
 
 
 def _bits(value):
@@ -160,38 +188,41 @@ def _bits(value):
 
 
 def _bit_identity_cases():
-    for name in ("circle_cert70.json", "circle_cert70_rounded.json"):
+    """(what, route, space, lam, points, coefficients, digits): the route is
+    "gaps" for exact progressions, "pairs" for other wide sets and
+    "double" at 17 digits."""
+    for name, route in (("circle_cert70.json", "gaps"), ("circle_cert70_rounded.json", "pairs")):
         cert70 = _golden_cert70(name)
-        yield f"{name}, 70 digits", cert70.space, cert70.lam, cert70.points, \
+        yield f"{name}, 70 digits", route, cert70.space, cert70.lam, cert70.points, \
             cert70.coefficients, 70
     scaled = gk.circle_witness(5, precision_digits=50, scale=0.7)
-    yield "circle scale 0.7, 50 digits", scaled.space, scaled.lam, scaled.points, \
+    yield "circle scale 0.7, 50 digits", "gaps", scaled.space, scaled.lam, scaled.points, \
         scaled.coefficients, 50
     rng = np.random.default_rng(3)
     with mp.workdps(40):
         angles = [2 * mp.pi * mpf(u) for u in rng.random(30)]
-    yield "random circle angles, 40 digits", gk.Circle(), mpf("0.3"), angles, \
+    yield "random circle angles, 40 digits", "pairs", gk.Circle(), mpf("0.3"), angles, \
         rng.standard_normal(30).tolist(), 40
     # the pair route: an angle below the lift cut, and points off a progression
     more = np.random.default_rng(4)
     with mp.workdps(40):
         below = [*angles, mpf("1e-130")]
         pairs = [(2 * mp.pi * mpf(u), 2 * mp.pi * mpf(v)) for u, v in more.random((30, 2))]
-    yield "random circle angles and 1e-130, 40 digits", gk.Circle(), mpf("0.3"), below, \
-        more.standard_normal(31).tolist(), 40
-    yield "random torus angles, 40 digits", gk.FlatTorus(), mpf("0.3"), pairs, \
+    yield "random circle angles and 1e-130, 40 digits", "pairs", gk.Circle(), mpf("0.3"), \
+        below, more.standard_normal(31).tolist(), 40
+    yield "random torus angles, 40 digits", "pairs", gk.FlatTorus(), mpf("0.3"), pairs, \
         more.standard_normal(30).tolist(), 40
     torus = gk.witness_for_target(gk.FlatTorus(), "0.4", precision_digits=30)
-    yield "torus, 30 digits", torus.space, torus.lam, torus.points, \
+    yield "torus, 30 digits", "gaps", torus.space, torus.lam, torus.points, \
         torus.coefficients, 30
     for lam, digits in ((5, 50), (10, 70), (20, 100)):
         torus = gk.witness_for_target(gk.FlatTorus(), lam, n_max=1024, precision_digits=digits)
-        yield f"torus lambda {lam}, {digits} digits", torus.space, torus.lam, torus.points, \
-            torus.coefficients, digits
+        yield f"torus lambda {lam}, {digits} digits", "gaps", torus.space, torus.lam, \
+            torus.points, torus.coefficients, digits
     for text in ("sphere:2", "grassmann:2,4"):
         space = gk.parse_space(text)
         pts = sample_points(space, 11, 24)
-        yield text, space, 0.4, pts, rng.standard_normal(24).tolist(), 17
+        yield text, "double", space, 0.4, pts, rng.standard_normal(24).tolist(), 17
     yield from _cofactor_cases()
 
 
@@ -216,32 +247,42 @@ def _cofactor_cases():
         above = pi + mp.ldexp(1, exp + bc - mp.prec)  # one ulp above the working pi
         pairs = [(2 * x.pi * mpf(u), 2 * x.pi * mpf(v)) for u, v in rng.random((24, 2))]
     assert above > pi and len({abs(k) for k in ks}) > 2
-    yield "circle, cofactors up to 9, 40 digits", gk.Circle(), mpf("0.3"), angles, coeffs, 40
-    yield "circle, a zero coefficient, 40 digits", gk.Circle(), mpf("0.3"), angles, \
+    yield "circle, cofactors up to 9, 40 digits", "pairs", gk.Circle(), mpf("0.3"), angles, \
+        coeffs, 40
+    yield "circle, a zero coefficient, 40 digits", "pairs", gk.Circle(), mpf("0.3"), angles, \
         [mpf(0), *coeffs[1:]], 40
-    yield "circle, a repeated angle, 40 digits", gk.Circle(), mpf("0.3"), \
+    yield "circle, a repeated angle, 40 digits", "pairs", gk.Circle(), mpf("0.3"), \
         [*angles[:-1], angles[0]], coeffs, 40
-    yield "circle, offsets pi and an ulp above, 40 digits", gk.Circle(), mpf("0.3"), \
+    yield "circle, offsets pi and an ulp above, 40 digits", "pairs", gk.Circle(), mpf("0.3"), \
         [*angles[:-3], mpf(0), pi, above], coeffs, 40
     witness = gk.circle_witness(15, n_max=1024, precision_digits=90)
-    yield "circle lambda 15, 90 digits", witness.space, witness.lam, witness.points, \
+    yield "circle lambda 15, 90 digits", "gaps", witness.space, witness.lam, witness.points, \
         witness.coefficients, 90
-    yield "torus, cofactors up to 9, 40 digits", gk.FlatTorus(), mpf("0.3"), pairs, coeffs, 40
+    yield "torus, cofactors up to 9, 40 digits", "pairs", gk.FlatTorus(), mpf("0.3"), pairs, \
+        coeffs, 40
 
 
-def test_quadratic_form_memo_is_bit_identical():
+def _reference_form(route):
+    return _exact_quadratic_form if route == "gaps" else _plain_quadratic_form
+
+
+def test_quadratic_form_memo_is_bit_identical(monkeypatch):
     # double precision: the memo streams the plain loop's terms in order;
-    # wide precision: the exact sum of the plain loop's terms, rounded once
-    for what, space, lam, pts, coeffs, digits in _bit_identity_cases():
+    # wide precision: the exact sum of the plain loop's terms, rounded once,
+    # whose kernel values on the gap route are the exact ones rounded once
+    loops = _count_pair_loops(monkeypatch)
+    for what, route, space, lam, pts, coeffs, digits in _bit_identity_cases():
+        del loops[:]
         memo = gk.quadratic_form(space, lam, pts, coeffs, digits)
-        plain = _plain_quadratic_form(space, lam, pts, coeffs, digits)
-        assert type(memo) is type(plain), what
-        assert _bits(memo) == _bits(plain), what
+        assert bool(loops) == (route == "pairs"), what
+        reference = _reference_form(route)(space, lam, pts, coeffs, digits)
+        assert type(memo) is type(reference), what
+        assert _bits(memo) == _bits(reference), what
 
 
 def test_wide_quadratic_form_is_permutation_invariant():
     rng = np.random.default_rng(5)
-    for what, space, lam, pts, coeffs, digits in _bit_identity_cases():
+    for what, _, space, lam, pts, coeffs, digits in _bit_identity_cases():
         if digits <= DOUBLE_DIGITS:
             continue
         value = gk.quadratic_form(space, lam, pts, coeffs, digits)
@@ -332,28 +373,106 @@ def test_gap_route_is_the_plain_form_on_other_progressions(monkeypatch):
     for what, route, space, lam, pts, coeffs, digits in _progression_cases():
         del loops[:]
         value = gk.quadratic_form(space, lam, pts, coeffs, digits)
-        assert _bits(value) == _bits(_plain_quadratic_form(space, lam, pts, coeffs, digits)), what
+        reference = _reference_form(route)(space, lam, pts, coeffs, digits)
+        assert _bits(value) == _bits(reference), what
         assert ("pairs" if loops else "gaps") == route, what
+
+
+def _record_gap_rows(monkeypatch):
+    """The kernel values each gap-route form reads, one list per call of
+    ``gap_gaussians``."""
+    rows = []
+    gap_gaussians = certificates.gap_gaussians
+    monkeypatch.setattr(certificates, "gap_gaussians",
+                        lambda *args: rows.append(gap_gaussians(*args)) or rows[-1])
+    return rows
+
+
+def _gap_kernels(space, lam, points, digits):
+    """The exact kernel of the exact arcs between points 0 and g, rounded
+    once, for g = 1, ..., N-1: gap g's value when ``points`` are in
+    progression in their given order."""
+    with numeric(digits) as x:
+        pi = +x.pi
+        circle = isinstance(space, gk.Circle)
+        scale = x.num(space.scale if circle else 1)
+        angles = [(x.num(p),) if circle else tuple(map(x.num, p)) for p in points]
+        return [_exact_kernel(x.num(lam), scale, [_exact_arc(a, b, pi) for a, b in
+                                                  zip(angles[0], angles[g])])
+                for g in range(1, len(points))]
+
+
+def _gap_route_cases():
+    """(what, space, lam, points, coefficients, digits), each an exact
+    progression in its given order: builder witnesses, their torus image,
+    and the descending and two-factor progressions no builder makes."""
+    for lam, digits in ((0.1, 30), (1, 30), (5, 50), (10, 70), (20, 100)):
+        for scale in (1, 0.7):
+            cert = gk.circle_witness(lam, n_max=1024, precision_digits=digits, scale=scale)
+            yield f"circle lambda {lam} scale {scale}, {digits} digits", cert.space, cert.lam, \
+                cert.points, cert.coefficients, digits
+    torus = gk.witness_for_target(gk.FlatTorus(), 10, n_max=1024, precision_digits=70)
+    yield "torus image lambda 10, 70 digits", torus.space, torus.lam, torus.points, \
+        torus.coefficients, 70
+    for what, route, *case in _progression_cases():
+        if route == "gaps":
+            yield what, *case
+
+
+def test_gap_route_kernel_values_are_the_exact_ones_rounded_once(monkeypatch):
+    # each gap's value is exp(-lam (s arc)^2) of its exact arc rounded
+    # once, formed from Gaussian rows with no exp; the form is the exact
+    # sum of the exact values, rounded once
+    rows = _record_gap_rows(monkeypatch)
+    calls = []
+    exp = precision._WIDE.exp
+    monkeypatch.setattr(precision._WIDE, "exp", lambda v: calls.append(v) or exp(v))
+    for what, space, lam, pts, coeffs, digits in _gap_route_cases():
+        del rows[:]
+        value = gk.quadratic_form(space, lam, pts, coeffs, digits)
+        assert calls == [], what
+        [row] = rows
+        expected = _gap_kernels(space, lam, pts, digits)
+        assert [v._mpf_ for v in row] == [v._mpf_ for v in expected], what
+        assert _bits(value) == _bits(_exact_quadratic_form(space, lam, pts, coeffs, digits)), what
+
+
+@pytest.mark.parametrize("lam, digits", [(5, 50), (20, 100)])
+def test_torus_image_form_is_the_circle_form(monkeypatch, lam, digits):
+    # the image (k h, 0): its second factor contributes exactly 1
+    rows = _record_gap_rows(monkeypatch)
+    circle = gk.circle_witness(lam, n_max=1024, precision_digits=digits)
+    torus = gk.witness_for_target(gk.FlatTorus(), lam, n_max=1024, precision_digits=digits)
+    assert [p for p, _ in torus.points] == list(circle.points)
+    assert {q for _, q in torus.points} == {0}
+    forms = [gk.quadratic_form(c.space, c.lam, c.points, c.coefficients, digits)
+             for c in (circle, torus)]
+    assert _bits(forms[0]) == _bits(forms[1]) == _bits(torus.quad_form)
+    assert [v._mpf_ for v in rows[-2]] == [v._mpf_ for v in rows[-1]]
 
 
 def test_gaps_g_and_n_minus_g_merge_when_n_h_is_the_working_two_pi(monkeypatch):
     # at 48 digits the working pi has 6 trailing zero bits, so k*pi/32 is
     # exact for k < 64; the arc of gap g > 32 is then (64 - g)*pi/32
-    # exactly, and gaps g and 64 - g share one distance and one exp
+    # exactly, so gaps g and 64 - g get one value, the exact kernel rounded
+    # once, though the rows count them from opposite ends; no exp is made
     loops = _count_pair_loops(monkeypatch)
+    rows = _record_gap_rows(monkeypatch)
     with numeric(48) as x:
         pi = +x.pi
         assert mp.prec - pi._mpf_[3] >= 6
         points = [(63 - k) * pi / 32 for k in range(64)]
+        expected = [_exact_kernel(mpf(2), 1, [min(g, 64 - g) * pi / 32]) for g in range(1, 64)]
     coeffs = [mpf((-1) ** k * (k % 5 + 1)) for k in range(64)]
     args = gk.Circle(), mpf(2), points, coeffs, 48
-    plain = _plain_quadratic_form(*args)
     calls = []
     exp = precision._WIDE.exp
     monkeypatch.setattr(precision._WIDE, "exp", lambda v: calls.append(v) or exp(v))
-    assert _bits(gk.quadratic_form(*args)) == _bits(plain)
-    assert not loops
-    assert len(calls) == 32
+    assert _bits(gk.quadratic_form(*args)) == _bits(_exact_quadratic_form(*args))
+    assert not loops and not calls
+    [row] = rows
+    assert [v._mpf_ for v in row] == [v._mpf_ for v in expected]
+    assert all(row[g - 1] == row[63 - g] for g in range(1, 64))
 
 
 def _refuse_pairs(*_args):
@@ -416,7 +535,8 @@ def test_builder_witness_pairs_add_unit_cofactors(monkeypatch, lam, digits):
     handed = []
     pair_sums = certificates._pair_sums
     monkeypatch.setattr(certificates, "_pair_sums",
-                        lambda space, pts, cs, x: handed.append(cs) or pair_sums(space, pts, cs, x))
+                        lambda space, lam, pts, cs, x: handed.append(cs)
+                        or pair_sums(space, lam, pts, cs, x))
     cert = gk.circle_witness(lam, n_max=1024, precision_digits=digits)
     assert gk.verify_certificate(cert).ok
     assert len(handed) == 2
@@ -465,17 +585,21 @@ def test_verify_survives_extreme_exponents(cert_lambda20, field, index, ok, deta
 def test_fresh_certificate_verifies_at_the_builders_cost(
         monkeypatch, target, lam, digits, parent_count):
     # the builder's points, coefficients, lambda and quad form read back
-    # bit for bit, so the verify repeats the build's kernel evaluations
-    calls = []
-    exp = precision._WIDE.exp
+    # bit for bit, so the verify repeats the build's kernel work: no kernel
+    # exp (parent_count is what the rounded angles once made), and a few
+    # mpf_exp seeds of gap_gaussians' rows, two rows per factor and two
+    # seeds per ROW_BLOCK terms of a row besides its first two
+    calls, seeds = [], []
+    exp, mpf_exp = precision._WIDE.exp, precision.mpf_exp
     monkeypatch.setattr(precision._WIDE, "exp", lambda v: calls.append(v) or exp(v))
+    monkeypatch.setattr(precision, "mpf_exp", lambda *a: seeds.append(a) or mpf_exp(*a))
     quadratic_form = certificates.quadratic_form
     built = []
 
     def counted_form(*args):
-        before = len(calls)
+        before = len(calls), len(seeds)
         value = quadratic_form(*args)
-        built.append(len(calls) - before)
+        built.append((len(calls) - before[0], len(seeds) - before[1]))
         return value
 
     monkeypatch.setattr(certificates, "quadratic_form", counted_form)
@@ -485,13 +609,16 @@ def test_fresh_certificate_verifies_at_the_builders_cost(
         cert = gk.witness_for_target(gk.FlatTorus(), lam, precision_digits=digits)
     back = gk.cert_from_json(json.loads(json.dumps(gk.cert_to_json(cert))))
     monkeypatch.setattr(certificates, "quadratic_form", quadratic_form)
-    del calls[:]
+    del calls[:], seeds[:]
     result = gk.verify_certificate(back)
     assert result.ok
     assert result.recomputed._mpf_ == result.stored._mpf_ == cert.quad_form._mpf_
-    assert built == [len(calls)]
-    if parent_count is not None:
-        assert len(calls) < parent_count
+    assert built == [(len(calls), len(seeds))]
+    assert calls == []
+    blocks = -(-(cert.order - 1) // precision.ROW_BLOCK)
+    assert 0 < len(seeds) <= 2 * (2 * blocks + 2)
+    if digits == 100:
+        assert cert.order == 256 and len(seeds) <= 4
 
 
 CERT_KEYS = {"schema_version", "space", "lambda", "points", "coefficients",

@@ -1,14 +1,15 @@
 """Integer fixed point for wide sums (lift and its inverse), wide
-Gaussian rows from one integer recurrence, and the JSON text of wide
+Gaussian rows from one integer recurrence, the kernel values of an exact
+progression's gaps, rounded pair differences, and the JSON text of wide
 numbers."""
 
 import random
 import sys
-from itertools import islice
+from itertools import combinations, islice
 
 import pytest
 from mpmath import mp, mpf
-from mpmath.libmp import dps_to_prec
+from mpmath.libmp import dps_to_prec, mpf_pos, round_nearest
 
 import geokernel as gk
 from geokernel import precision
@@ -18,11 +19,14 @@ from geokernel.precision import (
     ROW_BLOCK,
     PrecisionError,
     cosine_table,
+    gap_gaussians,
     gaussian_row,
     lift,
+    lift_whole,
     number_from_json,
     number_to_json,
     numeric,
+    pair_differences,
     unlift,
     working_dps,
 )
@@ -106,6 +110,54 @@ def test_partial_theta_across_row_blocks_is_the_direct_sum(mu, r, n, digits):
         assert row == [(+v)._mpf_ for v in ref]
         assert abs(res.value - total) <= mpf(10) ** -(digits + 5) * total
         assert res.truncation_bound._mpf_ == row[-1]
+
+
+def _rounded_once(value, prec):
+    return mp.make_mpf(mpf_pos(value._mpf_, prec, round_nearest))
+
+
+def _step(angle, prec):
+    """(h, e) with h 2^e the angle cut to an integer multiple of 2^e."""
+    e = -prec - 8
+    return int(mp.floor(mp.ldexp(angle, -e))), e
+
+
+@pytest.mark.parametrize("digits, n, scale", [
+    (30, 2, "1"), (30, 5, "1"), (40, 97, "0.7"), (60, 600, "2.5"), (100, 1100, "1"),
+])
+def test_gap_gaussians_are_the_exact_kernel_rounded_once(digits, n, scale):
+    # a torus-like progression with three factors: steps near 2 pi/N
+    # (both runs of gaps, each past a reseed at N = 1100), a step whose
+    # gaps all stay below pi, and a zero step
+    with numeric(digits) as x:
+        pi, prec = +x.pi, mp.prec
+        lam, s = mpf("0.3"), x.num(scale)
+        steps = [_step(2 * pi / n, prec), _step(pi / n, prec), (0, 0)]
+        steps[0] = (-steps[0][0], steps[0][1])  # a descending factor
+        values = [v._mpf_ for v in gap_gaussians(lam, s, steps, n)]
+        ref = []
+        for g in range(1, n):
+            arcs = []
+            for h, e in steps:
+                d = mp.ldexp(abs(h) * g, e)
+                arcs.append(d if d <= pi else mp.fsub(2 * pi, d, exact=True))
+            with mp.workprec(prec + 200):
+                value = mp.exp(-lam * s * s * mp.fsum(a * a for a in arcs))
+            ref.append(_rounded_once(value, prec)._mpf_)
+        assert values == ref
+
+
+def test_pair_differences_round_as_mpf_subtraction():
+    # integer differences where the values lift whole, raw subtraction where
+    # one value lifts truncated; either way the mpf subtraction's bits
+    rng = random.Random(9)
+    with numeric(40) as x:
+        angles = [2 * x.pi * rng.random() for _ in range(40)]
+        grid = [mpf(k) / 8 for k in range(-20, 20)]
+        for values in (angles, grid, [*angles[:5], mpf("1e-200")]):
+            whole = lift_whole(values) is not None
+            assert whole == (values[-1] != mpf("1e-200"))
+            assert pair_differences(values) == [(a - b)._mpf_ for a, b in combinations(values, 2)]
 
 
 # N = 601, 1030 and 2100 run the rotation past a reseed at m = ROW_BLOCK
