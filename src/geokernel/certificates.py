@@ -151,7 +151,8 @@ def _pair_sums(space: sp.Space, lam, points: list, cs: list, x) -> dict:
     mpf, mapped to the exact integer sum of ``cs[i] * cs[j]`` over the
     pairs that take it.
 
-    Circle and torus share two routes.  When every factor lifts whole
+    Circle and torus share two routes, on the descriptor's ``angles``
+    angle factors of scale s (1 on the torus).  When every factor lifts whole
     (:func:`~geokernel.precision.lift_whole`) to an exact progression
     a_0 + k*h in one order of the points (sorted by label), as a builder
     witness k*h and its torus image do, the pairs at index gap g share one
@@ -163,9 +164,9 @@ def _pair_sums(space: sp.Space, lam, points: list, cs: list, x) -> dict:
     which lifts truncated, or angles off a progression, such as 2*pi*k/N
     rounded one by one) keys each pair by its angle differences rounded
     at the working precision (:func:`~geokernel.precision.pair_differences`),
-    merges equal keys, forms each distinct key's distance once (offsets
-    at equal distances, d and 2*pi - d among them, merge) and evaluates
-    the kernel once per distinct distance."""
+    merges equal keys, forms each distinct key's distance s sqrt(sum_f
+    arc_f^2) once (offsets at equal distances, d and 2*pi - d among them,
+    merge) and evaluates the kernel once per distinct distance."""
     pi = +x.pi
     two_pi = 2 * pi
 
@@ -174,14 +175,11 @@ def _pair_sums(space: sp.Space, lam, points: list, cs: list, x) -> dict:
         # at d <= pi, 2*pi - d rounds to d or above
         return d if d <= pi else min(d, two_pi - d)
 
-    if isinstance(space, sp.Circle):
-        factors = [[x.num(p) for p in points]]
-        scale = x.num(space.scale)
-        dist = lambda d: scale * arc(d[0])
-    else:
-        factors = [[x.num(p[f]) for p in points] for f in (0, 1)]
-        scale = x.num(1)
-        dist = lambda d: x.sqrt(arc(d[0]) ** 2 + arc(d[1]) ** 2)
+    payloads = points if space.angles > 1 else [[p] for p in points]
+    factors = [list(map(x.num, column)) for column in zip(*payloads)]
+    scale = x.num(getattr(space, "scale", 1))
+    # sqrt of a correctly rounded square is the value itself: one factor gives s * arc
+    dist = lambda d: scale * x.sqrt(sum(arc(a) ** 2 for a in d))
     sums = defaultdict(int)
     lifted = [lift_whole(angles) for angles in factors]
     if None not in lifted:
@@ -203,7 +201,7 @@ def _pair_sums(space: sp.Space, lam, points: list, cs: list, x) -> dict:
         keys[key] += cs[i] * cs[j]
     kernel = cache(lambda d: x.exp(-lam * d * d)._mpf_)  # once per distinct distance
     for k, s in keys.items():
-        sums[kernel(dist(list(map(mp.make_mpf, k))))] += s
+        sums[kernel(dist(map(mp.make_mpf, k)))] += s
     return sums
 
 
@@ -213,13 +211,12 @@ def certification_threshold(n: int, digits: int):
     return -CERT_MARGIN * psd_tolerance(n, digits)
 
 
-def _certify_threshold(value, n: int, digits: int, what: str) -> None:
+def _missed_bar(value, n: int, digits: int, what: str) -> str:
+    """Why ``value`` certifies no order-n Gram at ``digits``, or "" when it
+    lies below :func:`certification_threshold`."""
     bar = certification_threshold(n, digits)
-    if not value < bar:
-        raise CertificateError(
-            f"{what} {number_text(value, '.6e')} is not below the certification "
-            f"threshold {bar:.6e}; refusing to certify"
-        )
+    return "" if value < bar else (f"{what} {number_text(value, '.6e')} is not below "
+                                   f"the certification threshold {bar:.6e}")
 
 
 def build_certificate(
@@ -246,9 +243,11 @@ def build_certificate(
         precision_digits = spectrum.precision_digits
     w_min, coeffs = mode
     n, digits = len(points), resolve_digits(precision_digits)
-    _certify_threshold(w_min, n, digits, "minimum eigenvalue")
+    if missed := _missed_bar(w_min, n, digits, "minimum eigenvalue"):
+        raise CertificateError(f"{missed}; refusing to certify")
     quad = quadratic_form(space, lam, points, coeffs, digits)
-    _certify_threshold(quad, n, digits, "quadratic form")
+    if missed := _missed_bar(quad, n, digits, "quadratic form"):
+        raise CertificateError(f"{missed}; refusing to certify")
     if abs(quad - w_min) > 1e-8 * n * max(1.0, abs(float(w_min))):
         raise CertificateError(
             "quadratic form disagrees with the spectral value; "
@@ -269,8 +268,9 @@ def build_certificate(
 def verify_certificate(cert: WitnessCertificate) -> VerificationResult:
     """Re-derive the quadratic form from raw data and compare.
 
-    ok iff the recomputed value matches the stored one within 1e-12
-    relative and is negative.  Shares no state with the builder.
+    ok iff the stored value is negative and the recomputed one lies below
+    the builder's bar (:func:`certification_threshold`) and within 1e-12
+    relative of the stored one.  Shares no state with the builder.
     """
     recomputed = quadratic_form(
         cert.space, cert.lam, cert.points, cert.coefficients, cert.precision_digits
@@ -285,6 +285,8 @@ def verify_certificate(cert: WitnessCertificate) -> VerificationResult:
         return VerificationResult(
             False, recomputed, stored, "recomputed value negative, stored positive"
         )
+    if missed := _missed_bar(recomputed, cert.order, cert.precision_digits, "recomputed value"):
+        return VerificationResult(False, recomputed, stored, missed)
     if abs(recomputed - stored) > VERIFY_REL_TOL * abs(stored):
         return VerificationResult(
             False,

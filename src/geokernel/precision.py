@@ -248,17 +248,9 @@ def lift_whole(values):
 def pair_differences(values) -> list:
     """values[i] - values[j] for the pairs i < j in ``combinations`` order,
     each rounded at the working precision and rounding mode as mpf
-    subtraction rounds it, as raw mpf tuples.  Values that lift whole
-    (:func:`lift_whole`) subtract as integers, and each distinct exact
-    difference is rounded once."""
+    subtraction rounds it, as raw mpf tuples."""
     prec, rnd = mp.mp._prec_rounding
-    lifted = lift_whole(values)
-    if lifted is None:
-        return [mpf_sub(a, b, prec, rnd) for a, b in combinations([v._mpf_ for v in values], 2)]
-    mantissas, exp = lifted
-    diffs = [a - b for a, b in combinations(mantissas, 2)]
-    rounded = {d: from_man_exp(d, exp, prec, rnd) for d in set(diffs)}
-    return list(map(rounded.__getitem__, diffs))
+    return [mpf_sub(a, b, prec, rnd) for a, b in combinations([v._mpf_ for v in values], 2)]
 
 
 def cosine_table(n: int) -> list:

@@ -15,10 +15,11 @@ j)`` validates and factors each point once and derives every pair
 ``distance_matrix`` and the Gram (every pair i < j) are its callers.
 
 A point set goes through one stacked numpy pass: the space's check reads
-every point as one array (wide angles through ``float``), and when any
-point fails it is re-run on one-point sets, which names the first invalid
-point; then each space's ``_distances(forms, i, j)`` evaluates all pairs
-at once from two index arrays, pair m joining points i[m] and j[m].
+every point as one array (wide angles through ``float``, save at 0 and
+2*pi), and when any point fails it is re-run on one-point sets, which
+names the first invalid point; then each space's ``_distances(forms, i,
+j)`` evaluates all pairs at once from two index arrays, pair m joining
+points i[m] and j[m].
 Every value is the one the scalar formula gives, bit for bit: inner
 products and norms are row-wise BLAS dots (``_dots``), which round like
 ``np.dot`` and ``np.linalg.norm`` of one pair, and the transcendental
@@ -32,6 +33,7 @@ import math
 from dataclasses import asdict, dataclass, fields
 from itertools import groupby
 
+import mpmath as mp
 import numpy as np
 
 from .precision import DOUBLE_DIGITS, number_from_json, number_to_json
@@ -69,28 +71,31 @@ def _angles(values) -> np.ndarray:
     """Angle payloads, one number each, as one float array; else
     InvalidPointError for the first fault in this order: a payload that is
     not a real number (text included, though ``float`` reads it), one that
-    is not finite (or past the double range), one outside [0, 2*pi)."""
+    is not finite (or past the double range), one outside [0, 2*pi), where a
+    non-float's float is 0 or 2*pi by its own value (an mpf against the working 2*pi)."""
     try:
         a = np.asarray(values)
     except ValueError:  # ragged
         a = None
-    negative = False
+    own = {}  # index: verdict on a payload's own value
     if a is None or a.dtype.kind not in "biuf" or a.shape != (len(values),):
         # one float() each: wide numbers, and whatever numpy does not read as numbers
         try:
             if any(isinstance(v, (str, bytes)) for v in values):
                 raise TypeError
             a = np.array([float(v) for v in values])
-            # float() rounds a tiny negative wide angle to -0.0
-            negative = any(values[k] < 0 for k in np.flatnonzero(a == 0.0).tolist())
+            for k in np.flatnonzero((a == 0) | (a == TWO_PI)).tolist():
+                if not isinstance(v := values[k], float):
+                    own[k] = 0 <= v and (a[k] == 0 or isinstance(v, mp.mpf) and v < 2 * mp.pi)
         except (TypeError, ValueError):
             raise InvalidPointError("angle payload is not a real number") from None
         except OverflowError:
             raise InvalidPointError("angle is not finite") from None
     a = np.asarray(a, dtype=float)
     _require(np.isfinite(a).all(), "angle is not finite", InvalidPointError)
-    _require(not negative and ((0.0 <= a) & (a < TWO_PI)).all(), "angle outside [0, 2*pi)",
-             InvalidPointError)
+    inside = (0.0 <= a) & (a < TWO_PI)
+    inside[list(own)] = list(own.values())
+    _require(inside.all(), "angle outside [0, 2*pi)", InvalidPointError)
     return a
 
 

@@ -21,7 +21,7 @@ from geokernel.certificates import CertificateError
 from geokernel.cli import main
 from geokernel.partial_theta import PartialThetaError
 from geokernel.precision import DOUBLE_DIGITS, PrecisionError, number_to_json, numeric
-from geokernel.spaces import circle_equispaced, require_valid, sample_points
+from geokernel.spaces import check_points, circle_equispaced, require_valid, sample_points
 from geokernel.spectral import equispaced_half_row
 
 
@@ -451,6 +451,21 @@ def test_torus_image_form_is_the_circle_form(monkeypatch, lam, digits):
     assert [v._mpf_ for v in rows[-2]] == [v._mpf_ for v in rows[-1]]
 
 
+@pytest.mark.parametrize("digits", [70, 30])
+def test_torus_image_pair_form_is_the_circle_form(monkeypatch, digits):
+    # the pair route's twin of the test above: angles 2 pi k/N rounded one
+    # by one lie off a progression, and the image (theta, 0) must read the
+    # circle's distances, so its form is the circle form bit for bit
+    rows = _record_gap_rows(monkeypatch)
+    cert = _golden_cert70("circle_cert70_rounded.json")
+    image = [(p, mpf(0)) for p in cert.points]
+    forms = [gk.quadratic_form(space, cert.lam, pts, cert.coefficients, digits)
+             for space, pts in ((cert.space, cert.points), (gk.FlatTorus(), image))]
+    assert rows == []
+    assert forms[0] < 0
+    assert _bits(forms[0]) == _bits(forms[1])
+
+
 def test_gaps_g_and_n_minus_g_merge_when_n_h_is_the_working_two_pi(monkeypatch):
     # at 48 digits the working pi has 6 trailing zero bits, so k*pi/32 is
     # exact for k < 64; the arc of gap g > 32 is then (64 - g)*pi/32
@@ -856,6 +871,66 @@ def test_verify_detail_shows_a_stored_value_below_the_double_range(cert_lambda20
     result = gk.verify_certificate(gk.cert_from_json(obj))
     assert not result.ok
     assert "differs from stored -1.0e-400 beyond" in result.detail
+
+
+def _rectangle(lam, delta, digits, reflected=False):
+    """The inscribed rectangle {0, delta, pi, pi + delta}, or its mirror
+    {0, pi - delta, pi, 2 pi - delta}, at ``digits`` with the alternating
+    coefficients (1, -1, 1, -1)/2 and its quadratic form."""
+    with numeric(digits) as x:
+        pi, delta = +x.pi, x.num(delta)
+        points = [x.num(0), pi - delta, pi, 2 * pi - delta] if reflected else \
+            [x.num(0), delta, pi, pi + delta]
+        coeffs = tuple(x.num((-1) ** k) / 2 for k in range(4))
+    return points, coeffs, gk.quadratic_form(gk.Circle(), lam, points, coeffs, digits)
+
+
+def test_verify_refuses_a_reproducible_form_above_the_bar(monkeypatch, tmp_path, capsys):
+    # at lambda 20, delta = 3.01 pi E (E = exp(-20 pi^2)) lies past the sign
+    # change of the rectangle's form: the exact form is +2.1e-169, yet K(delta)
+    # rounds to 1 at 100 digits and the form reads -4.19e-169, far above the
+    # builder's bar; off a progression, the form takes the pair route
+    rows = _record_gap_rows(monkeypatch)
+    with numeric(100) as x:
+        lam = x.num(20)
+        delta = x.num("3.01") * x.pi * x.exp(-lam * x.pi ** 2)
+    points, coeffs, form = _rectangle(lam, delta, 100)
+    assert rows == []
+    assert -4.2e-169 < form < -4.19e-169
+    with mp.workdps(400):
+        gram = [[mp.exp(-20 * min(abs(a - b), 2 * mp.pi - abs(a - b)) ** 2) for b in points]
+                for a in points]
+        assert mp.fsum(ci * cj * k for ci, row in zip(coeffs, gram) for cj, k in zip(coeffs, row)) > 0
+    cert = gk.WitnessCertificate(gk.Circle(), lam, tuple(points), coeffs, form, 100)
+    result = gk.verify_certificate(cert)
+    assert not result.ok
+    assert result.detail == ("recomputed value -4.191187e-169 is not below the certification "
+                             "threshold -4.000000e-92")
+    with pytest.raises(CertificateError, match="not below the certification threshold"):
+        gk.build_certificate(gk.Circle(), lam, points, 100, mode=(form, coeffs))
+    path = tmp_path / "rectangle.json"
+    path.write_text(json.dumps(gk.cert_to_json(cert)))
+    capsys.readouterr()
+    assert main(["verify-certificate", str(path)]) == 1
+    printed = json.loads(capsys.readouterr().out)["outputs"]
+    assert printed["ok"] is False and printed["detail"] == result.detail
+
+
+def test_angles_whose_float_is_two_pi_are_judged_by_their_own_value():
+    # 2 pi - 1e-21 reads through float as 2 pi, yet lies inside [0, 2 pi):
+    # the mirrored rectangle is valid and has the rectangle's form
+    points, coeffs, form = _rectangle(1, "1e-21", 60, reflected=True)
+    with numeric(60) as x:
+        assert float(points[3]) == 2 * math.pi
+        check_points(gk.Circle(), points)
+        refused = [mpf("-1e-400"), 2 * math.pi, 2 * x.pi]
+        for angle in refused:
+            with pytest.raises(gk.InvalidPointError, match="outside"):
+                check_points(gk.Circle(), [angle])
+    _, _, plain = _rectangle(1, "1e-21", 60)
+    assert form < 0 and abs(form - plain) <= 1e-12 * abs(plain)
+    cert = gk.build_certificate(gk.Circle(), 1, points, 60, mode=(form, coeffs))
+    assert gk.verify_certificate(cert).ok
 
 
 def test_verify_certificate_ok():

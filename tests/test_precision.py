@@ -148,8 +148,8 @@ def test_gap_gaussians_are_the_exact_kernel_rounded_once(digits, n, scale):
 
 
 def test_pair_differences_round_as_mpf_subtraction():
-    # integer differences where the values lift whole, raw subtraction where
-    # one value lifts truncated; either way the mpf subtraction's bits
+    # one route for every input, the mpf subtraction's bits: values that
+    # lift whole (as the gap route reads them) and one that lifts truncated
     rng = random.Random(9)
     with numeric(40) as x:
         angles = [2 * x.pi * rng.random() for _ in range(40)]
