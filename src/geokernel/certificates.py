@@ -167,17 +167,11 @@ def _pair_sums(space: sp.Space, lam, points: list, cs: list, x) -> dict:
     merges equal keys, forms each distinct key's distance s sqrt(sum_f
     arc_f^2) once (offsets at equal distances, d and 2*pi - d among them,
     merge) and evaluates the kernel once per distinct distance."""
-    pi = +x.pi
-    two_pi = 2 * pi
-
-    def arc(diff):  # min(|diff|, 2*pi - |diff|)
-        d = abs(diff)
-        # at d <= pi, 2*pi - d rounds to d or above
-        return d if d <= pi else min(d, two_pi - d)
-
+    two_pi = 2 * +x.pi
+    arc = lambda diff: min(abs(diff), two_pi - abs(diff))
     payloads = points if space.angles > 1 else [[p] for p in points]
     factors = [list(map(x.num, column)) for column in zip(*payloads)]
-    scale = x.num(getattr(space, "scale", 1))
+    scale = x.num(space.scale)
     # sqrt of a correctly rounded square is the value itself: one factor gives s * arc
     dist = lambda d: scale * x.sqrt(sum(arc(a) ** 2 for a in d))
     sums = defaultdict(int)

@@ -232,9 +232,8 @@ class Space:
     ``_check`` is the one point check: it reads a whole point set as one
     stack and returns it in the form the distance formulas read, one
     entry per point, or raises InvalidPointError when any point fails; a
-    point's verdict depends on that point alone.  ``_forms`` reduces the
-    checked payloads to what the metric reads; ``_distances(forms, i, j)``
-    evaluates all pairs (i[m], j[m]) of two index arrays at once, by
+    point's verdict depends on that point alone.  ``_distances(forms, i,
+    j)`` evaluates all pairs (i[m], j[m]) of two index arrays at once, by
     default the norm of the difference.
 
     A space that contains an isometric copy of Circle{circle_scale}
@@ -257,9 +256,6 @@ class Space:
                 raise InvalidSpaceError(f"{self.variant} {f.name} must be a positive real")
             if f.type == "str" and value not in self.metrics:
                 raise InvalidSpaceError(f"unknown {self.variant} {f.name} {value!r}")
-
-    def _forms(self, checked):
-        return checked
 
     def _distances(self, forms, i, j):
         stack = np.asarray(forms, dtype=float)
@@ -373,14 +369,11 @@ class Grassmannian(Space):
         frames[:, :, 1:] = basis[:, 1:self.k]
         return frames
 
-    def _check(self, points):
+    def _check(self, points):  # the frames, or their projectors for the projection metric
         a = _floats(points, (self.n, self.k), "representative")
         _require((np.abs(a.swapaxes(1, 2) @ a - np.eye(self.k)) <= ORTHONORMAL_TOL).all(),
                  "columns not orthonormal", InvalidPointError)
-        return a
-
-    def _forms(self, checked):  # the projectors, for the projection metric
-        return checked @ checked.swapaxes(1, 2) if self.metric == "projection" else checked
+        return a @ a.swapaxes(1, 2) if self.metric == "projection" else a
 
     def _distances(self, forms, i, j):
         if self.metric == "projection":
@@ -397,7 +390,8 @@ class Grassmannian(Space):
 @dataclass(frozen=True)
 class SpdMatrices(Space):
     """Symmetric positive definite n x n matrices under a chosen metric.
-    A checked point is the matrix stacked on its Cholesky factor."""
+    A checked point is the matrix (frobenius), its log (log_euclidean) or
+    the matrix stacked on its Cholesky factor (stein)."""
 
     n: int
     metric: str = "frobenius"
@@ -410,15 +404,12 @@ class SpdMatrices(Space):
         _require((np.abs(m - m.swapaxes(1, 2)).max(axis=(1, 2)) <= SYMMETRY_TOL * scale).all(),
                  "not symmetric", InvalidPointError)
         try:
-            return np.stack((m, np.linalg.cholesky(m)), axis=1)
+            lowers = np.linalg.cholesky(m)
         except np.linalg.LinAlgError:
             raise InvalidPointError("not positive definite") from None
-
-    def _forms(self, checked):  # the matrix logs; stein reads the Cholesky factors too
         if self.metric == "stein":
-            return checked
-        ms = checked[:, 0]
-        return [matrix_log(m) for m in ms] if self.metric == "log_euclidean" else ms
+            return np.stack((m, lowers), axis=1)
+        return np.array([matrix_log(a) for a in m]) if self.metric == "log_euclidean" else m
 
     def _distances(self, forms, i, j):
         if self.metric != "stein":
@@ -452,6 +443,7 @@ class FlatTorus(Space):
 
     variant = "torus"
     angles = 2
+    scale = 1.0  # of both angles; not a field, so the text and JSON forms name none
     circle_scale = 1.0
 
     def _circle_points(self, thetas):  # the second angle pinned at 0
@@ -480,9 +472,9 @@ VARIANTS = {cls.variant: cls for cls in (
 
 def require_valid(space: Space, point):
     """The payload in the form the distance formulas read (a float angle,
-    an angle pair, an array, or an SPD matrix stacked on its Cholesky
-    factor): the space's check of the one-point set; InvalidPointError
-    naming the violated invariant otherwise."""
+    an angle pair or an array; see each space's ``_check``): the space's
+    check of the one-point set; InvalidPointError naming the violated
+    invariant otherwise."""
     try:
         return space._check([point])[0]
     except InvalidPointError as exc:
@@ -516,12 +508,12 @@ def check_points(space: Space, points):
 def pair_distances(space: Space, points, i, j) -> np.ndarray:
     """d(points[i[m]], points[j[m]]) for each m, two index arrays.
 
-    The points are validated once (see ``check_points``) and reduced to
-    what their metric reads (see ``_forms``) once, however many pairs
-    each is in; all pairs are then evaluated together, and a pair's value
-    does not depend on the others.
+    The points are validated and put in the form their metric reads once
+    (see ``check_points``), however many pairs each is in; all pairs are
+    then evaluated together, and a pair's value does not depend on the
+    others.
     """
-    forms = space._forms(check_points(space, points))
+    forms = check_points(space, points)
     i, j = np.asarray(i, dtype=int), np.asarray(j, dtype=int)
     return np.asarray(space._distances(forms, i, j) if len(i) else [], dtype=float)
 
@@ -556,15 +548,19 @@ def equispaced_order(angles) -> int | None:
     """count if the angles are exactly the family ``circle_equispaced(count)``
     in construction order, else None: each nonnegative and within
     max(1e-12, 8 N 2^-53 2*pi) of 2*pi*k/N, twice the bound of a witness's
-    exact progression k*h at 17 digits (``circle._progression``)."""
+    exact progression k*h at 17 digits (``circle._progression``).  A
+    payload that is not a real number is left for the point check to name."""
     n = len(angles)
     if n < 2:
         return None
     tol = max(1e-12, 8 * n * TWO_PI * 2.0 ** -53)
-    for theta, target in zip(angles, circle_equispaced(n)):
+    try:
         # a negated test, since a nan angle fails every comparison
-        if not (theta >= 0 and abs(float(theta) - target) <= tol):
+        if not all(theta >= 0 and abs(float(theta) - target) <= tol
+                   for theta, target in zip(angles, circle_equispaced(n))):
             return None
+    except (TypeError, ValueError):
+        return None
     return n
 
 

@@ -19,10 +19,8 @@ import geokernel as gk
 from geokernel import certificates, precision
 from geokernel.certificates import CertificateError
 from geokernel.cli import main
-from geokernel.partial_theta import PartialThetaError
 from geokernel.precision import DOUBLE_DIGITS, PrecisionError, number_to_json, numeric
 from geokernel.spaces import check_points, circle_equispaced, require_valid, sample_points
-from geokernel.spectral import equispaced_half_row
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -39,44 +37,6 @@ def _unit_witness(lam=0.1, digits=None):
     cert = gk.circle_witness(lam, n_max=64, precision_digits=digits)
     assert cert is not None
     return cert
-
-
-@pytest.mark.parametrize("digits", [17, 30])
-def test_circulant_row_evaluates_half_the_row(monkeypatch, digits):
-    # row[k] == row[N-k]: the spectrum evaluates only k <= N/2; in doubles
-    # one math.exp per k, wide two exps per block of gaussian_row's
-    # recurrence and none per term
-    wide_exp = precision.mpf_exp
-    for n in (2, 3, 4, 5, 16, 27, 256):
-        calls, wide_calls = [], []
-        for arith in (precision._DOUBLE, precision._WIDE):
-            monkeypatch.setattr(arith, "exp", lambda v, exp=arith.exp: calls.append(v) or exp(v))
-        monkeypatch.setattr(precision, "mpf_exp", lambda *a: wide_calls.append(a) or wide_exp(*a))
-        gk.circulant_eigenvalues(0.7, n, digits)
-        monkeypatch.undo()
-        if digits > DOUBLE_DIGITS:
-            blocks = -(-(n // 2 + 1) // precision.ROW_BLOCK)
-            assert calls == [] and 0 < len(wide_calls) <= 2 * blocks + 1, n
-            continue
-        assert len(calls) == n // 2 + 1 and wide_calls == [], n
-        with numeric(digits) as x:
-            mu, nn = gk.mu_of_lambda(0.7, digits), x.num(n) * n
-            assert calls == [-mu * k ** 2 / nn for k in range(n // 2 + 1)], n
-
-
-def test_circulant_row_values():
-    lam = 0.3
-    n = 8
-    mu = gk.mu_of_lambda(lam)
-    with numeric(DOUBLE_DIGITS) as x:
-        half = equispaced_half_row(mu, n, x)
-    assert half[0] == 1.0
-    for k in range(n // 2 + 1):
-        assert half[k] == pytest.approx(math.exp(-mu * k * k / n ** 2), rel=1e-15)
-    for digits in (17, 30):
-        for bad in (0, -1, math.nan, math.inf):
-            with pytest.raises(PartialThetaError, match="lambda must be positive"):
-                gk.circulant_eigenvalues(bad, n, digits)
 
 
 def test_quadratic_form_matches_manual():
@@ -1113,6 +1073,18 @@ def test_psd_decision_dispatch():
     for digits in (30, 5):  # wide is refused, out-of-range is invalid
         with pytest.raises(PrecisionError):
             gk.psd_decision(gk.Sphere(2), pts, 0.1, digits)
+
+
+@pytest.mark.parametrize("digits", [None, 30])
+@pytest.mark.parametrize("points, index", [(["a", "b", "c"], 0), ([0.0, None], 1)])
+def test_psd_decision_names_a_circle_payload_that_is_no_number(points, index, digits):
+    # no route is picked on payloads that are not numbers: the point
+    # check names the first of them
+    with pytest.raises(gk.InvalidPointError) as info:
+        gk.psd_decision(gk.Circle(), points, 1.0, digits)
+    assert str(info.value) == (
+        f"point {index} of Circle(scale=1.0): circle: angle payload is not a real number"
+    )
 
 
 def test_psd_decision_scaled_circle():

@@ -5,8 +5,9 @@ top-level function or class is used by the program or the benchmark
 (or is on a named list of test-only names), the package's ``__all__``
 lists exactly the public names it imports and no submodule, every
 Sphinx cross-reference role in a docstring names an object that exists,
-and only ``precision.py`` reaches into ``mpmath.libmp``, so raw-mpf
-arithmetic stays behind one module.
+every private name quoted as a literal in a docstring or comment is
+defined in the package, and only ``precision.py`` reaches into
+``mpmath.libmp``, so raw-mpf arithmetic stays behind one module.
 
 No linter ships with the toolchain, so this reads each module's syntax
 tree instead.  ``__init__.py`` is left out of the import check: it
@@ -171,3 +172,38 @@ def test_docstring_cross_references_resolve(path):
         except (KeyError, AttributeError):
             missing.append(name)
     assert missing == []
+
+
+# a private name quoted as a literal, bare or dotted: ``_forms``,
+# ``circle._progression``, ``_check(points)``
+LITERAL_PRIVATE = re.compile(r"``(?:\w+\.)*(_[A-Za-z]\w*)")
+
+
+@functools.cache
+def _package_definitions() -> frozenset:
+    """Every function, class and method of the package, every name bound
+    at module or class level and every attribute assigned (``self._x``)."""
+    names = set()
+    for path in PACKAGE.rglob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bodies = [tree.body]
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                bodies.append(node.body)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                names.add(node.attr)
+        for node in (n for body in bodies for n in body):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return frozenset(names)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")), ids=lambda p: p.name)
+def test_literal_private_names_are_defined(path):
+    # the literal-name twin of the cross-reference check: a docstring or
+    # comment that quotes a private helper names one that still exists
+    quoted = set(LITERAL_PRIVATE.findall(path.read_text()))
+    assert sorted(quoted - _package_definitions()) == []

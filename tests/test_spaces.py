@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import geokernel as gk
+from geokernel import spaces
 from geokernel.precision import numeric
 from geokernel.spaces import (
     VARIANTS,
@@ -184,6 +185,18 @@ def test_distance_is_one_pair_of_the_pairwise_routine():
         ]
 
 
+@pytest.mark.parametrize("space", [*CATALOG, gk.Circle(scale=0.5)], ids=repr)
+def test_point_check_returns_what_the_distances_read(space):
+    # one check per space: the distance formula reads its output as it
+    # stands, with no second per-space reduction
+    pts = sample_points(space, 23, 6)
+    i, j = np.triu_indices(6, 1)
+    forms = check_points(space, pts)
+    assert isinstance(forms, np.ndarray) and len(forms) == 6
+    direct = np.asarray(space._distances(forms, i, j), dtype=float)
+    assert direct.tobytes() == pair_distances(space, pts, i, j).tobytes()
+
+
 def test_spd_frobenius_is_plain_norm():
     space = gk.SpdMatrices(2)
     a = np.array([[2.0, 0.3], [0.3, 1.0]])
@@ -301,6 +314,26 @@ def test_spd_point_set_names_the_first_invalid_point(metric, message):
         with pytest.raises(gk.InvalidPointError) as info:
             gk.pair_distances(space, points, (), ())
         assert str(info.value) == expect
+
+
+def test_log_euclidean_names_the_point_whose_log_fails(monkeypatch):
+    # a matrix log that fails is the point check's verdict on that point
+    space = gk.SpdMatrices(3, "log_euclidean")
+    points = [_SPD_GOOD * (k + 1) for k in range(4)]
+    eigensystem = spaces.jacobi_eigensystem
+
+    def zero_on_point_2(m):
+        values, vectors = eigensystem(m)
+        if np.array_equal(m, points[2]):
+            values = np.concatenate(([0.0], values[1:]))
+        return values, vectors
+
+    monkeypatch.setattr(spaces, "jacobi_eigensystem", zero_on_point_2)
+    with pytest.raises(gk.InvalidPointError) as info:
+        gk.gram(space, points, gk.KernelParam(0.5))
+    assert str(info.value) == (
+        f"point 2 of {space!r}: spd: matrix log needs strictly positive eigenvalues"
+    )
 
 
 def test_spd_symmetry_bar_scales_with_each_matrix():

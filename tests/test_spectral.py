@@ -9,7 +9,9 @@ from mpmath import mp, mpf
 from mpmath.libmp import mpf_mul, mpf_pos, mpf_sum, round_nearest
 
 import geokernel as gk
-from geokernel.precision import lift, numeric, unlift
+from geokernel import precision
+from geokernel.partial_theta import PartialThetaError
+from geokernel.precision import DOUBLE_DIGITS, lift, numeric, unlift
 from geokernel.spectral import (
     AsymmetricInputError,
     ConvergenceError,
@@ -123,6 +125,44 @@ def _rounded_cosines(n):
     with mp.workprec(mp.prec + 200):
         wide = [mp.cos(2 * mp.pi * m / n) for m in range(n)]
     return [mpf(0) if 4 * m % n == 0 and 4 * m // n % 2 else +v for m, v in enumerate(wide)]
+
+
+@pytest.mark.parametrize("digits", [17, 30])
+def test_circulant_spectrum_evaluates_half_the_kernel_row(monkeypatch, digits):
+    # row[k] == row[N-k]: the spectrum evaluates only k <= N/2; in doubles
+    # one math.exp per k, wide two exps per block of gaussian_row's
+    # recurrence and none per term
+    wide_exp = precision.mpf_exp
+    for n in (2, 3, 4, 5, 16, 27, 256):
+        calls, wide_calls = [], []
+        for arith in (precision._DOUBLE, precision._WIDE):
+            monkeypatch.setattr(arith, "exp", lambda v, exp=arith.exp: calls.append(v) or exp(v))
+        monkeypatch.setattr(precision, "mpf_exp", lambda *a: wide_calls.append(a) or wide_exp(*a))
+        gk.circulant_eigenvalues(0.7, n, digits)
+        monkeypatch.undo()
+        if digits > DOUBLE_DIGITS:
+            blocks = -(-(n // 2 + 1) // precision.ROW_BLOCK)
+            assert calls == [] and 0 < len(wide_calls) <= 2 * blocks + 1, n
+            continue
+        assert len(calls) == n // 2 + 1 and wide_calls == [], n
+        with numeric(digits) as x:
+            mu, nn = gk.mu_of_lambda(0.7, digits), x.num(n) * n
+            assert calls == [-mu * k ** 2 / nn for k in range(n // 2 + 1)], n
+
+
+def test_equispaced_half_row_values_and_lambda_check():
+    lam = 0.3
+    n = 8
+    mu = gk.mu_of_lambda(lam)
+    with numeric(DOUBLE_DIGITS) as x:
+        half = equispaced_half_row(mu, n, x)
+    assert half[0] == 1.0
+    for k in range(n // 2 + 1):
+        assert half[k] == pytest.approx(math.exp(-mu * k * k / n ** 2), rel=1e-15)
+    for digits in (17, 30):
+        for bad in (0, -1, math.nan, math.inf):
+            with pytest.raises(PartialThetaError, match="lambda must be positive"):
+                gk.circulant_eigenvalues(bad, n, digits)
 
 
 def test_circulant_matches_jacobi_on_kernel_rows():
