@@ -26,11 +26,7 @@ from .spaces import (
     principal_angles,
     sample_points,
 )
-from .gram import (
-    GramMatrix,
-    KernelParam,
-    gram,
-)
+from .gram import GramMatrix
 from .spectral import (
     PdVerdict,
     SpectrumReport,
@@ -47,7 +43,6 @@ from .partial_theta import (
     lambda_of_mu,
     leading_term,
     mu_of_lambda,
-    partial_theta,
     tail_decomposition_check,
 )
 from .circle import (

@@ -25,7 +25,7 @@ from operator import mul
 import mpmath as mp
 
 from . import spaces as sp
-from .gram import KernelParam, gram
+from .gram import gram
 from .precision import (
     DOUBLE_DIGITS,
     PrecisionError,
@@ -112,7 +112,7 @@ def quadratic_form(space: sp.Space, lam, points, coefficients, precision_digits:
     with numeric(precision_digits) as x:
         lam = require_positive(x.num(lam), "lambda", CertificateError)
         if precision_digits <= DOUBLE_DIGITS:
-            kernel = gram(space, points, KernelParam(lam)).entries.tolist() if n else []
+            kernel = gram(space, points, lam).entries.tolist() if n else []
         elif not space.angles:
             raise PrecisionError(
                 "wide-precision re-evaluation needs angle payloads (circle or "
@@ -205,9 +205,10 @@ def certification_threshold(n: int, digits: int):
     return -CERT_MARGIN * psd_tolerance(n, digits)
 
 
-def _missed_bar(value, n: int, digits: int, what: str) -> str:
+def missed_bar(value, n: int, digits: int, what: str) -> str:
     """Why ``value`` certifies no order-n Gram at ``digits``, or "" when it
-    lies below :func:`certification_threshold`."""
+    lies below :func:`certification_threshold`: the one check behind every
+    refusal of a form by the builder, the verifier and the witness transfer."""
     bar = certification_threshold(n, digits)
     return "" if value < bar else (f"{what} {number_text(value, '.6e')} is not below "
                                    f"the certification threshold {bar:.6e}")
@@ -237,10 +238,10 @@ def build_certificate(
         precision_digits = spectrum.precision_digits
     w_min, coeffs = mode
     n, digits = len(points), resolve_digits(precision_digits)
-    if missed := _missed_bar(w_min, n, digits, "minimum eigenvalue"):
+    if missed := missed_bar(w_min, n, digits, "minimum eigenvalue"):
         raise CertificateError(f"{missed}; refusing to certify")
     quad = quadratic_form(space, lam, points, coeffs, digits)
-    if missed := _missed_bar(quad, n, digits, "quadratic form"):
+    if missed := missed_bar(quad, n, digits, "quadratic form"):
         raise CertificateError(f"{missed}; refusing to certify")
     if abs(quad - w_min) > 1e-8 * n * max(1.0, abs(float(w_min))):
         raise CertificateError(
@@ -262,25 +263,19 @@ def build_certificate(
 def verify_certificate(cert: WitnessCertificate) -> VerificationResult:
     """Re-derive the quadratic form from raw data and compare.
 
-    ok iff the stored value is negative and the recomputed one lies below
-    the builder's bar (:func:`certification_threshold`) and within 1e-12
-    relative of the stored one.  Shares no state with the builder.
+    ok iff the recomputed value lies below the builder's bar
+    (:func:`missed_bar`), the stored one is negative, and the two agree
+    within 1e-12 relative; the detail names the first rule that fails.
+    Shares no state with the builder.
     """
     recomputed = quadratic_form(
         cert.space, cert.lam, cert.points, cert.coefficients, cert.precision_digits
     )
     stored = cert.quad_form
-    if not recomputed < 0:
-        detail = "recomputed value nonnegative"
-        if stored < 0:
-            detail += ", stored negative"
-        return VerificationResult(False, recomputed, stored, detail)
-    if not stored < 0:
-        return VerificationResult(
-            False, recomputed, stored, "recomputed value negative, stored positive"
-        )
-    if missed := _missed_bar(recomputed, cert.order, cert.precision_digits, "recomputed value"):
+    if missed := missed_bar(recomputed, cert.order, cert.precision_digits, "recomputed value"):
         return VerificationResult(False, recomputed, stored, missed)
+    if not stored < 0:
+        return VerificationResult(False, recomputed, stored, "stored value not negative")
     if abs(recomputed - stored) > VERIFY_REL_TOL * abs(stored):
         return VerificationResult(
             False,
@@ -314,7 +309,7 @@ def psd_decision(space: sp.Space, points, lam, precision_digits: int | None = No
             "equispaced circle points"
         )
     else:
-        k = gram(space, points, KernelParam(float(lam)))
+        k = gram(space, points, float(lam))
         report = jacobi_eigenvalues(k.entries)
     return pd_verdict(report), report
 

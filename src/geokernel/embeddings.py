@@ -18,12 +18,7 @@ import math
 import numpy as np
 
 from . import spaces as sp
-from .certificates import (
-    CertificateError,
-    WitnessCertificate,
-    certification_threshold,
-    quadratic_form,
-)
+from .certificates import CertificateError, WitnessCertificate, missed_bar, quadratic_form
 from .circle import DEFAULT_MAX_N, circle_witness
 from .precision import DOUBLE_DIGITS, number_text, numeric
 
@@ -61,7 +56,7 @@ def transfer_witness(cert: WitnessCertificate, target: sp.Space) -> WitnessCerti
     same coefficients give the same quadratic form; it is recomputed in
     the target from scratch and must agree with the stored value within
     the rounding of the two evaluations (``_rounding_bound``), and clear
-    the certification threshold.
+    the builder's bar (:func:`missed_bar`).
 
     Targets with non-angle payloads store points in double precision, so
     a wide source certificate is re-anchored at 17 digits; the transfer
@@ -79,12 +74,8 @@ def transfer_witness(cert: WitnessCertificate, target: sp.Space) -> WitnessCerti
     lam = float(cert.lam) if coerced else cert.lam
 
     quad = quadratic_form(target, lam, images, coeffs, digits)
-    bar = certification_threshold(len(images), digits)
-    if not quad < bar:
-        raise CertificateError(
-            f"transferred violation {number_text(quad, '.3e')} does not clear the "
-            f"certification threshold {bar:.3e} at {digits} digits"
-        )
+    if missed := missed_bar(quad, len(images), digits, "transferred violation"):
+        raise CertificateError(f"{missed} at {digits} digits")
     stored = cert.quad_form
     allowed = _rounding_bound(coeffs, lam, source.scale, digits)
     if not abs(quad - stored) <= allowed:

@@ -18,29 +18,21 @@ class GramError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class KernelParam:
-    """Bandwidth lambda of the kernel exp(-lambda d^2): a positive real."""
-
-    lam: float
-
-    def __post_init__(self):
-        if not (isinstance(self.lam, (int, float)) and math.isfinite(self.lam) and self.lam > 0):
-            raise GramError("bandwidth lambda must be a positive real")
-
-
 # math.exp elementwise: numpy's SIMD exp may round differently
 _exp = np.frompyfunc(math.exp, 1, 1)
 
 
-def kernel_values(param: KernelParam, distances) -> np.ndarray:
+def kernel_values(lam: float, distances) -> np.ndarray:
     """exp(-lambda d^2) of each of an array of distances, as ``math.exp``
-    gives it; rejects negative distances."""
+    gives it; rejects a bandwidth that is not a positive real and
+    negative distances."""
+    if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam > 0):
+        raise GramError("bandwidth lambda must be a positive real")
     d = np.asarray(distances, dtype=float)
     negative = np.flatnonzero(d < 0)
     if negative.size:
         raise GramError(f"negative distance {float(d.flat[negative[0]])!r}")
-    return np.asarray(_exp(-param.lam * d * d), dtype=float)
+    return np.asarray(_exp(-lam * d * d), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -64,7 +56,7 @@ class GramMatrix:
         return self.entries.shape[0]
 
 
-def gram_stack(space: sp.Space, points, param: KernelParam, sets: int = 1) -> np.ndarray:
+def gram_stack(space: sp.Space, points, lam: float, sets: int = 1) -> np.ndarray:
     """The entries of the Grams of ``sets`` point sets of one size P,
     listed one after another in ``points``, as a (sets, P, P) stack.  The
     points are checked as one set, and each set pairs only its own points
@@ -81,11 +73,11 @@ def gram_stack(space: sp.Space, points, param: KernelParam, sets: int = 1) -> np
     start = size * np.arange(sets)[:, None]
     d = sp.pair_distances(space, points, (rows + start).ravel(), (cols + start).ravel())
     k = np.ones((sets, size, size))
-    k[:, rows, cols] = k[:, cols, rows] = kernel_values(param, d.reshape(sets, len(rows)))
+    k[:, rows, cols] = k[:, cols, rows] = kernel_values(lam, d.reshape(sets, len(rows)))
     return k
 
 
-def gram(space: sp.Space, points, param: KernelParam) -> GramMatrix:
+def gram(space: sp.Space, points, lam: float) -> GramMatrix:
     """Gram matrix entries[i][j] = exp(-lambda d(p_i, p_j)^2): the one-set
     case of :func:`gram_stack`."""
-    return GramMatrix(entries=gram_stack(space, list(points), param)[0])
+    return GramMatrix(entries=gram_stack(space, list(points), lam)[0])

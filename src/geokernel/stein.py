@@ -18,7 +18,7 @@ import numpy as np
 
 from . import spaces as sp
 from .certificates import WitnessCertificate, build_certificate, certification_threshold
-from .gram import KernelParam, gram, gram_stack
+from .gram import gram, gram_stack
 from .precision import DOUBLE_DIGITS
 from .spectral import SpectrumReport, jacobi_eigenvalues, jacobi_spectra, min_eigenvector
 
@@ -84,16 +84,16 @@ def _strategy_points(strategy: str, rng: np.random.Generator, n: int, count: int
 CHUNK_CEILING = 96
 
 
-def _spectra(space: sp.Space, param: KernelParam, sets: list) -> Iterable[SpectrumReport]:
+def _spectra(space: sp.Space, lam: float, sets: list) -> Iterable[SpectrumReport]:
     """The spectrum of each trial's Gram, in trial order: all trials as one
     stack (one point check, Gram fill and eigensolve), or, when any step of
     that fails, one trial at a time and only as far as the caller reads,
     so a trial at fault raises with its own error only once it is
     reached."""
     try:
-        return jacobi_spectra(gram_stack(space, np.concatenate(sets), param, len(sets)))
+        return jacobi_spectra(gram_stack(space, np.concatenate(sets), lam, len(sets)))
     except (ValueError, ArithmeticError, RuntimeError):
-        return (jacobi_eigenvalues(gram(space, points, param).entries) for points in sets)
+        return (jacobi_eigenvalues(gram(space, points, lam).entries) for points in sets)
 
 
 def probe(
@@ -122,7 +122,6 @@ def probe(
     if points_per_trial < 2:
         raise SteinError("points_per_trial must be >= 2")
     space = sp.SpdMatrices(n=n, metric="stein")
-    param = KernelParam(float(lam))
     rng = np.random.default_rng(seed)
     threshold = certification_threshold(points_per_trial, DOUBLE_DIGITS)
     min_seen = math.inf
@@ -130,7 +129,7 @@ def probe(
         chunk = range(start, min(start + CHUNK_CEILING, trials))
         strategies = [PROBE_STRATEGIES[trial % len(PROBE_STRATEGIES)] for trial in chunk]
         sets = [_strategy_points(s, rng, n, points_per_trial) for s in strategies]
-        spectra = _spectra(space, param, sets)
+        spectra = _spectra(space, float(lam), sets)
         for trial, strategy, points, report in zip(chunk, strategies, sets, spectra):
             min_seen = min(min_seen, report.min_eigenvalue)
             if report.min_eigenvalue < threshold:

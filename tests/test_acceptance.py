@@ -15,6 +15,8 @@ import pytest
 from mpmath import mp
 
 import geokernel as gk
+from geokernel.gram import gram
+from geokernel.partial_theta import partial_theta
 
 from conftest import record_criterion
 
@@ -46,7 +48,7 @@ def test_c01_four_point_circle_witness():
     with criterion(1, "four-point circle witness at lambda 0.1", 1.0):
         lam = 0.1
         pts = gk.circle_equispaced(4)
-        k = gk.gram(gk.Circle(), pts, gk.KernelParam(lam))
+        k = gram(gk.Circle(), pts, lam)
         dense = gk.jacobi_eigenvalues(k.entries)
         a = math.exp(-lam * math.pi**2 / 4.0)
         closed = 1.0 - 2.0 * a + a**4
@@ -92,10 +94,10 @@ def test_c04_damped_sums_dominate():
             slack = mp.mpf("1e-28")
             for mu in (1, 10, 40):
                 for n in (4, 8, 16, 32, 64, 128):
-                    base = gk.partial_theta(mu, 0, n, digits).value
+                    base = partial_theta(mu, 0, n, digits).value
                     prev = base
                     for r in (0.1, 1, 10, 100):
-                        val = gk.partial_theta(mu, r, n, digits).value
+                        val = partial_theta(mu, r, n, digits).value
                         assert val >= base - slack
                         assert val >= prev - slack
                         prev = val
@@ -105,8 +107,8 @@ def test_c05_half_limit_collapse_under_doubling():
     # |S_0(N) - 1/2| drops far faster than N^-6 over one doubling
     with criterion(5, "half-limit deviation collapse under doubling", 1.0):
         with mp.workdps(40):
-            s4 = gk.partial_theta(20, 0, 4, 30).value
-            s8 = gk.partial_theta(20, 0, 8, 30).value
+            s4 = partial_theta(20, 0, 4, 30).value
+            s8 = partial_theta(20, 0, 8, 30).value
             assert abs(s4 - mp.mpf("0.72022014490236811158")) < mp.mpf("1e-18")
             assert abs(s8 - mp.mpf("0.50118058739375478410")) < mp.mpf("1e-18")
             d4 = abs(s4 - mp.mpf(1) / 2)
@@ -212,7 +214,7 @@ def test_c09_positive_controls_stay_semidefinite():
         for idx, space in enumerate(spaces):
             pts = gk.sample_points(space, 100 + idx, 20)
             for lam in (0.1, 1.0, 10.0):
-                k = gk.gram(space, pts, gk.KernelParam(lam))
+                k = gram(space, pts, lam)
                 rep = gk.jacobi_eigenvalues(k.entries)
                 assert rep.min_eigenvalue >= -1e-10 * 20
 
@@ -284,18 +286,18 @@ def test_c12_matrix_property_bundle():
         space = gk.Euclidean(5)
         pts = gk.sample_points(space, 9, 10)
         for l1, l2 in ((0.3, 0.8), (0.1, 0.1), (1.0, 2.5)):
-            k1 = gk.gram(space, pts, gk.KernelParam(l1))
-            k2 = gk.gram(space, pts, gk.KernelParam(l2))
+            k1 = gram(space, pts, l1)
+            k2 = gram(space, pts, l2)
             assert gk.jacobi_eigenvalues(k1.entries).min_eigenvalue >= -1e-10 * 10
             assert gk.jacobi_eigenvalues(k2.entries).min_eigenvalue >= -1e-10 * 10
-            ks = gk.gram(space, pts, gk.KernelParam(l1 + l2))
+            ks = gram(space, pts, l1 + l2)
             assert np.allclose(
                 k1.entries * k2.entries, ks.entries, rtol=1e-13, atol=0
             )
             assert gk.jacobi_eigenvalues(ks.entries).min_eigenvalue >= -1e-10 * 10
 
         # principal submatrices of a PSD Gram stay PSD
-        big = gk.gram(space, gk.sample_points(space, 14, 12), gk.KernelParam(0.6))
+        big = gram(space, gk.sample_points(space, 14, 12), 0.6)
         for idx in ([0, 1, 2], [0, 3, 7, 11], list(range(0, 12, 2))):
             sub = big.entries[np.ix_(idx, idx)]
             rep = gk.jacobi_eigenvalues(sub)

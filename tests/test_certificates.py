@@ -19,6 +19,7 @@ import geokernel as gk
 from geokernel import certificates, precision
 from geokernel.certificates import CertificateError
 from geokernel.cli import main
+from geokernel.gram import gram
 from geokernel.precision import DOUBLE_DIGITS, PrecisionError, number_to_json, numeric
 from geokernel.spaces import check_points, circle_equispaced, require_valid, sample_points
 
@@ -44,7 +45,7 @@ def test_quadratic_form_matches_manual():
     pts = sample_points(space, 5, 4)
     lam = 0.7
     coeffs = (0.25, -1.0, 0.5, 0.75)
-    k = gk.gram(space, pts, gk.KernelParam(lam)).entries
+    k = gram(space, pts, lam).entries
     manual = math.fsum(
         coeffs[i] * coeffs[j] * k[i][j] for i in range(4) for j in range(4)
     )
@@ -537,9 +538,11 @@ def cert_lambda20():
 
 
 @pytest.mark.parametrize("field, index, ok, detail", [
-    ("coefficients", 0, False, "recomputed value nonnegative, stored negative"),
+    ("coefficients", 0, False, "recomputed value 3.906250e-03 is not below "
+                               "the certification threshold -2.560000e-90"),
     ("points", 0, True, None),
-    ("points", 1, False, "recomputed value nonnegative, stored negative"),
+    ("points", 1, False, "recomputed value 9.355916e-05 is not below "
+                         "the certification threshold -2.560000e-90"),
 ])
 def test_verify_survives_extreme_exponents(cert_lambda20, field, index, ok, detail):
     obj = json.loads(json.dumps(cert_lambda20))
@@ -1101,7 +1104,17 @@ def test_verify_rejects_non_finite_coefficient(bad):
     obj = json.loads((GOLDEN / "circle_cert70.json").read_text())
     obj["coefficients"][3] = bad
     result = gk.verify_certificate(gk.cert_from_json(obj))
-    assert (result.ok, result.detail) == (False, "recomputed value nonnegative, stored negative")
+    assert (result.ok, result.detail) == (
+        False, "recomputed value nan is not below the certification threshold -1.280000e-60")
+
+
+@pytest.mark.parametrize("stored", ["nan", "0", "0.5"])
+def test_verify_rejects_a_stored_value_that_is_not_negative(stored):
+    # the recomputed form clears the bar; the stored one is refused by its sign
+    obj = json.loads((GOLDEN / "circle_cert70.json").read_text())
+    obj["quad_form"] = stored
+    result = gk.verify_certificate(gk.cert_from_json(obj))
+    assert (result.ok, result.detail) == (False, "stored value not negative")
 
 
 @pytest.mark.parametrize("digits", [17, 30])
@@ -1111,7 +1124,9 @@ def test_verify_rejects_infinite_coefficient_at_every_precision(digits):
     obj = json.loads(text)
     obj["coefficients"][0] = math.inf
     result = gk.verify_certificate(gk.cert_from_json(json.loads(json.dumps(obj))))
-    assert (result.ok, result.detail) == (False, "recomputed value nonnegative, stored negative")
+    bar = {17: "-4.000000e-09", 30: "-4.000000e-22"}[digits]
+    assert (result.ok, result.detail) == (
+        False, f"recomputed value nan is not below the certification threshold {bar}")
     assert math.isnan(result.recomputed)
 
 
@@ -1119,4 +1134,5 @@ def test_double_form_past_the_double_range_is_nan():
     cert = _unit_witness(digits=17)
     huge = tuple(1e200 * (-1) ** k for k in range(cert.order))
     result = gk.verify_certificate(dataclasses.replace(cert, coefficients=huge))
-    assert (result.ok, result.detail) == (False, "recomputed value nonnegative, stored negative")
+    assert (result.ok, result.detail) == (
+        False, "recomputed value nan is not below the certification threshold -4.000000e-09")

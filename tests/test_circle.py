@@ -11,6 +11,7 @@ from mpmath import mp, mpf
 import geokernel as gk
 from geokernel import circle, precision
 from geokernel.circle import CircleError
+from geokernel.gram import gram
 from geokernel.precision import DOUBLE_DIGITS, numeric
 from geokernel.spectral import psd_tolerance
 
@@ -80,7 +81,7 @@ def _floor(lam, n):
 
 def test_double_spectrum_floor_matches_the_dense_floor():
     points = gk.circle_equispaced(8)
-    dense = gk.jacobi_eigenvalues(gk.gram(gk.Circle(), points, gk.KernelParam(0.15)).entries)
+    dense = gk.jacobi_eigenvalues(gram(gk.Circle(), points, 0.15).entries)
     assert _floor(0.15, 8) == pytest.approx(dense.min_eigenvalue, abs=1e-12)
 
 

@@ -9,6 +9,7 @@ from mpmath import mp, mpf
 
 import geokernel as gk
 from geokernel.certificates import CertificateError
+from geokernel.cli import main
 from geokernel.embeddings import EmbeddingError, _rounding_bound
 from geokernel.spaces import VARIANTS, require_valid
 
@@ -155,6 +156,24 @@ def test_transfer_refuses_a_stored_value_past_the_rounding_bound():
         forged = dataclasses.replace(cert, quad_form=cert.quad_form + shift)
         with pytest.raises(CertificateError, match="re-verification failed"):
             gk.transfer_witness(forged, target)
+
+
+# the 30-digit circle witness at lambda 2 clears its bar, but on sphere:2 it
+# is re-evaluated at 17 digits, whose bar its form does not clear
+TRANSFER_REFUSAL = ("transferred violation -2.143376e-09 is not below the certification "
+                    "threshold -2.800000e-08 at 17 digits")
+
+
+def test_transfer_refuses_a_violation_above_the_bar():
+    with pytest.raises(CertificateError) as info:
+        gk.witness_for_target(gk.Sphere(2), 2.0)
+    assert str(info.value) == TRANSFER_REFUSAL
+
+
+def test_witness_space_reports_the_transfer_refusal(capsys):
+    assert main(["witness", "space", "--target", "sphere:2", "--lambda", "2"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {TRANSFER_REFUSAL}\n")
 
 
 def test_flat_torus_transfer_keeps_wide_precision():

@@ -7,32 +7,30 @@ import pytest
 from hypothesis import given, strategies as st
 
 import geokernel as gk
-from geokernel.gram import GramError, gram_stack, kernel_values
+from geokernel.gram import GramError, gram, gram_stack, kernel_values
 from geokernel.spaces import sample_points
 
 
-def test_kernel_param_rejects_nonpositive_lambda():
-    with pytest.raises(GramError):
-        gk.KernelParam(0.0)
-    with pytest.raises(GramError):
-        gk.KernelParam(-1.0)
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.inf, math.nan, "0.5"])
+def test_gram_rejects_a_bandwidth_that_is_not_a_positive_real(lam):
+    with pytest.raises(GramError, match=r"^bandwidth lambda must be a positive real$"):
+        gram(gk.Circle(), [0.0, 1.0], lam)
 
 
 def test_gaussian_kernel_basics():
-    p = gk.KernelParam(0.3)
-    k0, k1, k2 = kernel_values(p, [0.0, 1.0, 2.0])
+    k0, k1, k2 = kernel_values(0.3, [0.0, 1.0, 2.0])
     assert k0 == 1.0
     assert k1 == math.exp(-0.3)
     assert k2 < k1
     with pytest.raises(GramError, match=r"^negative distance -0\.1$"):
-        kernel_values(p, [1.0, -0.1])
+        kernel_values(0.3, [1.0, -0.1])
 
 
 def test_gram_matches_manual_loop():
     space = gk.Circle()
     pts = [0.0, 0.7, 2.1, 4.4, 5.9]
     lam = 0.3
-    k = gk.gram(space, pts, gk.KernelParam(lam))
+    k = gram(space, pts, lam)
     assert k.order == 5
     for i in range(5):
         assert k.entries[i][i] == 1.0
@@ -44,7 +42,7 @@ def test_gram_matches_manual_loop():
 
 def test_gram_validates_points():
     with pytest.raises(gk.InvalidPointError):
-        gk.gram(gk.Sphere(2), [np.array([1.0, 0.5, 0.0])], gk.KernelParam(1.0))
+        gram(gk.Sphere(2), [np.array([1.0, 0.5, 0.0])], 1.0)
 
 
 def test_gram_validates_each_point_once(monkeypatch):
@@ -62,7 +60,7 @@ def test_gram_validates_each_point_once(monkeypatch):
     for space in (gk.SpdMatrices(3, metric="stein"), gk.Sphere(2), gk.Grassmannian(2, 4)):
         seen.clear()
         pts = sample_points(space, 4, 7)
-        gk.gram(space, pts, gk.KernelParam(0.5))
+        gram(space, pts, 0.5)
         assert sorted(seen) == sorted(id(p) for p in pts)
 
 
@@ -85,9 +83,9 @@ def test_bandwidth_addition():
     # exp(-l1 d^2) * exp(-l2 d^2) = exp(-(l1+l2) d^2) entrywise
     space = gk.Circle()
     pts = sample_points(space, 6, 7)
-    k1 = gk.gram(space, pts, gk.KernelParam(0.2))
-    k2 = gk.gram(space, pts, gk.KernelParam(0.5))
-    ksum = gk.gram(space, pts, gk.KernelParam(0.7))
+    k1 = gram(space, pts, 0.2)
+    k2 = gram(space, pts, 0.5)
+    ksum = gram(space, pts, 0.7)
     assert np.allclose(k1.entries * k2.entries, ksum.entries, rtol=1e-14, atol=0)
 
 
@@ -100,7 +98,7 @@ def test_identity_limit_on_doubling_grid():
     prev = None
     pd_seen = False
     for _ in range(10):
-        k = gk.gram(space, pts, gk.KernelParam(lam))
+        k = gram(space, pts, lam)
         dev = float(np.max(np.abs(k.entries - np.eye(8))))
         if prev is not None:
             assert dev <= prev
@@ -116,10 +114,10 @@ def test_identity_limit_on_doubling_grid():
 def test_principal_submatrix_is_gram_of_subset():
     space = gk.Sphere(2)
     pts = sample_points(space, 9, 6)
-    k = gk.gram(space, pts, gk.KernelParam(0.8))
+    k = gram(space, pts, 0.8)
     idx = [0, 2, 5]
     sub = k.entries[np.ix_(idx, idx)]
-    direct = gk.gram(space, [pts[i] for i in idx], gk.KernelParam(0.8))
+    direct = gram(space, [pts[i] for i in idx], 0.8)
     assert np.array_equal(sub, direct.entries)
 
 
@@ -127,7 +125,7 @@ def test_restriction_keeps_psd():
     # a principal submatrix of a PSD Gram is PSD
     space = gk.Sphere(3)
     pts = sample_points(space, 14, 10)
-    k = gk.gram(space, pts, gk.KernelParam(6.0))
+    k = gram(space, pts, 6.0)
     assert gk.jacobi_eigenvalues(k.entries).min_eigenvalue >= -gk.psd_tolerance(10)
     idx = [1, 3, 4, 8]
     sub = k.entries[np.ix_(idx, idx)]
@@ -139,7 +137,7 @@ def test_restriction_keeps_psd():
     st.floats(min_value=0.01, max_value=2.0),
 )
 def test_gram_entries_in_unit_interval(angles, lam):
-    k = gk.gram(gk.Circle(), angles, gk.KernelParam(lam))
+    k = gram(gk.Circle(), angles, lam)
     e = np.asarray(k.entries)
     assert np.all(e <= 1.0) and np.all(e > 0.0)
     assert np.array_equal(e, e.T)
@@ -148,7 +146,7 @@ def test_gram_entries_in_unit_interval(angles, lam):
 @given(st.integers(min_value=2, max_value=9), st.floats(min_value=0.05, max_value=3.0))
 def test_rayleigh_never_beats_min_eigenvalue(n, lam):
     pts = sample_points(gk.Sphere(2), n, n + 2)
-    k = gk.gram(gk.Sphere(2), pts, gk.KernelParam(lam))
+    k = gram(gk.Sphere(2), pts, lam)
     floor = gk.jacobi_eigenvalues(k.entries).min_eigenvalue
     rng = np.random.default_rng(n)
     for _ in range(5):
@@ -161,17 +159,17 @@ def test_rayleigh_never_beats_min_eigenvalue(n, lam):
 def test_multi_set_gram_is_each_sets_gram(text):
     # sets checked as one, paired only within each set, give each set's
     # own Gram bit for bit
-    space, param = gk.parse_space(text), gk.KernelParam(0.75)
+    space = gk.parse_space(text)
     sets = [sample_points(space, seed, 7) for seed in range(5)]
-    stack = gram_stack(space, [p for points in sets for p in points], param, len(sets))
+    stack = gram_stack(space, [p for points in sets for p in points], 0.75, len(sets))
     assert stack.shape == (5, 7, 7)
     for k, points in zip(stack, sets):
-        assert np.array_equal(k, gk.gram(space, points, param).entries)
+        assert np.array_equal(k, gram(space, points, 0.75).entries)
 
 
 def test_multi_set_gram_needs_sets_of_one_size():
     points = sample_points(gk.Sphere(2), 0, 7)
     with pytest.raises(GramError, match="do not split"):
-        gram_stack(gk.Sphere(2), points, gk.KernelParam(1.0), 2)
+        gram_stack(gk.Sphere(2), points, 1.0, 2)
     with pytest.raises(GramError, match="at least one point"):
-        gram_stack(gk.Sphere(2), [], gk.KernelParam(1.0), 1)
+        gram_stack(gk.Sphere(2), [], 1.0, 1)

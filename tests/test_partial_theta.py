@@ -8,7 +8,7 @@ from mpmath import mp, mpf
 
 import geokernel as gk
 from geokernel.cli import main
-from geokernel.partial_theta import PartialThetaError, _tail_factors
+from geokernel.partial_theta import PartialThetaError, _tail_factors, partial_theta
 from geokernel.precision import PrecisionError, working_dps
 
 
@@ -25,47 +25,47 @@ def _direct_sum(mu, r, n, dps, terms):
 
 def test_query_validation():
     with pytest.raises(PartialThetaError, match="^N must be an integer >= 1$"):
-        gk.partial_theta(1.0, 0.0, 0)
+        partial_theta(1.0, 0.0, 0)
     with pytest.raises(PartialThetaError, match="^N must be an integer >= 1$"):
-        gk.partial_theta(1.0, 0.0, 2.5)
+        partial_theta(1.0, 0.0, 2.5)
     with pytest.raises(PrecisionError, match="^precision_digits must be <= "):
-        gk.partial_theta(1.0, 0.0, 4, precision_digits=1000)
+        partial_theta(1.0, 0.0, 4, precision_digits=1000)
     # N is checked first, then the digits, then mu, then r
     with pytest.raises(PartialThetaError, match="^N must be an integer >= 1$"):
-        gk.partial_theta("inf", 0.0, 0)
+        partial_theta("inf", 0.0, 0)
     with pytest.raises(PrecisionError, match="^precision_digits must be <= "):
-        gk.partial_theta("inf", 0.0, 4, precision_digits=1000)
+        partial_theta("inf", 0.0, 4, precision_digits=1000)
     with pytest.raises(PartialThetaError, match="^mu must be positive$"):
-        gk.partial_theta("inf", -1, 4)
+        partial_theta("inf", -1, 4)
     with pytest.raises(PartialThetaError, match="^r must be nonnegative$"):
-        gk.partial_theta(1.0, -1, 4)
+        partial_theta(1.0, -1, 4)
 
 
 def test_infinite_r_is_refused():
     # exp(-r k/N) is 0 past k = 0 and exp(nan) at it
     for digits in (17, 30):
         with pytest.raises(PartialThetaError, match="^r must be finite$"):
-            gk.partial_theta(1.0, "inf", 4, digits)
+            partial_theta(1.0, "inf", 4, digits)
     assert main(["theta", "--mu", "1", "--r", "inf", "--n", "4"]) == 1
 
 
 def test_value_matches_direct_summation():
     for mu, r, n in [(1.0, 0.0, 4), (10.0, 1.0, 8), (40.0, 0.1, 128), (2.5, 100.0, 12)]:
-        res = gk.partial_theta(mu, r, n, 30)
+        res = partial_theta(mu, r, n, 30)
         ref = _direct_sum(mu, r, n, 60, 20 * res.terms_used + 50)
         assert abs(res.value - ref) <= mpf("1e-30")
 
 
 def test_truncation_bound_is_honest():
-    res = gk.partial_theta(3.0, 0.0, 16, 30)
+    res = partial_theta(3.0, 0.0, 16, 30)
     ref = _direct_sum(3.0, 0.0, 16, 60, 20 * res.terms_used + 50)
     assert abs(res.value - ref) <= res.truncation_bound
     assert res.truncation_bound < mpf("1e-35")  # cutoff is digits + 5
 
 
 def test_value_stable_across_precision():
-    lo = gk.partial_theta(3.0, 0.5, 12, 30)
-    hi = gk.partial_theta(3.0, 0.5, 12, 50)
+    lo = partial_theta(3.0, 0.5, 12, 30)
+    hi = partial_theta(3.0, 0.5, 12, 50)
     assert abs(lo.value - hi.value) <= mpf("1e-28")
 
 
@@ -73,9 +73,9 @@ def test_damped_sums_dominate_undamped():
     # the r-damped sum never drops below the r = 0 sum
     for mu in (1.0, 40.0):
         for n in (4, 64):
-            base = gk.partial_theta(mu, 0, n, 30).value
+            base = partial_theta(mu, 0, n, 30).value
             for r in (0.1, 1.0, 10.0, 100.0):
-                res = gk.partial_theta(mu, r, n, 30)
+                res = partial_theta(mu, r, n, 30)
                 assert res.value >= base - mpf("1e-28")
 
 
@@ -140,7 +140,7 @@ def test_non_finite_parameters_rejected_at_every_precision():
             with pytest.raises(PartialThetaError):
                 gk.leading_term(bad, 8, digits)
     with pytest.raises(PartialThetaError):
-        gk.partial_theta("inf", 0, 4)
+        partial_theta("inf", 0, 4)
     with pytest.raises(PartialThetaError):
         gk.bound_rhs("inf", 8, 30)
 

@@ -20,7 +20,7 @@ def _sample_calls():
     """One real call per patched callable that has a counter: (args, kwargs)."""
     return {
         "jacobi_eigensystem": ((np.diag([2.0, 1.0, 3.0]),), {}),
-        "gram": ((gk.Sphere(2), gk.sample_points(gk.Sphere(2), 0, 5), gk.KernelParam(0.5)), {}),
+        "gram": ((gk.Sphere(2), gk.sample_points(gk.Sphere(2), 0, 5), 0.5), {}),
         "jacobi_eigenvalues": ((np.eye(4),), {}),
         "circulant_eigenvalues": ((0.1, 8), {}),
         "partial_theta": ((10, 0, 8), {}),

@@ -13,6 +13,7 @@ from mpmath.libmp import dps_to_prec, mpf_pos, round_nearest
 
 import geokernel as gk
 from geokernel import precision
+from geokernel.partial_theta import partial_theta
 from geokernel.precision import (
     GUARD_DIGITS,
     LIFT_SPAN,
@@ -99,7 +100,7 @@ def test_wide_half_row_is_the_exact_exp_rounded_once(digits):
     ("1e-3", 0, 4, 17),  # summed at 17 + GUARD_DIGITS = 27 digits
 ])
 def test_partial_theta_across_row_blocks_is_the_direct_sum(mu, r, n, digits):
-    res = gk.partial_theta(mu, r, n, digits)
+    res = partial_theta(mu, r, n, digits)
     assert res.terms_used > 2 * ROW_BLOCK
     with working_dps(digits):
         mu, r = mpf(mu), mpf(r)

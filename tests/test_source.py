@@ -3,7 +3,8 @@ no module imports another module's private name, every private
 top-level helper is used somewhere in the package, every public
 top-level function or class is used by the program or the benchmark
 (or is on a named list of test-only names), the package's ``__all__``
-lists exactly the public names it imports and no submodule, every
+lists exactly the public names it imports and no submodule, each
+submodule is the package attribute of its name, every
 Sphinx cross-reference role in a docstring names an object that exists,
 every private name quoted as a literal in a docstring or comment is
 defined in the package, and only ``precision.py`` reaches into
@@ -17,6 +18,7 @@ imports names to re-export them.
 import ast
 import functools
 import importlib
+import pkgutil
 import re
 from pathlib import Path
 from types import ModuleType
@@ -98,6 +100,17 @@ def test_all_lists_exactly_what_the_package_imports():
     assert not [n for n in geokernel.__all__ if isinstance(getattr(geokernel, n), ModuleType)]
 
 
+def test_each_submodule_is_the_package_attribute_of_its_name():
+    # a re-exported function named after its module would hide the module
+    # from ``import geokernel.x as m``, which reads the attribute first
+    hidden = []
+    for info in pkgutil.iter_modules(geokernel.__path__):
+        module = importlib.import_module(f"geokernel.{info.name}")  # binds the attribute
+        if getattr(geokernel, info.name) is not module:
+            hidden.append(info.name)
+    assert hidden == []
+
+
 # public names only the tests reach, each with the test that reads it
 TEST_ONLY = {
     "distance_matrix",  # the all-pairs reference behind the stacked digests
@@ -151,8 +164,8 @@ def _resolve(name: str, namespace: dict):
     module's own namespace, a ``geokernel.x.y`` name by import."""
     parts = name.split(".")
     if parts[0] == "geokernel":
-        # import the longest module prefix: the package attribute
-        # ``geokernel.gram`` is the function, not the module
+        # import the longest module prefix, so a submodule the package
+        # does not import (``geokernel.cli``) resolves too
         for k in range(len(parts), 0, -1):
             try:
                 obj = importlib.import_module(".".join(parts[:k]))

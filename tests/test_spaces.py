@@ -9,6 +9,7 @@ import pytest
 
 import geokernel as gk
 from geokernel import spaces
+from geokernel.gram import gram
 from geokernel.precision import numeric
 from geokernel.spaces import (
     VARIANTS,
@@ -309,7 +310,7 @@ def test_spd_point_set_names_the_first_invalid_point(metric, message):
             points[6] = -_SPD_GOOD  # a second invalid point, never named
         expect = f"point {index} of {space!r}: spd: {message}"
         with pytest.raises(gk.InvalidPointError) as info:
-            gk.gram(space, points, gk.KernelParam(0.5))
+            gram(space, points, 0.5)
         assert str(info.value) == expect
         with pytest.raises(gk.InvalidPointError) as info:
             gk.pair_distances(space, points, (), ())
@@ -330,7 +331,7 @@ def test_log_euclidean_names_the_point_whose_log_fails(monkeypatch):
 
     monkeypatch.setattr(spaces, "jacobi_eigensystem", zero_on_point_2)
     with pytest.raises(gk.InvalidPointError) as info:
-        gk.gram(space, points, gk.KernelParam(0.5))
+        gram(space, points, 0.5)
     assert str(info.value) == (
         f"point 2 of {space!r}: spd: matrix log needs strictly positive eigenvalues"
     )

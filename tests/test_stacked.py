@@ -13,10 +13,11 @@ from hypothesis import assume, given, strategies as st
 import geokernel as gk
 from geokernel import spaces as sp
 from geokernel.cli import main
+from geokernel.gram import gram
 from geokernel.spaces import CLAMP_EXCESS, ORTHONORMAL_TOL, UNIT_NORM_TOL
 
 # SHA-256 prefixes of distance_matrix(...).tobytes() and of
-# gram(..., KernelParam(0.7)).entries.tobytes(), frozen from the
+# gram(..., 0.7).entries.tobytes(), frozen from the
 # point-by-point formulas on the sets of ``_points``
 FROZEN_SETS = {
     "sphere:2": ("1f3df00ceb54469d5028c3a54752e692", "6bdcccaafbbddc81ecabef1d33b72c3b"),
@@ -68,7 +69,7 @@ def test_distances_and_grams_are_bitwise_frozen(text):
     space = gk.parse_space(text)
     pts = _points(space)
     d = gk.distance_matrix(space, pts)
-    k = gk.gram(space, pts, gk.KernelParam(0.7)).entries
+    k = gram(space, pts, 0.7).entries
     assert (_digest(d), _digest(k)) == FROZEN_SETS[text]
     # a pair's value does not depend on the batch it is in
     for i, j in ((0, 1), (0, 2), (3, 99), (12, 57)):

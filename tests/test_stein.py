@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import geokernel as gk
+from geokernel.gram import gram
 from geokernel.spaces import require_valid
 from geokernel.stein import PROBE_STRATEGIES, SteinError
 
@@ -116,7 +117,7 @@ def test_probe_hit_coefficients_are_an_eigenvector():
     # the certificate's c is the eigenvector of the minimum eigenvalue to
     # working precision, not only a vector with a negative quadratic form
     cert = gk.probe(3, 0.01, 80, 10, seed=7).witness
-    k = gk.gram(cert.space, cert.points, gk.KernelParam(cert.lam)).entries
+    k = gram(cert.space, cert.points, cert.lam).entries
     c = np.asarray(cert.coefficients)
     assert np.linalg.norm(k @ c - gk.jacobi_eigenvalues(k).min_eigenvalue * c) <= 1e-12
 
@@ -158,7 +159,7 @@ def test_probe_report_matches_trial_replay(lam):
         for trial in range(trials):
             strategy = PROBE_STRATEGIES[trial % len(PROBE_STRATEGIES)]
             points = stein._strategy_points(strategy, rng, 3, 10)
-            k = gk.gram(space, points, gk.KernelParam(lam)).entries
+            k = gram(space, points, lam).entries
             mins.append(float(np.linalg.eigvalsh(np.asarray(k))[0]))
             if mins[-1] < threshold:
                 hit = trial
@@ -201,7 +202,7 @@ def test_stacked_stein_gram_equals_the_per_pair_loop(count):
     for trial in range(9):
         strategy = PROBE_STRATEGIES[trial % len(PROBE_STRATEGIES)]
         points = _strategy_points(strategy, rng, 3, count)
-        k = gk.gram(space, points, gk.KernelParam(0.75))
+        k = gram(space, points, 0.75)
         assert np.array_equal(k.entries, _reference_stein_gram(points, 0.75)), strategy
     assert gk.probe(3, 0.01, 80, 10, seed=7).trials_run == 63
 
