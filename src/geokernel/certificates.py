@@ -288,7 +288,7 @@ def verify_certificate(cert: WitnessCertificate) -> VerificationResult:
 
 
 # ---------------------------------------------------------------------------
-# PSD decision shared by the builder, the CLI and the probes
+# PSD decision shared by the builder and the CLI
 
 def psd_decision(space: sp.Space, points, lam, precision_digits: int | None = None) -> tuple:
     """(verdict, spectrum) for the Gram of (space, lambda, points).
@@ -325,9 +325,8 @@ def cert_to_json(cert: WitnessCertificate) -> dict:
     with numeric(digits):  # once for every number below
         return {
             "schema_version": SCHEMA_VERSION,
-            "space": sp.space_to_json(cert.space),
+            **sp.pointset_to_json(cert.space, cert.points, digits),
             "lambda": num(cert.lam),
-            "points": [sp.point_to_json(p, digits) for p in cert.points],
             "coefficients": [coefficient(c) for c in cert.coefficients],
             "quad_form": num(cert.quad_form),
             "precision_digits": digits,
@@ -335,8 +334,8 @@ def cert_to_json(cert: WitnessCertificate) -> dict:
 
 
 def cert_from_json(obj: dict) -> WitnessCertificate:
-    """Inverse of :func:`cert_to_json`.  Any other key, such as the echoes
-    that older schema-1 files carry, is ignored."""
+    """Inverse of :func:`cert_to_json`: a point-set file plus the witness
+    fields.  Any other key, such as older schema-1 files' echoes, is ignored."""
     if not isinstance(obj, dict):
         raise CertificateError(f"a certificate is a JSON object, got {type(obj).__name__}")
     version = obj.get("schema_version")
@@ -348,15 +347,14 @@ def cert_from_json(obj: dict) -> WitnessCertificate:
     digits = check_digits(digits)  # range-check before parsing any number
     try:
         with numeric(digits):  # once for every number below
-            space = sp.space_from_json(obj["space"])
+            space, points = sp.pointset_from_json(obj, digits)
             num = lambda x: number_from_json(x, digits)
             parse = cache(num)  # each distinct text once
             coefficient = lambda c: parse(c) if type(c) is str else num(c)
-            points = tuple(sp.point_from_json(space, p, digits) for p in obj["points"])
             return WitnessCertificate(
                 space=space,
                 lam=num(obj["lambda"]),
-                points=points,
+                points=tuple(points),
                 coefficients=tuple(map(coefficient, obj["coefficients"])),
                 quad_form=num(obj["quad_form"]),
                 precision_digits=digits,

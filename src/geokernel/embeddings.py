@@ -59,20 +59,17 @@ def transfer_witness(cert: WitnessCertificate, target: sp.Space) -> WitnessCerti
     the builder's bar (:func:`missed_bar`).
 
     Targets with non-angle payloads store points in double precision, so
-    a wide source certificate is re-anchored at 17 digits; the transfer
-    refuses if the violation would drown in double-precision noise.
+    a wide source certificate is re-anchored at 17 digits (coefficients
+    and lambda as floats); the transfer refuses if the violation would
+    drown in double-precision noise.
     """
     source = source_circle(target)
     if cert.space != source:
         raise CertificateError(f"certificate on {cert.space!r}, map source {source!r}")
-    wide_target = target.angles > 0
-    digits = cert.precision_digits if wide_target else min(cert.precision_digits, DOUBLE_DIGITS)
-    coerced = digits < cert.precision_digits
-
+    digits = cert.precision_digits if target.angles else min(cert.precision_digits, DOUBLE_DIGITS)
     images = tuple(target._circle_points(cert.points))
-    coeffs = tuple(float(c) for c in cert.coefficients) if coerced else cert.coefficients
-    lam = float(cert.lam) if coerced else cert.lam
-
+    with numeric(digits) as x:
+        coeffs, lam = tuple(map(x.num, cert.coefficients)), x.num(cert.lam)
     quad = quadratic_form(target, lam, images, coeffs, digits)
     if missed := missed_bar(quad, len(images), digits, "transferred violation"):
         raise CertificateError(f"{missed} at {digits} digits")

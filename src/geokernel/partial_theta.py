@@ -10,6 +10,7 @@ alternating Fourier eigenvalue, and its leading 1/N^2 term.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
 
@@ -61,7 +62,7 @@ def partial_theta(mu, r, n: int, precision_digits: int = DEFAULT_DIGITS) -> Part
         mu = require_positive(mp.mpf(mu), "mu", PartialThetaError)
         r = mp.mpf(r)
         if not 0 <= r < mp.inf:
-            raise PartialThetaError(f"r must be {'finite' if r >= 0 else 'nonnegative'}")
+            raise PartialThetaError(f"r must be {'nonnegative' if r < 0 else 'finite'}")
         cutoff = mp.mpf(10) ** (-(digits + 5))
         terms = gaussian_row(mu, r, n)
         total = mp.mpf(0)
@@ -73,10 +74,17 @@ def partial_theta(mu, r, n: int, precision_digits: int = DEFAULT_DIGITS) -> Part
         raise PartialThetaError(f"series did not reach cutoff within {MAX_TERMS} terms")
 
 
-def _tail_factors(mu, n: int) -> tuple:
-    """(e^{-mu/N^2 - mu/N}, e^{-4mu/N^2 - 2mu/N}), each rounded once: terms
-    1 and 2 of :func:`~geokernel.precision.gaussian_row` with r = mu."""
-    return tuple(islice(gaussian_row(mu, mu, n), 1, 3))
+@contextmanager
+def _tail_split(mu, n: int, digits: int):
+    """Yields (mu, S_0(N), e^{-mu/4}, e^{-mu/N^2 - mu/N}, e^{-4mu/N^2 - 2mu/N})
+    at the working precision of ``digits``, N and then mu checked first: the
+    tail split's terms, the last two those of k = 1, 2 in
+    :func:`~geokernel.precision.gaussian_row` with r = mu, each rounded once."""
+    require_quarter(n)
+    with working_dps(digits):
+        mu = require_positive(mp.mpf(mu), "mu", PartialThetaError)
+        s = partial_theta(mu, 0, n, digits).value
+        yield mu, s, mp.exp(-mu / 4), *islice(gaussian_row(mu, mu, n), 1, 3)
 
 
 def tail_decomposition_check(mu, n: int, precision_digits: int = DEFAULT_DIGITS):
@@ -89,18 +97,10 @@ def tail_decomposition_check(mu, n: int, precision_digits: int = DEFAULT_DIGITS)
     The identity is pure index reshuffling, so the residual measures
     arithmetic error only; the head sum reads S_0(N)'s own terms.
     """
-    require_quarter(n)
-    digits = precision_digits
-    with working_dps(digits):
-        mu = require_positive(mp.mpf(mu), "mu", PartialThetaError)
-        lhs = partial_theta(mu, 0, n, digits).value
+    with _tail_split(mu, n, precision_digits) as (mu, lhs, e4, e1, e2):
         star = mp.fsum((-1) ** k * v for k, v in zip(range(n // 2), gaussian_row(mu, 0, n)))
-        e4 = mp.exp(-mu / 4)
-        e1, e2 = _tail_factors(mu, n)
-        tail_r = mu * (1 + mp.mpf(4) / n)
-        tail = partial_theta(mu, tail_r, n, digits).value
-        rhs = star + e4 - e4 * e1 + e4 * e2 * tail
-        return abs(lhs - rhs)
+        tail = partial_theta(mu, mu * (1 + mp.mpf(4) / n), n, precision_digits).value
+        return abs(lhs - (star + e4 - e4 * e1 + e4 * e2 * tail))
 
 
 def bound_rhs(mu, n: int, precision_digits: int = DEFAULT_DIGITS):
@@ -109,13 +109,7 @@ def bound_rhs(mu, n: int, precision_digits: int = DEFAULT_DIGITS):
     -1 + 2 S_0(N) + e^{-mu/4} (-1 + 2 e^{-mu/N^2 - mu/N}
                                   - 2 e^{-4mu/N^2 - 2mu/N} S_0(N))
     """
-    require_quarter(n)
-    digits = precision_digits
-    with working_dps(digits):
-        mu = require_positive(mp.mpf(mu), "mu", PartialThetaError)
-        s = partial_theta(mu, 0, n, digits).value
-        e4 = mp.exp(-mu / 4)
-        e1, e2 = _tail_factors(mu, n)
+    with _tail_split(mu, n, precision_digits) as (_, s, e4, e1, e2):
         return -1 + 2 * s + e4 * (-1 + 2 * e1 - 2 * e2 * s)
 
 

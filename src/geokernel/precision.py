@@ -348,7 +348,10 @@ def number_from_json(value, digits: int):
     """Inverse of :func:`number_to_json`: a float at double precision, an
     mpf at the working precision above it.  On text that
     :func:`number_to_json` wrote it is exact; older certificates, written
-    at ``digits + 5`` digits throughout, parse to the nearest mpf."""
+    at ``digits + 5`` digits throughout, parse to the nearest mpf.  A
+    JSON boolean is no number: TypeError."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
     if digits <= DOUBLE_DIGITS:
         return float(value)
     with working_dps(digits):

@@ -41,7 +41,7 @@ from .spectral import jacobi_eigensystem
 
 TWO_PI = 2.0 * math.pi
 
-# arccos inputs may exceed 1 by rounding; beyond this the input was bad
+# principal angles' SVD cosines may exceed 1 by rounding; beyond this the input was bad
 CLAMP_EXCESS = 1e-8
 UNIT_NORM_TOL = 1e-12
 ORTHONORMAL_TOL = 1e-10

@@ -148,10 +148,10 @@ def circulant_eigenvalues(lam, n: int, precision_digits: int | None = None,
     rounded once, and exactly symmetric) are lifted once to integer fixed
     point (:func:`~geokernel.precision.lift`), and the exact integer
     products are regrouped: k and N-k fold into 2 row[k] C[jk], so only
-    k <= N/2 are multiplied, and for even N the sums E_j and O_j over even
-    and odd k give w_j = E_j + O_j and w_{N/2-j} = E_j - O_j, so only
-    j <= N/4 are formed.  Either way w_j is the exactly rounded sum of
-    its products.  Eigenvalues come back ascending with their frequency
+    k <= N/2 are multiplied, and the sums E_j and O_j over even and odd k
+    give w_j = E_j + O_j, and for even N also w_{N/2-j} = E_j - O_j, so
+    only j <= N/4 are formed.  Either way w_j is the exactly rounded sum
+    of its products.  Eigenvalues come back ascending with their frequency
     indices.
     """
     digits = resolve_digits(precision_digits)
@@ -171,18 +171,14 @@ def circulant_eigenvalues(lam, n: int, precision_digits: int | None = None,
             # row[N-k] = row[k] and C[-jk] = C[jk]: each 0 < k < N/2 carries
             # 2 row[k]; the k = N/2 of even N is unpaired
             twice = [ints[0], *(2 * v for v in ints[1:(n + 1) // 2]), *ints[(n + 1) // 2:]]
-            if n % 2:
-                ks = range(len(twice))
-                values = [unlift(sum(map(mul, twice, [cosines[j * k % n] for k in ks])), exp)
-                          for j in range(n // 2 + 1)]
-            else:
-                # C[(N/2 - j) k] is C[jk] for even k and -C[jk] for odd k
-                even, odd = twice[0::2], twice[1::2]
-                values = [None] * (n // 2 + 1)
-                for j in range(n // 4 + 1):
-                    e = sum(map(mul, even, [cosines[2 * j * k % n] for k in range(len(even))]))
-                    o = sum(map(mul, odd, [cosines[j * (2 * k + 1) % n] for k in range(len(odd))]))
-                    values[j], values[n // 2 - j] = unlift(e + o, exp), unlift(e - o, exp)
+            even, odd = twice[0::2], twice[1::2]
+            values = [None] * (n // 2 + 1)
+            for j in range(n // 2 + 1 if n % 2 else n // 4 + 1):
+                e = sum(map(mul, even, [cosines[2 * j * k % n] for k in range(len(even))]))
+                o = sum(map(mul, odd, [cosines[j * (2 * k + 1) % n] for k in range(len(odd))]))
+                values[j] = unlift(e + o, exp)
+                if not n % 2:  # C[(N/2 - j) k] is C[jk] for even k and -C[jk] for odd k
+                    values[n // 2 - j] = unlift(e - o, exp)
         values += [values[n - j] for j in range(n // 2 + 1, n)]
     order = sorted(range(n), key=lambda j: values[j])
     eigs = tuple(values[j] for j in order)

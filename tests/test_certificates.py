@@ -6,6 +6,7 @@ import functools
 import itertools
 import json
 import math
+import re
 import time
 from pathlib import Path
 
@@ -1061,6 +1062,39 @@ def test_cert_from_json_takes_a_torus_point_as_exactly_two_angles():
     payload["points"][1] = [*payload["points"][1], "999"]
     with pytest.raises(CertificateError, match="malformed certificate"):
         gk.cert_from_json(payload)
+
+
+def test_cert_from_json_refuses_a_json_boolean_as_a_number():
+    payload = gk.cert_to_json(_unit_witness())
+    payload["lambda"] = True
+    with pytest.raises(CertificateError, match="malformed certificate.*expected a number, got True"):
+        gk.cert_from_json(payload)
+
+
+def test_cert_from_json_takes_points_only_as_a_list():
+    # a string is no list of angles, though it iterates as one angle per character
+    payload = gk.cert_to_json(_unit_witness())
+    payload["points"] = "05"
+    with pytest.raises(CertificateError, match="'points' must be a list, got str"):
+        gk.cert_from_json(payload)
+
+
+def test_cert_from_json_names_a_malformed_point_by_index():
+    payload = gk.cert_to_json(_unit_witness())
+    payload["points"][3] = [payload["points"][3]]
+    with pytest.raises(CertificateError,
+                       match=re.escape("point 3 of Circle(scale=1.0): expected one angle, got a list")):
+        gk.cert_from_json(payload)
+
+
+def test_build_certificate_refuses_a_held_mode_whose_form_misses_the_bar():
+    # the held eigenvalue clears the bar, but the form of its vector on the
+    # PSD lambda = 1 Gram does not
+    mode = (-1.0, (0.5, -0.5, 0.5, -0.5))
+    with pytest.raises(CertificateError, match=re.escape(
+            "quadratic form 8.304418e-01 is not below the certification threshold "
+            "-4.000000e-09; refusing to certify")):
+        gk.build_certificate(gk.Circle(), 1.0, circle_equispaced(4), 17, mode=mode)
 
 
 def test_psd_decision_dispatch():

@@ -118,6 +118,16 @@ def test_pd_check_names_a_point_past_the_double_range(tmp_path, capsys, space, h
         1, "", f"error: point 2 of {space!r}: int too large to convert to float\n")
 
 
+@pytest.mark.parametrize("precision", [[], ["--precision", "30"]], ids=["double", "wide"])
+def test_pd_check_refuses_a_json_boolean_as_a_number(tmp_path, capsys, precision):
+    # JSON true read as 1 would make [true, 0, 0] a unit vector
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps({"space": {"variant": "sphere", "n": 2},
+                                "points": [[True, 0, 0], [0, 1, 0], [0, 0, 1]]}))
+    assert run(capsys, "pd-check", "--points", str(path), "--lambda", "0.1", *precision) == (
+        1, "", "error: point 0 of Sphere(n=2): expected a number, got True\n")
+
+
 def test_circulant_route_refuses_what_the_dense_route_refuses(tmp_path, capsys):
     # a bandwidth that is not finite and positive, and a circle file whose
     # first angle is nan or negative (wide "-1e-400" too, which float()

@@ -8,8 +8,8 @@ from mpmath import mp, mpf
 
 import geokernel as gk
 from geokernel.cli import main
-from geokernel.partial_theta import PartialThetaError, _tail_factors, partial_theta
-from geokernel.precision import PrecisionError, working_dps
+from geokernel.partial_theta import PartialThetaError, _tail_split, partial_theta
+from geokernel.precision import PrecisionError
 
 
 def _direct_sum(mu, r, n, dps, terms):
@@ -42,10 +42,11 @@ def test_query_validation():
 
 
 def test_infinite_r_is_refused():
-    # exp(-r k/N) is 0 past k = 0 and exp(nan) at it
+    # exp(-r k/N) is 0 past k = 0 and exp(nan) at it; nan is no finite r either
     for digits in (17, 30):
-        with pytest.raises(PartialThetaError, match="^r must be finite$"):
-            partial_theta(1.0, "inf", 4, digits)
+        for r in ("inf", "nan"):
+            with pytest.raises(PartialThetaError, match="^r must be finite$"):
+                partial_theta(1.0, r, 4, digits)
     assert main(["theta", "--mu", "1", "--r", "inf", "--n", "4"]) == 1
 
 
@@ -151,9 +152,7 @@ def test_tail_factors_are_the_exact_exps_rounded_once():
     for digits in (30, 60, 100):
         for mu in ("0.5", "2", "20", "78.95683520871486", "789.5683520871486"):
             for n in (4, 8, 12, 16, 20, 32, 36, 64, 128, 256):
-                with working_dps(digits):
-                    mu_ = mpf(mu)
-                    factors = _tail_factors(mu_, n)
+                with _tail_split(mu, n, digits) as (mu_, _, _, *factors):
                     with mp.workprec(mp.prec + 200):
                         ref = [mp.exp(-k * k * mu_ / (n * n) - k * mu_ / n) for k in (1, 2)]
                     assert [v._mpf_ for v in factors] == [(+v)._mpf_ for v in ref], (digits, mu, n)
