@@ -19,10 +19,11 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
+from itertools import combinations, count
 from operator import mul
 
 import mpmath as mp
+import numpy as np
 
 from . import spaces as sp
 from .gram import gram
@@ -186,8 +187,8 @@ def _pair_sums(space: sp.Space, lam, points: list, cs: list, x) -> dict:
                 steps.append((hs.pop() if hs else 0, exp))
         if len(steps) == len(factors):
             cs = [cs[i] for i in order]
-            for g, k in enumerate(gap_gaussians(lam, scale, steps, len(cs)), 1):
-                sums[k._mpf_] += sum(map(mul, cs, cs[g:]))
+            for k, s in zip(gap_gaussians(lam, scale, steps, len(cs)), _gap_sums(cs)):
+                sums[k._mpf_] += s
             return sums
     keys = defaultdict(int)
     for key, (i, j) in zip(zip(*map(pair_differences, factors)),
@@ -197,6 +198,18 @@ def _pair_sums(space: sp.Space, lam, points: list, cs: list, x) -> dict:
     for k, s in keys.items():
         sums[kernel(dist(map(mp.make_mpf, k)))] += s
     return sums
+
+
+def _gap_sums(cs: list) -> list:
+    """sum_i cs[i] * cs[i + g] for the gaps g = 1, ..., N-1 of N integers,
+    exact: one int64 ``np.correlate`` when N max|c_i|^2 < 2^63, which
+    bounds every partial sum (a builder witness's +-1 cofactors always
+    qualify), else Python ints."""
+    n = len(cs)
+    if n > 1 and n * max(map(abs, cs)) ** 2 < 2 ** 63:
+        c = np.array(cs, dtype=np.int64)
+        return np.correlate(c, c, "full")[n:].tolist()
+    return [sum(map(mul, cs, cs[g:])) for g in range(1, n)]
 
 
 def certification_threshold(n: int, digits: int):
@@ -350,12 +363,22 @@ def cert_from_json(obj: dict) -> WitnessCertificate:
             space, points = sp.pointset_from_json(obj, digits)
             num = lambda x: number_from_json(x, digits)
             parse = cache(num)  # each distinct text once
-            coefficient = lambda c: parse(c) if type(c) is str else num(c)
+            coefficients = obj["coefficients"]
+            if not isinstance(coefficients, list):
+                raise TypeError("certificate entry 'coefficients' must be a list, "
+                                f"got {type(coefficients).__name__}")
+
+            def coefficient(i, c):
+                try:
+                    return parse(c) if type(c) is str else num(c)
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"coefficient {i}: {exc}") from None
+
             return WitnessCertificate(
                 space=space,
                 lam=num(obj["lambda"]),
                 points=tuple(points),
-                coefficients=tuple(map(coefficient, obj["coefficients"])),
+                coefficients=tuple(map(coefficient, count(), coefficients)),
                 quad_form=num(obj["quad_form"]),
                 precision_digits=digits,
             )

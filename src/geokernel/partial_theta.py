@@ -77,11 +77,12 @@ def partial_theta(mu, r, n: int, precision_digits: int = DEFAULT_DIGITS) -> Part
 @contextmanager
 def _tail_split(mu, n: int, digits: int):
     """Yields (mu, S_0(N), e^{-mu/4}, e^{-mu/N^2 - mu/N}, e^{-4mu/N^2 - 2mu/N})
-    at the working precision of ``digits``, N and then mu checked first: the
-    tail split's terms, the last two those of k = 1, 2 in
-    :func:`~geokernel.precision.gaussian_row` with r = mu, each rounded once."""
+    at the working precision of ``digits``, N, the digits and then mu
+    checked first: the tail split's terms, the last two those of k = 1, 2
+    in :func:`~geokernel.precision.gaussian_row` with r = mu, each rounded
+    once."""
     require_quarter(n)
-    with working_dps(digits):
+    with working_dps(check_digits(digits)):
         mu = require_positive(mp.mpf(mu), "mu", PartialThetaError)
         s = partial_theta(mu, 0, n, digits).value
         yield mu, s, mp.exp(-mu / 4), *islice(gaussian_row(mu, mu, n), 1, 3)

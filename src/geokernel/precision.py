@@ -18,20 +18,29 @@ progression's index gaps (:func:`gap_gaussians`); the equispaced cosines
 come from another, :func:`cosine_table`, a rotation with one
 ``cos``/``sin`` seed per block and the rest of the circle filled by exact
 symmetry.
+
+Wide numbers travel through JSON as decimal text, and the codec works on
+integers: :func:`number_from_json` splits plain decimal text into an
+integer mantissa and a power of ten and rounds their quotient once
+(:func:`_decimal_mpf`), which is the mpf that ``mpmath.mpf`` parses from
+the same text; :func:`number_to_json` writes with libmp's ``to_str``,
+the formatter behind ``mpmath.nstr``.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import sys
 from contextlib import contextmanager, nullcontext
+from functools import cache
 from itertools import combinations, count, islice
 from types import SimpleNamespace
 
 import mpmath as mp
 from mpmath.libmp import (dps_to_prec, from_int, from_man_exp, from_rational, fzero, mpf_add,
                           mpf_cos_sin, mpf_div, mpf_exp, mpf_mul, mpf_neg, mpf_shift, mpf_sub,
-                          repr_dps, round_nearest, to_fixed)
+                          repr_dps, round_nearest, to_fixed, to_str)
 
 # Significant decimal digits representable by an IEEE double.  Requests at
 # or below this run entirely in hardware floats.
@@ -47,6 +56,13 @@ GUARD_DIGITS = 10
 # lift() keeps bits down to this many working precisions below its
 # largest value; mpf_sum likewise drops terms past a gap of two
 LIFT_SPAN = 3
+
+# decimal text the codec parses on integers: sign, whole digits, fraction
+# digits and exponent; any other text goes to mpmath.mpf
+_DECIMAL = re.compile(r"([+-]?)([0-9]+)(?:\.([0-9]+))?(?:e([+-]?[0-9]+))?")
+# mpmath.mpf rounds a decimal correctly only up to this decimal exponent
+# (of the mantissa with its fraction's trailing zeros cut)
+_EXACT_DECIMAL_EXP = 400
 
 # bits past the working precision of gaussian_row's and cosine_table's
 # recurrences, and their steps between seeds
@@ -76,13 +92,20 @@ def resolve_digits(digits: int | None) -> int:
     return DEFAULT_DIGITS if digits is None else check_digits(digits)
 
 
+_HELD = nullcontext()  # reusable: it holds no state
+
+
 def working_dps(digits: int):
     """mpmath context at ``digits`` plus guard digits.  Entering it where
     that precision already holds changes nothing and costs almost
     nothing, so a caller that formats or parses many numbers enters it
     once around all of them."""
-    dps = digits + GUARD_DIGITS
-    return nullcontext() if mp.mp.prec == dps_to_prec(dps) else mp.workdps(dps)
+    return _HELD if mp.mp.prec == _working_prec(digits) else mp.workdps(digits + GUARD_DIGITS)
+
+
+@cache
+def _working_prec(digits: int) -> int:
+    return dps_to_prec(digits + GUARD_DIGITS)
 
 
 # math.fsum, not mpmath's fp.fsum: only the former is compensated
@@ -322,24 +345,26 @@ def number_to_json(value, digits: int):
     string above it (floats survive JSON round-trips exactly; wide values
     need the string form).
 
-    A wide value is written at ``digits + 5`` significant digits when
-    that text parses back to the same mpf at the working precision (so a
-    bandwidth given as ``"0.4"`` keeps its short text), and otherwise at
-    mpmath's ``repr_dps`` of the working precision
-    (``digits + GUARD_DIGITS + 3``), which always does.  Either way
-    :func:`number_from_json` returns the value bit for bit."""
+    A wide value, first rounded at the working precision by
+    ``mpmath.mpf``, is written at ``digits + 5`` significant digits when
+    that text parses back to the same mpf (so a bandwidth given as
+    ``"0.4"`` keeps its short text), and otherwise at mpmath's
+    ``repr_dps`` of the working precision (``digits + GUARD_DIGITS + 3``),
+    which always does; the text is libmp's ``to_str``, as ``mpmath.nstr``
+    writes it.  Either way :func:`number_from_json` returns the value bit
+    for bit."""
     if digits <= DOUBLE_DIGITS:
         return float(value)
     with working_dps(digits):
-        value = mp.mpf(value)
-        text = mp.nstr(value, repr_dps(mp.mp.prec), strip_zeros=True)
+        raw = mp.mpf(value)._mpf_
+        text = to_str(raw, repr_dps(mp.mp.prec))
         # the short text reads back only from within half an ulp of the
         # value, and then text's digits just past it are all 0 or all 9;
         # only then is it worth forming and parsing
         mantissa = text.lstrip("+-").split("e")[0].replace(".", "").lstrip("0")
         if mantissa.ljust(digits + 9, "0")[digits + 5:digits + 9] in ("0000", "9999"):
-            short = mp.nstr(value, digits + 5, strip_zeros=True)
-            if mp.mpf(short)._mpf_ == value._mpf_:
+            short = to_str(raw, digits + 5)
+            if _decimal_mpf(short) == raw:
                 return short
         return text
 
@@ -355,4 +380,42 @@ def number_from_json(value, digits: int):
     if digits <= DOUBLE_DIGITS:
         return float(value)
     with working_dps(digits):
-        return mp.mpf(value)
+        return mp.make_mpf(_decimal_mpf(value)) if type(value) is str else mp.mpf(value)
+
+
+def _decimal_mpf(text: str):
+    """The raw mpf that ``mpmath.mpf(text)`` gives at the working
+    precision p in mpmath's rounding mode, to nearest (nothing here sets
+    another).
+
+    Plain decimal text, [+-]digits[.digits][e[+-]digits], is the integer
+    mantissa m (the fraction's trailing zeros cut) times 10^e.  For |e| up
+    to ``_EXACT_DECIMAL_EXP`` mpmath rounds that exact value once, and so
+    does this: m 10^e as an integer, or, for e < 0, the quotient of m 2^s
+    by 5^-e, which keeps p + 2 bits or more, cut to p bits, ties to even,
+    with the remainder as a sticky bit.  Any other text, a larger
+    exponent, or digits past Python's limit for ``int`` go to
+    ``mpmath.mpf``, so the value or error is mpmath's."""
+    prec = mp.mp.prec
+    match = _DECIMAL.fullmatch(text)
+    if match:
+        sign, whole, fraction, exp = match.groups()
+        fraction = (fraction or "").rstrip("0")
+        try:
+            man, exp = int(whole + fraction), int(exp or 0) - len(fraction)
+        except ValueError:  # past the digit limit: mpmath raises its own error
+            exp = math.inf
+        if abs(exp) <= _EXACT_DECIMAL_EXP:
+            if exp >= 0 or not man:
+                return from_int((-man if sign == "-" else man) * 10 ** exp, prec, round_nearest)
+            five = 5 ** -exp
+            shift = max(0, prec + 2 + five.bit_length() - man.bit_length())
+            quot, rem = divmod(man << shift, five)
+            drop = quot.bit_length() - prec  # >= 2: the rounding bit and one below it
+            low, quot, half = quot & (1 << drop) - 1, quot >> drop, 1 << drop - 1
+            if low > half or low == half and (rem or quot & 1):
+                quot += 1
+            zeros = (quot & -quot).bit_length() - 1  # an mpf mantissa is odd
+            quot >>= zeros
+            return int(sign == "-"), quot, exp - shift + drop + zeros, quot.bit_length()
+    return mp.mpf(text)._mpf_

@@ -36,7 +36,7 @@ from itertools import groupby
 import mpmath as mp
 import numpy as np
 
-from .precision import DOUBLE_DIGITS, number_from_json, number_to_json
+from .precision import DOUBLE_DIGITS, number_from_json, number_to_json, numeric
 from .spectral import jacobi_eigensystem
 
 TWO_PI = 2.0 * math.pi
@@ -645,10 +645,11 @@ def point_from_json(space: Space, obj, digits: int = DOUBLE_DIGITS):
 
 
 def pointset_to_json(space: Space, points, digits: int = DOUBLE_DIGITS) -> dict:
-    return {
-        "space": space_to_json(space),
-        "points": [point_to_json(p, digits) for p in points],
-    }
+    with numeric(digits):  # once for every number below
+        return {
+            "space": space_to_json(space),
+            "points": [point_to_json(p, digits) for p in points],
+        }
 
 
 def pointset_from_json(obj: dict, digits: int = DOUBLE_DIGITS) -> tuple[Space, list]:
@@ -662,4 +663,5 @@ def pointset_from_json(obj: dict, digits: int = DOUBLE_DIGITS) -> tuple[Space, l
             f"point set entry 'points' must be a list, got {type(obj['points']).__name__}"
         )
     space = space_from_json(obj["space"])
-    return space, _each_point(space, obj["points"], lambda p: point_from_json(space, p, digits))
+    with numeric(digits):  # once for every number below
+        return space, _each_point(space, obj["points"], lambda p: point_from_json(space, p, digits))

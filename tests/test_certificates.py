@@ -505,10 +505,13 @@ def test_quadratic_form_forms_each_torus_distance_once_per_key(monkeypatch):
     assert 0 < len(calls) <= len(keys)
 
 
-@pytest.mark.parametrize("lam, digits", [(5, 50), (10, 70), (15, 90), (20, 100)])
+@pytest.mark.parametrize("lam, digits", [
+    (0.1, 30), (1, 40), (5, 50), (10, 70), (15, 90), (20, 100),
+])
 def test_builder_witness_pairs_add_unit_cofactors(monkeypatch, lam, digits):
     # a builder witness's coefficients are +-1/sqrt(N): once their gcd is
-    # out, every pair adds +-1, at build and at verify
+    # out, every pair adds +-1, at build and at verify, and its gap sums
+    # take int64
     handed = []
     pair_sums = certificates._pair_sums
     monkeypatch.setattr(certificates, "_pair_sums",
@@ -518,6 +521,7 @@ def test_builder_witness_pairs_add_unit_cofactors(monkeypatch, lam, digits):
     assert gk.verify_certificate(cert).ok
     assert len(handed) == 2
     assert all({abs(c) for c in cs} == {1} and len(cs) == cert.order for cs in handed)
+    assert all(certificates._gap_sums(cs) == _python_gap_sums(cs) for cs in handed)
 
 
 def test_json_enters_the_working_precision_once(monkeypatch):
@@ -736,6 +740,49 @@ def test_angle_just_below_zero_is_rejected(target, tmp_path):
 ], ids=["circle-30", "torus-30", "circle-17", "torus-17", "sphere-17"])
 def test_form_of_no_points_is_zero(space, digits):
     assert gk.quadratic_form(space, "0.4", [], [], digits) == 0
+
+
+@pytest.mark.parametrize("space, point", [
+    (gk.Circle(), "1"), (gk.FlatTorus(), ("1", "2")),
+], ids=["circle", "torus"])
+def test_form_of_one_point_is_its_coefficient_squared(space, point):
+    with numeric(30) as x:
+        point = tuple(map(x.num, point)) if isinstance(point, tuple) else x.num(point)
+    assert gk.quadratic_form(space, "0.4", [point], ["1"], 30) == 1
+
+
+def _python_gap_sums(cs):
+    return [sum(a * b for a, b in zip(cs, cs[g:])) for g in range(1, len(cs))]
+
+
+def _spy_correlate(monkeypatch):
+    calls = []
+    correlate = np.correlate
+    monkeypatch.setattr(np, "correlate", lambda *a, **k: calls.append(a) or correlate(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("n", [4, 5, 16, 68, 128, 256, 1023, 1024])
+def test_gap_sums_of_unit_cofactors_take_int64_and_equal_python_ints(monkeypatch, n):
+    calls = _spy_correlate(monkeypatch)
+    cs = [(-1) ** k for k in range(n)]
+    sums = certificates._gap_sums(cs)
+    assert sums == _python_gap_sums(cs) == [(-1) ** g * (n - g) for g in range(1, n)]
+    assert all(type(s) is int for s in sums)
+    assert len(calls) == 1
+
+
+def test_gap_sums_on_either_side_of_the_int64_bound_stay_exact(monkeypatch):
+    calls = _spy_correlate(monkeypatch)
+    top = math.isqrt((2 ** 63 - 1) // 4)  # 4 top^2 < 2^63 <= 4 (top + 1)^2
+    for c, route in ((top, 1), (top + 1, 0), (2 ** 40, 0)):
+        cs = [c, -c, c, c]
+        calls.clear()
+        sums = certificates._gap_sums(cs)
+        assert sums == _python_gap_sums(cs) and all(type(s) is int for s in sums)
+        assert len(calls) == route, c
+    # past the bound int64 would wrap: 3 * 2^80 is no int64
+    assert certificates._gap_sums([2 ** 40] * 4)[0] == 3 * 2 ** 80
 
 
 def test_build_certificate_circulant_fields():
@@ -1076,6 +1123,31 @@ def test_cert_from_json_takes_points_only_as_a_list():
     payload = gk.cert_to_json(_unit_witness())
     payload["points"] = "05"
     with pytest.raises(CertificateError, match="'points' must be a list, got str"):
+        gk.cert_from_json(payload)
+
+
+@pytest.mark.parametrize("coefficients", ["0" * 16, {"0": 1}, 0.25, None])
+def test_cert_from_json_takes_coefficients_only_as_a_list(coefficients):
+    # a string of N characters once loaded as N coefficients
+    payload = gk.cert_to_json(gk.circle_witness(1, precision_digits=30))
+    assert len(payload["coefficients"]) == 16
+    payload["coefficients"] = coefficients
+    with pytest.raises(CertificateError, match=re.escape(
+            "malformed certificate: TypeError(\"certificate entry 'coefficients' must be "
+            f"a list, got {type(coefficients).__name__}\")")):
+        gk.cert_from_json(payload)
+
+
+@pytest.mark.parametrize("digits", [17, 30])
+@pytest.mark.parametrize("bad, detail", [
+    ("abc", "could not convert string to float: 'abc'"),
+    (True, "expected a number, got True"),
+    ([1], ""),  # float and mpmath word it apart
+])
+def test_cert_from_json_names_a_malformed_coefficient_by_index(digits, bad, detail):
+    payload = gk.cert_to_json(_unit_witness(digits=digits))
+    payload["coefficients"][2] = bad
+    with pytest.raises(CertificateError, match=re.escape(f"coefficient 2: {detail}")):
         gk.cert_from_json(payload)
 
 

@@ -41,6 +41,20 @@ def test_query_validation():
         partial_theta(1.0, -1, 4)
 
 
+@pytest.mark.parametrize("check", [gk.bound_rhs, gk.tail_decomposition_check],
+                         ids=["bound_rhs", "tail_decomposition_check"])
+@pytest.mark.parametrize("digits, message", [
+    (None, "an integer, got None"), ("30", "an integer, got '30'"), (16, ">= 17, got 16"),
+])
+def test_tail_split_checks_n_then_digits_then_mu(check, digits, message):
+    with pytest.raises(PartialThetaError, match="^N must be divisible by 4, got 6$"):
+        check("inf", 6, digits)
+    with pytest.raises(PrecisionError, match=f"^precision_digits must be {message}$"):
+        check("inf", 8, digits)
+    with pytest.raises(PartialThetaError, match="^mu must be positive$"):
+        check("inf", 8, 30)
+
+
 def test_infinite_r_is_refused():
     # exp(-r k/N) is 0 past k = 0 and exp(nan) at it; nan is no finite r either
     for digits in (17, 30):

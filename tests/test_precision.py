@@ -3,13 +3,16 @@ Gaussian rows from one integer recurrence, the kernel values of an exact
 progression's gaps, rounded pair differences, and the JSON text of wide
 numbers."""
 
+import json
 import random
 import sys
 from itertools import combinations, islice
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 from mpmath import mp, mpf
-from mpmath.libmp import dps_to_prec, mpf_pos, round_nearest
+from mpmath.libmp import dps_to_prec, mpf_pos, repr_dps, round_nearest
 
 import geokernel as gk
 from geokernel import precision
@@ -246,6 +249,109 @@ def test_number_json_keeps_short_text(digits):
         value = number_from_json(text, digits)
         assert number_to_json(value, digits) == text
         assert number_to_json(text, digits) == text
+
+
+def _nstr_to_json(value, digits):
+    """The JSON text of a wide value as mpmath.mpf and mpmath.nstr give it:
+    the digits + 5 text where it parses back, else the repr_dps one."""
+    with working_dps(digits):
+        value = mp.mpf(value)
+        short = mp.nstr(value, digits + 5, strip_zeros=True)
+        if mp.mpf(short)._mpf_ == value._mpf_:
+            return short
+        return mp.nstr(value, repr_dps(mp.prec), strip_zeros=True)
+
+
+# plain decimal text, with decimal exponents on both sides of +-400, where
+# mpmath stops rounding the exact value once
+_DECIMAL_TEXT = st.builds(
+    lambda sign, whole, fraction, exp: sign + whole + fraction + exp,
+    st.sampled_from(["", "-", "+"]),
+    st.from_regex(r"[0-9]{1,5}", fullmatch=True),
+    st.one_of(st.just(""), st.from_regex(r"\.[0-9]{1,130}", fullmatch=True)),
+    st.one_of(st.just(""), st.integers(-430, 430).map(lambda e: f"e{e:+d}"),
+              st.integers(0, 430).map(lambda e: f"e{e}")),
+)
+
+
+@given(st.integers(18, 100), _DECIMAL_TEXT)
+@example(30, "-0.000")
+@example(100, "0")
+@example(100, "-1.25e-400")
+@example(100, "-1.25e-401")
+@example(18, "3e400")
+@example(18, "3e401")
+# past +-400 mpmath rounds twice, and these two land apart from the exact value
+@example(30, "91224887618567637e-405")
+@example(18, "5725941795693087111011170239160328328219e401")
+def test_number_from_json_parses_decimal_text_as_mpmath_does(digits, text):
+    with working_dps(digits):
+        expected = mp.mpf(text)._mpf_
+    assert number_from_json(text, digits)._mpf_ == expected
+
+
+@pytest.mark.parametrize("digits", [18, 30, 100])
+def test_number_from_json_rounds_decimal_ties_to_even(digits):
+    # m 2^-j with m of prec + 1 bits lies halfway between two mpf values;
+    # written exactly as m 5^j e-j.  A digit 1 far past m / 2 lifts it off
+    # the tie: only the remainder of the division tells
+    p = dps_to_prec(digits + GUARD_DIGITS)
+    for m in (2 ** p + 1, 2 ** p + 3, 2 ** (p + 1) - 1, 3 * 2 ** (p - 1) + 1):
+        for sign in "+-":
+            texts = [f"{sign}{m * 5 ** j}e-{j}" for j in (1, 3, 40)]
+            for text in (*texts, f"{sign}{m // 2}.5", f"{sign}{m // 2}.5{'0' * 40}1"):
+                with working_dps(digits):
+                    expected = mp.mpf(text)._mpf_
+                assert number_from_json(text, digits)._mpf_ == expected, text
+
+
+@given(st.integers(18, 100), st.one_of(
+    # any mantissa at a binary exponent with a decimal one up to about +-430
+    st.tuples(st.integers(-2 ** 400, 2 ** 400), st.integers(-1800, 1400)),
+    # short decimals, which take the digits + 5 form
+    st.builds(lambda whole, exp: f"{whole}e{exp}",
+              st.integers(-10 ** 6, 10 ** 6), st.integers(-430, 430)),
+))
+@example(30, (0, 0))
+@example(100, "-4e-5")
+def test_number_to_json_writes_as_mpmath_nstr_does(digits, payload):
+    with mp.workdps(200):  # the codec rounds it at the working precision
+        value = mpf(payload)
+    assert number_to_json(value, digits) == _nstr_to_json(value, digits)
+
+
+@pytest.mark.parametrize("text", [
+    "1/3", "inf", "-inf", "nan", " 1.5 ", "1_0", "1e", "abc", ".5", "5.", "1E5",
+    "1e-401", "1e401", "1e" + "9" * 5000, "1" * 5000, True,
+])
+@pytest.mark.parametrize("digits", [18, 100])
+def test_number_from_json_takes_other_input_as_before(text, digits):
+    def outcome(parse):
+        try:
+            with working_dps(digits):
+                return parse(text)._mpf_
+        except (TypeError, ValueError) as exc:
+            return type(exc), str(exc)
+
+    expected = (TypeError, "expected a number, got True") if text is True else outcome(mp.mpf)
+    assert outcome(lambda t: number_from_json(t, digits)) == expected
+
+
+@pytest.mark.parametrize("path", sorted(Path(__file__).parent.glob("golden/*cert*.json")),
+                         ids=lambda p: p.name)
+def test_golden_certificates_read_and_write_as_before(path):
+    text = path.read_text()
+    obj = json.loads(text)
+    cert = gk.cert_from_json(obj)
+
+    def raw(v):  # mpmath.mpf's raw tuples of a number, a text or nested lists of them
+        return tuple(map(raw, v)) if isinstance(v, (list, tuple)) else mp.mpf(v)._mpf_
+
+    with working_dps(cert.precision_digits):
+        for field, parsed in (("points", cert.points), ("coefficients", cert.coefficients),
+                              ("lambda", cert.lam), ("quad_form", cert.quad_form)):
+            assert raw(parsed) == raw(obj[field]), field
+    assert json.dumps(gk.cert_to_json(cert), sort_keys=True, indent=2) + "\n" == text
 
 
 # one call per public function that reaches ``numeric`` without a range
